@@ -191,38 +191,6 @@ fn bench_ingest_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Round latency, persistent pool versus per-round thread spawning, on
-/// identical round code (`run_round` vs `run_round_spawning`): what the
-/// parked workers buy on the round's critical path.
-fn bench_pool_vs_spawn(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fleet_round_pool_vs_spawn");
-    group.sample_size(10);
-    // Force ≥ 2 so the comparison exercises real fan-out even on a 1-core
-    // CI container (chunking is budget-driven, results stay identical).
-    let workers = available_threads().max(2);
-    let tenants = 250usize;
-    for &mode in &["pool", "spawn"] {
-        group.bench_with_input(BenchmarkId::new(mode, tenants), &mode, |b, &mode| {
-            let mut fleet = build_fleet(tenants, 250);
-            fleet.set_workers(workers);
-            let mut round = 0u64;
-            b.iter(|| {
-                let now = 86_400.0 + 10.0 * round as f64;
-                round += 1;
-                if mode == "pool" {
-                    fleet.run_round_uniform(now, 0).expect("round succeeds")
-                } else {
-                    let covered = vec![0usize; tenants];
-                    fleet
-                        .run_round_spawning(now, &covered)
-                        .expect("round succeeds")
-                }
-            });
-        });
-    }
-    group.finish();
-}
-
 /// Durable-state path: checkpoint (snapshot + serialize + atomic shard
 /// writes) and restore (read + checksum-verify + deserialize + forecast
 /// cache rebuild) of a warm fleet, sharded at the default group size.
@@ -373,7 +341,6 @@ criterion_group!(
     bench_fleet_round_batched,
     bench_fleet_round_parallel,
     bench_ingest_throughput,
-    bench_pool_vs_spawn,
     bench_fleet_checkpoint,
     bench_fleet_hibernation
 );

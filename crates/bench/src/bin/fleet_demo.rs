@@ -402,15 +402,10 @@ fn checkpoint_and_verify(
     let manifest = fleet.checkpoint(dir).expect("checkpoint succeeds");
     let write_secs = started.elapsed().as_secs_f64();
     let started = Instant::now();
+    // The manifest re-arms the fault plan, supervision policy and
+    // sharing policy, so the continuation needs no wiring by hand.
     let mut restored = TenantFleet::restore(dir, config).expect("restore succeeds");
     let restore_secs = started.elapsed().as_secs_f64();
-    // The fault schedule and supervision policy are runtime wiring, not
-    // checkpoint state — the restored fleet must re-arm them or its
-    // continuation rounds run fault-free and diverge from the live fleet.
-    if let Some(plan) = fleet.fault_plan() {
-        restored.set_faults(plan);
-    }
-    restored.set_supervisor(fleet.supervisor());
     let (_, _, live_plans) = run_rounds(fleet, first_round, rounds);
     let (_, _, restored_plans) = run_rounds(&mut restored, first_round, rounds);
     CheckpointReport {
@@ -505,14 +500,14 @@ fn main() {
         } else {
             build_fleet(tenants, samples, seed)
         };
-        // The fault plan and supervision policy are runtime wiring, not
-        // fleet state — applied to every fleet (restored ones included).
+        // A restored fleet keeps the fault plan and sharing policy its
+        // checkpoint recorded; the flags, when given, override them.
         if chaos {
             fleet.set_faults(faults);
         }
-        // Sharing / plan reuse is runtime wiring too. Both the serial and
-        // parallel fleet get it, so the worker-invariance check below
-        // validates the sharing determinism contract as a side effect.
+        // Both the serial and parallel fleet get the sharing policy, so
+        // the worker-invariance check below validates the sharing
+        // determinism contract as a side effect.
         if let Some(sharing) = sharing {
             fleet.set_sharing(sharing).expect("valid sharing config");
         }

@@ -23,7 +23,7 @@
 //! On-disk layout under the checkpoint directory:
 //!
 //! ```text
-//! manifest.json               # swap point: {version, generation, shards, bus}
+//! manifest.json               # swap point: {version, generation, shards, fleet wiring}
 //! gen-000003/shard-0000.json  # Vec<TenantSnapshot> for tenant group 0
 //! gen-000003/shard-0001.json  # ...
 //! ```
@@ -58,11 +58,15 @@
 //!   supervision state ([`SupervisionSnapshot`]: failure counters,
 //!   quarantine + backoff schedule, the last good plan/snapshot), so a
 //!   restored fleet resumes its quarantine lifecycle bit-identically.
+//!
+//! Formats v4 and v5 are described at [`CHECKPOINT_FORMAT_VERSION`].
 
 use crate::error::OnlineError;
-use crate::fleet::ResidencyConfig;
+use crate::faults::FaultPlan;
+use crate::fleet::{ResidencyConfig, SupervisorConfig};
 use crate::ingest::{BusConfig, QueueStats};
 use crate::scaler::ScalerSnapshot;
+use crate::sharing::SharingConfig;
 use robustscaler_parallel::{parallel_map, WorkerPool};
 use robustscaler_scaling::PlanningRound;
 use serde::{Deserialize, Serialize};
@@ -84,7 +88,11 @@ use std::time::Duration;
 /// optionally carry a [`ResidencySnapshot`], and the manifest records the
 /// fleet's [`ResidencyConfig`] and round
 /// counter so a restored fleet resumes its residency state machine exactly.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 4;
+///
+/// **Format v5** adds the fleet's [`SupervisorConfig`], [`FaultPlan`] and
+/// [`SharingConfig`] to the manifest ([`FleetWiring`]), so a restore
+/// re-arms them; older manifests restore with the defaults.
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 5;
 
 /// How many times a shard/manifest write is attempted before the
 /// checkpoint fails (first try + retries).
@@ -269,6 +277,31 @@ pub struct Manifest {
     /// The fleet's residency configuration (format v4); `None` for fleets
     /// without residency tiering. Restore re-enables tiering from it.
     pub residency: Option<ResidencyConfig>,
+    /// The fleet's supervision policy (format v5).
+    pub supervisor: Option<SupervisorConfig>,
+    /// The fleet's fault plan (format v5); `None` when injection was off.
+    pub faults: Option<FaultPlan>,
+    /// The fleet's sharing policy (format v5).
+    pub sharing: Option<SharingConfig>,
+}
+
+/// Everything a manifest records about the fleet beside its shards: the
+/// round counter and the wiring a restore re-arms, each written to the
+/// manifest field of the same name.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct FleetWiring {
+    /// The arrival-bus configuration (fleets with a bus).
+    pub bus: Option<BusConfig>,
+    /// The fleet round counter.
+    pub round: Option<u64>,
+    /// The residency policy (fleets with residency tiering).
+    pub residency: Option<ResidencyConfig>,
+    /// The supervision policy.
+    pub supervisor: Option<SupervisorConfig>,
+    /// The fault plan (fleets with fault injection on).
+    pub faults: Option<FaultPlan>,
+    /// The cross-tenant sharing policy.
+    pub sharing: Option<SharingConfig>,
 }
 
 /// Knobs for [`CheckpointStore::write_with`] beyond the snapshot set.
@@ -281,17 +314,14 @@ pub struct WriteOptions<'a> {
     /// Persistent worker pool to serialize on (falls back to scoped
     /// threads when `None`).
     pub pool: Option<&'a WorkerPool>,
-    /// Bus configuration to record in the manifest (fleets with a bus).
-    pub bus: Option<BusConfig>,
+    /// What the manifest records about the fleet (all `None` for a bare
+    /// tenant set).
+    pub fleet: FleetWiring,
     /// Per-shard-group cleanliness, aligned with the `tenants_per_shard`
     /// chunking: `clean_shards[g] == true` asserts group `g`'s bytes are
     /// identical to the previous generation's shard `g`, allowing reuse.
     /// `None` (or a mismatched length) rewrites everything.
     pub clean_shards: Option<&'a [bool]>,
-    /// Fleet round counter to record in the manifest (format v4).
-    pub round: Option<u64>,
-    /// Residency configuration to record in the manifest (format v4).
-    pub residency: Option<ResidencyConfig>,
     /// Caller's assertion that the directory's current (pre-write)
     /// generation is restorable — it was this caller's own previous write
     /// and that write was restorable (fresh, or inductively anchored at a
@@ -538,7 +568,18 @@ impl CheckpointStore {
 
     /// Whether a current checkpoint (a manifest) exists.
     pub fn exists(&self) -> bool {
-        self.manifest_path().is_file()
+        self.dir_names()
+            .is_ok_and(|names| names.iter().any(|name| name == "manifest.json"))
+    }
+
+    /// Entry names of the checkpoint directory, listed through the storage
+    /// backend (so a non-OS storage sees its own files); a missing
+    /// directory has none.
+    fn dir_names(&self) -> Result<Vec<String>, OnlineError> {
+        match self.storage.read_dir_names(&self.dir) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+            listed => listed.map_err(|e| io_err(&format!("list {}", self.dir.display()), &e)),
+        }
     }
 
     /// Write `bytes` to `path` atomically — temp file in the same
@@ -673,8 +714,10 @@ impl CheckpointStore {
         // unsupported manifest must fail the write instead: silently
         // restarting at generation 1 would break the documented
         // monotonicity, and an old binary would clobber a newer-format
-        // checkpoint rather than failing loudly.
-        let previous = if self.exists() {
+        // checkpoint rather than failing loudly. A listing failure other
+        // than a missing directory fails the write for the same reason.
+        let names = self.dir_names()?;
+        let previous = if names.iter().any(|name| name == "manifest.json") {
             Some(self.read_manifest()?)
         } else {
             None
@@ -684,7 +727,7 @@ impl CheckpointStore {
         let gen_dir = self.dir.join(&gen_name);
         // Clear remnants of a crashed write that reached this generation
         // number but never swapped its manifest in.
-        if gen_dir.exists() {
+        if names.contains(&gen_name) {
             self.storage
                 .remove_dir_all(&gen_dir)
                 .map_err(|e| io_err(&format!("clear stale {}", gen_dir.display()), &e))?;
@@ -761,9 +804,12 @@ impl CheckpointStore {
             generation,
             tenant_count: snapshots.len(),
             shards,
-            bus: options.bus,
-            round: options.round,
-            residency: options.residency,
+            bus: options.fleet.bus,
+            round: options.fleet.round,
+            residency: options.fleet.residency,
+            supervisor: options.fleet.supervisor,
+            faults: options.fleet.faults,
+            sharing: options.fleet.sharing,
         };
         let manifest_json =
             serde_json::to_string(&manifest).map_err(|e| OnlineError::Checkpoint {
@@ -1469,7 +1515,18 @@ mod tests {
         assert_eq!(back.version, 1);
         assert_eq!(back.bus, None);
         assert_eq!(back.shards[0].reused_from, None);
+        assert_eq!(
+            (back.supervisor, back.faults, back.sharing),
+            (None, None, None)
+        );
         assert_eq!(store.load(1).unwrap(), snapshots);
+        // A fleet restored from it gets the default wiring.
+        let fleet = crate::fleet::TenantFleet::restore(&dir, &fast_config()).unwrap();
+        assert_eq!(fleet.supervisor(), SupervisorConfig::default());
+        assert_eq!(fleet.fault_plan(), None);
+        assert_eq!(fleet.sharing(), SharingConfig::default());
+        assert_eq!(fleet.residency(), None);
+        assert!(fleet.bus().is_none());
         // And the next write continues the generation sequence.
         let next = store.write(&snapshots, 8, 1).unwrap();
         assert_eq!(next.generation, manifest.generation + 1);

@@ -63,9 +63,9 @@
 //! combined with trace recording.
 
 use crate::checkpoint::{
-    CheckpointIoStats, CheckpointStorage, CheckpointStore, HibernationStore, Manifest, PageReceipt,
-    QuarantineState, ResidencySnapshot, SupervisionSnapshot, TenantSnapshot, WriteOptions,
-    DEFAULT_TENANTS_PER_SHARD,
+    CheckpointIoStats, CheckpointStorage, CheckpointStore, FleetWiring, HibernationStore, Manifest,
+    PageReceipt, QuarantineState, ResidencySnapshot, SupervisionSnapshot, TenantSnapshot,
+    WriteOptions, DEFAULT_TENANTS_PER_SHARD,
 };
 use crate::error::OnlineError;
 use crate::faults::{FaultInjector, FaultPlan, PlanFault};
@@ -128,6 +128,24 @@ pub struct ResidencyConfig {
     /// Start every tenant cold (set by [`TenantFleet::new_cold`]; a
     /// replayed cold-start session must reproduce it).
     pub start_cold: bool,
+}
+
+impl ResidencyConfig {
+    /// Validate the policy: `cold_after` ≥ 1 and a finite, non-negative
+    /// `idle_epsilon`.
+    pub fn validate(&self) -> Result<(), OnlineError> {
+        if self.cold_after == 0 {
+            return Err(OnlineError::InvalidConfig(
+                "residency cold_after must be at least 1",
+            ));
+        }
+        if !self.idle_epsilon.is_finite() || self.idle_epsilon < 0.0 {
+            return Err(OnlineError::InvalidConfig(
+                "residency idle_epsilon must be finite and non-negative",
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl Default for ResidencyConfig {
@@ -556,17 +574,13 @@ struct LastCheckpoint {
     restorable: bool,
 }
 
-/// Runtime wiring to re-arm atomically with a checkpoint restore (see
-/// [`TenantFleet::restore_with`]). Everything defaults to `None` — an
-/// all-`None` options value behaves like [`TenantFleet::restore`] except
-/// that the result still counts as armed (the caller explicitly chose
-/// the defaults).
+/// The deployment settings of a restore (see [`TenantFleet::restore_with`]):
+/// where the restored process keeps its files. Everything the checkpointed
+/// session ran *with* — bus, residency, supervisor, fault plan, sharing —
+/// comes back from the manifest instead. The default (both `None`) is
+/// [`TenantFleet::restore`].
 #[derive(Debug, Clone, Default)]
 pub struct RestoreOptions {
-    /// Supervision policy the checkpointed session ran with.
-    pub supervisor: Option<SupervisorConfig>,
-    /// Fault plan the checkpointed session ran with (chaos sessions).
-    pub faults: Option<FaultPlan>,
     /// Storage backend for the restore *and* subsequent checkpoints.
     pub storage: Option<Arc<dyn CheckpointStorage>>,
     /// Hibernation directory to re-attach (requires the checkpoint to
@@ -633,13 +647,8 @@ pub struct TenantFleet {
     /// Residency events of completed rounds, until taken with
     /// [`TenantFleet::take_residency_events`].
     residency_events: Vec<(u64, ResidencyEvent)>,
-    /// True after a plain [`TenantFleet::restore`]: the checkpoint's
-    /// supervisor policy, fault plan and storage wiring were *not*
-    /// re-armed (see [`TenantFleet::restore_with`]).
-    restored_unarmed: bool,
-    /// Cross-tenant shared-sampling policy. Runtime-only, like tracing:
-    /// not persisted in checkpoints (a restored fleet starts with sharing
-    /// off and the driver re-applies it).
+    /// Cross-tenant shared-sampling policy (recorded in checkpoint
+    /// manifests and re-armed on restore).
     sharing: SharingConfig,
     /// Lifetime count of plan-group follower rounds served by adopting a
     /// leader's decision schedule instead of re-running the decision loop
@@ -717,7 +726,6 @@ impl Clone for TenantFleet {
             saw_direct: vec![false; tenant_count],
             pending_wakes: Vec::new(),
             residency_events: Vec::new(),
-            restored_unarmed: self.restored_unarmed,
             sharing: self.sharing,
             deduped_plan_rounds: self.deduped_plan_rounds,
         }
@@ -847,7 +855,6 @@ impl TenantFleet {
             saw_direct: vec![false; tenant_count],
             pending_wakes: Vec::new(),
             residency_events: Vec::new(),
-            restored_unarmed: false,
             sharing: SharingConfig::default(),
             deduped_plan_rounds: 0,
         }
@@ -861,16 +868,7 @@ impl TenantFleet {
     /// tenant actually goes quiet; hibernate→wake is bit-equivalent to
     /// never hibernating.
     pub fn enable_residency(&mut self, config: ResidencyConfig) -> Result<(), OnlineError> {
-        if config.cold_after == 0 {
-            return Err(OnlineError::InvalidConfig(
-                "residency cold_after must be at least 1",
-            ));
-        }
-        if !config.idle_epsilon.is_finite() || config.idle_epsilon < 0.0 {
-            return Err(OnlineError::InvalidConfig(
-                "residency idle_epsilon must be finite and non-negative",
-            ));
-        }
+        config.validate()?;
         self.residency = Some(config);
         if config.start_cold {
             for state in &mut self.residency_state {
@@ -1042,9 +1040,8 @@ impl TenantFleet {
     /// quantize to the same [`ClusterKey`] plan against one shared
     /// arrival-sample matrix per cluster — deterministic (the matrix is
     /// seeded from the key and the round counter, never a tenant RNG) but
-    /// *not* bit-identical to sharing off. Runtime-only, like tracing: the
-    /// setting is not persisted in checkpoints, and a restored fleet
-    /// starts with sharing off.
+    /// *not* bit-identical to sharing off. Checkpoints record the policy
+    /// in their manifest, and a restored fleet plans under it again.
     pub fn set_sharing(&mut self, sharing: SharingConfig) -> Result<(), OnlineError> {
         sharing.validate()?;
         self.sharing = sharing;
@@ -1180,30 +1177,6 @@ impl TenantFleet {
         &mut self,
         now: f64,
         covered: &[usize],
-    ) -> Result<Vec<Result<PlanningRound, OnlineError>>, OnlineError> {
-        self.round_inner(now, covered, true)
-    }
-
-    /// [`TenantFleet::run_round`] executed on per-round *scoped threads*
-    /// instead of the persistent pool — the legacy execution flavour, kept
-    /// so the pool-vs-spawn round-latency comparison in `bench_fleet`
-    /// measures both on identical code. Outputs are bit-identical to
-    /// [`TenantFleet::run_round`].
-    #[allow(clippy::type_complexity)]
-    pub fn run_round_spawning(
-        &mut self,
-        now: f64,
-        covered: &[usize],
-    ) -> Result<Vec<Result<PlanningRound, OnlineError>>, OnlineError> {
-        self.round_inner(now, covered, false)
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn round_inner(
-        &mut self,
-        now: f64,
-        covered: &[usize],
-        use_pool: bool,
     ) -> Result<Vec<Result<PlanningRound, OnlineError>>, OnlineError> {
         if covered.len() != self.tenants.len() {
             return Err(OnlineError::InvalidConfig(
@@ -1416,12 +1389,8 @@ impl TenantFleet {
                 .collect::<Vec<PrepOutcome>>()
         };
         let prepare_outcome = catch_unwind(AssertUnwindSafe(|| {
-            if use_pool {
-                self.pool
-                    .map_chunks_mut(&mut self.tenants, workers, prepare_work)
-            } else {
-                map_chunks_mut(&mut self.tenants, workers, prepare_work)
-            }
+            self.pool
+                .map_chunks_mut(&mut self.tenants, workers, prepare_work)
         }));
         // Every prepared tenant's ring/stats advanced (the prepare phase
         // drains, ingests and refits even on the error path), so those
@@ -1613,12 +1582,8 @@ impl TenantFleet {
                     .collect::<Vec<PlanResult>>()
             };
             let plan_outcome = catch_unwind(AssertUnwindSafe(|| {
-                if use_pool {
-                    self.pool
-                        .map_chunks_mut(&mut self.tenants, workers, plan_work)
-                } else {
-                    map_chunks_mut(&mut self.tenants, workers, plan_work)
-                }
+                self.pool
+                    .map_chunks_mut(&mut self.tenants, workers, plan_work)
             }));
             match plan_outcome {
                 Ok(per_chunk) => per_chunk.into_iter().flatten().collect(),
@@ -2009,7 +1974,6 @@ impl TenantFleet {
         } else {
             None
         };
-        self.restored_unarmed = false;
     }
 
     /// The active fault plan, if chaos is enabled.
@@ -2020,7 +1984,6 @@ impl TenantFleet {
     /// Replace the supervision policy (applies from the next round).
     pub fn set_supervisor(&mut self, config: SupervisorConfig) {
         self.supervisor = config;
-        self.restored_unarmed = false;
     }
 
     /// The active supervision policy.
@@ -2292,10 +2255,15 @@ impl TenantFleet {
                 tenants_per_shard,
                 workers: self.workers,
                 pool: Some(&self.pool),
-                bus: self.bus.as_ref().map(|bus| bus.config()),
+                fleet: FleetWiring {
+                    bus: self.bus.as_ref().map(|bus| bus.config()),
+                    round: Some(self.round_counter),
+                    residency: self.residency,
+                    supervisor: Some(self.supervisor),
+                    faults: self.fault_plan(),
+                    sharing: Some(self.sharing),
+                },
                 clean_shards: Some(&clean),
-                round: Some(self.round_counter),
-                residency: self.residency,
                 previous_restorable,
             },
         );
@@ -2385,100 +2353,50 @@ impl TenantFleet {
                 .all(|(shard, checksum)| &shard.checksum == checksum)
     }
 
+    /// Restore a fleet from the checkpoint in `dir` with the default
+    /// deployment settings: [`TenantFleet::restore_with`] with
+    /// [`RestoreOptions::default`], the fallback notes dropped.
+    pub fn restore(dir: impl AsRef<Path>, config: &OnlineConfig) -> Result<Self, OnlineError> {
+        Self::restore_with(dir, config, RestoreOptions::default()).map(|(fleet, _)| fleet)
+    }
+
     /// Restore a fleet from the checkpoint in `dir`, loading and
-    /// deserializing shards in parallel.
+    /// deserializing shards in parallel, and re-arm it exactly as it was
+    /// checkpointed.
     ///
     /// `config` is the shared serving configuration (per-tenant seeds and
     /// RNG positions come from the checkpoint, not from `config`'s seed).
     /// Shards are checksum-verified before parsing; a corrupt shard fails
-    /// the restore with an error naming that shard. When the checkpoint
-    /// was taken from a fleet with an arrival bus, the bus is rebuilt with
-    /// every tenant's undrained queue and back-pressure accounting intact,
-    /// so a restore mid-burst continues bit-identically. The restored
-    /// fleet's worker budget defaults to the machine's available
+    /// the restore with an error naming that shard unless an older
+    /// retained generation still loads, in which case the returned notes
+    /// name the generation that was skipped and why.
+    ///
+    /// Tenant state travels in the shards: rings, models, RNG positions,
+    /// supervision and residency state, and every tenant's undrained
+    /// arrival queue, so a restore mid-burst continues bit-identically.
+    /// The manifest carries the fleet's round counter and its wiring: the
+    /// arrival bus, residency policy, supervisor policy, fault plan and
+    /// sharing policy. Each is validated the way its setter validates it
+    /// (an invalid hand-edited value fails with
+    /// [`OnlineError::InvalidConfig`]) and re-applied, so the restored
+    /// fleet plans under the policy it was checkpointed with. Checkpoints
+    /// older than format v5 carry no supervisor, fault plan or sharing
+    /// policy and restore with the defaults.
+    ///
+    /// `options` holds what belongs to the restoring process rather than
+    /// to the checkpoint: the storage backend and the page directory. The
+    /// restored fleet's worker budget defaults to the machine's available
     /// parallelism, and — as with a fresh fleet — its plans do not depend
     /// on it.
-    pub fn restore(dir: impl AsRef<Path>, config: &OnlineConfig) -> Result<Self, OnlineError> {
-        Self::restore_from(CheckpointStore::new(dir.as_ref()), config).map(|(fleet, _)| fleet)
-    }
-
-    /// [`TenantFleet::restore`] with the recovery surfaced: returns the
-    /// restored fleet plus the store's fallback notes (non-empty when the
-    /// newest generation was corrupt and an older restorable one was used
-    /// — each note names the generation that was skipped and why).
-    pub fn restore_with_report(
-        dir: impl AsRef<Path>,
-        config: &OnlineConfig,
-    ) -> Result<(Self, Vec<String>), OnlineError> {
-        Self::restore_from(CheckpointStore::new(dir.as_ref()), config)
-    }
-
-    /// [`TenantFleet::restore`] through an injected storage backend
-    /// (chaos tests exercise the retry/scan-back machinery with a
-    /// [`crate::faults::FaultyStorage`] here). The restored fleet keeps
-    /// `storage` for its subsequent checkpoints.
-    pub fn restore_with_storage(
-        dir: impl AsRef<Path>,
-        config: &OnlineConfig,
-        storage: Arc<dyn CheckpointStorage>,
-    ) -> Result<(Self, Vec<String>), OnlineError> {
-        let store = CheckpointStore::with_storage(dir.as_ref(), Arc::clone(&storage));
-        let (mut fleet, notes) = Self::restore_from(store, config)?;
-        fleet.checkpoint_storage = Some(storage);
-        Ok((fleet, notes))
-    }
-
-    /// Restore a fleet from the checkpoint in `dir` **and re-arm its
-    /// runtime wiring** in one step.
-    ///
-    /// A checkpoint persists per-tenant supervision *state* (quarantines,
-    /// failure counters, last-good plans) but not the runtime *wiring*
-    /// around it: the supervisor policy, the fault plan and the storage
-    /// backend live outside the tenants. A plain [`TenantFleet::restore`]
-    /// silently reverts all three to defaults — a quarantined tenant
-    /// would probe under the default policy, and a chaos session would
-    /// resume with injection off. This constructor applies the wiring
-    /// atomically with the restore; the result reports
-    /// [`TenantFleet::restored_unarmed`] `false`.
     pub fn restore_with(
         dir: impl AsRef<Path>,
         config: &OnlineConfig,
         options: RestoreOptions,
     ) -> Result<(Self, Vec<String>), OnlineError> {
-        let dir = dir.as_ref();
         let store = match &options.storage {
-            Some(storage) => CheckpointStore::with_storage(dir, Arc::clone(storage)),
-            None => CheckpointStore::new(dir),
+            Some(storage) => CheckpointStore::with_storage(dir.as_ref(), Arc::clone(storage)),
+            None => CheckpointStore::new(dir.as_ref()),
         };
-        let (mut fleet, notes) = Self::restore_from(store, config)?;
-        fleet.checkpoint_storage = options.storage;
-        if let Some(supervisor) = options.supervisor {
-            fleet.supervisor = supervisor;
-        }
-        if let Some(faults) = options.faults {
-            fleet.set_faults(faults);
-        }
-        if let Some(hibernation_dir) = options.hibernation_dir {
-            fleet.set_hibernation_dir(hibernation_dir)?;
-        }
-        fleet.restored_unarmed = false;
-        Ok((fleet, notes))
-    }
-
-    /// True when this fleet came from a plain [`TenantFleet::restore`]
-    /// (or [`TenantFleet::restore_with_report`]) and its supervisor
-    /// policy, fault plan and storage wiring have **not** been re-armed —
-    /// they are defaults, not what the checkpointed session ran with.
-    /// Cleared by [`TenantFleet::restore_with`],
-    /// [`TenantFleet::set_supervisor`] and [`TenantFleet::set_faults`].
-    pub fn restored_unarmed(&self) -> bool {
-        self.restored_unarmed
-    }
-
-    fn restore_from(
-        store: CheckpointStore,
-        config: &OnlineConfig,
-    ) -> Result<(Self, Vec<String>), OnlineError> {
         let workers = available_threads();
         let (manifest, per_shard) = store.load_shards(workers)?;
         let mut snapshots = Vec::with_capacity(manifest.tenant_count);
@@ -2575,6 +2493,7 @@ impl TenantFleet {
         // they re-page lazily on the first round if a hibernation store
         // is attached, and plan nothing until their wake trigger fires.
         if let Some(residency) = manifest.residency {
+            residency.validate()?;
             fleet.residency = Some(residency);
             for (i, snapshot) in residency_snapshots.into_iter().enumerate() {
                 let Some(snapshot) = snapshot else { continue };
@@ -2590,8 +2509,20 @@ impl TenantFleet {
                 };
             }
         }
+        if let Some(supervisor) = manifest.supervisor {
+            fleet.set_supervisor(supervisor);
+        }
+        if let Some(faults) = manifest.faults {
+            fleet.set_faults(faults);
+        }
+        if let Some(sharing) = manifest.sharing {
+            fleet.set_sharing(sharing)?;
+        }
+        fleet.checkpoint_storage = options.storage;
+        if let Some(hibernation_dir) = options.hibernation_dir {
+            fleet.set_hibernation_dir(hibernation_dir)?;
+        }
         fleet.absorb_io(store.io_stats());
-        fleet.restored_unarmed = true;
         Ok((fleet, store.take_notes()))
     }
 
@@ -2854,23 +2785,6 @@ mod tests {
         assert_eq!(queue.drained, queue.enqueued);
         assert_eq!(queue.dropped_full, 0);
         assert!(queue.queued_peak > 0);
-    }
-
-    #[test]
-    fn spawning_rounds_match_pool_rounds() {
-        let config = fleet_config();
-        let run = |spawning: bool| {
-            let mut fleet = TenantFleet::new(&config, 0.0, 5, 3).unwrap();
-            fleet.set_workers(3);
-            fleet.attach_bus(small_bus_config()).unwrap();
-            enqueue_uniform(&fleet, 400.0);
-            if spawning {
-                fleet.run_round_spawning(400.0, &[0; 5]).unwrap()
-            } else {
-                fleet.run_round(400.0, &[0; 5]).unwrap()
-            }
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]
@@ -3270,9 +3184,8 @@ mod tests {
 
         fleet.checkpoint_sharded(&dir, 2).unwrap();
         let mut restored = TenantFleet::restore(&dir, &config).unwrap();
-        // The policy is runtime wiring (like tracing), not checkpoint
-        // state — re-apply it on the restored fleet.
-        restored.set_supervisor(fleet.supervisor());
+        // The manifest carries the policy: no re-arming by hand.
+        assert_eq!(restored.supervisor(), fleet.supervisor());
         assert_eq!(restored.round(), fleet.round());
         assert_eq!(restored.supervision_stats(), fleet.supervision_stats());
         assert_eq!(restored.tenant_health(2), Some(TenantHealth::Quarantined));

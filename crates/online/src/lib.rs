@@ -49,8 +49,7 @@
 //!
 //! Given a fixed configuration (including seeds) and a fixed queue state
 //! at every round boundary, every plan is bit-identical across runs,
-//! worker counts, execution flavours (pool vs spawned threads) and
-//! tenant-shard layouts: tenants own all of their mutable state (ring,
+//! worker counts and tenant-shard layouts: tenants own all of their mutable state (ring,
 //! model, planner scratch, RNG), and the only intra-tenant parallelism —
 //! Monte Carlo replication sampling — derives per-path RNG streams.
 //! Bus-fed ingestion (enqueue + round-boundary drain) is bit-identical to
@@ -72,8 +71,8 @@ pub mod scaler;
 pub mod sharing;
 
 pub use checkpoint::{
-    CheckpointIoStats, CheckpointStorage, CheckpointStore, HibernationStore, Manifest, OsStorage,
-    PageReceipt, QuarantineState, ResidencySnapshot, RetentionPolicy, ShardEntry,
+    CheckpointIoStats, CheckpointStorage, CheckpointStore, FleetWiring, HibernationStore, Manifest,
+    OsStorage, PageReceipt, QuarantineState, ResidencySnapshot, RetentionPolicy, ShardEntry,
     SupervisionSnapshot, TenantSnapshot, WriteOptions, CHECKPOINT_FORMAT_VERSION,
     DEFAULT_TENANTS_PER_SHARD,
 };

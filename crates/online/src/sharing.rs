@@ -53,10 +53,9 @@ const EMPTY_MASS: f64 = 1e-12;
 
 /// Fleet-level switch and tuning for cross-tenant shared sampling.
 ///
-/// Runtime-only, like tracing: the setting is **not** persisted in
-/// checkpoints, and a restored fleet starts with sharing off. Re-apply it
-/// after restore if wanted — sharing changes no tenant state, only how the
-/// next rounds compute their plans.
+/// Sharing changes no tenant state, only how the next rounds compute their
+/// plans. Fleet checkpoints record it in the manifest (format v5), so a
+/// restored fleet plans under the policy it was checkpointed with.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SharingConfig {
     /// Master switch. Off (the default) keeps rounds bit-identical to a

@@ -340,13 +340,13 @@ fn recorded_chaos_session_survives_crash_restore_and_replays() {
     let stats_at_crash = fleet.aggregate_stats();
     drop(fleet);
 
-    // The successor process: restore from disk, re-apply the runtime
-    // wiring (policy, fault plan, recorder) and keep serving.
+    // The successor process: restore from disk (the manifest re-arms the
+    // policy and fault plan), re-attach the recorder and keep serving.
     let mut restored = TenantFleet::restore(&ckpt_dir, &config).unwrap();
     assert_eq!(restored.round(), 3, "restored mid-session round counter");
     assert_eq!(restored.aggregate_stats(), stats_at_crash);
-    restored.set_supervisor(supervisor);
-    restored.set_faults(plan);
+    assert_eq!(restored.supervisor(), supervisor);
+    assert_eq!(restored.fault_plan(), Some(plan));
     restored.start_recording(recorder).unwrap();
     for round in 3..6u64 {
         enqueue_window(&restored, round);
@@ -537,9 +537,9 @@ fn page_out_io_failure_keeps_tenant_resident_and_bit_identical() {
 }
 
 /// Crash + restore with mixed residency under an active fault plan:
-/// `restore_with` re-arms the supervisor, the fault schedule and the
-/// page store, and the restored fleet continues bit-identically to the
-/// fleet that never crashed.
+/// the restore re-arms the supervisor and the fault schedule from the
+/// manifest, `restore_with` re-attaches the page store, and the restored
+/// fleet continues bit-identically to the fleet that never crashed.
 #[test]
 fn crash_restore_with_mixed_residency_and_faults_is_bit_identical() {
     let config = chaos_config();
@@ -582,14 +582,13 @@ fn crash_restore_with_mixed_residency_and_faults_is_bit_identical() {
             &ckpt,
             &config,
             robustscaler::online::RestoreOptions {
-                supervisor: Some(supervisor),
-                faults: Some(faults),
                 hibernation_dir: Some(pages.clone()),
                 ..Default::default()
             },
         )
         .unwrap();
-        assert!(!restored.restored_unarmed());
+        assert_eq!(restored.supervisor(), supervisor);
+        assert_eq!(restored.fault_plan(), Some(faults));
         restored.set_workers(workers);
         let restored_result = continue_run(&mut restored);
         assert_eq!(

@@ -16,14 +16,15 @@
 //!   disk, bit-identically;
 //! - **recording** — a cold-started session records residency
 //!   transitions in its trace and replays strictly;
-//! - **restore wiring** — `restore` marks the fleet un-rearmed;
-//!   `restore_with` re-arms supervisor, faults and the page store.
+//! - **restore wiring** — `restore` re-arms the supervisor, fault plan
+//!   and sharing policy from the manifest; `restore_with` also
+//!   re-attaches the page store.
 
 use proptest::prelude::*;
 use robustscaler::core::{RobustScalerConfig, RobustScalerVariant};
 use robustscaler::online::{
     replay_path, BusConfig, FaultPlan, OnlineConfig, PolicyBands, ReplayMode, ResidencyConfig,
-    RestoreOptions, SupervisorConfig, TenantFleet, TraceRecorder,
+    RestoreOptions, SharingConfig, SupervisorConfig, TenantFleet, TraceRecorder,
 };
 use std::path::PathBuf;
 
@@ -299,55 +300,60 @@ fn recorded_hibernating_session_replays_strictly() {
 /// Checkpointing a fleet with mixed residency (hot, resident-cold,
 /// paged virgin, paged on-disk) restores to a bit-identical
 /// continuation — and the checkpoint alone suffices: the restored
-/// fleet needs no page directory to keep planning.
+/// fleet needs no page directory to keep planning. With sharing and the
+/// plan cache on, the restored fleet plans under the checkpointed policy
+/// without being re-armed by hand.
 #[test]
 fn mixed_residency_checkpoint_restores_bit_identically() {
-    let pages = scratch("mixed-pages");
-    let checkpoint = scratch("mixed-checkpoint");
-    let mut live = paging_fleet(29, &pages);
-    drive(&mut live, 9);
-    live.checkpoint_sharded(&checkpoint, 2).unwrap();
+    for sharing in [SharingConfig::default(), SharingConfig::on()] {
+        let pages = scratch("mixed-pages");
+        let checkpoint = scratch("mixed-checkpoint");
+        let mut live = paging_fleet(29, &pages);
+        live.set_sharing(sharing).unwrap();
+        drive(&mut live, 9);
+        live.checkpoint_sharded(&checkpoint, 2).unwrap();
 
-    let continue_run = |fleet: &mut TenantFleet| {
-        let mut rounds = Vec::new();
-        for round in 9..12u64 {
-            enqueue_window(fleet, round);
-            rounds.push(fleet.run_round_uniform(round_now(round), 0).unwrap());
+        let continue_run = |fleet: &mut TenantFleet| {
+            let mut rounds = Vec::new();
+            for round in 9..12u64 {
+                enqueue_window(fleet, round);
+                rounds.push(fleet.run_round_uniform(round_now(round), 0).unwrap());
+            }
+            rounds
+        };
+        let live_rounds = continue_run(&mut live);
+
+        for workers in [1usize, 3, 8] {
+            let config = online_config();
+            let (mut restored, notes) = TenantFleet::restore_with(
+                &checkpoint,
+                &config,
+                RestoreOptions {
+                    hibernation_dir: Some(pages.clone()),
+                    ..RestoreOptions::default()
+                },
+            )
+            .unwrap();
+            assert!(notes.is_empty(), "{notes:?}");
+            restored.set_workers(workers);
+            let restored_rounds = continue_run(&mut restored);
+            assert_eq!(
+                live_rounds, restored_rounds,
+                "restored fleet diverged at {workers} workers with {sharing:?}"
+            );
         }
-        rounds
-    };
-    let live_rounds = continue_run(&mut live);
 
-    for workers in [1usize, 3, 8] {
-        let config = online_config();
-        let (mut restored, notes) = TenantFleet::restore_with(
-            &checkpoint,
-            &config,
-            RestoreOptions {
-                hibernation_dir: Some(pages.clone()),
-                ..RestoreOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(notes.is_empty(), "{notes:?}");
-        assert!(!restored.restored_unarmed());
-        restored.set_workers(workers);
-        let restored_rounds = continue_run(&mut restored);
-        assert_eq!(
-            live_rounds, restored_rounds,
-            "restored fleet diverged at {workers} workers"
-        );
+        let _ = std::fs::remove_dir_all(&pages);
+        let _ = std::fs::remove_dir_all(&checkpoint);
     }
-
-    let _ = std::fs::remove_dir_all(&pages);
-    let _ = std::fs::remove_dir_all(&checkpoint);
 }
 
-/// The restore-wiring bugfix: a plain `restore` silently drops the
-/// supervisor policy, fault plan and page store the session ran with —
-/// now detectable via `restored_unarmed`, and fixed by `restore_with`.
+/// The restore-wiring contract: a plain `restore` comes back with the
+/// supervisor policy, fault plan and sharing policy the session ran with
+/// (the manifest carries them); the page store is a deployment setting
+/// and comes from `restore_with`'s options.
 #[test]
-fn plain_restore_is_detectably_unarmed_and_restore_with_rearms() {
+fn plain_restore_rearms_the_checkpointed_wiring() {
     let pages = scratch("rearm-pages");
     let checkpoint = scratch("rearm-checkpoint");
     let supervisor = SupervisorConfig {
@@ -361,42 +367,41 @@ fn plain_restore_is_detectably_unarmed_and_restore_with_rearms() {
         ..FaultPlan::default()
     };
 
+    let sharing = SharingConfig {
+        quantization: 0.1,
+        ..SharingConfig::on()
+    };
+
     let mut live = paging_fleet(31, &pages);
     live.set_supervisor(supervisor);
     live.set_faults(faults);
+    live.set_sharing(sharing).unwrap();
     drive(&mut live, 5);
     live.checkpoint_sharded(&checkpoint, 2).unwrap();
 
     let config = online_config();
-    // The un-rearmed path: wiring silently reset to defaults — but the
-    // fleet now says so.
+    // A plain restore: everything the session ran with comes back.
     let bare = TenantFleet::restore(&checkpoint, &config).unwrap();
-    assert!(bare.restored_unarmed());
-    assert_eq!(bare.supervisor(), SupervisorConfig::default());
-    assert_eq!(bare.fault_plan(), None);
+    assert_eq!(bare.supervisor(), supervisor);
+    assert_eq!(bare.fault_plan(), Some(faults));
+    assert_eq!(bare.sharing(), sharing);
+    assert_eq!(bare.residency(), live.residency());
     assert_eq!(bare.hibernation_dir(), None);
 
-    // The fixed path: everything the session ran with comes back.
-    let (rearmed, _) = TenantFleet::restore_with(
+    // The page store comes from the restore options.
+    let (with_pages, _) = TenantFleet::restore_with(
         &checkpoint,
         &config,
         RestoreOptions {
-            supervisor: Some(supervisor),
-            faults: Some(faults),
             hibernation_dir: Some(pages.clone()),
             ..RestoreOptions::default()
         },
     )
     .unwrap();
-    assert!(!rearmed.restored_unarmed());
-    assert_eq!(rearmed.supervisor(), supervisor);
-    assert_eq!(rearmed.fault_plan(), Some(faults));
-    assert_eq!(rearmed.hibernation_dir(), Some(pages.as_path()));
-
-    // Re-arming by hand also clears the flag.
-    let mut manual = TenantFleet::restore(&checkpoint, &config).unwrap();
-    manual.set_supervisor(supervisor);
-    assert!(!manual.restored_unarmed());
+    assert_eq!(with_pages.supervisor(), supervisor);
+    assert_eq!(with_pages.fault_plan(), Some(faults));
+    assert_eq!(with_pages.sharing(), sharing);
+    assert_eq!(with_pages.hibernation_dir(), Some(pages.as_path()));
 
     let _ = std::fs::remove_dir_all(&pages);
     let _ = std::fs::remove_dir_all(&checkpoint);

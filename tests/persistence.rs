@@ -14,11 +14,14 @@
 use proptest::prelude::*;
 use robustscaler::core::{RobustScalerConfig, RobustScalerVariant};
 use robustscaler::online::{
-    BusConfig, CheckpointStore, OnlineConfig, OnlineError, OnlineScaler, ScalerSnapshot,
+    BusConfig, CheckpointStorage, CheckpointStore, Manifest, OnlineConfig, OnlineError,
+    OnlineScaler, OsStorage, ResidencyConfig, RestoreOptions, ScalerSnapshot, SharingConfig,
     TenantFleet,
 };
 use robustscaler::timeseries::{CountRing, RingSnapshot};
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Fresh per-test temp directory (no tempfile crate in the offline build).
 /// Collision-safe across processes (pid) and within one (monotonic counter),
@@ -604,5 +607,100 @@ fn fleet_self_heals_with_a_full_rewrite_after_a_blocked_sweep() {
         restored.run_round_uniform(440.0, 2).unwrap(),
         fleet.run_round_uniform(440.0, 2).unwrap()
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A storage backend that keeps every file under its root: the paths the
+/// checkpoint store passes in name nothing on disk, so only the backend
+/// can see what was written.
+#[derive(Debug)]
+struct RebasedStorage(PathBuf);
+
+impl CheckpointStorage for RebasedStorage {
+    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+        OsStorage.create_dir_all(&self.0.join(path))
+    }
+    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        OsStorage.write(&self.0.join(path), bytes)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        OsStorage.rename(&self.0.join(from), &self.0.join(to))
+    }
+    fn hard_link(&self, src: &Path, dst: &Path) -> io::Result<()> {
+        OsStorage.hard_link(&self.0.join(src), &self.0.join(dst))
+    }
+    fn copy(&self, src: &Path, dst: &Path) -> io::Result<()> {
+        OsStorage.copy(&self.0.join(src), &self.0.join(dst))
+    }
+    fn remove_dir_all(&self, path: &Path) -> io::Result<()> {
+        OsStorage.remove_dir_all(&self.0.join(path))
+    }
+    fn sync_dir(&self, path: &Path) -> io::Result<()> {
+        OsStorage.sync_dir(&self.0.join(path))
+    }
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        OsStorage.read(&self.0.join(path))
+    }
+    fn read_dir_names(&self, path: &Path) -> io::Result<Vec<String>> {
+        OsStorage.read_dir_names(&self.0.join(path))
+    }
+}
+
+/// Checkpoints written through a non-OS storage backend see their own
+/// previous generation: the generation counts up, clean shards are
+/// reused, and the fleet restores through the same backend.
+#[test]
+fn non_os_storage_sees_its_previous_generation() {
+    let root = temp_dir("rebased");
+    let storage = Arc::new(RebasedStorage(root.clone()));
+    let config = online_config();
+    let mut fleet = TenantFleet::new(&config, 0.0, 4, 17).unwrap();
+    ingest_fleet(&mut fleet, 400.0);
+    fleet.run_round_uniform(400.0, 0).unwrap();
+    fleet.set_checkpoint_storage(storage.clone());
+    let dir = Path::new("rebased-checkpoint");
+    let first = fleet.checkpoint_sharded(dir, 2).unwrap();
+    let second = fleet.checkpoint_sharded(dir, 2).unwrap();
+    assert_eq!((first.generation, second.generation), (1, 2));
+    assert!(second.shards.iter().all(|s| s.reused_from == Some(1)));
+    let (restored, notes) = TenantFleet::restore_with(
+        dir,
+        &config,
+        RestoreOptions {
+            storage: Some(storage),
+            ..RestoreOptions::default()
+        },
+    )
+    .unwrap();
+    assert!(notes.is_empty(), "{notes:?}");
+    assert_eq!(restored.aggregate_stats(), fleet.aggregate_stats());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Restore validates the policies a manifest carries the way their
+/// setters do: a hand-edited manifest with an invalid residency or
+/// sharing policy fails with `InvalidConfig` instead of arming it.
+#[test]
+fn hand_edited_manifest_policies_fail_restore_validation() {
+    let dir = temp_dir("invalid-manifest");
+    let config = online_config();
+    let mut fleet = TenantFleet::new(&config, 0.0, 3, 5).unwrap();
+    fleet.enable_residency(ResidencyConfig::default()).unwrap();
+    fleet.set_sharing(SharingConfig::on()).unwrap();
+    let written = fleet.checkpoint(&dir).unwrap();
+    let edits: [fn(&mut Manifest); 2] = [
+        |m| m.residency.as_mut().unwrap().cold_after = 0,
+        |m| m.sharing.as_mut().unwrap().quantization = 0.0,
+    ];
+    for edit in edits {
+        let mut manifest = written.clone();
+        edit(&mut manifest);
+        let text = serde_json::to_string(&manifest).unwrap();
+        std::fs::write(dir.join("manifest.json"), text).unwrap();
+        assert!(matches!(
+            TenantFleet::restore(&dir, &config),
+            Err(OnlineError::InvalidConfig(_))
+        ));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
