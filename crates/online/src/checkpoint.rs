@@ -338,7 +338,7 @@ pub struct WriteOptions<'a> {
 /// FNV-1a 64-bit hash — small, dependency-free, and plenty for detecting
 /// truncation and bit rot in shard files (not a cryptographic integrity
 /// guarantee). Also the hash behind trace model fingerprints
-/// (`crate::replay::model_fingerprint`).
+/// (`crate::replay::model_fingerprint`) and fault-injection file tags.
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325_u64;
     for &b in bytes {
@@ -483,24 +483,9 @@ pub struct CheckpointIoStats {
     pub retention_verify_failures: u64,
 }
 
-/// How many checkpoint generations the sweep retains, and the guard that
-/// makes retention restorability-aware: old generations are deleted only
-/// once at least one kept generation is verified restorable, so GC can
-/// never remove the generations the scan-back recovery path
-/// ([`CheckpointStore::load_shards`]) would need.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RetentionPolicy {
-    /// Newest generations kept on disk (≥ 1; the current generation always
-    /// counts as one of them). The default of 2 — current plus previous —
-    /// matches the pre-policy sweep behaviour.
-    pub keep_depth: u64,
-}
-
-impl Default for RetentionPolicy {
-    fn default() -> Self {
-        Self { keep_depth: 2 }
-    }
-}
+/// Newest generations the sweep keeps on disk: the current one plus the
+/// previous one, so scan-back recovery always has a fallback.
+const KEEP_GENERATIONS: u64 = 2;
 
 /// A checkpoint directory: one manifest plus generation subdirectories of
 /// shard files.
@@ -509,7 +494,6 @@ pub struct CheckpointStore {
     dir: PathBuf,
     storage: Arc<dyn CheckpointStorage>,
     io: Arc<IoCounters>,
-    retention: RetentionPolicy,
 }
 
 impl CheckpointStore {
@@ -526,18 +510,7 @@ impl CheckpointStore {
             dir: dir.into(),
             storage,
             io: Arc::new(IoCounters::default()),
-            retention: RetentionPolicy::default(),
         }
-    }
-
-    /// Replace the generation-retention policy (keep-depth of the sweep).
-    pub fn set_retention(&mut self, policy: RetentionPolicy) {
-        self.retention = policy;
-    }
-
-    /// The generation-retention policy in effect.
-    pub fn retention(&self) -> RetentionPolicy {
-        self.retention
     }
 
     /// The checkpoint directory.
@@ -920,8 +893,8 @@ impl CheckpointStore {
     }
 
     /// Best-effort, restorability-aware removal of old generation
-    /// directories. The newest [`RetentionPolicy::keep_depth`] generations
-    /// are retained (default: current plus previous); everything older is
+    /// directories. The newest [`KEEP_GENERATIONS`] generations are
+    /// retained (current plus previous); everything older is
     /// deleted **only after at least one kept generation verifies as
     /// restorable** (every shard's bytes re-hash to its manifest checksum).
     ///
@@ -939,8 +912,7 @@ impl CheckpointStore {
     /// serialized). A failure to delete only wastes disk, never
     /// correctness.
     fn sweep_old_generations(&self, current: &Manifest, current_verified: bool) {
-        let keep_depth = self.retention.keep_depth.max(1);
-        let cutoff = (current.generation + 1).saturating_sub(keep_depth);
+        let cutoff = (current.generation + 1).saturating_sub(KEEP_GENERATIONS);
         let Ok(names) = self.storage.read_dir_names(&self.dir) else {
             return;
         };

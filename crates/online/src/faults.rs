@@ -37,7 +37,8 @@
 //! depends on — each site mixes its own constant — so enabling one
 //! fault class does not reshuffle the schedule of the others.
 
-use crate::checkpoint::{CheckpointStorage, OsStorage};
+use crate::checkpoint::{fnv1a64, CheckpointStorage, OsStorage};
+use crate::fleet::splitmix64;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io;
@@ -126,22 +127,6 @@ const SITE_ARRIVAL_IDX: u64 = 0x6172_7256_6964_7800; // "arrVidx"
 const SITE_SKEW: u64 = 0x636c_6f63_6b73_6b77; // "clockskw"
 const SITE_WORKER: u64 = 0x776f_726b_6572_2e70; // "worker.p"
 const SITE_IO: u64 = 0x696f_2e66_6175_6c74; // "io.fault"
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-fn hash_str(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The generation-relative tail of a checkpoint path: the file name,
 /// prefixed by its parent directory only when that parent is a
@@ -267,10 +252,11 @@ impl FaultInjector {
             return None;
         }
         let site = SITE_IO ^ splitmix64(op as u64 + 1);
-        if self.roll(site, hash_str(tag), nth) >= p {
+        let tag = fnv1a64(tag.as_bytes());
+        if self.roll(site, tag, nth) >= p {
             return None;
         }
-        let kind = match splitmix64(site ^ hash_str(tag) ^ nth) % 3 {
+        let kind = match splitmix64(site ^ tag ^ nth) % 3 {
             0 => io::ErrorKind::Other,
             1 => io::ErrorKind::Interrupted,
             _ => io::ErrorKind::PermissionDenied,

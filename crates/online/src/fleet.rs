@@ -75,7 +75,7 @@ use crate::replay::{
     TraceRecord, TraceRecorder, TraceSummary, WakeReason, TRACE_FORMAT_VERSION,
 };
 use crate::scaler::{OnlineConfig, OnlineScaler, OnlineStats, RoundPrep, ScalerSnapshot};
-use crate::sharing::{ClusterKey, PlanKey, SharingConfig};
+use crate::sharing::{ClusterKey, SharingConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use robustscaler_parallel::{available_threads, map_chunks_mut, WorkerPool};
@@ -86,9 +86,11 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// SplitMix64 — the same stateless mixer the Monte Carlo sampler uses to
-/// derive per-path streams; here it derives per-tenant RNG seeds from the
-/// fleet seed so tenant plans are decorrelated but reproducible.
-fn splitmix64(mut z: u64) -> u64 {
+/// derive per-path streams. The crate's one seed mixer: it derives
+/// per-tenant RNG seeds from the fleet seed (decorrelated but
+/// reproducible), shared-sampler seeds from cluster keys and fault rolls
+/// from the fault plan's seed.
+pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -1486,8 +1488,8 @@ impl TenantFleet {
         }
         // Phase 2b — decision-dedup grouping (Layer 1), serial: members of
         // one sampling cluster that plan against the same shared matrix
-        // with the same covered count share a [`PlanKey`]; the cluster key
-        // already pins the rule, pending model, replication count and
+        // with the same covered count share a `(ClusterKey, covered)` key;
+        // the cluster key already pins the rule, pending model, replication count and
         // window geometry, so under a *deterministic* pending model (the
         // decision loop then consumes no caller RNG) their decision
         // schedules are provably identical. The first such member in
@@ -1496,7 +1498,7 @@ impl TenantFleet {
         // worker-invariance reasons as the cluster assembly above.
         let mut adopt_from: Vec<Option<usize>> = vec![None; prep.len()];
         if self.sharing.enabled && self.sharing.decision_dedup {
-            let mut leaders: std::collections::HashMap<PlanKey, usize> =
+            let mut leaders: std::collections::HashMap<(ClusterKey, usize), usize> =
                 std::collections::HashMap::new();
             for (i, outcome) in prep.iter().enumerate() {
                 let PrepOutcome::Plan { key: Some(key), .. } = outcome else {
@@ -1517,7 +1519,7 @@ impl TenantFleet {
                 ) {
                     continue;
                 }
-                match leaders.entry(PlanKey::new(*key, covered[i])) {
+                match leaders.entry((*key, covered[i])) {
                     std::collections::hash_map::Entry::Occupied(leader) => {
                         adopt_from[i] = Some(*leader.get());
                     }
@@ -2288,7 +2290,7 @@ impl TenantFleet {
         }
         if retention_blocked {
             // Retention could not verify an old generation restorable, so
-            // the sweep was withheld (see `RetentionPolicy`). Forget our
+            // the sweep was withheld (see `sweep_old_generations`). Forget our
             // last write: the next checkpoint is then a full rewrite,
             // which verifies trivially, and sweeping resumes — the store
             // self-heals instead of accumulating generations forever.
@@ -2694,7 +2696,6 @@ mod tests {
         BusConfig {
             capacity_per_tenant: 4_096,
             tenants_per_group: 2,
-            ..BusConfig::default()
         }
     }
 

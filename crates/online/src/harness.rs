@@ -27,6 +27,7 @@ use crate::replay::{
 };
 use crate::scaler::{OnlineConfig, OnlineScaler, OnlineStats};
 use robustscaler_core::relative_cost;
+use robustscaler_scaling::PlanningRound;
 use robustscaler_simulator::{
     Autoscaler, Reactive, ScalingCommand, SimulationConfig, SimulationMetrics, Simulator,
     SystemState, Trace,
@@ -73,7 +74,6 @@ impl OnlinePolicy {
             BusConfig {
                 capacity_per_tenant: capacity.max(1),
                 tenants_per_group: 1,
-                ..BusConfig::default()
             },
         )
         .expect("a 1-tenant bus with capacity >= 1 is always valid");
@@ -112,6 +112,48 @@ impl OnlinePolicy {
     }
 }
 
+/// One single-scaler planning tick, shared by [`OnlinePolicy`] and strict
+/// replay of a single-scaler trace so the two match bit for bit: drain
+/// the tenant's queue into `buf`, batch-ingest it (corrupted first when
+/// chaos is on), then plan, unless the fault plan injects a planning
+/// failure this round. A failed round is counted
+/// ([`OnlineScaler::record_failed_round`]) and returned.
+///
+/// `buf` keeps the drain as it arrived, uncorrupted: that is what a trace
+/// records, because replay re-applies the header's fault plan.
+pub(crate) fn single_scaler_tick(
+    scaler: &mut OnlineScaler,
+    bus: &ArrivalBus,
+    buf: &mut Vec<f64>,
+    faults: Option<&FaultInjector>,
+    round: u64,
+    now: f64,
+    covered: usize,
+) -> Result<PlanningRound, OnlineError> {
+    if bus.drain_into(0, buf)? > 0 {
+        match faults {
+            Some(injector) => {
+                let mut corrupted = buf.clone();
+                injector.corrupt_arrivals(round, 0, &mut corrupted);
+                scaler.ingest_batch(&corrupted);
+            }
+            None => scaler.ingest_batch(buf),
+        }
+    }
+    let result = if faults.and_then(|f| f.plan_fault(round, 0)).is_some() {
+        // Both flavours of injected plan fault (error and panic) surface
+        // here as a planning error: a single scaler has no supervisor, so
+        // there is no catch boundary to distinguish them.
+        Err(OnlineError::Injected { round, tenant: 0 })
+    } else {
+        scaler.plan_round(now, covered)
+    };
+    if result.is_err() {
+        scaler.record_failed_round();
+    }
+    result
+}
+
 impl Autoscaler for OnlinePolicy {
     fn name(&self) -> &str {
         &self.name
@@ -130,38 +172,15 @@ impl Autoscaler for OnlinePolicy {
             Vec::new()
         };
         let mut buf = std::mem::take(&mut self.drain_buf);
-        let drained = matches!(self.bus.drain_into(0, &mut buf), Ok(1..));
-        // Record the *uncorrupted* drain: replay re-applies the same
-        // injected corruption from the header's fault plan, so the trace
-        // stores what actually arrived.
-        let recorded_arrivals = if self.recorder.is_some() {
-            Some(buf.clone())
-        } else {
-            None
-        };
-        if drained {
-            if let Some(injector) = &self.faults {
-                injector.corrupt_arrivals(self.round, 0, &mut buf);
-            }
-            self.scaler.ingest_batch(&buf);
-        }
-        let injected = self
-            .faults
-            .as_ref()
-            .and_then(|injector| injector.plan_fault(self.round, 0))
-            .is_some();
-        let result = if injected {
-            // Both flavours of injected plan fault (error and panic)
-            // surface here as a planning error: a single-scaler policy has
-            // no supervisor, so there is no catch boundary to distinguish
-            // them — the round is simply counted as failed.
-            Err(OnlineError::Injected {
-                round: self.round,
-                tenant: 0,
-            })
-        } else {
-            self.scaler.plan_round(state.now, state.covered())
-        };
+        let result = single_scaler_tick(
+            &mut self.scaler,
+            &self.bus,
+            &mut buf,
+            self.faults.as_ref(),
+            self.round,
+            state.now,
+            state.covered(),
+        );
         let commands = match &result {
             Ok(round) => round
                 .decisions
@@ -173,10 +192,7 @@ impl Autoscaler for OnlinePolicy {
             // a serving process must not abort on one bad round. The
             // failure is counted so persistent breakage stays visible in
             // `OnlineStats::failed_rounds` / the harness report.
-            Err(_) => {
-                self.scaler.record_failed_round();
-                Vec::new()
-            }
+            Err(_) => Vec::new(),
         };
         if let Some(recorder) = &mut self.recorder {
             let post_events = vec![self.scaler.take_trace_events()];
@@ -184,7 +200,7 @@ impl Autoscaler for OnlinePolicy {
                 state.now,
                 &[state.covered()],
                 pre_events,
-                Some(vec![recorded_arrivals.unwrap_or_default()]),
+                Some(vec![buf.clone()]),
                 std::slice::from_ref(&result),
                 post_events,
                 &[],
@@ -352,7 +368,6 @@ fn run_closed_loop_inner(
                     bus: Some(BusConfig {
                         capacity_per_tenant: crate::ingest::DEFAULT_QUEUE_CAPACITY,
                         tenants_per_group: 1,
-                        ..BusConfig::default()
                     }),
                     faults: config.faults.filter(FaultPlan::enabled),
                     supervisor: None,
@@ -382,7 +397,6 @@ fn run_closed_loop_inner(
         BusConfig {
             capacity_per_tenant: warm_times.len().max(1),
             tenants_per_group: 1,
-            ..BusConfig::default()
         },
     )?;
     let mut reactive = Reactive::new();

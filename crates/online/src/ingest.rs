@@ -60,59 +60,12 @@ pub const DEFAULT_QUEUE_CAPACITY: usize = 65_536;
 pub const DEFAULT_TENANTS_PER_GROUP: usize = 64;
 
 /// Shape of an [`ArrivalBus`]: per-tenant queue bound and lock sharding.
-///
-/// `Deserialize` is hand-written (below): the config persists in
-/// checkpoint manifests and trace headers written before the
-/// adaptive-capacity and drain-budget fields existed, so absent keys
-/// must default to `0` (both features off) instead of erroring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BusConfig {
-    /// Arrivals queued per tenant before pushes are rejected. With
-    /// adaptive capacity ([`BusConfig::max_capacity_per_tenant`]) this is
-    /// the *starting* bound each queue grows from on observed demand.
+    /// Arrivals queued per tenant before pushes are rejected.
     pub capacity_per_tenant: usize,
     /// Tenant queues sharing one group mutex (lock sharding granularity).
     pub tenants_per_group: usize,
-    /// Adaptive-capacity ceiling: when a push finds a queue full, its
-    /// bound doubles (from [`BusConfig::capacity_per_tenant`]) until the
-    /// demand fits or this ceiling is reached, so a tenant whose observed
-    /// [`QueueStats::queued_peak`] outgrows the provisioned bound stops
-    /// shedding load without every tenant paying for worst-case capacity.
-    /// `0` (the default) disables growth — the bound stays fixed.
-    /// Per-queue growth is driven only by that queue's push sequence, so
-    /// determinism is unaffected. Not persisted per tenant: a restored
-    /// bus regrows from the base bound on demand.
-    pub max_capacity_per_tenant: usize,
-    /// Per-round drain budget: a round's [`ArrivalBus::drain_into`] moves
-    /// at most this many arrivals (oldest first, in enqueue order) and
-    /// *spills* the remainder to the next round, counted in
-    /// [`QueueStats::spilled`] — bounding each round's ingestion work
-    /// after a burst instead of stalling the whole fleet on one tenant's
-    /// backlog. Count-based rather than time-based on purpose: a count is
-    /// a pure function of the queue state, so replay and worker-count
-    /// invariance hold. `0` (the default) means unbounded.
-    pub max_drain_per_round: usize,
-}
-
-impl Deserialize for BusConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let require = |key: &str| match v.get(key) {
-            Some(value) => Deserialize::from_value(value),
-            None => Err(serde::Error::msg(format!(
-                "missing field `{key}` in BusConfig"
-            ))),
-        };
-        let default_zero = |key: &str| match v.get(key) {
-            Some(value) => Deserialize::from_value(value),
-            None => Ok(0),
-        };
-        Ok(Self {
-            capacity_per_tenant: require("capacity_per_tenant")?,
-            tenants_per_group: require("tenants_per_group")?,
-            max_capacity_per_tenant: default_zero("max_capacity_per_tenant")?,
-            max_drain_per_round: default_zero("max_drain_per_round")?,
-        })
-    }
 }
 
 impl Default for BusConfig {
@@ -120,8 +73,6 @@ impl Default for BusConfig {
         Self {
             capacity_per_tenant: DEFAULT_QUEUE_CAPACITY,
             tenants_per_group: DEFAULT_TENANTS_PER_GROUP,
-            max_capacity_per_tenant: 0,
-            max_drain_per_round: 0,
         }
     }
 }
@@ -139,33 +90,13 @@ impl BusConfig {
                 "bus tenants_per_group must be >= 1",
             ));
         }
-        if self.max_capacity_per_tenant != 0
-            && self.max_capacity_per_tenant < self.capacity_per_tenant
-        {
-            return Err(OnlineError::InvalidConfig(
-                "bus max_capacity_per_tenant must be 0 (fixed) or >= capacity_per_tenant",
-            ));
-        }
         Ok(())
-    }
-
-    /// The hard per-tenant queue bound: the adaptive ceiling when growth
-    /// is enabled, the fixed capacity otherwise.
-    fn capacity_ceiling(&self) -> usize {
-        if self.max_capacity_per_tenant == 0 {
-            self.capacity_per_tenant
-        } else {
-            self.max_capacity_per_tenant
-        }
     }
 }
 
 /// Back-pressure and drain accounting for one tenant's queue (or, via
 /// [`QueueStats::merge`], an aggregate across tenants).
-///
-/// `Deserialize` is hand-written for the same reason as [`BusConfig`]'s:
-/// persisted stats predating [`QueueStats::spilled`] must default it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueueStats {
     /// Arrivals accepted into the queue.
     pub enqueued: u64,
@@ -180,33 +111,6 @@ pub struct QueueStats {
     /// Drain calls (round boundaries observed by this queue); with
     /// [`QueueStats::drained`] this yields drained-per-round.
     pub drains: u64,
-    /// Arrivals a budgeted drain left queued for the next round (see
-    /// [`BusConfig::max_drain_per_round`]). Each spilled arrival is
-    /// counted once per round it waits, so this doubles as a
-    /// backlog-latency signal.
-    pub spilled: u64,
-}
-
-impl Deserialize for QueueStats {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let require = |key: &str| match v.get(key) {
-            Some(value) => Deserialize::from_value(value),
-            None => Err(serde::Error::msg(format!(
-                "missing field `{key}` in QueueStats"
-            ))),
-        };
-        Ok(Self {
-            enqueued: require("enqueued")?,
-            dropped_full: require("dropped_full")?,
-            queued_peak: require("queued_peak")?,
-            drained: require("drained")?,
-            drains: require("drains")?,
-            spilled: match v.get("spilled") {
-                Some(value) => Deserialize::from_value(value)?,
-                None => 0,
-            },
-        })
-    }
 }
 
 impl QueueStats {
@@ -218,7 +122,6 @@ impl QueueStats {
         self.queued_peak = self.queued_peak.max(other.queued_peak);
         self.drained += other.drained;
         self.drains += other.drains;
-        self.spilled += other.spilled;
     }
 
     /// Average arrivals moved per drain call, `0.0` before the first
@@ -233,38 +136,16 @@ impl QueueStats {
 }
 
 /// One tenant's queue plus its accounting; lives inside a group mutex.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct TenantQueue {
     items: VecDeque<f64>,
     stats: QueueStats,
-    /// This queue's current bound: starts at
-    /// [`BusConfig::capacity_per_tenant`] and, with adaptive capacity
-    /// enabled, doubles on demand up to the configured ceiling.
-    capacity: usize,
     /// Monotonic mutation counter: bumped by every accepted push, rejected
     /// push, and non-empty drain. The fleet's incremental checkpointer
     /// compares it against the value captured at the previous checkpoint
     /// to decide whether a shard can be reused — a plain dirty flag would
     /// race with producers pushing between capture and flag reset.
     mutations: u64,
-}
-
-impl TenantQueue {
-    fn new(capacity: usize) -> Self {
-        Self {
-            items: VecDeque::new(),
-            stats: QueueStats::default(),
-            capacity,
-            mutations: 0,
-        }
-    }
-
-    /// Double the bound until `demand` fits or `ceiling` is reached.
-    fn grow_to(&mut self, demand: usize, ceiling: usize) {
-        while self.capacity < demand && self.capacity < ceiling {
-            self.capacity = self.capacity.saturating_mul(2).min(ceiling);
-        }
-    }
 }
 
 /// Everything the checkpointer needs about one tenant's queue, captured
@@ -309,11 +190,7 @@ impl ArrivalBus {
             .map(|g| {
                 let start = g * config.tenants_per_group;
                 let len = config.tenants_per_group.min(tenant_count - start);
-                Mutex::new(
-                    (0..len)
-                        .map(|_| TenantQueue::new(config.capacity_per_tenant))
-                        .collect(),
-                )
+                Mutex::new((0..len).map(|_| TenantQueue::default()).collect())
             })
             .collect();
         let pending = (0..group_count).map(|_| AtomicU64::new(0)).collect();
@@ -363,11 +240,7 @@ impl ArrivalBus {
         }
         let mut queues = self.groups[group].lock().expect("bus group lock poisoned");
         let queue = &mut queues[slot];
-        let demand = queue.items.len() + arrivals.len();
-        if demand > queue.capacity {
-            queue.grow_to(demand, self.config.capacity_ceiling());
-        }
-        let room = queue.capacity - queue.items.len();
+        let room = self.config.capacity_per_tenant - queue.items.len();
         let accepted = arrivals.len().min(room);
         queue.items.extend(&arrivals[..accepted]);
         let dropped = (arrivals.len() - accepted) as u64;
@@ -398,23 +271,9 @@ impl ArrivalBus {
         Ok(queues[slot].items.len())
     }
 
-    /// The current bound on `tenant`'s queue — the configured
-    /// [`BusConfig::capacity_per_tenant`] until adaptive growth (if
-    /// enabled) has raised it.
-    pub fn tenant_capacity(&self, tenant: usize) -> Result<usize, OnlineError> {
-        let (group, slot) = self.locate(tenant)?;
-        let queues = self.groups[group].lock().expect("bus group lock poisoned");
-        Ok(queues[slot].capacity)
-    }
-
     /// Move what is queued for `tenant` into `buf` (cleared first), in
     /// timestamp order, and record the drain in the tenant's stats.
     /// Returns how many arrivals were moved.
-    ///
-    /// With [`BusConfig::max_drain_per_round`] set, at most that many
-    /// arrivals move (oldest first, in enqueue order); the remainder stays
-    /// queued — still counted in the pending hint, so the next round's
-    /// wake scan sees it — and is recorded in [`QueueStats::spilled`].
     ///
     /// The group lock is held only for the queue swap; sorting happens on
     /// the caller's thread. The sort is stable, so arrivals sharing a
@@ -426,14 +285,7 @@ impl ArrivalBus {
         {
             let mut queues = self.groups[group].lock().expect("bus group lock poisoned");
             let queue = &mut queues[slot];
-            let budget = self.config.max_drain_per_round;
-            let take = if budget == 0 {
-                queue.items.len()
-            } else {
-                queue.items.len().min(budget)
-            };
-            buf.extend(queue.items.drain(..take));
-            queue.stats.spilled += queue.items.len() as u64;
+            buf.extend(queue.items.drain(..));
             queue.stats.drained += buf.len() as u64;
             queue.stats.drains += 1;
             // Even an empty drain changed persisted state (`stats.drains`),
@@ -499,16 +351,15 @@ impl ArrivalBus {
     /// Refill one tenant's queue from persisted state (fleet restore):
     /// contents and stats are installed verbatim; the mutation counter
     /// restarts at zero (the first post-restore checkpoint rewrites every
-    /// shard regardless, so no dirtiness information is lost). Queue
-    /// capacity is not persisted, so a restored backlog that outgrew the
-    /// base bound re-triggers adaptive growth here (up to the ceiling).
+    /// shard regardless, so no dirtiness information is lost). A backlog
+    /// above [`BusConfig::capacity_per_tenant`] is rejected.
     pub fn restore_tenant(
         &self,
         tenant: usize,
         queued: Vec<f64>,
         stats: QueueStats,
     ) -> Result<(), OnlineError> {
-        if queued.len() > self.config.capacity_ceiling() {
+        if queued.len() > self.config.capacity_per_tenant {
             return Err(OnlineError::InvalidConfig(
                 "restored queue exceeds the bus capacity",
             ));
@@ -516,7 +367,6 @@ impl ArrivalBus {
         let (group, slot) = self.locate(tenant)?;
         let mut queues = self.groups[group].lock().expect("bus group lock poisoned");
         let queue = &mut queues[slot];
-        queue.grow_to(queued.len(), self.config.capacity_ceiling());
         let before = queue.items.len() as u64;
         queue.items = VecDeque::from(queued);
         queue.stats = stats;
@@ -541,7 +391,6 @@ mod tests {
             BusConfig {
                 capacity_per_tenant: 4,
                 tenants_per_group: 2,
-                ..BusConfig::default()
             },
         )
         .unwrap()
@@ -553,19 +402,11 @@ mod tests {
         let bad = BusConfig {
             capacity_per_tenant: 0,
             tenants_per_group: 2,
-            ..BusConfig::default()
         };
         assert!(ArrivalBus::new(3, bad).is_err());
         let bad = BusConfig {
             capacity_per_tenant: 2,
             tenants_per_group: 0,
-            ..BusConfig::default()
-        };
-        assert!(ArrivalBus::new(3, bad).is_err());
-        let bad = BusConfig {
-            capacity_per_tenant: 8,
-            max_capacity_per_tenant: 4,
-            ..BusConfig::default()
         };
         assert!(ArrivalBus::new(3, bad).is_err());
         let bus = small_bus(3);
@@ -629,95 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_capacity_grows_on_demand_up_to_the_ceiling() {
-        let bus = ArrivalBus::new(
-            2,
-            BusConfig {
-                capacity_per_tenant: 4,
-                tenants_per_group: 2,
-                max_capacity_per_tenant: 10,
-                ..BusConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(bus.tenant_capacity(0).unwrap(), 4);
-        // Fits within the base bound: no growth.
-        assert_eq!(bus.push_batch(0, &[1.0, 2.0, 3.0]).unwrap(), 3);
-        assert_eq!(bus.tenant_capacity(0).unwrap(), 4);
-        // Demand of 3 + 4 = 7 doubles 4 -> 8.
-        assert_eq!(bus.push_batch(0, &[4.0, 5.0, 6.0, 7.0]).unwrap(), 4);
-        assert_eq!(bus.tenant_capacity(0).unwrap(), 8);
-        // Demand beyond the ceiling clamps there and sheds the excess.
-        assert_eq!(bus.push_batch(0, &[8.0, 9.0, 10.0, 11.0]).unwrap(), 3);
-        assert_eq!(bus.tenant_capacity(0).unwrap(), 10);
-        let stats = bus.tenant_stats(0).unwrap();
-        assert_eq!(stats.enqueued, 10);
-        assert_eq!(stats.dropped_full, 1);
-        assert_eq!(stats.queued_peak, 10);
-        // Growth is per tenant: the neighbour still has the base bound.
-        assert_eq!(bus.tenant_capacity(1).unwrap(), 4);
-        // Capacity stays grown after a drain (no shrink thrash).
-        let mut buf = Vec::new();
-        bus.drain_into(0, &mut buf).unwrap();
-        assert_eq!(bus.tenant_capacity(0).unwrap(), 10);
-    }
-
-    #[test]
-    fn drain_budget_spills_the_remainder_to_the_next_round() {
-        let bus = ArrivalBus::new(
-            1,
-            BusConfig {
-                capacity_per_tenant: 16,
-                tenants_per_group: 1,
-                max_drain_per_round: 3,
-                ..BusConfig::default()
-            },
-        )
-        .unwrap();
-        // Enqueue out of timestamp order to pin that the budget takes the
-        // oldest *enqueued*, not the smallest timestamps.
-        bus.push_batch(0, &[5.0, 1.0, 4.0, 2.0, 3.0]).unwrap();
-        let mut buf = Vec::new();
-        assert_eq!(bus.drain_into(0, &mut buf).unwrap(), 3);
-        assert_eq!(buf, vec![1.0, 4.0, 5.0]); // first three enqueued, sorted
-        assert_eq!(bus.queued(0).unwrap(), 2);
-        // Spilled arrivals still count as pending for the wake scan.
-        assert!(bus.pending_hint(0).unwrap());
-        let stats = bus.tenant_stats(0).unwrap();
-        assert_eq!(stats.spilled, 2);
-        assert_eq!(stats.drained, 3);
-        // The next round picks up the remainder.
-        assert_eq!(bus.drain_into(0, &mut buf).unwrap(), 2);
-        assert_eq!(buf, vec![2.0, 3.0]);
-        assert!(!bus.pending_hint(0).unwrap());
-        let stats = bus.tenant_stats(0).unwrap();
-        assert_eq!(stats.spilled, 2);
-        assert_eq!(stats.drained, 5);
-        assert_eq!(stats.drains, 2);
-    }
-
-    #[test]
-    fn restored_backlog_regrows_adaptive_capacity() {
-        let config = BusConfig {
-            capacity_per_tenant: 4,
-            tenants_per_group: 2,
-            max_capacity_per_tenant: 16,
-            ..BusConfig::default()
-        };
-        let bus = ArrivalBus::new(1, config).unwrap();
-        // A backlog above the base bound (but under the ceiling) restores
-        // and grows the queue to cover it.
-        bus.restore_tenant(0, (0..9).map(f64::from).collect(), QueueStats::default())
-            .unwrap();
-        assert_eq!(bus.queued(0).unwrap(), 9);
-        assert!(bus.tenant_capacity(0).unwrap() >= 9);
-        // Beyond the ceiling is still rejected.
-        assert!(bus
-            .restore_tenant(0, vec![0.0; 17], QueueStats::default())
-            .is_err());
-    }
-
-    #[test]
     fn aggregate_stats_sum_counters_and_max_the_peak() {
         let bus = small_bus(3);
         bus.push_batch(0, &[1.0, 2.0, 3.0]).unwrap();
@@ -753,10 +505,11 @@ mod tests {
         fresh.drain_into(0, &mut b).unwrap();
         assert_eq!(a, b);
         assert_eq!(bus.tenant_stats(2).unwrap(), fresh.tenant_stats(2).unwrap());
-        // A restored queue must respect the bus bound.
-        assert!(fresh
-            .restore_tenant(1, vec![0.0; 99], QueueStats::default())
-            .is_err());
+        // A restored backlog must fit the bus bound (capacity 4).
+        for (len, fits) in [(4, true), (5, false), (99, false)] {
+            let restored = fresh.restore_tenant(1, vec![0.0; len], QueueStats::default());
+            assert_eq!(restored.is_ok(), fits, "backlog of {len}");
+        }
     }
 
     #[test]
@@ -821,7 +574,6 @@ mod tests {
                 BusConfig {
                     capacity_per_tenant: 10_000,
                     tenants_per_group: 3,
-                    ..BusConfig::default()
                 },
             )
             .unwrap(),

@@ -72,9 +72,8 @@ pub mod sharing;
 
 pub use checkpoint::{
     CheckpointIoStats, CheckpointStorage, CheckpointStore, FleetWiring, HibernationStore, Manifest,
-    OsStorage, PageReceipt, QuarantineState, ResidencySnapshot, RetentionPolicy, ShardEntry,
-    SupervisionSnapshot, TenantSnapshot, WriteOptions, CHECKPOINT_FORMAT_VERSION,
-    DEFAULT_TENANTS_PER_SHARD,
+    OsStorage, PageReceipt, QuarantineState, ResidencySnapshot, ShardEntry, SupervisionSnapshot,
+    TenantSnapshot, WriteOptions, CHECKPOINT_FORMAT_VERSION, DEFAULT_TENANTS_PER_SHARD,
 };
 pub use error::OnlineError;
 pub use faults::{FaultInjector, FaultPlan, FaultyStorage, IoOp, PlanFault};
@@ -98,4 +97,4 @@ pub use replay::{
 pub use scaler::{
     OnlineConfig, OnlineScaler, OnlineStats, ScalerSnapshot, SCALER_SNAPSHOT_VERSION,
 };
-pub use sharing::{ClusterKey, PlanCacheKey, PlanKey, SharingConfig, SHARING_PROBE_BUCKETS};
+pub use sharing::{ClusterKey, PlanCacheKey, SharingConfig, SHARING_PROBE_BUCKETS};

@@ -1132,28 +1132,15 @@ impl Replayer {
                 buf,
                 faults,
             } => {
-                // Mirror `OnlinePolicy::on_planning_tick` exactly: drain,
-                // corrupt (when chaos is enabled), batch-ingest, plan; a
-                // failed plan is swallowed but counted.
-                let drained = bus.drain_into(0, buf)?;
-                if drained > 0 {
-                    if let Some(injector) = faults {
-                        injector.corrupt_arrivals(round, 0, buf);
-                    }
-                    scaler.ingest_batch(buf);
-                }
-                let injected = faults
-                    .as_ref()
-                    .and_then(|injector| injector.plan_fault(round, 0))
-                    .is_some();
-                let result = if injected {
-                    Err(OnlineError::Injected { round, tenant: 0 })
-                } else {
-                    scaler.plan_round(now, covered[0])
-                };
-                if result.is_err() {
-                    scaler.record_failed_round();
-                }
+                let result = crate::harness::single_scaler_tick(
+                    scaler,
+                    bus,
+                    buf,
+                    faults.as_ref(),
+                    round,
+                    now,
+                    covered[0],
+                );
                 (
                     vec![result],
                     vec![scaler.take_trace_events()],
@@ -1588,7 +1575,6 @@ mod tests {
         let bus = BusConfig {
             capacity_per_tenant: 4_096,
             tenants_per_group: 2,
-            ..BusConfig::default()
         };
         fleet.attach_bus(bus).unwrap();
         let header = fleet.trace_header(seed);

@@ -871,8 +871,8 @@ impl OnlineScaler {
     /// Adopt a plan-group leader's decision schedule (Layer 1 decision
     /// dedup). Must follow a [`RoundPrep::Plan`] from
     /// [`OnlineScaler::prepare_round`] at the same `now`, and is only sound
-    /// when this tenant shares the leader's [`crate::sharing::PlanKey`]
-    /// under a deterministic pending model: the decision loop then consumes
+    /// when this tenant shares the leader's [`crate::sharing::ClusterKey`]
+    /// and covered count under a deterministic pending model: the decision loop then consumes
     /// no RNG and its output depends only on (shared sampler, rule,
     /// pending, covered), all pinned equal by the key — so adopting is
     /// bit-identical to running [`OnlineScaler::plan_shared`] ourselves,

@@ -67,12 +67,11 @@ pub struct SharingConfig {
     /// coarser approximation). Must be finite and positive.
     pub quantization: f64,
     /// Layer 1 plan reuse: cluster-level decision dedup. Within a sampling
-    /// cluster, members whose *exact* planning inputs match under a
-    /// [`PlanKey`] (same covered count on top of the shared sampler's
-    /// rule/pending/replications — valid only for deterministic pending
-    /// models, whose decision loop consumes no caller RNG) provably compute
-    /// identical decision vectors; one leader runs the loop and the others
-    /// adopt its decisions. Bit-identical to running every member
+    /// cluster, members whose *exact* planning inputs match (same covered
+    /// count on top of the shared sampler's [`ClusterKey`] — valid only for
+    /// deterministic pending models, whose decision loop consumes no caller
+    /// RNG) provably compute identical decision vectors; one leader runs
+    /// the loop and the others adopt its decisions. Bit-identical to running every member
     /// individually (dedup on ≡ dedup off, given `enabled`), so this is
     /// pure win whenever it applies. Inert while `enabled` is false.
     pub decision_dedup: bool,
@@ -173,41 +172,15 @@ impl ClusterKey {
     where
         I: robustscaler_nhpp::Intensity + ?Sized,
     {
-        let lead = pending.mean();
-        let span = interval + 4.0 * lead.max(1.0);
-        let step = span / SHARING_PROBE_BUCKETS as f64;
-        if !now.is_finite() || !step.is_finite() || step <= 0.0 {
-            return None;
-        }
-        let log_ratio = (1.0 + quantization).ln();
-        let mut bins = [i64::MIN; SHARING_PROBE_BUCKETS];
-        for (j, bin) in bins.iter_mut().enumerate() {
-            let from = now + j as f64 * step;
-            let mass = forecast.integrated(from, from + step);
-            if !mass.is_finite() {
-                return None;
-            }
-            if mass > EMPTY_MASS {
-                *bin = (mass.ln() / log_ratio).floor() as i64;
-            }
-        }
+        let probes = Probes::of(forecast, now, interval, rule, pending, quantization)?;
         Some(Self {
             now_bits: now.to_bits(),
-            step_bits: step.to_bits(),
+            step_bits: probes.step_bits,
             quant_bits: quantization.to_bits(),
             samples,
-            rule: match *rule {
-                DecisionRule::HittingProbability { alpha } => (0, alpha.to_bits()),
-                DecisionRule::ResponseTime { target_waiting } => (1, target_waiting.to_bits()),
-                DecisionRule::CostBudget { target_idle } => (2, target_idle.to_bits()),
-            },
-            pending: match *pending {
-                PendingTimeModel::Deterministic(delay) => (0, delay.to_bits(), 0),
-                PendingTimeModel::LogNormal { mean, std_dev } => {
-                    (1, mean.to_bits(), std_dev.to_bits())
-                }
-            },
-            bins,
+            rule: probes.rule,
+            pending: probes.pending,
+            bins: probes.bins,
         })
     }
 
@@ -255,7 +228,7 @@ impl ClusterKey {
     pub fn seed(&self, round: u64) -> u64 {
         let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ round;
         let mut fold = |value: u64| {
-            state = splitmix64(state ^ value);
+            state = crate::fleet::splitmix64(state ^ value);
         };
         fold(self.now_bits);
         fold(self.step_bits);
@@ -270,44 +243,6 @@ impl ClusterKey {
             fold(bin as u64);
         }
         state
-    }
-}
-
-/// Layer 1 dedup key: a [`ClusterKey`] made strict enough that the *full
-/// decision schedule* — not just the arrival matrix — is provably identical
-/// across tenants that share it.
-///
-/// The cluster key already pins the planning instant, probe geometry,
-/// quantized forecast mass, rule, pending model and replication count; the
-/// plan key adds the covered count (the only remaining per-tenant input of
-/// [`plan_window_shared`]). With a deterministic pending model the decision
-/// loop consumes no caller RNG, so two tenants holding equal plan keys and
-/// planning against the same shared sampler compute bit-identical decision
-/// vectors — one leader runs the loop, the rest adopt. Each adopter still
-/// supplies `expected_arrivals_in_window` from its *own* forecast, which the
-/// key deliberately does not pin.
-///
-/// [`plan_window_shared`]: robustscaler_scaling::SequentialPlanner::plan_window_shared
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PlanKey {
-    cluster: ClusterKey,
-    covered: usize,
-}
-
-impl PlanKey {
-    /// Build a plan key from a tenant's cluster key and covered count.
-    pub fn new(cluster: ClusterKey, covered: usize) -> Self {
-        Self { cluster, covered }
-    }
-
-    /// The underlying sampling-cluster key.
-    pub fn cluster(&self) -> &ClusterKey {
-        &self.cluster
-    }
-
-    /// The covered count the schedule was planned for.
-    pub fn covered(&self) -> usize {
-        self.covered
     }
 }
 
@@ -373,6 +308,46 @@ impl PlanCacheKey {
     where
         I: robustscaler_nhpp::Intensity + ?Sized,
     {
+        let probes = Probes::of(forecast, now, interval, rule, pending, quantization)?;
+        Some(Self {
+            model,
+            interval_bits: interval.to_bits(),
+            step_bits: probes.step_bits,
+            quant_bits: quantization.to_bits(),
+            samples: samples as u64,
+            covered: covered as u64,
+            rule: probes.rule,
+            pending: probes.pending,
+            bins: probes.bins,
+        })
+    }
+}
+
+/// The probe-grid fingerprint [`ClusterKey`] and [`PlanCacheKey`] share:
+/// the forecast mass over [`SHARING_PROBE_BUCKETS`] windows spanning
+/// Δ + 4·max(lead, 1) from `now`, log-binned at `quantization`, plus the
+/// rule and pending-model encodings.
+struct Probes {
+    step_bits: u64,
+    rule: (u8, u64),
+    pending: (u8, u64, u64),
+    bins: [i64; SHARING_PROBE_BUCKETS],
+}
+
+impl Probes {
+    /// `None` when the geometry degenerates (non-finite instant or probe
+    /// step) or any probe mass is non-finite.
+    fn of<I>(
+        forecast: &I,
+        now: f64,
+        interval: f64,
+        rule: &DecisionRule,
+        pending: &PendingTimeModel,
+        quantization: f64,
+    ) -> Option<Self>
+    where
+        I: robustscaler_nhpp::Intensity + ?Sized,
+    {
         let lead = pending.mean();
         let span = interval + 4.0 * lead.max(1.0);
         let step = span / SHARING_PROBE_BUCKETS as f64;
@@ -392,12 +367,7 @@ impl PlanCacheKey {
             }
         }
         Some(Self {
-            model,
-            interval_bits: interval.to_bits(),
             step_bits: step.to_bits(),
-            quant_bits: quantization.to_bits(),
-            samples: samples as u64,
-            covered: covered as u64,
             rule: match *rule {
                 DecisionRule::HittingProbability { alpha } => (0, alpha.to_bits()),
                 DecisionRule::ResponseTime { target_waiting } => (1, target_waiting.to_bits()),
@@ -412,13 +382,6 @@ impl PlanCacheKey {
             bins,
         })
     }
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -466,19 +429,6 @@ mod tests {
             ..SharingConfig::default()
         };
         assert!(nan.validate().is_err());
-    }
-
-    #[test]
-    fn plan_keys_split_clusters_by_covered_count() {
-        let cluster = key(2.0, 0.05);
-        assert_eq!(PlanKey::new(cluster, 3), PlanKey::new(cluster, 3));
-        assert_ne!(PlanKey::new(cluster, 3), PlanKey::new(cluster, 4));
-        assert_ne!(
-            PlanKey::new(key(2.0, 0.05), 3),
-            PlanKey::new(key(2.5, 0.05), 3)
-        );
-        assert_eq!(PlanKey::new(cluster, 3).covered(), 3);
-        assert_eq!(*PlanKey::new(cluster, 3).cluster(), cluster);
     }
 
     fn cache_key(rate: f64, model: u64, now: f64, covered: usize) -> PlanCacheKey {

@@ -217,30 +217,9 @@ impl SequentialPlanner {
             rng,
         )?;
         let mut decisions: Vec<ScalingDecision> = Vec::new();
-        let mut index = state.covered + 1;
-        'grow: loop {
-            while index <= horizon {
-                let decision = decide_with(
-                    &sampler,
-                    index,
-                    &self.config.decision,
-                    rng,
-                    &mut scratch.decision,
-                )?;
-                if decision.creation_time >= window_end {
-                    // Later arrivals only need creations after this window;
-                    // leave them to the next planning round.
-                    break 'grow;
-                }
-                decisions.push(decision);
-                if decisions.len() >= self.config.max_decisions_per_round {
-                    break 'grow;
-                }
-                index += 1;
-            }
-            if horizon >= max_horizon {
-                break;
-            }
+        while !self.walk(&sampler, state, window_end, &mut decisions, rng, scratch)?
+            && horizon < max_horizon
+        {
             // Every sampled index needed a creation inside the window — the
             // horizon was too small; enlarge and keep going. Growth is
             // geometric but gentle (+25%, at least 8 rows): the tight guess
@@ -294,31 +273,8 @@ impl SequentialPlanner {
         }
         let window_end = now + self.config.planning_interval;
         let expected_in_window = intensity.integrated(now, window_end);
-        let horizon = sampler
-            .horizon_arrivals()
-            .min(state.covered + self.config.max_decisions_per_round);
-
         let mut decisions: Vec<ScalingDecision> = Vec::new();
-        let mut complete = false;
-        for index in (state.covered + 1)..=horizon {
-            let decision = decide_with(
-                sampler,
-                index,
-                &self.config.decision,
-                rng,
-                &mut scratch.decision,
-            )?;
-            if decision.creation_time >= window_end {
-                complete = true;
-                break;
-            }
-            decisions.push(decision);
-            if decisions.len() >= self.config.max_decisions_per_round {
-                complete = true;
-                break;
-            }
-        }
-        if !complete {
+        if !self.walk(sampler, state, window_end, &mut decisions, rng, scratch)? {
             // The shared horizon was exhausted while creations still landed
             // inside the window — this tenant needs more arrivals than the
             // cluster matrix holds. Let the caller replan privately.
@@ -328,6 +284,45 @@ impl SequentialPlanner {
             decisions,
             expected_arrivals_in_window: expected_in_window,
         }))
+    }
+
+    /// The decision walk both planning paths share. Decides arrival after
+    /// arrival, resuming after the last one in `decisions` (arrival
+    /// `state.covered + 1` on a fresh walk), and returns `true` once the
+    /// round is finished: a creation fell at or past `window_end` — later
+    /// arrivals only need creations after this window, so they are left to
+    /// the next round — or the per-round cap was reached. Returns `false`
+    /// when `sampler`'s horizon ran out first.
+    fn walk<R>(
+        &self,
+        sampler: &ArrivalSampler,
+        state: PlannerState,
+        window_end: f64,
+        decisions: &mut Vec<ScalingDecision>,
+        rng: &mut R,
+        scratch: &mut PlannerScratch,
+    ) -> Result<bool, ScalingError>
+    where
+        R: Rng + ?Sized,
+    {
+        let next = state.covered + 1 + decisions.len();
+        for index in next..=sampler.horizon_arrivals() {
+            let decision = decide_with(
+                sampler,
+                index,
+                &self.config.decision,
+                rng,
+                &mut scratch.decision,
+            )?;
+            if decision.creation_time >= window_end {
+                return Ok(true);
+            }
+            decisions.push(decision);
+            if decisions.len() >= self.config.max_decisions_per_round {
+                return Ok(true);
+            }
+        }
+        Ok(false)
     }
 }
 

@@ -45,7 +45,6 @@ fn small_bus() -> BusConfig {
     BusConfig {
         capacity_per_tenant: 4_096,
         tenants_per_group: 2,
-        ..BusConfig::default()
     }
 }
 

@@ -56,7 +56,6 @@ fn bus_config() -> BusConfig {
     BusConfig {
         capacity_per_tenant: 4_096,
         tenants_per_group: 2,
-        ..BusConfig::default()
     }
 }
 

@@ -219,7 +219,6 @@ proptest! {
                 .attach_bus(BusConfig {
                     capacity_per_tenant: 4_096,
                     tenants_per_group: 2,
-                    ..BusConfig::default()
                 })
                 .unwrap();
             let mut all = Vec::new();

@@ -249,7 +249,6 @@ proptest! {
         live.attach_bus(BusConfig {
             capacity_per_tenant: 2_048,
             tenants_per_group: 2,
-            ..BusConfig::default()
         })
         .unwrap();
         // Warm traffic through the bus, one settled round.
@@ -319,7 +318,6 @@ fn incremental_generations_restore_identically_to_full_rewrites() {
         .attach_bus(BusConfig {
             capacity_per_tenant: 1_024,
             tenants_per_group: 2,
-            ..BusConfig::default()
         })
         .unwrap();
     ingest_fleet(&mut fleet, 400.0);

@@ -16,10 +16,11 @@
 use proptest::prelude::*;
 use robustscaler::core::{RobustScalerConfig, RobustScalerVariant};
 use robustscaler::online::{
-    replay_trace, BusConfig, MemorySink, OnlineConfig, OnlineError, PolicyBands, RecordedTrace,
-    RefitTrigger, ReplayMode, TenantFleet, TraceRecord, TraceRecorder, TRACE_FORMAT_VERSION,
+    replay_trace, BusConfig, CheckpointStore, MemorySink, OnlineConfig, OnlineError, PolicyBands,
+    RecordedTrace, RefitTrigger, ReplayMode, TenantFleet, TraceRecord, TraceRecorder,
+    TRACE_FORMAT_VERSION,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Fresh per-test temp directory (no tempfile crate in the offline build),
 /// collision-safe across processes and test threads.
@@ -61,7 +62,6 @@ fn bus_config() -> BusConfig {
     BusConfig {
         capacity_per_tenant: 8_192,
         tenants_per_group: 2,
-        ..BusConfig::default()
     }
 }
 
@@ -116,7 +116,12 @@ fn record_fleet(
 /// enqueued but not yet drained, recorder detached + fleet checkpointed,
 /// then a *restored* fleet re-attaches the same recorder and serves two
 /// more rounds — one continuous trace spanning the process boundary.
-fn record_kill_restore(config: &OnlineConfig, seed: u64) -> String {
+/// `edit_checkpoint` may rewrite the checkpoint directory before restore.
+fn record_kill_restore(
+    config: &OnlineConfig,
+    seed: u64,
+    edit_checkpoint: &dyn Fn(&Path),
+) -> String {
     let dir = temp_dir("kill-restore-golden");
     let gap_for = |tenant: usize, _round: usize| 4.0 + tenant as f64;
     let mut fleet = TenantFleet::new(config, 0.0, 3, seed).unwrap();
@@ -140,6 +145,7 @@ fn record_kill_restore(config: &OnlineConfig, seed: u64) -> String {
     let recorder = fleet.take_recorder().unwrap().expect("recording was on");
     fleet.checkpoint_sharded(&dir, 2).unwrap();
     drop(fleet);
+    edit_checkpoint(&dir);
 
     let mut restored = TenantFleet::restore(&dir, config).unwrap();
     restored.start_recording(recorder).unwrap();
@@ -185,7 +191,7 @@ fn record_scenario(name: &str) -> String {
                 }
             })
         }
-        "kill_restore" => record_kill_restore(&config, 404),
+        "kill_restore" => record_kill_restore(&config, 404, &|_| {}),
         other => panic!("unknown golden scenario `{other}`"),
     }
 }
@@ -349,6 +355,73 @@ fn header_inconsistent_with_its_own_session_fails_naming_line_one() {
     let message = err.to_string();
     assert!(message.contains("line 1"), "{message}");
     assert!(message.to_lowercase().contains("single"), "{message}");
+}
+
+/// Rewrite JSON the way a writer whose `BusConfig` still had the
+/// adaptive-capacity and drain-budget fields, and whose `QueueStats` still
+/// had `spilled`, serialized it: those keys, always `0`, trail
+/// `tenants_per_group` and `drains`, the last surviving fields.
+fn with_retired_bus_keys(text: &str) -> String {
+    let insert_after = |text: &str, key: &str, extra: &str| {
+        let mut out = String::with_capacity(text.len());
+        let mut rest = text;
+        while let Some(at) = rest.find(key) {
+            let close = at + rest[at..].find('}').expect("object closes");
+            out.push_str(&rest[..close]);
+            out.push_str(extra);
+            rest = &rest[close..];
+        }
+        out.push_str(rest);
+        out
+    };
+    let text = insert_after(
+        text,
+        "\"tenants_per_group\":",
+        ",\"max_capacity_per_tenant\":0,\"max_drain_per_round\":0",
+    );
+    insert_after(&text, "\"drains\":", ",\"spilled\":0")
+}
+
+/// FNV-1a 64, the shard checksum a manifest records.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Checkpoints and traces from before the bus options were retired carry
+/// their keys: the manifest's bus, every shard's queue stats, the trace
+/// header's bus and every round's queue stats. Such a checkpoint must still
+/// restore mid-session and the trace must still replay strictly.
+#[test]
+fn retired_bus_and_queue_keys_still_restore_and_replay() {
+    let rewrite_checkpoint = |dir: &Path| {
+        let mut manifest = CheckpointStore::new(dir).read_manifest().unwrap();
+        for shard in &mut manifest.shards {
+            let path = dir.join(&shard.file);
+            let text = with_retired_bus_keys(&std::fs::read_to_string(&path).unwrap());
+            assert!(text.contains("\"spilled\":0"), "shard {}", shard.file);
+            std::fs::write(&path, &text).unwrap();
+            shard.checksum = format!("{:016x}", fnv1a64(text.as_bytes()));
+            shard.bytes = text.len() as u64;
+        }
+        let text = with_retired_bus_keys(&serde_json::to_string(&manifest).unwrap());
+        assert!(text.contains("\"max_drain_per_round\":0"));
+        std::fs::write(dir.join("manifest.json"), text).unwrap();
+    };
+    let text = with_retired_bus_keys(&record_kill_restore(
+        &base_config(),
+        505,
+        &rewrite_checkpoint,
+    ));
+    let header = text.lines().next().unwrap();
+    assert!(header.contains("\"max_capacity_per_tenant\":0"), "{header}");
+    assert!(text.contains("\"spilled\":0"));
+    let trace = RecordedTrace::parse(&text).unwrap();
+    assert_eq!(trace.header.bus, Some(bus_config()));
+    let report = replay_trace(&trace, ReplayMode::Strict, &PolicyBands::default()).unwrap();
+    assert!(report.passed(), "{:?}", report.divergences);
+    assert!(report.plans_checked > 0);
 }
 
 /// Format-compatibility pin: the committed v1 fixture (frozen bytes, never
