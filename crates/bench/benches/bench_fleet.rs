@@ -75,10 +75,10 @@ fn bench_fleet_round(c: &mut Criterion) {
 /// 1000-tenant fleet (everything else identical):
 ///
 /// * `sharing_on` — the full production stack ([`SharingConfig::on`]):
-///   shared sampling + cluster decision dedup + the round-over-round plan
-///   cache. Steady-state rounds time-shift cached plans, so an untimed
-///   warm-up round precedes the timed loop; the cold all-miss round costs
-///   what `sharing_only` plus the dedup win costs.
+///   shared sampling + the round-over-round plan cache. Steady-state
+///   rounds time-shift cached plans, so an untimed warm-up round precedes
+///   the timed loop; the cold all-miss round costs what `sharing_only`
+///   costs.
 /// * `sharing_only` — shared sampling alone ([`SharingConfig::sharing_only`],
 ///   the PR 9 configuration): one arrival matrix per forecast cluster
 ///   (~33 clusters for this rate mix at the default 5 % quantization),

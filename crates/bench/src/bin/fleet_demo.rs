@@ -39,7 +39,7 @@
 //! Environment knobs: `FLEET_TENANTS` (default 250), `FLEET_ROUNDS`
 //! (default 20), `FLEET_SAMPLES` (Monte Carlo R, default 250),
 //! `FLEET_SHARING` (0 = off, 1 = shared sampling only, 2 = shared
-//! sampling + decision dedup + plan cache; default 0).
+//! sampling + plan cache; default 0).
 
 use robustscaler_core::{RobustScalerConfig, RobustScalerVariant};
 use robustscaler_nhpp::NhppModel;
@@ -85,7 +85,7 @@ fallback) while unhealthy. Probabilities are per tenant-round:
 
 Environment: FLEET_TENANTS (default 250), FLEET_ROUNDS (default 20),
 FLEET_SAMPLES (Monte Carlo R, default 250), FLEET_SHARING (0 = off,
-1 = shared sampling only, 2 = + decision dedup + plan cache; default 0).";
+1 = shared sampling only, 2 = + plan cache; default 0).";
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -122,10 +122,7 @@ struct SharingReport {
     config: SharingConfig,
     /// Tenant-rounds planned against a shared cluster matrix.
     shared_planning_rounds: u64,
-    /// Plan-group follower rounds that adopted the leader's schedule
-    /// (Layer 1 decision dedup).
-    deduped_plan_rounds: u64,
-    /// Rounds served from the per-tenant plan cache (Layer 2).
+    /// Rounds served from the per-tenant plan cache.
     plan_cache_hits: u64,
 }
 
@@ -588,12 +585,11 @@ fn main() {
         let report = SharingReport {
             config,
             shared_planning_rounds: stats.shared_planning_rounds,
-            deduped_plan_rounds: parallel_fleet.deduped_plan_rounds(),
             plan_cache_hits: stats.plan_cache_hits,
         };
         println!(
-            "plan reuse: {} shared tenant-rounds, {} deduped (adopted), {} plan-cache hits",
-            report.shared_planning_rounds, report.deduped_plan_rounds, report.plan_cache_hits
+            "plan reuse: {} shared tenant-rounds, {} plan-cache hits",
+            report.shared_planning_rounds, report.plan_cache_hits
         );
         report
     });

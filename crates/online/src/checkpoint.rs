@@ -1052,7 +1052,6 @@ impl CheckpointStore {
                     "checkpoint fallback: {skipped} is not restorable ({broken}); \
                      restored generation {generation} instead"
                 );
-                eprintln!("ERROR: {note}");
                 self.io.generation_fallbacks.fetch_add(1, Ordering::Relaxed);
                 self.io
                     .notes

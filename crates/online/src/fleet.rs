@@ -79,7 +79,7 @@ use crate::sharing::{ClusterKey, SharingConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use robustscaler_parallel::{available_threads, map_chunks_mut, WorkerPool};
-use robustscaler_scaling::{ArrivalSampler, PendingTimeModel, PlanningRound};
+use robustscaler_scaling::{ArrivalSampler, PlanningRound};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -525,25 +525,19 @@ fn tenant_prepare(
 /// One tenant's *plan* share of a planning round: the Monte Carlo stage,
 /// against the cluster's shared sampler when one was assigned (falling
 /// back to private sampling if the shared horizon cannot serve this
-/// tenant), privately otherwise. The `bool` reports whether the shared
-/// path actually produced the round — the decision-dedup pass only lets
-/// plan-group followers adopt a leader's round when it did (a private
-/// fallback depends on the leader's own forecast and RNG, so followers
-/// must then plan themselves).
+/// tenant), privately otherwise.
 fn tenant_plan(
     tenant: &mut Tenant,
     now: f64,
     covered: usize,
     sampler: Option<&ArrivalSampler>,
-) -> (Result<PlanningRound, OnlineError>, bool) {
+) -> Result<PlanningRound, OnlineError> {
     if let Some(sampler) = sampler {
-        match tenant.scaler.plan_shared(now, covered, sampler) {
-            Ok(Some(finished)) => return (Ok(finished), true),
-            Ok(None) => {}
-            Err(e) => return (Err(e), false),
+        if let Some(finished) = tenant.scaler.plan_shared(now, covered, sampler)? {
+            return Ok(finished);
         }
     }
-    (tenant.scaler.plan_prepared(now, covered), false)
+    tenant.scaler.plan_prepared(now, covered)
 }
 
 /// Sentinel for "no checkpoint has captured this queue yet": a mutation
@@ -652,15 +646,9 @@ pub struct TenantFleet {
     /// Cross-tenant shared-sampling policy (recorded in checkpoint
     /// manifests and re-armed on restore).
     sharing: SharingConfig,
-    /// Lifetime count of plan-group follower rounds served by adopting a
-    /// leader's decision schedule instead of re-running the decision loop
-    /// (Layer 1 decision dedup). Fleet-level on purpose: adoption is
-    /// bit-identical to planning, so the per-tenant stats must not differ
-    /// between dedup on and off.
-    deduped_plan_rounds: u64,
 }
 
-/// Arm or disarm a scaler's Layer 2 plan cache per the fleet's sharing
+/// Arm or disarm a scaler's plan cache per the fleet's sharing
 /// policy — applied wherever a scaler becomes resident (set_sharing,
 /// materialize, and the in-round wake path), exactly like tracing.
 fn apply_plan_reuse(scaler: &mut OnlineScaler, sharing: &SharingConfig) {
@@ -671,6 +659,44 @@ fn apply_plan_reuse(scaler: &mut OnlineScaler, sharing: &SharingConfig) {
     } else {
         scaler.disable_plan_reuse();
     }
+}
+
+/// Read an on-disk tenant's page back from the hibernation store, verified
+/// against its receipt checksum.
+fn read_page(
+    hibernation: Option<&HibernationStore>,
+    id: u64,
+    checksum: u64,
+) -> Result<ScalerSnapshot, OnlineError> {
+    hibernation
+        .ok_or_else(|| OnlineError::Checkpoint {
+            shard: None,
+            message: format!("tenant {id} is paged out but no hibernation store is attached"),
+        })?
+        .page_in(id, PageReceipt { checksum })
+}
+
+/// Turn a paged tenant back into a serving scaler: a virgin tenant is
+/// built from `(config, origin, seed)`, an on-disk one is paged in and
+/// restored. Tracing and the plan cache are armed per the fleet's policy,
+/// as everywhere a scaler becomes resident.
+fn page_in_scaler(
+    paged: &PagedTenant,
+    config: OnlineConfig,
+    origin: f64,
+    hibernation: Option<&HibernationStore>,
+    tracing: bool,
+    sharing: &SharingConfig,
+) -> Result<OnlineScaler, OnlineError> {
+    let mut scaler = match paged.kind {
+        PageKind::Virgin => OnlineScaler::with_seed(config, origin, paged.seed)?,
+        PageKind::OnDisk { checksum } => {
+            OnlineScaler::restore(read_page(hibernation, paged.id, checksum)?, config)?
+        }
+    };
+    scaler.set_tracing(tracing);
+    apply_plan_reuse(&mut scaler, sharing);
+    Ok(scaler)
 }
 
 impl Clone for TenantFleet {
@@ -729,7 +755,6 @@ impl Clone for TenantFleet {
             pending_wakes: Vec::new(),
             residency_events: Vec::new(),
             sharing: self.sharing,
-            deduped_plan_rounds: self.deduped_plan_rounds,
         }
     }
 }
@@ -858,7 +883,6 @@ impl TenantFleet {
             pending_wakes: Vec::new(),
             residency_events: Vec::new(),
             sharing: SharingConfig::default(),
-            deduped_plan_rounds: 0,
         }
     }
 
@@ -920,25 +944,17 @@ impl TenantFleet {
         let TenantSlot::Paged(paged) = &self.tenants[index] else {
             return Ok(());
         };
-        let (id, seed, kind) = (paged.id, paged.seed, paged.kind);
-        let scaler = match kind {
-            PageKind::Virgin => OnlineScaler::with_seed(self.config, self.origin, seed),
-            PageKind::OnDisk { checksum } => self
-                .hibernation
-                .as_ref()
-                .ok_or_else(|| OnlineError::Checkpoint {
-                    shard: None,
-                    message: format!(
-                        "tenant {id} is paged out but no hibernation store is attached"
-                    ),
-                })
-                .and_then(|store| store.page_in(id, PageReceipt { checksum }))
-                .and_then(|snapshot| OnlineScaler::restore(snapshot, self.config)),
-        };
+        let id = paged.id;
+        let scaler = page_in_scaler(
+            paged,
+            self.config,
+            self.origin,
+            self.hibernation.as_ref(),
+            self.tracing,
+            &self.sharing,
+        );
         match scaler {
-            Ok(mut scaler) => {
-                scaler.set_tracing(self.tracing);
-                apply_plan_reuse(&mut scaler, &self.sharing);
+            Ok(scaler) => {
                 self.tenants[index] = TenantSlot::Resident(Box::new(Tenant { id, scaler }));
                 self.dirty[index] = true;
                 self.residency_counters.page_ins += 1;
@@ -1047,7 +1063,7 @@ impl TenantFleet {
     pub fn set_sharing(&mut self, sharing: SharingConfig) -> Result<(), OnlineError> {
         sharing.validate()?;
         self.sharing = sharing;
-        // Arm (or disarm) the Layer 2 plan cache on every resident scaler;
+        // Arm (or disarm) the plan cache on every resident scaler;
         // paged tenants pick the policy up as they materialize, exactly
         // like tracing.
         for slot in &mut self.tenants {
@@ -1063,11 +1079,11 @@ impl TenantFleet {
         self.sharing
     }
 
-    /// Lifetime count of plan-group follower rounds served by adopting
-    /// the leader's decision schedule (Layer 1 decision dedup) instead of
-    /// re-running the decision loop.
+    /// Always 0: cluster decision dedup was removed (planning every
+    /// member gave bit-identical plans). Kept only until a benchmark change
+    /// updates `perfbench/`, which still reads it.
     pub fn deduped_plan_rounds(&self) -> u64 {
-        self.deduped_plan_rounds
+        0
     }
 
     /// Attach the event-driven ingestion runtime: one bounded arrival
@@ -1326,30 +1342,15 @@ impl TenantFleet {
                         }
                         TenantAction::Wake { .. } => {
                             if let TenantSlot::Paged(paged) = slot {
-                                let (seed, kind) = (paged.seed, paged.kind);
-                                let built = match kind {
-                                    PageKind::Virgin => {
-                                        OnlineScaler::with_seed(config, origin, seed)
-                                    }
-                                    PageKind::OnDisk { checksum } => hibernation
-                                        .ok_or_else(|| OnlineError::Checkpoint {
-                                            shard: None,
-                                            message: format!(
-                                                "tenant {id} is paged out but no hibernation \
-                                                 store is attached"
-                                            ),
-                                        })
-                                        .and_then(|store| {
-                                            store.page_in(id, PageReceipt { checksum })
-                                        })
-                                        .and_then(|snapshot| {
-                                            OnlineScaler::restore(snapshot, config)
-                                        }),
-                                };
-                                match built {
-                                    Ok(mut scaler) => {
-                                        scaler.set_tracing(tracing);
-                                        apply_plan_reuse(&mut scaler, &sharing);
+                                match page_in_scaler(
+                                    paged,
+                                    config,
+                                    origin,
+                                    hibernation,
+                                    tracing,
+                                    &sharing,
+                                ) {
+                                    Ok(scaler) => {
                                         *slot =
                                             TenantSlot::Resident(Box::new(Tenant { id, scaler }));
                                     }
@@ -1486,62 +1487,18 @@ impl TenantFleet {
                 }
             }
         }
-        // Phase 2b — decision-dedup grouping (Layer 1), serial: members of
-        // one sampling cluster that plan against the same shared matrix
-        // with the same covered count share a `(ClusterKey, covered)` key;
-        // the cluster key already pins the rule, pending model, replication count and
-        // window geometry, so under a *deterministic* pending model (the
-        // decision loop then consumes no caller RNG) their decision
-        // schedules are provably identical. The first such member in
-        // tenant order leads; the rest adopt its schedule after the plan
-        // phase. Grouping is serial and index-ordered for the same
-        // worker-invariance reasons as the cluster assembly above.
-        let mut adopt_from: Vec<Option<usize>> = vec![None; prep.len()];
-        if self.sharing.enabled && self.sharing.decision_dedup {
-            let mut leaders: std::collections::HashMap<(ClusterKey, usize), usize> =
-                std::collections::HashMap::new();
-            for (i, outcome) in prep.iter().enumerate() {
-                let PrepOutcome::Plan { key: Some(key), .. } = outcome else {
-                    continue;
-                };
-                // Only members actually planning against a shared matrix
-                // can dedup: a degraded (private) member's plan depends on
-                // its own forecast and RNG stream.
-                if cluster_of[i].is_none() {
-                    continue;
-                }
-                let TenantSlot::Resident(tenant) = &self.tenants[i] else {
-                    continue;
-                };
-                if !matches!(
-                    tenant.scaler.config().pipeline.pending,
-                    PendingTimeModel::Deterministic(_)
-                ) {
-                    continue;
-                }
-                match leaders.entry((*key, covered[i])) {
-                    std::collections::hash_map::Entry::Occupied(leader) => {
-                        adopt_from[i] = Some(*leader.get());
-                    }
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        slot.insert(i);
-                    }
-                }
-            }
-        }
         // Phase 3 — plan, batch-major: the Monte Carlo stage for every
         // tenant the prepare phase left pending, against its cluster's
         // shared matrix when one was built. Skipped entirely when nothing
         // is pending (the common case for mostly-hibernated fleets), so
         // quiet rounds pay no second parallel pass.
-        type PlanResult = Option<(Result<PlanningRound, OnlineError>, bool)>;
-        let mut plan_results: Vec<PlanResult> = if plans_pending == 0 {
+        type PlanResult = Option<Result<PlanningRound, OnlineError>>;
+        let plan_results: Vec<PlanResult> = if plans_pending == 0 {
             prep.iter().map(|_| None).collect()
         } else {
             let prep_ref = &prep;
             let cluster_ref = &cluster_of;
             let samplers_ref = &samplers;
-            let adopt_ref = &adopt_from;
             let plan_work = |start: usize, chunk: &mut [TenantSlot]| {
                 chunk
                     .iter_mut()
@@ -1551,18 +1508,10 @@ impl TenantFleet {
                         if !matches!(prep_ref[index], PrepOutcome::Plan { .. }) {
                             return None;
                         }
-                        if adopt_ref[index].is_some() {
-                            // Plan-group follower: served in the serial
-                            // adoption pass below, after its leader planned.
-                            return None;
-                        }
                         let TenantSlot::Resident(tenant) = slot else {
                             // The prepare phase only leaves resident
                             // tenants pending.
-                            return Some((
-                                Err(OnlineError::Hibernated { tenant: slot.id() }),
-                                false,
-                            ));
+                            return Some(Err(OnlineError::Hibernated { tenant: slot.id() }));
                         };
                         let sampler = cluster_ref[index].map(|slot| &samplers_ref[slot]);
                         let id = tenant.id;
@@ -1571,13 +1520,10 @@ impl TenantFleet {
                                 tenant_plan(tenant, now, covered[index], sampler)
                             }))
                             .unwrap_or_else(|payload| {
-                                (
-                                    Err(OnlineError::TenantPanicked {
-                                        tenant: id,
-                                        message: panic_message(payload),
-                                    }),
-                                    false,
-                                )
+                                Err(OnlineError::TenantPanicked {
+                                    tenant: id,
+                                    message: panic_message(payload),
+                                })
                             }),
                         )
                     })
@@ -1599,54 +1545,13 @@ impl TenantFleet {
                 }
             }
         };
-        // Phase 3b — adoption, serial: each plan-group follower adopts its
-        // leader's decision schedule when the leader actually planned on
-        // the shared path. If the leader degraded to private sampling,
-        // errored, or panicked, the follower runs its own full plan stage
-        // instead — bit-identical to never having been grouped (adoption
-        // consumes no tenant RNG either way).
-        for i in 0..plan_results.len() {
-            let Some(leader) = adopt_from[i] else {
-                continue;
-            };
-            let adopted = match &plan_results[leader] {
-                Some((Ok(round), true)) => Some(round.clone()),
-                _ => None,
-            };
-            let id = self.tenants[i].id();
-            let TenantSlot::Resident(tenant) = &mut self.tenants[i] else {
-                plan_results[i] = Some((Err(OnlineError::Hibernated { tenant: id }), false));
-                continue;
-            };
-            let result = if let Some(round) = adopted {
-                self.deduped_plan_rounds += 1;
-                (Ok(tenant.scaler.adopt_shared(now, &round)), true)
-            } else {
-                let sampler = cluster_of[i].map(|slot| &samplers[slot]);
-                catch_unwind(AssertUnwindSafe(|| {
-                    tenant_plan(tenant, now, covered[i], sampler)
-                }))
-                .unwrap_or_else(|payload| {
-                    (
-                        Err(OnlineError::TenantPanicked {
-                            tenant: id,
-                            message: panic_message(payload),
-                        }),
-                        false,
-                    )
-                })
-            };
-            plan_results[i] = Some(result);
-        }
         let results: Vec<Result<PlanningRound, OnlineError>> = prep
             .into_iter()
             .zip(plan_results)
             .map(|(outcome, planned)| match outcome {
                 PrepOutcome::Done(result) => result,
                 PrepOutcome::Plan { .. } => {
-                    planned
-                        .expect("plan phase produced a result for every pending tenant")
-                        .0
+                    planned.expect("plan phase produced a result for every pending tenant")
                 }
             })
             .collect();
@@ -2169,15 +2074,9 @@ impl TenantFleet {
                         PageKind::Virgin => {
                             OnlineScaler::with_seed(config, origin, paged.seed)?.snapshot()
                         }
-                        PageKind::OnDisk { checksum } => hibernation
-                            .ok_or_else(|| OnlineError::Checkpoint {
-                                shard: None,
-                                message: format!(
-                                    "tenant {} is paged out but no hibernation store is attached",
-                                    paged.id
-                                ),
-                            })?
-                            .page_in(paged.id, PageReceipt { checksum })?,
+                        PageKind::OnDisk { checksum } => {
+                            read_page(hibernation, paged.id, checksum)?
+                        }
                     },
                 };
                 let mut snapshot = TenantSnapshot::new(slot.id(), scaler_snapshot);

@@ -242,7 +242,7 @@ pub struct HarnessConfig {
     /// disabled plan runs clean). Warm-up ingestion and the boundary refit
     /// are never faulted — chaos starts with the first live planning tick.
     pub faults: Option<FaultPlan>,
-    /// Layer 2 plan reuse for the serving scaler: `Some(quantization)` arms
+    /// Plan reuse for the serving scaler: `Some(quantization)` arms
     /// the round-over-round plan cache
     /// ([`OnlineScaler::enable_plan_reuse`]), so steady-state ticks whose
     /// planning inputs are unchanged within the quantization band serve a
@@ -377,7 +377,6 @@ fn run_closed_loop_inner(
                         .map(|quantization| crate::sharing::SharingConfig {
                             enabled: false,
                             quantization,
-                            decision_dedup: false,
                             plan_cache: true,
                         }),
                 },

@@ -86,10 +86,11 @@ use std::sync::{Arc, Mutex};
 ///
 /// v4 added the optional `sharing` header field: the cross-tenant
 /// sharing / plan-reuse policy ([`crate::sharing::SharingConfig`]) the
-/// session ran under, re-applied by replay so shared-sampling, decision
-/// dedup and plan-cache universes reproduce bit-for-bit. Pre-v4 traces
-/// parse as sharing-off sessions (which they were — the setting did not
-/// exist).
+/// session ran under, re-applied by replay so shared-sampling and
+/// plan-cache universes reproduce bit-for-bit. Pre-v4 traces parse as
+/// sharing-off sessions (which they were — the setting did not exist).
+/// Older v4 headers also carry a retired `decision_dedup` key; it is
+/// ignored, since dedup never changed a plan bit.
 pub const TRACE_FORMAT_VERSION: u32 = 4;
 
 /// What kind of session a trace records.
@@ -199,9 +200,9 @@ pub struct TraceHeader {
     /// reproduce. Absent in pre-v3 traces and always-hot sessions.
     pub residency: Option<crate::fleet::ResidencyConfig>,
     /// The cross-tenant sharing / plan-reuse policy the session ran under
-    /// — replay re-applies it so the shared-sampling, decision-dedup and
-    /// plan-cache universes reproduce bit-for-bit. Absent in pre-v4
-    /// traces (sharing-off sessions by construction).
+    /// — replay re-applies it so the shared-sampling and plan-cache
+    /// universes reproduce bit-for-bit. Absent in pre-v4 traces
+    /// (sharing-off sessions by construction).
     pub sharing: Option<crate::sharing::SharingConfig>,
 }
 
@@ -932,8 +933,8 @@ impl Replayer {
                     fleet.enable_residency(residency)?;
                 }
                 // Sharing / plan-reuse sessions (v4+): re-apply the recorded
-                // policy so shared sampling, decision dedup and plan-cache
-                // hits reproduce bit-for-bit.
+                // policy so shared sampling and plan-cache hits reproduce
+                // bit-for-bit.
                 if let Some(sharing) = header.sharing {
                     fleet.set_sharing(sharing)?;
                 }
@@ -944,8 +945,8 @@ impl Replayer {
                 let mut scaler =
                     OnlineScaler::with_seed(header.online, header.origin, header.seed)?;
                 // A single-scaler session has no cross-tenant clustering;
-                // the recorded sharing policy matters only for its Layer 2
-                // plan cache.
+                // the recorded sharing policy matters only for its plan
+                // cache.
                 if let Some(sharing) = header.sharing {
                     if sharing.plan_cache {
                         scaler.enable_plan_reuse(sharing.quantization)?;

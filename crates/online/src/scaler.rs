@@ -130,7 +130,7 @@ pub struct OnlineStats {
     /// sharing actually engaged (see [`crate::sharing`]).
     pub shared_planning_rounds: u64,
     /// Rounds served by time-shifting the memoized previous plan instead of
-    /// re-running Monte Carlo (Layer 2 plan reuse, see
+    /// re-running Monte Carlo (plan reuse, see
     /// [`crate::sharing::PlanCacheKey`]). Deliberately *not* counted into
     /// [`OnlineStats::planning_rounds`]: a cache hit runs no optimizer and
     /// consumes no RNG.
@@ -204,7 +204,7 @@ pub struct ScalerSnapshot {
     /// Start time of the cached forecast, if one was live; the cache is
     /// recomputed from this anchor on restore.
     pub cached_forecast_from: Option<f64>,
-    /// The memoized last planning round (Layer 2 plan reuse), if one was
+    /// The memoized last planning round (the plan cache), if one was
     /// live. Persisted — not rebuilt — because a cache hit consumes no RNG:
     /// a restored scaler that re-planned where the original would have hit
     /// would advance its Monte Carlo stream differently and diverge.
@@ -235,7 +235,7 @@ pub(crate) enum RoundPrep {
     /// The sufficiency check skipped the Monte Carlo stage — the round is
     /// already finished.
     Skip(PlanningRound),
-    /// The plan cache served the round (Layer 2 reuse): the memoized
+    /// The plan cache served the round (plan reuse): the memoized
     /// previous plan, time-shifted to this instant. No Monte Carlo ran and
     /// no RNG was consumed.
     Cached(PlanningRound),
@@ -269,7 +269,7 @@ pub struct OnlineScaler {
     /// recording driver re-enables it.
     tracing: bool,
     trace_events: Vec<ScalerEvent>,
-    /// Layer 2 plan reuse: `Some(quantization)` when the round-over-round
+    /// Plan reuse: `Some(quantization)` when the round-over-round
     /// plan cache is armed. Runtime wiring like `tracing` — not persisted;
     /// a restored scaler starts with reuse off (its cache intact but
     /// unreachable) until the driver re-arms it.
@@ -391,7 +391,7 @@ impl OnlineScaler {
         std::mem::take(&mut self.trace_events)
     }
 
-    /// Arm Layer 2 plan reuse (the round-over-round plan cache) at the
+    /// Arm plan reuse (the round-over-round plan cache) at the
     /// given geometric forecast tolerance — see
     /// [`crate::sharing::PlanCacheKey`] for the contract.
     ///
@@ -711,7 +711,7 @@ impl OnlineScaler {
                 expected_arrivals_in_window: forecast.integrated(now, window_end),
             }));
         }
-        // Layer 2 plan reuse: when the content key of this round's inputs
+        // Plan reuse: when the content key of this round's inputs
         // matches the memoized round's, serve the cached plan time-shifted
         // to `now` (no Monte Carlo, no RNG). A miss leaves the key pending
         // so the planned round populates the cache.
@@ -737,7 +737,7 @@ impl OnlineScaler {
         Ok(RoundPrep::Plan)
     }
 
-    /// The Layer 2 content key of a round's planning inputs; `None` when no
+    /// The plan-cache content key of a round's planning inputs; `None` when no
     /// forecast/model is live or the probe geometry degenerates (the round
     /// then plans normally and caches nothing).
     fn plan_cache_key(&self, now: f64, covered: usize, quantization: f64) -> Option<PlanCacheKey> {
@@ -866,31 +866,6 @@ impl OnlineScaler {
             self.store_plan_cache(round);
         }
         Ok(round)
-    }
-
-    /// Adopt a plan-group leader's decision schedule (Layer 1 decision
-    /// dedup). Must follow a [`RoundPrep::Plan`] from
-    /// [`OnlineScaler::prepare_round`] at the same `now`, and is only sound
-    /// when this tenant shares the leader's [`crate::sharing::ClusterKey`]
-    /// and covered count under a deterministic pending model: the decision loop then consumes
-    /// no RNG and its output depends only on (shared sampler, rule,
-    /// pending, covered), all pinned equal by the key — so adopting is
-    /// bit-identical to running [`OnlineScaler::plan_shared`] ourselves,
-    /// and the bookkeeping (counters, plan-cache population) mirrors it
-    /// exactly. Only `expected_arrivals_in_window` is ours: it comes from
-    /// this tenant's own forecast, which the plan key deliberately does not
-    /// pin.
-    pub(crate) fn adopt_shared(&mut self, now: f64, leader: &PlanningRound) -> PlanningRound {
-        let forecast = self
-            .cached_forecast
-            .as_ref()
-            .expect("prepare_round refreshed the forecast");
-        let window_end = now + self.config.pipeline.planning_interval;
-        let round = leader.adopted_with_expected(forecast.integrated(now, window_end));
-        self.stats.planning_rounds += 1;
-        self.stats.shared_planning_rounds += 1;
-        self.store_plan_cache(&round);
-        round
     }
 
     /// Capture the scaler's full serving state as a serializable,

@@ -66,16 +66,7 @@ pub struct SharingConfig {
     /// same bin. Larger values cluster more aggressively (fewer samplers,
     /// coarser approximation). Must be finite and positive.
     pub quantization: f64,
-    /// Layer 1 plan reuse: cluster-level decision dedup. Within a sampling
-    /// cluster, members whose *exact* planning inputs match (same covered
-    /// count on top of the shared sampler's [`ClusterKey`] — valid only for
-    /// deterministic pending models, whose decision loop consumes no caller
-    /// RNG) provably compute identical decision vectors; one leader runs
-    /// the loop and the others adopt its decisions. Bit-identical to running every member
-    /// individually (dedup on ≡ dedup off, given `enabled`), so this is
-    /// pure win whenever it applies. Inert while `enabled` is false.
-    pub decision_dedup: bool,
-    /// Layer 2 plan reuse: the per-scaler round-over-round plan cache.
+    /// Plan reuse: the per-scaler round-over-round plan cache.
     /// Each scaler memoizes its last planned round under a
     /// [`PlanCacheKey`]; an unchanged key time-shifts the cached plan
     /// instead of resampling. Like sharing itself this is a deterministic,
@@ -83,8 +74,8 @@ pub struct SharingConfig {
     /// downstream draws differ from a resampling run); it is invalidated on
     /// refit, drift, model install, and disable, and the cache state is
     /// persisted in snapshots so kill-and-restore stays bit-equivalent.
-    /// Unlike `decision_dedup` this layer is honored even when `enabled` is
-    /// false (it needs no cross-tenant clustering).
+    /// Honored even when `enabled` is false (it needs no cross-tenant
+    /// clustering).
     pub plan_cache: bool,
 }
 
@@ -93,7 +84,6 @@ impl Default for SharingConfig {
         Self {
             enabled: false,
             quantization: 0.05,
-            decision_dedup: false,
             plan_cache: false,
         }
     }
@@ -101,21 +91,19 @@ impl Default for SharingConfig {
 
 impl SharingConfig {
     /// Every layer enabled at the default quantization: cross-tenant shared
-    /// sampling plus both plan-reuse layers (decision dedup and the
-    /// round-over-round plan cache) — the production configuration for
-    /// large fleets.
+    /// sampling plus the round-over-round plan cache — the production
+    /// configuration for large fleets.
     pub fn on() -> Self {
         Self {
             enabled: true,
-            decision_dedup: true,
             plan_cache: true,
             ..Self::default()
         }
     }
 
-    /// Only cross-tenant shared sampling, both plan-reuse layers off —
-    /// the PR 9 configuration, kept for isolating the sampling win in
-    /// benchmarks and for fleets that want sharing without reuse.
+    /// Only cross-tenant shared sampling, the plan cache off — kept for
+    /// isolating the sampling win in benchmarks and for fleets that want
+    /// sharing without reuse.
     pub fn sharing_only() -> Self {
         Self {
             enabled: true,
@@ -246,7 +234,7 @@ impl ClusterKey {
     }
 }
 
-/// Layer 2 cache key: a content fingerprint of everything a scaler's
+/// Plan-cache key: a content fingerprint of everything a scaler's
 /// planning round depends on, *except* the absolute planning instant.
 ///
 /// Every discrete planning input is pinned **exactly**: the forecast
@@ -410,13 +398,12 @@ mod tests {
     fn config_defaults_off_and_validates() {
         let config = SharingConfig::default();
         assert!(!config.enabled);
-        assert!(!config.decision_dedup);
         assert!(!config.plan_cache);
         assert!(config.validate().is_ok());
         let on = SharingConfig::on();
-        assert!(on.enabled && on.decision_dedup && on.plan_cache);
+        assert!(on.enabled && on.plan_cache);
         let only = SharingConfig::sharing_only();
-        assert!(only.enabled && !only.decision_dedup && !only.plan_cache);
+        assert!(only.enabled && !only.plan_cache);
         let bad = SharingConfig {
             enabled: true,
             quantization: 0.0,

@@ -115,23 +115,6 @@ impl PlanningRound {
             expected_arrivals_in_window,
         }
     }
-
-    /// Adopt another tenant's decision schedule verbatim (cluster decision
-    /// dedup).
-    ///
-    /// When two tenants plan against the *same* shared arrival sampler with
-    /// the same rule, pending model and covered count — and the pending
-    /// model is deterministic, so [`decide_with`] consumes no caller RNG —
-    /// their decision vectors are provably identical; only the
-    /// expected-arrival count comes from each tenant's own forecast. The
-    /// leader runs the loop once and followers adopt its decisions with
-    /// their own `expected_arrivals_in_window`.
-    pub fn adopted_with_expected(&self, expected_arrivals_in_window: f64) -> PlanningRound {
-        PlanningRound {
-            decisions: self.decisions.clone(),
-            expected_arrivals_in_window,
-        }
-    }
 }
 
 /// The sequential planner.
@@ -493,9 +476,6 @@ mod tests {
                 (a.unconstrained_creation_time + 10.0).to_bits()
             );
         }
-        let adopted = round.adopted_with_expected(3.25);
-        assert_eq!(adopted.decisions, round.decisions);
-        assert_eq!(adopted.expected_arrivals_in_window, 3.25);
     }
 
     #[test]

@@ -282,62 +282,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Layer 1 of plan reuse: cluster-level decision dedup. With sharing
-    /// enabled, turning `decision_dedup` on changes *nothing* about the
-    /// output — one leader per plan-group runs the shared window walk and
-    /// every follower adopts its decision vector, which is provably the
-    /// vector the follower would have computed itself (deterministic
-    /// pending time ⇒ the walk consumes no tenant RNG, and the shared
-    /// sampler is cluster-seeded). Plans and stats must be bit-identical
-    /// to the dedup-off fleet at 1, 3 and 8 workers — and with every
-    /// tenant on the same traffic the fleet must actually dedup, which
-    /// the fleet-level `deduped_plan_rounds` counter makes visible
-    /// without perturbing any per-tenant stat.
-    #[test]
-    fn decision_dedup_is_bit_identical_to_shared_planning(
-        tenant_count in 2usize..6,
-        base_seed in 0u64..1_000,
-        gap in 3.0_f64..12.0,
-        rounds in 1usize..4,
-    ) {
-        let config = online_config(10.0);
-        let run = |workers: usize, dedup: bool| {
-            let mut fleet = TenantFleet::new(&config, 0.0, tenant_count, base_seed).unwrap();
-            fleet.set_workers(workers);
-            let mut sharing = SharingConfig::sharing_only();
-            sharing.decision_dedup = dedup;
-            fleet.set_sharing(sharing).unwrap();
-            for index in 0..tenant_count {
-                let n = (400.0 / gap) as usize;
-                for k in 0..n {
-                    fleet.ingest(index, k as f64 * gap).unwrap();
-                }
-            }
-            let mut all = Vec::new();
-            for round in 0..rounds {
-                let now = 400.0 + 20.0 * round as f64;
-                all.push(fleet.run_round_uniform(now, round).unwrap());
-            }
-            (all, fleet.aggregate_stats(), fleet.deduped_plan_rounds())
-        };
-        let baseline = run(1, false);
-        prop_assert_eq!(baseline.2, 0, "dedup-off fleet must never adopt");
-        for workers in [1usize, 3, 8] {
-            let deduped = run(workers, true);
-            prop_assert_eq!(&baseline.0, &deduped.0, "plans diverged at {} workers", workers);
-            prop_assert_eq!(&baseline.1, &deduped.1, "stats diverged at {} workers", workers);
-            prop_assert!(
-                deduped.2 > 0,
-                "identical tenants must share a plan-group and dedup (got 0 at {} workers)",
-                workers
-            );
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
     /// The cross-tenant sharing switch, left disabled (its default),
     /// changes nothing: a fleet with `SharingConfig::default()` applied
     /// explicitly produces bit-identical plans and stats to a fleet that
@@ -379,11 +323,11 @@ proptest! {
     }
 
     /// With the full reuse stack enabled (`SharingConfig::on()` = shared
-    /// sampling + decision dedup + plan cache), plans are still
-    /// deterministic and worker-count invariant — cluster sampler seeds
-    /// are derived from the cluster's *content*, leaders are picked in
-    /// tenant-index order, and cache keys are pure functions of forecast
-    /// content — though not necessarily equal to the sharing-off plans.
+    /// sampling + plan cache), plans are still deterministic and
+    /// worker-count invariant — cluster sampler seeds are derived from
+    /// the cluster's *content*, and cache keys are pure functions of
+    /// forecast content — though not necessarily equal to the sharing-off
+    /// plans.
     /// Varied per-tenant gaps exercise the mixed case: some tenants
     /// cluster, the rest degrade to the private path as singletons. The
     /// compared stats include `plan_cache_hits`, so cache behaviour is

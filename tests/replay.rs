@@ -4,10 +4,11 @@
 //! session from the trace header regenerates every plan and refit
 //! bit-for-bit (strict mode), and any injected divergence is caught with a
 //! pointed diff naming the round, tenant and field. The golden corpus
-//! under `tests/traces/` pins four scenario shapes (diurnal,
-//! flash-crowd, drift-triggering, kill-and-restore-mid-burst); CI replays
-//! them strictly, so any behavioural change to ingestion, training or
-//! planning shows up as a divergence, not a silent drift. Regenerate the
+//! under `tests/traces/` pins five scenario shapes (diurnal, flash-crowd,
+//! drift-triggering, kill-and-restore-mid-burst, and a fleet with every
+//! sharing layer on); CI replays them strictly, so any behavioural change
+//! to ingestion, training, planning or plan reuse shows up as a
+//! divergence, not a silent drift. Regenerate the
 //! goldens intentionally with `REGEN_GOLDEN_TRACES=1 cargo test --test
 //! replay`. On top of the goldens, the format itself must fail loudly:
 //! truncated, corrupted, version-unknown or self-inconsistent traces are
@@ -17,8 +18,8 @@ use proptest::prelude::*;
 use robustscaler::core::{RobustScalerConfig, RobustScalerVariant};
 use robustscaler::online::{
     replay_trace, BusConfig, CheckpointStore, MemorySink, OnlineConfig, OnlineError, PolicyBands,
-    RecordedTrace, RefitTrigger, ReplayMode, TenantFleet, TraceRecord, TraceRecorder,
-    TRACE_FORMAT_VERSION,
+    RecordedTrace, RefitTrigger, ReplayMode, SharingConfig, TenantFleet, TraceRecord,
+    TraceRecorder, TRACE_FORMAT_VERSION,
 };
 use std::path::{Path, PathBuf};
 
@@ -87,16 +88,21 @@ fn enqueue_window(fleet: &TenantFleet, round: usize, gap_for: &dyn Fn(usize, usi
     }
 }
 
-/// Record a fresh 3-tenant fleet session: `rounds` bus-fed rounds with the
-/// given per-(tenant, round) arrival gaps, returned as the trace text.
+/// Record a fresh 3-tenant fleet session under `sharing`: `rounds` bus-fed
+/// rounds with the given per-(tenant, round) arrival gaps, each round
+/// planned with `covered_for(round)` instances already covered, returned as
+/// the trace text.
 fn record_fleet(
     config: &OnlineConfig,
+    sharing: SharingConfig,
     seed: u64,
     rounds: usize,
     gap_for: &dyn Fn(usize, usize) -> f64,
+    covered_for: &dyn Fn(usize) -> usize,
 ) -> String {
     let mut fleet = TenantFleet::new(config, 0.0, 3, seed).unwrap();
     fleet.attach_bus(bus_config()).unwrap();
+    fleet.set_sharing(sharing).unwrap();
     let sink = MemorySink::new();
     let lines = sink.lines();
     let recorder = TraceRecorder::new(Box::new(sink), &fleet.trace_header(seed)).unwrap();
@@ -104,7 +110,7 @@ fn record_fleet(
     for round in 0..rounds {
         enqueue_window(&fleet, round, gap_for);
         fleet
-            .run_round_uniform(400.0 + 20.0 * round as f64, round)
+            .run_round_uniform(400.0 + 20.0 * round as f64, covered_for(round))
             .unwrap();
     }
     fleet.finish_recording().unwrap().unwrap();
@@ -167,31 +173,64 @@ fn record_scenario(name: &str) -> String {
     match name {
         // Mild sinusoidal daily profile: per-round gaps swing around each
         // tenant's base rate.
-        "diurnal" => record_fleet(&config, 101, 6, &|tenant, round| {
-            3.0 + tenant as f64 + 2.0 * (round as f64 * std::f64::consts::TAU / 6.0).sin()
-        }),
+        "diurnal" => record_fleet(
+            &config,
+            SharingConfig::default(),
+            101,
+            6,
+            &|tenant, round| {
+                3.0 + tenant as f64 + 2.0 * (round as f64 * std::f64::consts::TAU / 6.0).sin()
+            },
+            &|round| round,
+        ),
         // Quiet traffic with a 12x surge in round 3's window.
-        "flash_crowd" => record_fleet(&config, 202, 6, &|tenant, round| {
-            if round == 3 {
-                0.4
-            } else {
-                5.0 + tenant as f64
-            }
-        }),
+        "flash_crowd" => record_fleet(
+            &config,
+            SharingConfig::default(),
+            202,
+            6,
+            &|tenant, round| {
+                if round == 3 {
+                    0.4
+                } else {
+                    5.0 + tenant as f64
+                }
+            },
+            &|round| round,
+        ),
         // Scheduled refits disabled: only the drift detector can refit.
         // Quiet training then a sustained surge must trip it.
         "drift" => {
             config.refit_interval = 1e9;
             config.drift_window = 200.0;
-            record_fleet(&config, 303, 8, &|_, round| {
-                if round >= 3 {
-                    0.5
-                } else {
-                    8.0
-                }
-            })
+            record_fleet(
+                &config,
+                SharingConfig::default(),
+                303,
+                8,
+                &|_, round| {
+                    if round >= 3 {
+                        0.5
+                    } else {
+                        8.0
+                    }
+                },
+                &|round| round,
+            )
         }
         "kill_restore" => record_kill_restore(&config, 404, &|_| {}),
+        // Every reuse layer on: tenants 0 and 1 see identical traffic (one
+        // sampling cluster), tenant 2 a slower stream of its own. Steady
+        // traffic and a covered count held for two rounds let the plan cache
+        // hit.
+        "sharing" => record_fleet(
+            &config,
+            SharingConfig::on(),
+            505,
+            8,
+            &|tenant, _| if tenant < 2 { 4.0 } else { 7.0 },
+            &|round| round / 2,
+        ),
         other => panic!("unknown golden scenario `{other}`"),
     }
 }
@@ -265,11 +304,37 @@ fn golden_kill_restore_replays_strictly() {
     assert_eq!(rounds, 4);
 }
 
+#[test]
+fn golden_sharing_replays_strictly() {
+    let trace = replay_golden("sharing");
+    assert!(
+        trace.header.sharing.is_some(),
+        "the sharing golden must record its policy"
+    );
+    let stats = trace
+        .records
+        .iter()
+        .find_map(|(_, record)| match record {
+            TraceRecord::Qos(qos) => Some(qos.stats),
+            _ => None,
+        })
+        .expect("a complete trace ends with its QoS record");
+    assert!(stats.shared_planning_rounds > 0, "{stats:?}");
+    assert!(stats.plan_cache_hits > 0, "{stats:?}");
+}
+
 /// Acceptance criterion: a single mutated plan field is caught, and the
 /// diff names the round, the tenant and the field.
 #[test]
 fn injected_plan_mutation_is_caught_with_a_pointed_diff() {
-    let text = record_fleet(&base_config(), 55, 3, &|tenant, _| 4.0 + tenant as f64);
+    let text = record_fleet(
+        &base_config(),
+        SharingConfig::default(),
+        55,
+        3,
+        &|tenant, _| 4.0 + tenant as f64,
+        &|round| round,
+    );
     let mut trace = RecordedTrace::parse(&text).unwrap();
     let mut mutated = None;
     for (_, record) in &mut trace.records {
@@ -305,7 +370,14 @@ fn injected_plan_mutation_is_caught_with_a_pointed_diff() {
 
 #[test]
 fn truncated_trailing_record_fails_naming_the_line() {
-    let text = record_fleet(&base_config(), 56, 2, &|tenant, _| 4.0 + tenant as f64);
+    let text = record_fleet(
+        &base_config(),
+        SharingConfig::default(),
+        56,
+        2,
+        &|tenant, _| 4.0 + tenant as f64,
+        &|round| round,
+    );
     let lines: Vec<&str> = text.lines().collect();
     let last = lines.len();
 
@@ -325,7 +397,14 @@ fn truncated_trailing_record_fails_naming_the_line() {
 
 #[test]
 fn unknown_future_version_fails_naming_line_one() {
-    let text = record_fleet(&base_config(), 57, 2, &|tenant, _| 4.0 + tenant as f64);
+    let text = record_fleet(
+        &base_config(),
+        SharingConfig::default(),
+        57,
+        2,
+        &|tenant, _| 4.0 + tenant as f64,
+        &|round| round,
+    );
     let current = format!("\"version\":{TRACE_FORMAT_VERSION}");
     let bumped = text.replacen(&current, "\"version\":99", 1);
     assert_ne!(text, bumped, "header serialization changed shape");
@@ -337,7 +416,14 @@ fn unknown_future_version_fails_naming_line_one() {
 
 #[test]
 fn corrupted_event_line_fails_naming_the_line() {
-    let text = record_fleet(&base_config(), 58, 2, &|tenant, _| 4.0 + tenant as f64);
+    let text = record_fleet(
+        &base_config(),
+        SharingConfig::default(),
+        58,
+        2,
+        &|tenant, _| 4.0 + tenant as f64,
+        &|round| round,
+    );
     let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
     assert!(lines.len() > 5);
     lines[4] = "{this is not a record".to_string();
@@ -347,7 +433,14 @@ fn corrupted_event_line_fails_naming_the_line() {
 
 #[test]
 fn header_inconsistent_with_its_own_session_fails_naming_line_one() {
-    let text = record_fleet(&base_config(), 59, 2, &|tenant, _| 4.0 + tenant as f64);
+    let text = record_fleet(
+        &base_config(),
+        SharingConfig::default(),
+        59,
+        2,
+        &|tenant, _| 4.0 + tenant as f64,
+        &|round| round,
+    );
     // A single-scaler session claiming 3 tenants is self-contradictory.
     let warped = text.replacen("\"session\":\"Fleet\"", "\"session\":\"Single\"", 1);
     assert_ne!(text, warped, "header serialization changed shape");
