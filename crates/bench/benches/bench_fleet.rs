@@ -207,28 +207,8 @@ fn bench_fleet_checkpoint(c: &mut Criterion) {
             .run_round_uniform(86_400.0, 0)
             .expect("round succeeds");
         group.bench_with_input(BenchmarkId::new("write", tenants), &tenants, |b, _| {
-            b.iter(|| {
-                // Force-dirty every tenant so this measures a *full*
-                // rewrite (comparable to the PR 4 baseline) — otherwise
-                // the incremental path would reuse every shard after the
-                // first iteration.
-                for index in 0..fleet.len() {
-                    fleet.tenant_mut(index);
-                }
-                fleet.checkpoint(&dir).expect("checkpoint succeeds")
-            });
+            b.iter(|| fleet.checkpoint(&dir).expect("checkpoint succeeds"));
         });
-        group.bench_with_input(
-            BenchmarkId::new("write_incremental", tenants),
-            &tenants,
-            |b, _| {
-                // Steady-state incremental checkpoint of an idle fleet:
-                // every shard is clean and reused (hard-linked), the upper
-                // bound of what dirty tracking saves.
-                fleet.checkpoint(&dir).expect("checkpoint succeeds");
-                b.iter(|| fleet.checkpoint(&dir).expect("checkpoint succeeds"));
-            },
-        );
         fleet.checkpoint(&dir).expect("checkpoint succeeds");
         let config = fleet.tenant(0).expect("tenant 0").scaler.config();
         let config = *config;

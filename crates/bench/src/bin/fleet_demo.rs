@@ -215,12 +215,6 @@ fn collect_warnings(
             io.retries
         ));
     }
-    if io.reuse_fallbacks > 0 {
-        warnings.push(format!(
-            "{} clean shard(s) fell back from incremental reuse to a full rewrite",
-            io.reuse_fallbacks
-        ));
-    }
     if io.generation_fallbacks > 0 {
         warnings.push(format!(
             "{} restore(s) fell back past a corrupt generation",
@@ -609,8 +603,8 @@ fn main() {
     }
 
     // `--fault-io`: checkpoint writes go through the fault-injecting
-    // storage backend; the store's bounded retries and full-rewrite
-    // fallbacks absorb the failures (and show up as warnings below).
+    // storage backend; the store's bounded retries absorb the failures
+    // (and show up as warnings below).
     if faults.checkpoint_io > 0.0 {
         parallel_fleet.set_checkpoint_storage(Arc::new(FaultyStorage::new(faults)));
     }

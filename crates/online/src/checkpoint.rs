@@ -28,16 +28,17 @@
 //! gen-000003/shard-0001.json  # ...
 //! ```
 //!
+//! Every generation serializes every shard, so each generation directory
+//! is self-contained and restores on its own.
+//!
 //! **Format v2** (reads v1): tenant snapshots optionally carry the
 //! tenant's *undrained arrival queue* (contents + [`QueueStats`]) so a
 //! fleet killed mid-burst restores with its queues intact and replays
-//! bit-identically; the manifest records the bus configuration needed to
-//! rebuild the queues, and shard entries may be **reused** from the
-//! previous generation: a shard whose tenants have not mutated since the
-//! last checkpoint is hard-linked (or copied) into the new generation
-//! instead of reserialized, with `reused_from` naming the generation that
-//! actually wrote the bytes. Every generation directory remains
-//! self-contained, so the old-generation sweep is unchanged.
+//! bit-identically, and the manifest records the bus configuration needed
+//! to rebuild the queues. Shard entries may name a `reused_from`
+//! generation: earlier writers hard-linked unchanged shards from the
+//! previous generation instead of reserializing them. Such generations
+//! still load; new ones never reuse.
 //!
 //! **Format v3** (reads v1 and v2) adds self-healing durability:
 //!
@@ -45,9 +46,7 @@
 //!   trait (default: [`OsStorage`]), so chaos tests can inject
 //!   deterministic `io::ErrorKind`s straight into the atomic-swap path;
 //! * shard and manifest writes **retry with bounded backoff** before
-//!   failing the checkpoint, and a clean shard whose previous file cannot
-//!   be linked or copied falls back to a full rewrite (both surfaced via
-//!   [`CheckpointStore::io_stats`]);
+//!   failing the checkpoint (counted in [`CheckpointStore::io_stats`]);
 //! * the **previous generation is retained** alongside the current one
 //!   (older ones are still swept), each generation directory carries its
 //!   own `manifest.json` copy, and [`CheckpointStore::load_shards`] scans
@@ -73,14 +72,14 @@ use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Checkpoint format version recorded in the manifest; bump on any change
 /// to the manifest or shard layout and keep [`CheckpointStore::read_manifest`]
 /// able to read every version still deployed (v1 checkpoints — no queue
-/// state, no shard reuse — load as fleets with empty queues; v2 — no
+/// state, no `reused_from` — load as fleets with empty queues; v2 — no
 /// supervision state — as fleets with every tenant healthy; v3 — no
 /// residency state or fleet round in the manifest — as fully-hot fleets).
 ///
@@ -205,9 +204,7 @@ pub struct SupervisionSnapshot {
 /// Manifest entry for one shard file.
 ///
 /// `Deserialize` is hand-written so manifests predating
-/// [`ShardEntry::bytes`] still load (the field defaults to `0`,
-/// "unknown", which disqualifies the entry from the size quick check and
-/// falls back to full read-back verification).
+/// [`ShardEntry::bytes`] or [`ShardEntry::reused_from`] still load.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ShardEntry {
     /// Shard file path relative to the checkpoint directory.
@@ -217,16 +214,12 @@ pub struct ShardEntry {
     /// FNV-1a 64-bit checksum of the shard file's bytes, lowercase hex.
     pub checksum: String,
     /// Size of the shard file when its bytes were serialized, `0` when
-    /// unknown (manifests written before this field existed). The
-    /// retention guard stats reused shard files against this as a cheap
-    /// confirmation that the restorability induction still holds on disk
-    /// (truncated or torn-overwritten files change size); see
-    /// [`WriteOptions::previous_restorable`].
+    /// unknown (manifests written before this field existed).
     pub bytes: u64,
-    /// When the shard was **reused** from an earlier generation (none of
-    /// its tenants mutated since), the generation that actually serialized
-    /// these bytes; `None` for freshly written shards (and all v1
-    /// entries).
+    /// The generation that serialized these bytes when an earlier writer
+    /// hard-linked the shard from it instead of rewriting it. Always
+    /// `None` for shards written now; read so those generations still
+    /// load.
     pub reused_from: Option<u64>,
 }
 
@@ -270,9 +263,8 @@ pub struct Manifest {
     pub bus: Option<BusConfig>,
     /// The fleet's round counter at checkpoint time (format v4). Older
     /// checkpoints reconstruct it from the per-tenant supervision
-    /// snapshots; recording it here keeps it correct even when every
-    /// tenant's shard was reused (a reused shard's `SupervisionSnapshot`
-    /// round is the round of the generation that wrote the bytes).
+    /// snapshots; it is recorded here because a shard an earlier writer
+    /// reused carries the round of the generation that wrote its bytes.
     pub round: Option<u64>,
     /// The fleet's residency configuration (format v4); `None` for fleets
     /// without residency tiering. Restore re-enables tiering from it.
@@ -317,22 +309,6 @@ pub struct WriteOptions<'a> {
     /// What the manifest records about the fleet (all `None` for a bare
     /// tenant set).
     pub fleet: FleetWiring,
-    /// Per-shard-group cleanliness, aligned with the `tenants_per_shard`
-    /// chunking: `clean_shards[g] == true` asserts group `g`'s bytes are
-    /// identical to the previous generation's shard `g`, allowing reuse.
-    /// `None` (or a mismatched length) rewrites everything.
-    pub clean_shards: Option<&'a [bool]>,
-    /// Caller's assertion that the directory's current (pre-write)
-    /// generation is restorable — it was this caller's own previous write
-    /// and that write was restorable (fresh, or inductively anchored at a
-    /// fresh/verified one). Lets the retention sweep trust the new
-    /// generation *by induction* instead of re-hashing every kept shard
-    /// file from disk: reuse only links the previous generation's bytes,
-    /// and fresh shards are trustworthy by construction. `false` (the
-    /// default, and the right value for a fresh process or a directory
-    /// another writer may have touched) keeps the sweep's read-back
-    /// verification.
-    pub previous_restorable: bool,
 }
 
 /// FNV-1a 64-bit hash — small, dependency-free, and plenty for detecting
@@ -363,8 +339,8 @@ fn io_err(context: &str, e: &std::io::Error) -> OnlineError {
 /// The filesystem surface the checkpoint store runs on. The default
 /// [`OsStorage`] forwards to `std::fs`; chaos tests substitute a faulty
 /// implementation ([`crate::faults::FaultyStorage`]) so injected
-/// `io::ErrorKind`s exercise the retry, reuse-fallback and atomic-swap
-/// paths deterministically.
+/// `io::ErrorKind`s exercise the retry and atomic-swap paths
+/// deterministically.
 pub trait CheckpointStorage: std::fmt::Debug + Send + Sync {
     /// `fs::create_dir_all`.
     fn create_dir_all(&self, path: &Path) -> std::io::Result<()>;
@@ -372,10 +348,6 @@ pub trait CheckpointStorage: std::fmt::Debug + Send + Sync {
     fn write(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()>;
     /// `fs::rename` — the atomic-swap primitive.
     fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()>;
-    /// `fs::hard_link` — the shard-reuse fast path.
-    fn hard_link(&self, src: &Path, dst: &Path) -> std::io::Result<()>;
-    /// `fs::copy` — the shard-reuse fallback.
-    fn copy(&self, src: &Path, dst: &Path) -> std::io::Result<()>;
     /// `fs::remove_dir_all`.
     fn remove_dir_all(&self, path: &Path) -> std::io::Result<()>;
     /// Fsync a directory (durability of renames/creates inside it).
@@ -384,18 +356,34 @@ pub trait CheckpointStorage: std::fmt::Debug + Send + Sync {
     fn read(&self, path: &Path) -> std::io::Result<Vec<u8>>;
     /// Entry names (not full paths) of a directory.
     fn read_dir_names(&self, path: &Path) -> std::io::Result<Vec<String>>;
-    /// Size of `path` in bytes — the retention guard's stat-based quick
-    /// check. The default reports unsupported, which makes the guard fall
-    /// back to full read-back verification, so custom storages (including
-    /// the fault-injecting test wrapper) keep the strictest behavior
-    /// unless they opt in.
+    /// Never called: shard reuse was removed (every checkpoint writes
+    /// every shard). Kept only until a benchmark change updates
+    /// `perfbench/`, which still implements it.
+    fn hard_link(&self, src: &Path, dst: &Path) -> std::io::Result<()> {
+        let _ = (src, dst);
+        Err(unsupported("hard_link"))
+    }
+    /// Never called: shard reuse was removed (every checkpoint writes
+    /// every shard). Kept only until a benchmark change updates
+    /// `perfbench/`, which still implements it.
+    fn copy(&self, src: &Path, dst: &Path) -> std::io::Result<()> {
+        let _ = (src, dst);
+        Err(unsupported("copy"))
+    }
+    /// Never called: the retention guard's size check went with shard
+    /// reuse. Kept only until a benchmark change updates `perfbench/`,
+    /// which still implements it.
     fn file_size(&self, path: &Path) -> std::io::Result<u64> {
         let _ = path;
-        Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "file_size unsupported by this storage backend",
-        ))
+        Err(unsupported("file_size"))
     }
+}
+
+fn unsupported(op: &str) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::Unsupported,
+        format!("{op} unsupported by this storage backend"),
+    )
 }
 
 /// [`CheckpointStorage`] over the real filesystem.
@@ -417,14 +405,6 @@ impl CheckpointStorage for OsStorage {
         fs::rename(from, to)
     }
 
-    fn hard_link(&self, src: &Path, dst: &Path) -> std::io::Result<()> {
-        fs::hard_link(src, dst)
-    }
-
-    fn copy(&self, src: &Path, dst: &Path) -> std::io::Result<()> {
-        fs::copy(src, dst).map(|_| ())
-    }
-
     fn remove_dir_all(&self, path: &Path) -> std::io::Result<()> {
         fs::remove_dir_all(path)
     }
@@ -435,10 +415,6 @@ impl CheckpointStorage for OsStorage {
 
     fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
         fs::read(path)
-    }
-
-    fn file_size(&self, path: &Path) -> std::io::Result<u64> {
-        fs::metadata(path).map(|m| m.len())
     }
 
     fn read_dir_names(&self, path: &Path) -> std::io::Result<Vec<String>> {
@@ -457,30 +433,20 @@ impl CheckpointStorage for OsStorage {
 #[derive(Debug, Default)]
 struct IoCounters {
     retries: AtomicU64,
-    reuse_fallbacks: AtomicU64,
     generation_fallbacks: AtomicU64,
-    retention_verify_failures: AtomicU64,
-    last_write_restorable: AtomicBool,
     notes: Mutex<Vec<String>>,
 }
 
 /// Self-healing accounting for one checkpoint store: how often writes had
-/// to retry, shard reuse fell back to a full rewrite, and restores fell
-/// back to an older generation. Demo binaries surface non-zero counters as
-/// warnings.
+/// to retry and restores fell back to an older generation. Demo binaries
+/// surface non-zero counters as warnings.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CheckpointIoStats {
     /// Shard/manifest write attempts beyond the first (bounded backoff).
     pub retries: u64,
-    /// Clean shards rewritten in full because link/copy reuse failed.
-    pub reuse_fallbacks: u64,
     /// Restores served from an older generation because the current one
     /// was corrupt.
     pub generation_fallbacks: u64,
-    /// Generation sweeps skipped because no kept generation verified as
-    /// restorable (the retention guard refused to delete the only
-    /// generations scan-back recovery could still use).
-    pub retention_verify_failures: u64,
 }
 
 /// Newest generations the sweep keeps on disk: the current one plus the
@@ -519,13 +485,11 @@ impl CheckpointStore {
     }
 
     /// Self-healing accounting since this store (or a clone of it) was
-    /// created: write retries, reuse fallbacks, generation fallbacks.
+    /// created: write retries, generation fallbacks.
     pub fn io_stats(&self) -> CheckpointIoStats {
         CheckpointIoStats {
             retries: self.io.retries.load(Ordering::Relaxed),
-            reuse_fallbacks: self.io.reuse_fallbacks.load(Ordering::Relaxed),
             generation_fallbacks: self.io.generation_fallbacks.load(Ordering::Relaxed),
-            retention_verify_failures: self.io.retention_verify_failures.load(Ordering::Relaxed),
         }
     }
 
@@ -657,18 +621,8 @@ impl CheckpointStore {
     }
 
     /// [`CheckpointStore::write`] with the full option set: a persistent
-    /// worker pool to serialize on, a bus configuration to record, and —
-    /// the incremental-checkpoint path — per-shard-group cleanliness that
-    /// lets unchanged shards be *reused* from the previous generation.
-    ///
-    /// A reusable shard (its group is marked clean, and the previous
-    /// manifest has a same-sized shard for the group) is hard-linked —
-    /// copied, on filesystems without hard links — into the new
-    /// generation's directory instead of reserialized, keeping every
-    /// generation self-contained while skipping the serialization and
-    /// write cost for tenants that neither ingested nor planned since the
-    /// last checkpoint. Its manifest entry carries the previous checksum
-    /// and `reused_from` = the generation that actually wrote the bytes.
+    /// worker pool to serialize on and the fleet wiring to record. Every
+    /// shard is freshly serialized, fsynced and checksummed.
     pub fn write_with(
         &self,
         snapshots: &[TenantSnapshot],
@@ -690,12 +644,11 @@ impl CheckpointStore {
         // checkpoint rather than failing loudly. A listing failure other
         // than a missing directory fails the write for the same reason.
         let names = self.dir_names()?;
-        let previous = if names.iter().any(|name| name == "manifest.json") {
-            Some(self.read_manifest()?)
+        let generation = if names.iter().any(|name| name == "manifest.json") {
+            self.read_manifest()?.generation + 1
         } else {
-            None
+            1
         };
-        let generation = previous.as_ref().map_or(1, |m| m.generation + 1);
         let gen_name = format!("gen-{generation:06}");
         let gen_dir = self.dir.join(&gen_name);
         // Clear remnants of a crashed write that reached this generation
@@ -711,44 +664,8 @@ impl CheckpointStore {
 
         let groups: Vec<(usize, &[TenantSnapshot])> =
             snapshots.chunks(tenants_per_shard).enumerate().collect();
-        let clean = options
-            .clean_shards
-            .filter(|flags| flags.len() == groups.len());
         let write_shard = |&(group, chunk): &(usize, &[TenantSnapshot])| {
             let file = format!("{gen_name}/shard-{group:04}.json");
-            // Reuse path: the group is clean and the previous generation
-            // holds a same-sized shard *for the same tenant range* →
-            // link/copy those bytes. The range check matters: when the
-            // shard size changes between generations, shard `g` of the old
-            // layout can hold the right *count* of the wrong tenants
-            // (e.g. [2,2,2] → [4,2]: new group 1 starts at tenant 4, old
-            // shard 1 held tenants 2..4), and linking it would corrupt the
-            // checkpoint.
-            if clean.is_some_and(|flags| flags[group]) {
-                if let Some(prev) = previous
-                    .as_ref()
-                    .and_then(|m| {
-                        let prev_start: usize =
-                            m.shards.iter().take(group).map(|s| s.tenants).sum();
-                        m.shards
-                            .get(group)
-                            .filter(|_| prev_start == group * tenants_per_shard)
-                    })
-                    .filter(|prev| prev.tenants == chunk.len())
-                {
-                    match self.reuse_shard(prev, &file, generation) {
-                        Ok(entry) => return Ok(entry),
-                        // Fall through to a fresh write when the previous
-                        // shard file cannot be linked or copied (e.g. swept
-                        // by a concurrent process, or injected I/O faults) —
-                        // reuse is an optimization, never a correctness
-                        // dependency.
-                        Err(_) => {
-                            self.io.reuse_fallbacks.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
             let json = serde_json::to_string(chunk).map_err(|e| OnlineError::Checkpoint {
                 shard: Some(file.clone()),
                 message: format!("serialize failure: {e}"),
@@ -803,170 +720,27 @@ impl CheckpointStore {
         self.sync_dir(&gen_dir)?;
         self.write_atomic(&self.manifest_path(), manifest_json.as_bytes())?;
         self.sync_dir(&self.dir)?;
-        // A generation whose shards were all freshly serialized from live
-        // state is restorable by construction (every byte was just fsynced
-        // and checksummed). One that reused shards only ever links the
-        // *previous* generation's bytes, so when the caller vouches for
-        // that generation (`previous_restorable`: it was the caller's own
-        // previous write, itself restorable), the new generation is
-        // restorable by induction — the chain is anchored at a fresh or
-        // read-back-verified generation. The induction is memory-only and
-        // cannot see out-of-band disk damage, so it is confirmed with a
-        // stat of every reused shard file against the size recorded at
-        // serialization: truncation and torn overwrites — the corruption
-        // modes the retention guard exists for — change the size, and any
-        // mismatch (or a storage backend without stat support) drops to
-        // the full read-back in `sweep_old_generations`.
-        let all_fresh = manifest.shards.iter().all(|s| s.reused_from.is_none());
-        let restorable =
-            all_fresh || (options.previous_restorable && self.reused_shard_sizes_intact(&manifest));
-        self.io
-            .last_write_restorable
-            .store(restorable, Ordering::Relaxed);
-        self.sweep_old_generations(&manifest, restorable);
+        self.sweep_old_generations(manifest.generation);
         Ok(manifest)
     }
 
-    /// Whether the last [`CheckpointStore::write_with`] on this store (or a
-    /// clone sharing its counters) produced a generation known restorable
-    /// without read-back — all shards fresh, or reuse anchored on a
-    /// restorable previous write. Callers feed this into the next write's
-    /// [`WriteOptions::previous_restorable`] to keep the induction going.
-    pub fn last_write_restorable(&self) -> bool {
-        self.io.last_write_restorable.load(Ordering::Relaxed)
-    }
-
-    /// Cheap on-disk confirmation of the restorability induction: every
-    /// reused shard's file still has the size recorded when its bytes
-    /// were serialized (one stat per reused shard, no reads). `false`
-    /// when any size is unknown (pre-`bytes` manifest), unavailable
-    /// (storage without stat support), or mismatched — all of which send
-    /// the sweep to full read-back verification instead.
-    fn reused_shard_sizes_intact(&self, manifest: &Manifest) -> bool {
-        manifest
-            .shards
-            .iter()
-            .filter(|entry| entry.reused_from.is_some())
-            .all(|entry| {
-                entry.bytes != 0
-                    && self
-                        .storage
-                        .file_size(&self.dir.join(&entry.file))
-                        .is_ok_and(|size| size == entry.bytes)
-            })
-    }
-
-    /// Materialize a clean shard in the new generation directory by
-    /// hard-linking (or copying) the previous generation's file, carrying
-    /// the checksum forward. `reused_from` records the generation that
-    /// actually serialized the bytes, chaining through repeated reuse.
-    ///
-    /// Durability: the linked/copied bytes were fsynced when their
-    /// generation was written, and the new directory entry is covered by
-    /// the generation-directory fsync that precedes the manifest swap.
-    fn reuse_shard(
-        &self,
-        prev: &ShardEntry,
-        file: &str,
-        generation: u64,
-    ) -> Result<ShardEntry, OnlineError> {
-        let source = self.dir.join(&prev.file);
-        let target = self.dir.join(file);
-        if self.storage.hard_link(&source, &target).is_err() {
-            // Cross-filesystem checkpoint dirs or FSes without hard links:
-            // fall back to a byte copy (still cheaper than reserializing
-            // hundreds of ring+model snapshots).
-            self.storage.copy(&source, &target).map_err(|e| {
-                io_err(
-                    &format!("reuse {} -> {}", source.display(), target.display()),
-                    &e,
-                )
-            })?;
-        }
-        Ok(ShardEntry {
-            file: file.to_string(),
-            tenants: prev.tenants,
-            checksum: prev.checksum.clone(),
-            bytes: prev.bytes,
-            reused_from: Some(prev.reused_from.unwrap_or(generation - 1)),
-        })
-    }
-
-    /// Best-effort, restorability-aware removal of old generation
-    /// directories. The newest [`KEEP_GENERATIONS`] generations are
-    /// retained (current plus previous); everything older is
-    /// deleted **only after at least one kept generation verifies as
-    /// restorable** (every shard's bytes re-hash to its manifest checksum).
-    ///
-    /// The guard closes the GC/scan-back race: after a corrupt write, the
-    /// following generations can *reuse* (hard-link) the corrupt bytes, so
-    /// every kept generation is equally broken — the old unconditional
-    /// sweep would then delete exactly the older generation that
-    /// [`CheckpointStore::load_shards`]'s scan-back still needed. When no
-    /// kept generation verifies, nothing is swept, the refusal is counted
-    /// in [`CheckpointIoStats::retention_verify_failures`], and a note
-    /// names what failed so the fleet can self-heal with a full rewrite.
-    ///
-    /// `current_verified` short-circuits the read-back when the generation
-    /// just written is trustworthy by construction (all shards freshly
-    /// serialized). A failure to delete only wastes disk, never
+    /// Best-effort removal of old generation directories: the newest
+    /// [`KEEP_GENERATIONS`] generations up to `current` are retained
+    /// (current plus previous, the scan-back fallback), everything older
+    /// is deleted. Only runs once `current` is swapped in, and `current`
+    /// needs nothing older: every shard in it was just serialized, fsynced
+    /// and checksummed. A failure to delete only wastes disk, never
     /// correctness.
-    fn sweep_old_generations(&self, current: &Manifest, current_verified: bool) {
-        let cutoff = (current.generation + 1).saturating_sub(KEEP_GENERATIONS);
+    fn sweep_old_generations(&self, current: u64) {
+        let cutoff = (current + 1).saturating_sub(KEEP_GENERATIONS);
         let Ok(names) = self.storage.read_dir_names(&self.dir) else {
             return;
         };
-        let doomed: Vec<String> = names
-            .into_iter()
-            .filter(|name| parse_generation_dir(name).is_some_and(|g| g < cutoff))
-            .collect();
-        if doomed.is_empty() {
-            return;
+        for name in names {
+            if parse_generation_dir(&name).is_some_and(|g| g < cutoff) {
+                let _ = self.storage.remove_dir_all(&self.dir.join(&name));
+            }
         }
-        let verified = current_verified || self.any_kept_generation_verifies(current, cutoff);
-        if !verified {
-            self.io
-                .retention_verify_failures
-                .fetch_add(1, Ordering::Relaxed);
-            let note = format!(
-                "retention guard: no generation in {}..={} verifies as restorable; \
-                 keeping {} older generation(s) for scan-back recovery",
-                cutoff,
-                current.generation,
-                doomed.len()
-            );
-            self.io
-                .notes
-                .lock()
-                .expect("checkpoint note lock poisoned")
-                .push(note);
-            return;
-        }
-        for name in doomed {
-            let _ = self.storage.remove_dir_all(&self.dir.join(&name));
-        }
-    }
-
-    /// Whether any kept generation (`cutoff..=current`) is fully
-    /// restorable: every shard's bytes re-hash to its manifest checksum.
-    /// Checksum-only — no JSON parse — so the read-back costs one pass over
-    /// the kept shard files, and only runs on the (rare) sweeps that follow
-    /// shard reuse.
-    fn any_kept_generation_verifies(&self, current: &Manifest, cutoff: u64) -> bool {
-        let verify = |manifest: &Manifest| {
-            manifest.shards.iter().all(|entry| {
-                self.storage
-                    .read(&self.dir.join(&entry.file))
-                    .is_ok_and(|bytes| format!("{:016x}", fnv1a64(&bytes)) == entry.checksum)
-            })
-        };
-        if verify(current) {
-            return true;
-        }
-        self.fallback_generations(Some(current.generation))
-            .iter()
-            .filter(|(generation, _)| *generation >= cutoff)
-            .any(|(_, manifest)| verify(manifest))
     }
 
     /// Load one shard, verifying its checksum before parsing. Every failure
@@ -1342,97 +1116,6 @@ mod tests {
     }
 
     #[test]
-    fn clean_shards_are_reused_across_generations() {
-        let dir = temp_dir("reuse");
-        let store = CheckpointStore::new(&dir);
-        let mut snapshots = some_snapshots(5);
-        let first = store.write(&snapshots, 2, 1).unwrap();
-        assert!(first.shards.iter().all(|s| s.reused_from.is_none()));
-
-        // Generation 2: only group 0 changed.
-        snapshots[0].scaler.stats.planning_rounds += 1;
-        let options = WriteOptions {
-            tenants_per_shard: 2,
-            workers: 1,
-            clean_shards: Some(&[false, true, true]),
-            ..WriteOptions::default()
-        };
-        let second = store.write_with(&snapshots, &options).unwrap();
-        assert_eq!(second.generation, 2);
-        assert_eq!(second.shards[0].reused_from, None);
-        assert_eq!(second.shards[1].reused_from, Some(1));
-        assert_eq!(second.shards[2].reused_from, Some(1));
-        assert_eq!(second.shards[1].checksum, first.shards[1].checksum);
-
-        // Generation 3: reuse chains back to the writing generation.
-        let third = store.write_with(&snapshots, &options).unwrap();
-        assert_eq!(third.shards[1].reused_from, Some(1));
-        assert_eq!(third.shards[0].reused_from, None);
-
-        // The reused files are self-contained in the new generation:
-        // generations beyond the retained previous one are swept, yet
-        // everything still loads and checksum-verifies.
-        assert!(!dir.join("gen-000001").exists());
-        assert!(dir.join("gen-000002").exists());
-        let loaded = store.load(2).unwrap();
-        assert_eq!(loaded, snapshots);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_or_mismatched_clean_flags_fall_back_to_fresh_writes() {
-        let dir = temp_dir("reuse-fallback");
-        let store = CheckpointStore::new(&dir);
-        let snapshots = some_snapshots(4);
-        store.write(&snapshots, 2, 1).unwrap();
-        // Wrong flag length: ignored, everything rewritten.
-        let options = WriteOptions {
-            tenants_per_shard: 2,
-            workers: 1,
-            clean_shards: Some(&[true]),
-            ..WriteOptions::default()
-        };
-        let manifest = store.write_with(&snapshots, &options).unwrap();
-        assert!(manifest.shards.iter().all(|s| s.reused_from.is_none()));
-        // Different sharding than the previous generation: group sizes no
-        // longer line up, so "clean" groups are rewritten, not mislinked.
-        let options = WriteOptions {
-            tenants_per_shard: 3,
-            workers: 1,
-            clean_shards: Some(&[true, true]),
-            ..WriteOptions::default()
-        };
-        let manifest = store.write_with(&snapshots, &options).unwrap();
-        assert!(manifest.shards.iter().all(|s| s.reused_from.is_none()));
-        assert_eq!(store.load(1).unwrap(), snapshots);
-        let _ = fs::remove_dir_all(&dir);
-
-        // The count-match trap: [2,2,2] -> [4,2] over 6 tenants. New group 1
-        // holds tenants 4..6 with the same tenant *count* as old shard 1
-        // (tenants 2..4); only the offset-alignment check keeps the reuse
-        // path from hard-linking the wrong tenants' bytes.
-        let dir = temp_dir("reuse-fallback-regroup");
-        let store = CheckpointStore::new(&dir);
-        let snapshots = some_snapshots(6);
-        store.write(&snapshots, 2, 1).unwrap();
-        let options = WriteOptions {
-            tenants_per_shard: 4,
-            workers: 1,
-            clean_shards: Some(&[true, true]),
-            ..WriteOptions::default()
-        };
-        let manifest = store.write_with(&snapshots, &options).unwrap();
-        assert_eq!(manifest.shards.len(), 2);
-        assert!(
-            manifest.shards.iter().all(|s| s.reused_from.is_none()),
-            "misaligned count-matching shard was reused: {:?}",
-            manifest.shards
-        );
-        assert_eq!(store.load(1).unwrap(), snapshots);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn corrupt_current_generation_falls_back_to_previous() {
         let dir = temp_dir("genfall");
         let store = CheckpointStore::new(&dir);
@@ -1502,6 +1185,38 @@ mod tests {
         let next = store.write(&snapshots, 8, 1).unwrap();
         assert_eq!(next.generation, manifest.generation + 1);
         assert_eq!(next.version, CHECKPOINT_FORMAT_VERSION);
+        let _ = fs::remove_dir_all(&dir);
+
+        // A generation written by shard reuse: generation 2 hard-links
+        // generation 1's shard files, and its manifests name the generation
+        // that serialized the bytes.
+        let dir = temp_dir("reuse-compat");
+        let store = CheckpointStore::new(&dir);
+        let snapshots = some_snapshots(5);
+        let first = store.write(&snapshots, 2, 1).unwrap();
+        fs::create_dir_all(dir.join("gen-000002")).unwrap();
+        let mut reused = first.clone();
+        reused.generation = 2;
+        for entry in &mut reused.shards {
+            let file = entry.file.replace("gen-000001", "gen-000002");
+            fs::hard_link(dir.join(&entry.file), dir.join(&file)).unwrap();
+            entry.file = file;
+            entry.reused_from = Some(1);
+        }
+        let json = serde_json::to_string(&reused).unwrap();
+        fs::write(dir.join("gen-000002/manifest.json"), &json).unwrap();
+        fs::write(dir.join("manifest.json"), &json).unwrap();
+        assert_eq!(store.read_manifest().unwrap(), reused);
+        assert_eq!(store.load(2).unwrap(), snapshots);
+        // The next write serializes every shard afresh, and its sweep of
+        // generation 1 leaves generation 2's linked shards loadable.
+        let third = store.write(&snapshots, 2, 1).unwrap();
+        assert_eq!(third.generation, 3);
+        assert!(third.shards.iter().all(|s| s.reused_from.is_none()));
+        assert!(!dir.join("gen-000001").exists());
+        for entry in &reused.shards {
+            assert_eq!(store.load_shard(entry).unwrap().len(), entry.tenants);
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -23,9 +23,8 @@
 //!   timestamps;
 //! * **checkpoint I/O** — [`FaultyStorage`] wraps the real filesystem
 //!   behind [`CheckpointStorage`] and fails individual operations with
-//!   injected [`std::io::ErrorKind`]s, exercising the retry loop, the
-//!   hard-link → copy → full-rewrite fallback chain, and the
-//!   scan-back-to-restorable-generation restore path;
+//!   injected [`std::io::ErrorKind`]s, exercising the retry loop and
+//!   the scan-back-to-restorable-generation restore path;
 //! * **workers** — [`FaultInjector::worker_panics`] kills a pool
 //!   worker at a chunk boundary, outside any tenant, exercising the
 //!   fleet-level round abort. Worker-panic faults hash the chunk
@@ -67,7 +66,7 @@ pub struct FaultPlan {
     /// `clock_skew` roll fires).
     pub clock_skew_secs: f64,
     /// Per-operation probability that a checkpoint *write-side* I/O
-    /// call (write, rename, hard-link, copy) fails.
+    /// call (write, rename) fails.
     pub checkpoint_io: f64,
     /// Per-operation probability that a checkpoint *read* fails.
     /// Kept separate from [`checkpoint_io`](Self::checkpoint_io) so
@@ -106,19 +105,18 @@ pub enum PlanFault {
     Panic,
 }
 
-/// Checkpoint I/O operations [`FaultyStorage`] can fail.
+/// Checkpoint I/O operations [`FaultyStorage`] can fail. The
+/// discriminants are hashed into every I/O fault site, so they are
+/// fixed explicitly: renumbering one re-rolls every recorded schedule
+/// (2 and 3 were shard-reuse links and copies).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoOp {
     /// File create + write + fsync.
-    Write,
+    Write = 0,
     /// Atomic rename.
-    Rename,
-    /// Hard link (shard reuse fast path).
-    Link,
-    /// Copy (shard reuse fallback).
-    Copy,
+    Rename = 1,
     /// File read (restore path).
-    Read,
+    Read = 4,
 }
 
 const SITE_PLAN: u64 = 0x706c_616e_2e66_6c74; // "plan.flt"
@@ -323,16 +321,6 @@ impl CheckpointStorage for FaultyStorage {
         self.inner.rename(from, to)
     }
 
-    fn hard_link(&self, src: &Path, dst: &Path) -> io::Result<()> {
-        self.check(IoOp::Link, dst)?;
-        self.inner.hard_link(src, dst)
-    }
-
-    fn copy(&self, src: &Path, dst: &Path) -> io::Result<()> {
-        self.check(IoOp::Copy, dst)?;
-        self.inner.copy(src, dst)
-    }
-
     fn remove_dir_all(&self, path: &Path) -> io::Result<()> {
         self.inner.remove_dir_all(path)
     }
@@ -518,6 +506,40 @@ mod tests {
         assert!(r0.to_string().contains("call 0"), "{r0}");
         // Directory ops are never faulted.
         assert!(storage.read_dir_names(Path::new("/")).is_ok());
+    }
+
+    /// `io_error` hashes `op as u64` into the fault site, so the
+    /// variants' discriminants are part of every I/O fault schedule.
+    #[test]
+    fn io_fault_schedule_is_pinned() {
+        let inj = FaultInjector::new(FaultPlan {
+            seed: 17,
+            checkpoint_io: 0.5,
+            restore_io: 0.5,
+            ..FaultPlan::default()
+        });
+        let fired = |op: IoOp| -> Vec<u64> {
+            (0..32)
+                .filter(|&nth| {
+                    inj.io_error(op, "gen-000001/shard-0000.json", nth)
+                        .is_some()
+                })
+                .collect()
+        };
+        // Recorded before `IoOp` lost its shard-reuse variants: the
+        // explicit discriminants keep every recorded chaos schedule.
+        assert_eq!(
+            fired(IoOp::Write),
+            [5, 9, 10, 12, 14, 15, 16, 17, 18, 19, 21, 23, 27, 31]
+        );
+        assert_eq!(
+            fired(IoOp::Rename),
+            [0, 1, 5, 6, 7, 8, 10, 14, 16, 18, 22, 24, 25, 28, 29, 30]
+        );
+        assert_eq!(
+            fired(IoOp::Read),
+            [0, 1, 4, 11, 12, 13, 14, 17, 19, 20, 21, 22, 23, 26, 27, 28, 31]
+        );
     }
 
     #[test]

@@ -140,12 +140,6 @@ impl QueueStats {
 struct TenantQueue {
     items: VecDeque<f64>,
     stats: QueueStats,
-    /// Monotonic mutation counter: bumped by every accepted push, rejected
-    /// push, and non-empty drain. The fleet's incremental checkpointer
-    /// compares it against the value captured at the previous checkpoint
-    /// to decide whether a shard can be reused — a plain dirty flag would
-    /// race with producers pushing between capture and flag reset.
-    mutations: u64,
 }
 
 /// Everything the checkpointer needs about one tenant's queue, captured
@@ -156,9 +150,6 @@ pub struct QueueCheckpoint {
     pub queued: Vec<f64>,
     /// The queue's accounting at capture time.
     pub stats: QueueStats,
-    /// The mutation counter at capture time (see
-    /// [`ArrivalBus::checkpoint_queues`]).
-    pub mutations: u64,
 }
 
 /// Bounded per-tenant arrival queues, sharded by tenant group — the
@@ -247,7 +238,6 @@ impl ArrivalBus {
         queue.stats.enqueued += accepted as u64;
         queue.stats.dropped_full += dropped;
         queue.stats.queued_peak = queue.stats.queued_peak.max(queue.items.len() as u64);
-        queue.mutations += 1;
         if accepted > 0 {
             self.pending[group].fetch_add(accepted as u64, Ordering::Release);
         }
@@ -288,10 +278,6 @@ impl ArrivalBus {
             buf.extend(queue.items.drain(..));
             queue.stats.drained += buf.len() as u64;
             queue.stats.drains += 1;
-            // Even an empty drain changed persisted state (`stats.drains`),
-            // so it must invalidate shard reuse — a stale counter in a
-            // reused shard would break restore equivalence.
-            queue.mutations += 1;
             if !buf.is_empty() {
                 self.pending[group].fetch_sub(buf.len() as u64, Ordering::Release);
             }
@@ -322,17 +308,9 @@ impl ArrivalBus {
         total
     }
 
-    /// Capture every tenant's queue for a checkpoint: contents, stats and
-    /// the mutation counter, each group captured atomically under its
-    /// lock. The returned vector is indexed by tenant.
-    ///
-    /// The mutation counters are the incremental checkpointer's dirtiness
-    /// oracle: a shard whose tenants' counters all match the values
-    /// captured at the previous successful checkpoint (and whose scalers
-    /// are untouched) holds bit-identical bytes and can be reused without
-    /// reserializing. Producers pushing concurrently bump the counter
-    /// *after* this capture, which simply marks the tenant dirty for the
-    /// next generation — never a lost update.
+    /// Capture every tenant's queue for a checkpoint: contents and stats,
+    /// each group captured atomically under its lock. The returned vector
+    /// is indexed by tenant.
     pub fn checkpoint_queues(&self) -> Vec<QueueCheckpoint> {
         let mut out = Vec::with_capacity(self.tenant_count);
         for group in &self.groups {
@@ -341,7 +319,6 @@ impl ArrivalBus {
                 out.push(QueueCheckpoint {
                     queued: queue.items.iter().copied().collect(),
                     stats: queue.stats,
-                    mutations: queue.mutations,
                 });
             }
         }
@@ -349,10 +326,8 @@ impl ArrivalBus {
     }
 
     /// Refill one tenant's queue from persisted state (fleet restore):
-    /// contents and stats are installed verbatim; the mutation counter
-    /// restarts at zero (the first post-restore checkpoint rewrites every
-    /// shard regardless, so no dirtiness information is lost). A backlog
-    /// above [`BusConfig::capacity_per_tenant`] is rejected.
+    /// contents and stats are installed verbatim. A backlog above
+    /// [`BusConfig::capacity_per_tenant`] is rejected.
     pub fn restore_tenant(
         &self,
         tenant: usize,
@@ -370,7 +345,6 @@ impl ArrivalBus {
         let before = queue.items.len() as u64;
         queue.items = VecDeque::from(queued);
         queue.stats = stats;
-        queue.mutations = 0;
         let after = queue.items.len() as u64;
         if after > before {
             self.pending[group].fetch_add(after - before, Ordering::Release);
@@ -491,7 +465,6 @@ mod tests {
         assert_eq!(captured[0].queued, vec![2.0, 1.0]); // enqueue order
         assert_eq!(captured[1].queued, Vec::<f64>::new());
         assert_eq!(captured[2].stats.enqueued, 1);
-        assert!(captured[0].mutations > 0);
 
         let fresh = small_bus(3);
         for (tenant, cp) in captured.iter().enumerate() {
@@ -510,31 +483,6 @@ mod tests {
             let restored = fresh.restore_tenant(1, vec![0.0; len], QueueStats::default());
             assert_eq!(restored.is_ok(), fits, "backlog of {len}");
         }
-    }
-
-    #[test]
-    fn mutation_counter_tracks_pushes_drops_and_drains() {
-        let bus = small_bus(1);
-        let at = |bus: &ArrivalBus| bus.checkpoint_queues()[0].mutations;
-        assert_eq!(at(&bus), 0);
-        bus.push(0, 1.0).unwrap();
-        let after_push = at(&bus);
-        assert!(after_push > 0);
-        let mut buf = Vec::new();
-        bus.drain_into(0, &mut buf).unwrap();
-        let after_drain = at(&bus);
-        assert!(after_drain > after_push);
-        // Even an empty drain mutates: it bumped the persisted `drains`
-        // counter, so a reused shard would carry a stale value.
-        bus.drain_into(0, &mut buf).unwrap();
-        assert!(at(&bus) > after_drain);
-        // A rejected push still mutates (the drop counter changed).
-        for k in 0..4 {
-            bus.push(0, k as f64).unwrap();
-        }
-        let full = at(&bus);
-        bus.push(0, 9.0).unwrap();
-        assert!(at(&bus) > full);
     }
 
     #[test]

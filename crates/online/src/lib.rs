@@ -34,10 +34,10 @@
 //!   checkpoint equivalence;
 //! * [`checkpoint`] — durable fleet state: versioned scaler snapshots —
 //!   including each tenant's *undrained arrival queue* — persisted as
-//!   sharded, checksummed, atomically swapped checkpoint files with
-//!   incremental (dirty-shard-only) generations, so a fleet process can
-//!   restart mid-burst without losing any tenant's training window or
-//!   queued arrivals — and resume planning bit-identically;
+//!   sharded, checksummed, atomically swapped checkpoint files, so a
+//!   fleet process can restart mid-burst without losing any tenant's
+//!   training window or queued arrivals — and resume planning
+//!   bit-identically;
 //! * [`replay`] — recorded-trace replay: sessions serialize every
 //!   arrival, plan, refit and queue drain to a versioned JSONL trace,
 //!   and a replay engine re-executes the session from the header and

@@ -176,7 +176,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Whatever write-side I/O faults a checkpoint attempt hits — torn
-    /// shard writes, failed manifest renames, broken reuse links — the
+    /// shard writes, failed manifest copies and renames — the
     /// directory always restores afterwards, to the state of *some*
     /// successfully completed checkpoint.
     #[test]
@@ -322,9 +322,9 @@ fn recorded_chaos_session_survives_crash_restore_and_replays() {
     }
 
     // Mid-session crash: the checkpoint is written through faulty
-    // storage (exercising write retries and reuse fallbacks); if the
-    // whole attempt still fails, the caller's self-healing move is a
-    // full rewrite on clean storage — the directory is never left
+    // storage (exercising write retries); if the whole attempt still
+    // fails, the caller's self-healing move is to write again on clean
+    // storage — the directory is never left
     // unrestorable either way.
     fleet.set_checkpoint_storage(Arc::new(FaultyStorage::new(FaultPlan {
         seed: 6,

@@ -305,13 +305,13 @@ proptest! {
     }
 }
 
-/// Incremental checkpoints must stay restore-equivalent: generations that
-/// reuse clean shards load into exactly the same fleet as a full rewrite
-/// would have produced.
+/// Every checkpoint serializes every shard, so a later generation written
+/// over an existing directory restores exactly like the same fleet
+/// checkpointed into a fresh one.
 #[test]
-fn incremental_generations_restore_identically_to_full_rewrites() {
-    let dir = temp_dir("fleet-incremental");
-    let full_dir = temp_dir("fleet-incremental-full");
+fn later_generations_restore_identically_to_a_fresh_directory() {
+    let dir = temp_dir("fleet-later");
+    let fresh_dir = temp_dir("fleet-later-fresh");
     let config = online_config();
     let mut fleet = TenantFleet::new(&config, 0.0, 6, 17).unwrap();
     fleet
@@ -324,54 +324,42 @@ fn incremental_generations_restore_identically_to_full_rewrites() {
     fleet.run_round_uniform(400.0, 0).unwrap();
     fleet.checkpoint_sharded(&dir, 2).unwrap();
 
-    // Touch one tenant's scaler and another's queue; checkpoint again —
-    // this generation mixes fresh and reused shards.
+    // Touch one tenant's scaler and another's queue; checkpoint again.
     fleet.ingest(1, 405.0).unwrap();
     fleet.enqueue(4, 406.0).unwrap();
-    let incremental = fleet.checkpoint_sharded(&dir, 2).unwrap();
+    let later = fleet.checkpoint_sharded(&dir, 2).unwrap();
+    assert_eq!(later.generation, 2);
     assert!(
-        incremental.shards.iter().any(|s| s.reused_from.is_some()),
-        "expected at least one reused shard"
+        later.shards.iter().all(|s| s.reused_from.is_none()),
+        "no shard may be reused: {:?}",
+        later.shards
     );
-    assert!(
-        incremental.shards.iter().any(|s| s.reused_from.is_none()),
-        "expected at least one rewritten shard"
-    );
-    // A clone checkpoints fully fresh (clones start dirty) — the reference.
-    fleet.clone().checkpoint_sharded(&full_dir, 2).unwrap();
+    fleet.checkpoint_sharded(&fresh_dir, 2).unwrap();
 
-    let mut from_incremental = TenantFleet::restore(&dir, &config).unwrap();
-    let mut from_full = TenantFleet::restore(&full_dir, &config).unwrap();
+    let mut from_later = TenantFleet::restore(&dir, &config).unwrap();
+    let mut from_fresh = TenantFleet::restore(&fresh_dir, &config).unwrap();
+    assert_eq!(from_later.aggregate_stats(), from_fresh.aggregate_stats());
     assert_eq!(
-        from_incremental.aggregate_stats(),
-        from_full.aggregate_stats()
-    );
-    assert_eq!(
-        from_incremental.queue_stats().unwrap(),
-        from_full.queue_stats().unwrap()
+        from_later.queue_stats().unwrap(),
+        from_fresh.queue_stats().unwrap()
     );
     for round in 1..3 {
         let now = 400.0 + 20.0 * round as f64;
         assert_eq!(
-            from_incremental.run_round_uniform(now, round).unwrap(),
-            from_full.run_round_uniform(now, round).unwrap()
+            from_later.run_round_uniform(now, round).unwrap(),
+            from_fresh.run_round_uniform(now, round).unwrap()
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&full_dir);
+    let _ = std::fs::remove_dir_all(&fresh_dir);
 }
 
-/// Regression (formerly `tests/repro_reuse_bug.rs`): changing
-/// `tenants_per_shard` between incremental checkpoints must never reuse a
-/// shard from the old grouping. With 6 clean tenants checkpointed as
-/// [2,2,2] and then as [4,2], new group 1 (tenants 4..6) has the same
-/// tenant *count* as old shard 1 (tenants 2..4) — a count-only match would
-/// link the wrong tenants' bytes into the new generation. Both the
-/// store-level offset check and the fleet-level `tenants_per_shard` guard
-/// must force fresh writes, and reuse must resume on the next checkpoint
-/// under the new grouping.
+/// Changing `tenants_per_shard` between checkpoints regroups the tenants:
+/// 6 tenants checkpointed as [2,2,2] and then as [4,2] must restore the
+/// right tenants in the right order, and keep planning like the live
+/// fleet.
 #[test]
-fn shard_size_change_between_checkpoints_never_reuses_misaligned_shards() {
+fn regrouped_checkpoints_restore_the_right_tenants() {
     let dir = temp_dir("fleet-regroup");
     let config = online_config();
     let mut fleet = TenantFleet::new(&config, 0.0, 6, 21).unwrap();
@@ -380,24 +368,17 @@ fn shard_size_change_between_checkpoints_never_reuses_misaligned_shards() {
 
     let first = fleet.checkpoint_sharded(&dir, 2).unwrap();
     assert_eq!(first.shards.len(), 3);
-    assert!(first.shards.iter().all(|s| s.reused_from.is_none()));
-
-    // Same grouping, nothing mutated: every shard is reused from gen 1.
-    let second = fleet.checkpoint_sharded(&dir, 2).unwrap();
-    assert!(second.shards.iter().all(|s| s.reused_from == Some(1)));
-
-    // Regrouped [2,2,2] -> [4,2] with all tenants still clean: the
-    // count-match trap. Every shard must be written fresh.
     let regrouped = fleet.checkpoint_sharded(&dir, 4).unwrap();
     assert_eq!(regrouped.shards.len(), 2);
-    assert!(
-        regrouped.shards.iter().all(|s| s.reused_from.is_none()),
-        "regrouped checkpoint reused shards from a different grouping: {:?}",
-        regrouped.shards
+    assert_eq!(
+        regrouped
+            .shards
+            .iter()
+            .map(|s| s.tenants)
+            .collect::<Vec<_>>(),
+        [4, 2]
     );
 
-    // The regrouped checkpoint restores the *right* tenants and the
-    // restored fleet keeps planning identically to the live one.
     let mut restored = TenantFleet::restore(&dir, &config).unwrap();
     assert_eq!(restored.len(), 6);
     assert_eq!(restored.aggregate_stats(), fleet.aggregate_stats());
@@ -405,14 +386,6 @@ fn shard_size_change_between_checkpoints_never_reuses_misaligned_shards() {
         restored.run_round_uniform(420.0, 1).unwrap(),
         fleet.run_round_uniform(420.0, 1).unwrap()
     );
-
-    // Under the *new* grouping, reuse works again (gen 3 wrote the bytes).
-    // The round above dirtied every tenant, so checkpoint once to settle...
-    let settle = fleet.checkpoint_sharded(&dir, 4).unwrap();
-    assert!(settle.shards.iter().all(|s| s.reused_from.is_none()));
-    // ...and the next clean checkpoint reuses both shards.
-    let reused = fleet.checkpoint_sharded(&dir, 4).unwrap();
-    assert!(reused.shards.iter().all(|s| s.reused_from == Some(4)));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -463,148 +436,44 @@ fn corrupted_shard_fails_with_a_named_checksum_error_others_loadable() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Regression: the old GC unconditionally deleted every generation older
-/// than `current - 1`. After a shard corrupts *post-write*, later
-/// generations hard-link the corrupt bytes — so every recent generation
-/// is equally broken, and the unconditional sweep deleted exactly the
-/// older generation scan-back recovery still needed. The
-/// restorability-aware retention guard must refuse to sweep until some
-/// kept generation verifies.
+/// A shard of a kept generation that rots on disk after its write never
+/// reaches the next generation: that one serializes every shard from live
+/// state, verifies in full, restores without a fallback, and its sweep
+/// drops only the generation before the rotten one.
 #[test]
-fn retention_guard_never_sweeps_past_the_newest_restorable_generation() {
-    let dir = temp_dir("retention-guard");
+fn bit_rot_in_a_kept_generation_never_reaches_the_next() {
+    let dir = temp_dir("bit-rot");
     let config = online_config();
     let mut fleet = TenantFleet::new(&config, 0.0, 6, 61).unwrap();
-    ingest_fleet(&mut fleet, 400.0);
-    fleet.run_round_uniform(400.0, 0).unwrap();
-    let snapshots_v1: Vec<_> = {
-        let store = CheckpointStore::new(&dir);
-        let gen1 = fleet.checkpoint_sharded(&dir, 2).unwrap();
-        assert_eq!(gen1.generation, 1);
-        store.load(2).unwrap()
-    };
-
-    // Generation 2 writes fresh bytes (the round dirtied every tenant) —
-    // its shard files share no inode with generation 1's.
-    fleet.run_round_uniform(420.0, 1).unwrap();
-    let gen2 = fleet.checkpoint_sharded(&dir, 2).unwrap();
-    assert!(gen2.shards.iter().all(|s| s.reused_from.is_none()));
-
-    // Bit rot strikes generation 2 after the write...
-    std::fs::write(dir.join(&gen2.shards[1].file), b"{ torn").unwrap();
-
-    // ...and the next two generations hard-link the corrupt bytes
-    // (store-level writes with everything marked clean, so no fleet
-    // self-heal kicks in between them).
-    let store = CheckpointStore::new(&dir);
-    let snapshots = store.load_shards(2).map(|_| ()).err();
-    assert!(snapshots.is_none(), "scan-back itself must not fail here");
-    let current = store.load(2).unwrap();
-    let clean = vec![true; gen2.shards.len()];
-    for expected_gen in [3u64, 4] {
-        let manifest = store
-            .write_with(
-                &current,
-                &robustscaler::online::WriteOptions {
-                    tenants_per_shard: 2,
-                    workers: 2,
-                    clean_shards: Some(&clean),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(manifest.generation, expected_gen);
-        assert!(
-            manifest.shards.iter().any(|s| s.reused_from.is_some()),
-            "generations after the corruption must reuse shards to pin the bug"
-        );
-    }
-
-    // The guard refused both sweeps: generation 1 — the only restorable
-    // one — is still on disk, and the refusals were counted and noted.
-    assert!(
-        dir.join("gen-000001").exists(),
-        "scan-back generation swept"
-    );
-    let io = store.io_stats();
-    assert!(io.retention_verify_failures >= 1, "{io:?}");
-    let notes = store.take_notes();
-    assert!(
-        notes.iter().any(|n| n.contains("retention guard")),
-        "{notes:?}"
-    );
-
-    // Restore still succeeds — by falling back to generation 1 — with
-    // generation 1's exact state. The old sweep made this impossible.
-    let recovered = CheckpointStore::new(&dir).load(2).unwrap();
-    assert_eq!(recovered.len(), snapshots_v1.len());
-    let restored = TenantFleet::restore(&dir, &config).unwrap();
-    assert_eq!(restored.len(), 6);
-
-    // A fresh full write (all shards reserialized) is verified by
-    // construction: the sweep resumes and prunes the corrupt history.
-    let healed = store
-        .write_with(
-            &current,
-            &robustscaler::online::WriteOptions {
-                tenants_per_shard: 2,
-                workers: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-    assert_eq!(healed.generation, 5);
-    assert!(healed.shards.iter().all(|s| s.reused_from.is_none()));
-    assert!(!dir.join("gen-000001").exists(), "sweep did not resume");
-    assert!(!dir.join("gen-000003").exists(), "sweep did not resume");
-    assert!(TenantFleet::restore(&dir, &config).is_ok());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The fleet-level self-heal half of the GC fix: when a checkpoint's
-/// retention sweep is refused (nothing verifies), the fleet drops its
-/// incremental baseline so the *next* checkpoint is a full rewrite —
-/// restorable by construction — and reuse then resumes.
-#[test]
-fn fleet_self_heals_with_a_full_rewrite_after_a_blocked_sweep() {
-    let dir = temp_dir("retention-self-heal");
-    let config = online_config();
-    let mut fleet = TenantFleet::new(&config, 0.0, 6, 67).unwrap();
     ingest_fleet(&mut fleet, 400.0);
     fleet.run_round_uniform(400.0, 0).unwrap();
     fleet.checkpoint_sharded(&dir, 2).unwrap();
     fleet.run_round_uniform(420.0, 1).unwrap();
     let gen2 = fleet.checkpoint_sharded(&dir, 2).unwrap();
 
-    // Corrupt a fresh generation-2 shard, then checkpoint with every
-    // tenant clean: generation 3 reuses the corrupt bytes and its sweep
-    // is refused.
-    std::fs::write(dir.join(&gen2.shards[0].file), b"{ torn").unwrap();
+    // Bit rot strikes generation 2 after the write.
+    std::fs::write(dir.join(&gen2.shards[1].file), b"{ torn").unwrap();
+
     let gen3 = fleet.checkpoint_sharded(&dir, 2).unwrap();
-    assert!(gen3.shards.iter().all(|s| s.reused_from.is_some()));
-    assert!(fleet.checkpoint_io_stats().retention_verify_failures >= 1);
-    assert!(
-        dir.join("gen-000001").exists(),
-        "scan-back generation swept"
-    );
+    assert_eq!(gen3.generation, 3);
+    assert!(gen3.shards.iter().all(|s| s.reused_from.is_none()));
+    // Every shard of generation 3 loads checksum-verified, with no
+    // fallback to an older generation.
+    let store = CheckpointStore::new(&dir);
+    assert_eq!(store.load(2).unwrap().len(), 6);
+    assert_eq!(store.io_stats().generation_fallbacks, 0);
 
-    // Self-heal: the next checkpoint rewrites everything even though no
-    // tenant was touched, and the sweep resumes behind it.
-    let gen4 = fleet.checkpoint_sharded(&dir, 2).unwrap();
-    assert!(
-        gen4.shards.iter().all(|s| s.reused_from.is_none()),
-        "self-heal checkpoint must rewrite every shard: {:?}",
-        gen4.shards
-    );
-    assert!(!dir.join("gen-000001").exists(), "sweep did not resume");
-
-    // The healed directory restores the live state bit-identically.
-    let mut restored = TenantFleet::restore(&dir, &config).unwrap();
+    let (mut restored, notes) =
+        TenantFleet::restore_with(&dir, &config, RestoreOptions::default()).unwrap();
+    assert!(notes.is_empty(), "{notes:?}");
     assert_eq!(restored.aggregate_stats(), fleet.aggregate_stats());
     assert_eq!(
         restored.run_round_uniform(440.0, 2).unwrap(),
         fleet.run_round_uniform(440.0, 2).unwrap()
     );
+
+    assert!(!dir.join("gen-000001").exists(), "generation 1 not swept");
+    assert!(dir.join("gen-000002").exists(), "generation 2 not kept");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -624,12 +493,6 @@ impl CheckpointStorage for RebasedStorage {
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         OsStorage.rename(&self.0.join(from), &self.0.join(to))
     }
-    fn hard_link(&self, src: &Path, dst: &Path) -> io::Result<()> {
-        OsStorage.hard_link(&self.0.join(src), &self.0.join(dst))
-    }
-    fn copy(&self, src: &Path, dst: &Path) -> io::Result<()> {
-        OsStorage.copy(&self.0.join(src), &self.0.join(dst))
-    }
     fn remove_dir_all(&self, path: &Path) -> io::Result<()> {
         OsStorage.remove_dir_all(&self.0.join(path))
     }
@@ -645,8 +508,9 @@ impl CheckpointStorage for RebasedStorage {
 }
 
 /// Checkpoints written through a non-OS storage backend see their own
-/// previous generation: the generation counts up, clean shards are
-/// reused, and the fleet restores through the same backend.
+/// previous generations: the generation counts up, the sweep deletes the
+/// oldest under the backend's root, and the fleet restores through the
+/// same backend.
 #[test]
 fn non_os_storage_sees_its_previous_generation() {
     let root = temp_dir("rebased");
@@ -660,7 +524,11 @@ fn non_os_storage_sees_its_previous_generation() {
     let first = fleet.checkpoint_sharded(dir, 2).unwrap();
     let second = fleet.checkpoint_sharded(dir, 2).unwrap();
     assert_eq!((first.generation, second.generation), (1, 2));
-    assert!(second.shards.iter().all(|s| s.reused_from == Some(1)));
+    assert!(root.join(dir).join("gen-000001").exists());
+    let third = fleet.checkpoint_sharded(dir, 2).unwrap();
+    assert_eq!(third.generation, 3);
+    assert!(!root.join(dir).join("gen-000001").exists());
+    assert!(root.join(dir).join("gen-000002").exists());
     let (restored, notes) = TenantFleet::restore_with(
         dir,
         &config,
