@@ -436,15 +436,83 @@ fn corrupted_shard_fails_with_a_named_checksum_error_others_loadable() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A shard of a kept generation that rots on disk after its write never
-/// reaches the next generation: that one serializes every shard from live
-/// state, verifies in full, restores without a fallback, and its sweep
-/// drops only the generation before the rotten one.
+/// The sweep never removes the newest restorable generation: every write
+/// keeps its previous generation, so when bit rot strikes the current one
+/// after its write, scan-back restore still finds the previous generation
+/// on disk and restores exactly its state. The next write is restorable by
+/// construction (every shard serialized, fsynced and checksummed), so only
+/// then is the generation before the rotten one dropped.
 #[test]
-fn bit_rot_in_a_kept_generation_never_reaches_the_next() {
-    let dir = temp_dir("bit-rot");
+fn retention_guard_never_sweeps_past_the_newest_restorable_generation() {
+    let dir = temp_dir("retention-guard");
     let config = online_config();
     let mut fleet = TenantFleet::new(&config, 0.0, 6, 61).unwrap();
+    ingest_fleet(&mut fleet, 400.0);
+    fleet.run_round_uniform(400.0, 0).unwrap();
+    let gen1 = fleet.checkpoint_sharded(&dir, 2).unwrap();
+    assert_eq!(gen1.generation, 1);
+    let stats_v1 = fleet.aggregate_stats();
+    let snapshots_v1 = CheckpointStore::new(&dir).load(2).unwrap();
+
+    fleet.run_round_uniform(420.0, 1).unwrap();
+    let gen2 = fleet.checkpoint_sharded(&dir, 2).unwrap();
+    assert_eq!(gen2.generation, 2);
+    assert!(
+        dir.join("gen-000001").exists(),
+        "scan-back generation swept"
+    );
+
+    // Bit rot strikes generation 2 after the write.
+    std::fs::write(dir.join(&gen2.shards[1].file), b"{ torn").unwrap();
+
+    // Restore falls back to generation 1 with its exact state, and says so.
+    let store = CheckpointStore::new(&dir);
+    let recovered = store.load(2).unwrap();
+    assert_eq!(recovered, snapshots_v1);
+    assert_eq!(store.io_stats().generation_fallbacks, 1);
+    let notes = store.take_notes();
+    assert!(
+        notes.iter().any(|n| n.contains("restored generation 1")),
+        "{notes:?}"
+    );
+    let restored = TenantFleet::restore(&dir, &config).unwrap();
+    assert_eq!(restored.aggregate_stats(), stats_v1);
+
+    // Writing the recovered state makes generation 3, which loads without
+    // a fallback; its sweep drops generation 1 and keeps generation 2.
+    let gen3 = store
+        .write_with(
+            &recovered,
+            &robustscaler::online::WriteOptions {
+                tenants_per_shard: 2,
+                workers: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+    assert_eq!(gen3.generation, 3);
+    assert!(gen3.shards.iter().all(|s| s.reused_from.is_none()));
+    assert!(!dir.join("gen-000001").exists(), "generation 1 not swept");
+    assert!(dir.join("gen-000002").exists(), "generation 2 not kept");
+    let fresh = CheckpointStore::new(&dir);
+    assert_eq!(fresh.load(2).unwrap(), snapshots_v1);
+    assert_eq!(fresh.io_stats().generation_fallbacks, 0);
+    let restored = TenantFleet::restore(&dir, &config).unwrap();
+    assert_eq!(restored.aggregate_stats(), stats_v1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The fleet heals a checkpoint directory without being told: a shard of a
+/// kept generation that rots on disk after its write never reaches the
+/// next generation, even when no tenant was touched in between. That
+/// generation serializes every shard from live state, verifies in full,
+/// restores without a fallback, and its sweep drops only the generation
+/// before the rotten one.
+#[test]
+fn fleet_self_heals_with_a_full_rewrite_after_a_blocked_sweep() {
+    let dir = temp_dir("retention-self-heal");
+    let config = online_config();
+    let mut fleet = TenantFleet::new(&config, 0.0, 6, 67).unwrap();
     ingest_fleet(&mut fleet, 400.0);
     fleet.run_round_uniform(400.0, 0).unwrap();
     fleet.checkpoint_sharded(&dir, 2).unwrap();
@@ -452,17 +520,22 @@ fn bit_rot_in_a_kept_generation_never_reaches_the_next() {
     let gen2 = fleet.checkpoint_sharded(&dir, 2).unwrap();
 
     // Bit rot strikes generation 2 after the write.
-    std::fs::write(dir.join(&gen2.shards[1].file), b"{ torn").unwrap();
+    std::fs::write(dir.join(&gen2.shards[0].file), b"{ torn").unwrap();
 
     let gen3 = fleet.checkpoint_sharded(&dir, 2).unwrap();
     assert_eq!(gen3.generation, 3);
-    assert!(gen3.shards.iter().all(|s| s.reused_from.is_none()));
+    assert!(
+        gen3.shards.iter().all(|s| s.reused_from.is_none()),
+        "the checkpoint after the rot must rewrite every shard: {:?}",
+        gen3.shards
+    );
     // Every shard of generation 3 loads checksum-verified, with no
     // fallback to an older generation.
     let store = CheckpointStore::new(&dir);
     assert_eq!(store.load(2).unwrap().len(), 6);
     assert_eq!(store.io_stats().generation_fallbacks, 0);
 
+    // The healed directory restores the live state bit-identically.
     let (mut restored, notes) =
         TenantFleet::restore_with(&dir, &config, RestoreOptions::default()).unwrap();
     assert!(notes.is_empty(), "{notes:?}");
