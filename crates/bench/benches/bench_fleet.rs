@@ -303,7 +303,7 @@ fn bench_fleet_hibernation(c: &mut Criterion) {
             .expect("round succeeds");
         fleet.tenant(0).expect("tenant 0").scaler.snapshot()
     };
-    let receipt = store.page_out(0, &scaler).expect("page out");
+    let receipt = store.page_out(0, scaler).expect("page out");
     let scaler_config = config;
     group.bench_function(BenchmarkId::new("page_in", 1), |b| {
         b.iter(|| {

@@ -196,9 +196,6 @@ pub struct SupervisionSnapshot {
     pub degraded_rounds: u64,
     /// The tenant's last successful plan — the degraded-mode fallback.
     pub last_good_plan: Option<PlanningRound>,
-    /// The scaler snapshot recovery restores from (captured periodically
-    /// when the supervisor's recovery action is snapshot restore).
-    pub last_good_snapshot: Option<Box<ScalerSnapshot>>,
 }
 
 /// Manifest entry for one shard file.
@@ -442,7 +439,8 @@ struct IoCounters {
 /// surface non-zero counters as warnings.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CheckpointIoStats {
-    /// Shard/manifest write attempts beyond the first (bounded backoff).
+    /// Shard, manifest and page write attempts beyond the first (bounded
+    /// backoff).
     pub retries: u64,
     /// Restores served from an older generation because the current one
     /// was corrupt.
@@ -452,6 +450,42 @@ pub struct CheckpointIoStats {
 /// Newest generations the sweep keeps on disk: the current one plus the
 /// previous one, so scan-back recovery always has a fallback.
 const KEEP_GENERATIONS: u64 = 2;
+
+/// Write `bytes` to `path` atomically — temp file in the same directory,
+/// fsync, rename, so a crash mid-write leaves either the old file or no
+/// file, never a torn one — retrying with bounded backoff on transient
+/// failures. Every attempt beyond the first is counted in `retries`.
+fn write_atomic(
+    storage: &dyn CheckpointStorage,
+    path: &Path,
+    bytes: &[u8],
+    retries: &AtomicU64,
+) -> Result<(), OnlineError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut last = None;
+    for attempt in 0..WRITE_ATTEMPTS {
+        if attempt > 0 {
+            retries.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(RETRY_BACKOFF * attempt);
+        }
+        if let Err(e) = storage.write(&tmp, bytes) {
+            last = Some(io_err(&format!("write {}", tmp.display()), &e));
+            continue;
+        }
+        match storage.rename(&tmp, path) {
+            Ok(()) => return Ok(()),
+            Err(e) => {
+                last = Some(io_err(
+                    &format!("rename {} -> {}", tmp.display(), path.display()),
+                    &e,
+                ));
+            }
+        }
+    }
+    Err(last.expect("at least one attempt ran"))
+}
 
 /// A checkpoint directory: one manifest plus generation subdirectories of
 /// shard files.
@@ -519,36 +553,10 @@ impl CheckpointStore {
         }
     }
 
-    /// Write `bytes` to `path` atomically — temp file in the same
-    /// directory, fsync, rename, so a crash mid-write leaves either the old
-    /// file or no file, never a torn one — retrying with bounded backoff on
-    /// transient failures. Retries are counted in
+    /// [`write_atomic`] on this store's storage, its retries counted in
     /// [`CheckpointStore::io_stats`].
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<(), OnlineError> {
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        let mut last = None;
-        for attempt in 0..WRITE_ATTEMPTS {
-            if attempt > 0 {
-                self.io.retries.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(RETRY_BACKOFF * attempt);
-            }
-            if let Err(e) = self.storage.write(&tmp, bytes) {
-                last = Some(io_err(&format!("write {}", tmp.display()), &e));
-                continue;
-            }
-            match self.storage.rename(&tmp, path) {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    last = Some(io_err(
-                        &format!("rename {} -> {}", tmp.display(), path.display()),
-                        &e,
-                    ));
-                }
-            }
-        }
-        Err(last.expect("at least one attempt ran"))
+        write_atomic(&*self.storage, path, bytes, &self.io.retries)
     }
 
     fn sync_dir(&self, dir: &Path) -> Result<(), OnlineError> {
@@ -914,6 +922,8 @@ pub struct PageReceipt {
 pub struct HibernationStore {
     dir: PathBuf,
     storage: Arc<dyn CheckpointStorage>,
+    /// Page write retries not yet taken, shared across clones of the store.
+    retries: Arc<AtomicU64>,
 }
 
 impl HibernationStore {
@@ -929,7 +939,14 @@ impl HibernationStore {
         Self {
             dir: dir.into(),
             storage,
+            retries: Arc::default(),
         }
+    }
+
+    /// Take the page write retries counted since the last take (the
+    /// fleet folds them into its [`CheckpointIoStats::retries`]).
+    pub fn take_retries(&self) -> u64 {
+        self.retries.swap(0, Ordering::Relaxed)
     }
 
     /// The page directory.
@@ -947,7 +964,7 @@ impl HibernationStore {
     pub fn page_out(
         &self,
         tenant: u64,
-        scaler: &ScalerSnapshot,
+        scaler: ScalerSnapshot,
     ) -> Result<PageReceipt, OnlineError> {
         self.storage
             .create_dir_all(&self.dir)
@@ -955,38 +972,17 @@ impl HibernationStore {
         let envelope = HibernatedTenant {
             version: HIBERNATION_FORMAT_VERSION,
             tenant,
-            scaler: scaler.clone(),
+            scaler,
         };
         let json = serde_json::to_string(&envelope).map_err(|e| OnlineError::Checkpoint {
             shard: None,
             message: format!("page serialize failure (tenant {tenant}): {e}"),
         })?;
-        let bytes = json.as_bytes();
-        let checksum = fnv1a64(bytes);
         let path = self.page_path(tenant);
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        let mut last = None;
-        for attempt in 0..WRITE_ATTEMPTS {
-            if attempt > 0 {
-                std::thread::sleep(RETRY_BACKOFF * attempt);
-            }
-            if let Err(e) = self.storage.write(&tmp, bytes) {
-                last = Some(io_err(&format!("write {}", tmp.display()), &e));
-                continue;
-            }
-            match self.storage.rename(&tmp, &path) {
-                Ok(()) => return Ok(PageReceipt { checksum }),
-                Err(e) => {
-                    last = Some(io_err(
-                        &format!("rename {} -> {}", tmp.display(), path.display()),
-                        &e,
-                    ));
-                }
-            }
-        }
-        Err(last.expect("at least one attempt ran"))
+        write_atomic(&*self.storage, &path, json.as_bytes(), &self.retries)?;
+        Ok(PageReceipt {
+            checksum: fnv1a64(json.as_bytes()),
+        })
     }
 
     /// Read `tenant`'s page file back, verifying the receipt checksum

@@ -34,9 +34,8 @@
 //! consecutive failures quarantine the tenant: planning is suspended (its
 //! slot reports [`Quarantined`](OnlineError::Quarantined), though its
 //! arrival queue keeps draining so no data is lost), and the fleet probes
-//! it on an exponential-backoff schedule, applying a
-//! [`RecoveryAction`] — a forced refit or a restore from the tenant's
-//! last good snapshot — before the probe plan. Failing or quarantined
+//! it on an exponential-backoff schedule: a probe round refits the model
+//! from the tenant's own ring before it plans. Failing or quarantined
 //! tenants can serve a *degraded plan-stickiness fallback*: the last good
 //! plan, flagged `sticky` in [`FleetRound`], so QoS degrades gracefully
 //! instead of going unplanned. Cold tenants still warming up
@@ -46,8 +45,8 @@
 //!
 //! Deterministic chaos — injected planning errors/panics, arrival
 //! corruption, checkpoint I/O faults — plugs in via
-//! [`TenantFleet::set_faults`]; every fault decision and every recovery
-//! action is a pure function of the [`FaultPlan`] seed and the round
+//! [`TenantFleet::set_faults`]; every fault decision and every probe is
+//! a pure function of the [`FaultPlan`] seed and the round
 //! coordinates, pinned by `tests/chaos.rs`. The one exception is
 //! worker-thread panics, which key on chunk offsets and are therefore
 //! worker-count-dependent by construction; they abort the whole round
@@ -233,19 +232,6 @@ pub struct ResidencyStats {
     pub page_in_failures: u64,
 }
 
-/// How a probe round tries to bring a quarantined tenant back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RecoveryAction {
-    /// Refit the model from the tenant's current ring before the probe
-    /// plan — keeps every ingested arrival, rebuilds the model.
-    ForceRefit,
-    /// Replace the scaler with its last captured good snapshot before the
-    /// probe plan — rolls the tenant back to known-good state (arrivals
-    /// ingested since that snapshot are lost). Falls back to a forced
-    /// refit while no snapshot has been captured yet.
-    RestoreSnapshot,
-}
-
 /// Supervision policy for a [`TenantFleet`]. The default is active but
 /// conservative: it only ever reacts to *real* failures (panics, injected
 /// faults, refit errors), never to cold-start
@@ -260,14 +246,6 @@ pub struct SupervisorConfig {
     pub probe_backoff: u64,
     /// Upper bound on the probe backoff.
     pub max_backoff: u64,
-    /// What a probe does before attempting to plan.
-    pub recovery: RecoveryAction,
-    /// Capture a last-good scaler snapshot every this many rounds (per
-    /// tenant, on successful rounds; 0 = never). Only consulted when
-    /// `recovery` is [`RecoveryAction::RestoreSnapshot`] — snapshots are
-    /// not captured otherwise, so the default policy adds no per-round
-    /// cost.
-    pub snapshot_every: u64,
 }
 
 impl Default for SupervisorConfig {
@@ -276,8 +254,6 @@ impl Default for SupervisorConfig {
             quarantine_after: 3,
             probe_backoff: 2,
             max_backoff: 32,
-            recovery: RecoveryAction::ForceRefit,
-            snapshot_every: 8,
         }
     }
 }
@@ -367,7 +343,6 @@ struct Supervision {
     recoveries: u64,
     degraded_rounds: u64,
     last_good_plan: Option<PlanningRound>,
-    last_good_snapshot: Option<Box<ScalerSnapshot>>,
     /// The last round served the sticky fallback (transient).
     served_sticky: bool,
 }
@@ -375,18 +350,13 @@ struct Supervision {
 /// What the supervisor decided for one tenant *before* the parallel
 /// section — decisions are taken serially so they are deterministic and
 /// identical for any worker count.
-#[allow(clippy::large_enum_variant)] // probes are rare; boxing would churn the hot Normal path
 enum TenantAction {
     /// Plan normally.
     Normal,
     /// Quarantined and not yet due for a probe: drain, don't plan.
     Skip { until_round: u64 },
-    /// Probe round: apply the recovery, then plan.
-    Probe {
-        recovery: RecoveryAction,
-        snapshot: Option<Box<ScalerSnapshot>>,
-        config: OnlineConfig,
-    },
+    /// Probe round: refit the model from the ring, then plan.
+    Probe,
     /// Hibernated and nothing to do: skip the tenant entirely.
     Dormant,
     /// Hibernated but triggered: wake (page in if needed), then plan.
@@ -424,14 +394,14 @@ enum PrepOutcome {
 /// One tenant's *prepare* share of a planning round, executed inside the
 /// round worker's per-tenant `catch_unwind` boundary.
 ///
-/// Order matters for determinism and data retention: the recovery (if
-/// this is a probe) runs *first* so a snapshot restore cannot eat the
-/// arrivals this round is about to drain; then the queue is drained —
-/// even for quarantined tenants, so no arrival is ever lost to a
-/// suspension and the record/replay invariant (every round drains the
-/// bus) holds; injected corruption applies to the drained batch *after*
-/// the recorder captured the queue, so a replayed drain re-derives the
-/// identical corruption; only then is planning prepared (refit, forecast
+/// Order matters for determinism and data retention: a probe's forced
+/// refit runs *first*, on the ring as the previous round left it; then
+/// the queue is drained — even for quarantined tenants and failed probes,
+/// so no arrival is ever lost to a suspension and the record/replay
+/// invariant (every round drains the bus) holds; injected corruption
+/// applies to the drained batch *after* the recorder captured the queue,
+/// so a replayed drain re-derives the identical corruption; only then is
+/// a failed probe reported, and planning prepared (refit, forecast
 /// refresh, sufficiency check) or refused, for quarantined tenants. The
 /// Monte Carlo stage itself runs in [`tenant_plan`] — split out so the
 /// fleet can batch arrival sampling across tenants in between. Prepare
@@ -450,26 +420,10 @@ fn tenant_prepare(
     sharing: &SharingConfig,
 ) -> PrepOutcome {
     let id = tenant.id;
-    if let TenantAction::Probe {
-        recovery,
-        snapshot,
-        config,
-    } = action
-    {
-        match (recovery, snapshot) {
-            (RecoveryAction::RestoreSnapshot, Some(snapshot)) => {
-                match OnlineScaler::restore((**snapshot).clone(), *config) {
-                    Ok(scaler) => tenant.scaler = scaler,
-                    Err(e) => return PrepOutcome::Done(Err(e)),
-                }
-            }
-            _ => {
-                if let Err(e) = tenant.scaler.probe_refit(now) {
-                    return PrepOutcome::Done(Err(e));
-                }
-            }
-        }
-    }
+    let probe = match action {
+        TenantAction::Probe => tenant.scaler.probe_refit(now),
+        _ => Ok(()),
+    };
     if let Some(bus) = bus {
         match bus.drain_into(index, buf) {
             Ok(0) => {}
@@ -481,6 +435,9 @@ fn tenant_prepare(
             }
             Err(e) => return PrepOutcome::Done(Err(e)),
         }
+    }
+    if let Err(e) = probe {
+        return PrepOutcome::Done(Err(e));
     }
     if let TenantAction::Skip { until_round } = action {
         return PrepOutcome::Done(Err(OnlineError::Quarantined {
@@ -571,8 +528,8 @@ pub struct TenantFleet {
     faults: Option<FaultInjector>,
     /// Per-tenant supervision state.
     supervision: Vec<Supervision>,
-    /// Checkpoint I/O counters accumulated across this fleet's writes
-    /// and its restore (retries, generation fallbacks).
+    /// Checkpoint I/O counters accumulated across this fleet's checkpoint
+    /// and page writes and its restore (retries, generation fallbacks).
     checkpoint_io: CheckpointIoStats,
     /// Storage backend for checkpoints (the real filesystem unless a
     /// chaos test injects a faulty one).
@@ -1152,11 +1109,8 @@ impl TenantFleet {
         // tenant wakes on a queued arrival or a passed wake time and is
         // otherwise dormant: invariantly healthy and unquarantined, so
         // the supervision match below never applies to it.
-        let actions: Vec<TenantAction> = self
-            .tenants
-            .iter()
-            .enumerate()
-            .map(|(i, slot)| {
+        let actions: Vec<TenantAction> = (0..self.tenants.len())
+            .map(|i| {
                 if residency_on {
                     if let Residency::Cold { wake_at, .. } = self.residency_state[i] {
                         let arrival = self.bus.as_ref().is_some_and(|bus| {
@@ -1180,19 +1134,7 @@ impl TenantFleet {
                     Some(q) if round < q.next_probe => TenantAction::Skip {
                         until_round: q.next_probe,
                     },
-                    Some(_) => TenantAction::Probe {
-                        recovery: self.supervisor.recovery,
-                        snapshot: match self.supervisor.recovery {
-                            RecoveryAction::RestoreSnapshot => {
-                                self.supervision[i].last_good_snapshot.clone()
-                            }
-                            RecoveryAction::ForceRefit => None,
-                        },
-                        config: match slot {
-                            TenantSlot::Resident(tenant) => *tenant.scaler.config(),
-                            TenantSlot::Paged(_) => self.config,
-                        },
-                    },
+                    Some(_) => TenantAction::Probe,
                     None => TenantAction::Normal,
                 }
             })
@@ -1256,7 +1198,7 @@ impl TenantFleet {
         let sharing = self.sharing;
         let hibernation = self.hibernation.as_ref();
         // Phase 1 — prepare, arrival-major: each worker drains and
-        // prepares *all* of its tenants (recovery → drain → ingest →
+        // prepares *all* of its tenants (probe refit → drain → ingest →
         // refit → sufficiency check) before any Monte Carlo planning
         // runs, so the plan phase below sees every tenant's final
         // forecast and can batch the sampling across them.
@@ -1594,7 +1536,8 @@ impl TenantFleet {
         // Page-out sweep: every cold resident (fresh hibernations,
         // restored-cold tenants, previous page-out failures) leaves
         // memory. A failed page-out keeps the tenant resident — cold but
-        // safe — and retries here next round.
+        // safe — and retries here next round. Page write retries count
+        // with the checkpoint writes' in the fleet's I/O stats.
         // (Cloned out of `self` so the loop below can mutate tenant
         // slots; the store is a path + shared storage handle.)
         if let Some(store) = self.hibernation.clone() {
@@ -1606,9 +1549,8 @@ impl TenantFleet {
                     continue;
                 };
                 let id = tenant.id;
-                let snapshot = tenant.scaler.snapshot();
                 let stats = *tenant.scaler.stats();
-                match store.page_out(id, &snapshot) {
+                match store.page_out(id, tenant.scaler.snapshot()) {
                     Ok(receipt) => {
                         self.tenants[i] = TenantSlot::Paged(PagedTenant {
                             id,
@@ -1625,6 +1567,7 @@ impl TenantFleet {
                     Err(_) => self.residency_counters.page_out_failures += 1,
                 }
             }
+            self.checkpoint_io.retries += store.take_retries();
         }
         events
     }
@@ -1644,7 +1587,7 @@ impl TenantFleet {
 
     /// Fold one round's results into the per-tenant supervision state:
     /// failure counting, quarantine entry/exit, probe backoff doubling,
-    /// last-good plan/snapshot capture. Serial and deterministic.
+    /// last-good plan capture. Serial and deterministic.
     fn update_supervision(
         &mut self,
         round: u64,
@@ -1653,7 +1596,7 @@ impl TenantFleet {
     ) {
         let config = self.supervisor;
         for (i, result) in results.iter().enumerate() {
-            let probing = matches!(actions[i], TenantAction::Probe { .. });
+            let probing = matches!(actions[i], TenantAction::Probe);
             let skipped = matches!(actions[i], TenantAction::Skip { .. });
             let sup = &mut self.supervision[i];
             sup.served_sticky = false;
@@ -1671,16 +1614,6 @@ impl TenantFleet {
                         sup.health = TenantHealth::Healthy;
                     }
                     sup.last_good_plan = Some(plan.clone());
-                    if config.recovery == RecoveryAction::RestoreSnapshot
-                        && config.snapshot_every > 0
-                        && round.is_multiple_of(config.snapshot_every)
-                    {
-                        // An Ok result implies the slot is resident (only
-                        // resident tenants plan).
-                        if let TenantSlot::Resident(tenant) = &self.tenants[i] {
-                            sup.last_good_snapshot = Some(Box::new(tenant.scaler.snapshot()));
-                        }
-                    }
                 }
                 // Cold start is not a failure: a tenant still accumulating
                 // its first training window must never be quarantined for
@@ -1861,7 +1794,8 @@ impl TenantFleet {
     }
 
     /// Checkpoint I/O counters accumulated across this fleet's writes
-    /// and restore: retries, generation fallbacks.
+    /// (checkpoints and pages) and restore: retries, generation
+    /// fallbacks.
     pub fn checkpoint_io_stats(&self) -> CheckpointIoStats {
         self.checkpoint_io
     }
@@ -2004,7 +1938,6 @@ impl TenantFleet {
                     recoveries: sup.recoveries,
                     degraded_rounds: sup.degraded_rounds,
                     last_good_plan: sup.last_good_plan.clone(),
-                    last_good_snapshot: sup.last_good_snapshot.clone(),
                 });
                 if residency_on {
                     snapshot.residency = Some(match residency_state[index] {
@@ -2096,7 +2029,11 @@ impl TenantFleet {
     /// [`OnlineError::InvalidConfig`]) and re-applied, so the restored
     /// fleet plans under the policy it was checkpointed with. Checkpoints
     /// older than format v5 carry no supervisor, fault plan or sharing
-    /// policy and restore with the defaults.
+    /// policy and restore with the defaults. Older v5 manifests may carry
+    /// the retired supervisor keys `recovery` and `snapshot_every`, and
+    /// their shards a `last_good_snapshot`; all three are ignored, so a
+    /// checkpoint written under `"recovery":"RestoreSnapshot"` restores
+    /// with forced-refit probes, the only recovery there is.
     ///
     /// `options` holds what belongs to the restoring process rather than
     /// to the checkpoint: the storage backend and the page directory. The
@@ -2196,7 +2133,6 @@ impl TenantFleet {
                 recoveries: snapshot.recoveries,
                 degraded_rounds: snapshot.degraded_rounds,
                 last_good_plan: snapshot.last_good_plan,
-                last_good_snapshot: snapshot.last_good_snapshot,
                 served_sticky: false,
             };
         }
@@ -2706,8 +2642,6 @@ mod tests {
             quarantine_after: 2,
             probe_backoff: 2,
             max_backoff: 8,
-            recovery: RecoveryAction::ForceRefit,
-            snapshot_every: 0,
         });
         ingest_uniform(&mut fleet, 400.0);
         // Round 0: clean — captures tenant 0's last good plan.
@@ -2784,37 +2718,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_recovery_restores_the_last_good_scaler() {
-        let config = fleet_config();
-        let mut fleet = TenantFleet::new(&config, 0.0, 2, 19).unwrap();
-        fleet.set_supervisor(SupervisorConfig {
-            quarantine_after: 1,
-            probe_backoff: 1,
-            max_backoff: 4,
-            recovery: RecoveryAction::RestoreSnapshot,
-            snapshot_every: 1,
-        });
-        ingest_uniform(&mut fleet, 400.0);
-        // Round 0 succeeds and (snapshot_every = 1) captures a snapshot.
-        fleet.run_round_supervised(400.0, &[0, 0]).unwrap();
-        // Round 1 fails → immediate quarantine; round 2 probes via the
-        // captured snapshot and recovers.
-        fleet.set_faults(FaultPlan {
-            seed: 6,
-            plan_error: 1.0,
-            target_tenant: Some(0),
-            ..FaultPlan::default()
-        });
-        let r1 = fleet.run_round_supervised(420.0, &[0, 0]).unwrap();
-        assert_eq!(r1.outcomes[0].health, TenantHealth::Quarantined);
-        fleet.set_faults(FaultPlan::default());
-        let r2 = fleet.run_round_supervised(440.0, &[0, 0]).unwrap();
-        assert_eq!(r2.outcomes[0].health, TenantHealth::Recovered);
-        assert!(r2.outcomes[0].plan.is_some());
-        assert_eq!(fleet.supervision_stats().recoveries, 1);
-    }
-
-    #[test]
     fn supervision_state_survives_checkpoint_restore() {
         let dir = std::env::temp_dir().join(format!(
             "robustscaler-fleet-sup-ckpt-{}",
@@ -2848,20 +2751,109 @@ mod tests {
         assert_eq!(restored.supervision_stats(), fleet.supervision_stats());
         assert_eq!(restored.tenant_health(2), Some(TenantHealth::Quarantined));
 
-        // Both continue identically: the quarantined tenant probes on
-        // the same round (1 + 4 = 5) and recovers in both fleets.
-        let mut saw_recovery = false;
+        // The same checkpoint as an earlier build wrote it: the manifest's
+        // supervisor carries the retired snapshot-restore keys and the
+        // quarantined tenant's shard a last-good scaler snapshot. It
+        // restores with the three surviving policy fields.
+        let legacy_dir = dir.join("legacy");
+        fleet.checkpoint_sharded(&legacy_dir, 2).unwrap();
+        write_retired_supervision_keys(&legacy_dir, &fleet, 2);
+        let mut legacy = TenantFleet::restore(&legacy_dir, &config).unwrap();
+        assert_eq!(
+            legacy.supervisor(),
+            SupervisorConfig {
+                quarantine_after: 1,
+                probe_backoff: 4,
+                max_backoff: SupervisorConfig::default().max_backoff,
+            }
+        );
+        assert_eq!(legacy.tenant_health(2), Some(TenantHealth::Quarantined));
+
+        // All three continue identically: the quarantined tenant probes
+        // on the same round (1 + 4 = 5) and recovers by refit.
+        let refits_before = fleet.tenant(2).unwrap().scaler.stats().refits;
         for round in 2..8u64 {
             let now = 400.0 + 20.0 * round as f64;
             let ours = fleet.run_round_supervised(now, &[0, 0, 0]).unwrap();
             let theirs = restored.run_round_supervised(now, &[0, 0, 0]).unwrap();
+            let old = legacy.run_round_supervised(now, &[0, 0, 0]).unwrap();
             assert_eq!(ours, theirs, "round {round}");
-            saw_recovery |= ours.recovered > 0;
+            assert_eq!(ours, old, "legacy checkpoint, round {round}");
+            let expected = if round == 5 {
+                TenantHealth::Recovered
+            } else if round < 5 {
+                TenantHealth::Quarantined
+            } else {
+                TenantHealth::Healthy
+            };
+            assert_eq!(ours.outcomes[2].health, expected, "round {round}");
         }
-        assert!(saw_recovery, "the quarantined tenant never recovered");
+        assert!(legacy.tenant(2).unwrap().scaler.stats().refits > refits_before);
         assert_eq!(fleet.supervision_stats(), restored.supervision_stats());
+        assert_eq!(fleet.supervision_stats(), legacy.supervision_stats());
         assert_eq!(fleet.supervision_stats().quarantined_now, 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Rewrite a generation-1 checkpoint in `dir` into the files an
+    /// earlier build wrote: `"recovery":"RestoreSnapshot"` and
+    /// `"snapshot_every":8` in the manifests' supervisor, and tenant
+    /// `index`'s current scaler as its shard's `last_good_snapshot` (the
+    /// shard checksum and size in the manifests follow the new bytes).
+    fn write_retired_supervision_keys(dir: &Path, fleet: &TenantFleet, index: usize) {
+        let store = CheckpointStore::new(dir);
+        let manifest = store.read_manifest().unwrap();
+        let entry = manifest
+            .shards
+            .iter()
+            .find(|entry| {
+                store
+                    .load_shard(entry)
+                    .unwrap()
+                    .iter()
+                    .any(|tenant| tenant.id == index as u64)
+            })
+            .unwrap();
+        let shard_path = dir.join(&entry.file);
+        let shard = std::fs::read_to_string(&shard_path).unwrap();
+        let scaler =
+            serde_json::to_string(&fleet.tenant(index).unwrap().scaler.snapshot()).unwrap();
+        // Every tenant's supervision object opens with its round; only the
+        // target tenant gets the snapshot.
+        let marker = format!("\"id\":{index},");
+        let start = shard.find(&marker).unwrap();
+        let at =
+            start + shard[start..].find("\"supervision\":{").unwrap() + "\"supervision\":{".len();
+        let shard = format!(
+            "{}\"last_good_snapshot\":{scaler},{}",
+            &shard[..at],
+            &shard[at..]
+        );
+        std::fs::write(&shard_path, &shard).unwrap();
+        let old_entry = format!(
+            "\"checksum\":\"{}\",\"bytes\":{}",
+            entry.checksum, entry.bytes
+        );
+        let new_entry = format!(
+            "\"checksum\":\"{:016x}\",\"bytes\":{}",
+            crate::checkpoint::fnv1a64(shard.as_bytes()),
+            shard.len()
+        );
+        for manifest_path in [
+            dir.join("manifest.json"),
+            dir.join("gen-000001/manifest.json"),
+        ] {
+            let text = std::fs::read_to_string(&manifest_path).unwrap();
+            assert!(
+                text.contains(&old_entry) && text.contains("\"supervisor\":{"),
+                "{text}"
+            );
+            let text = text.replace(&old_entry, &new_entry).replace(
+                "\"supervisor\":{",
+                "\"supervisor\":{\"recovery\":\"RestoreSnapshot\",\"snapshot_every\":8,",
+            );
+            std::fs::write(&manifest_path, text).unwrap();
+        }
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub use checkpoint::{
 pub use error::OnlineError;
 pub use faults::{FaultInjector, FaultPlan, FaultyStorage, IoOp, PlanFault};
 pub use fleet::{
-    FleetRound, RecoveryAction, ResidencyConfig, ResidencyStats, RestoreOptions, SupervisionStats,
+    FleetRound, ResidencyConfig, ResidencyStats, RestoreOptions, SupervisionStats,
     SupervisorConfig, Tenant, TenantFleet, TenantHealth, TenantOutcome,
 };
 pub use harness::{

@@ -90,7 +90,11 @@ use std::sync::{Arc, Mutex};
 /// plan-cache universes reproduce bit-for-bit. Pre-v4 traces parse as
 /// sharing-off sessions (which they were — the setting did not exist).
 /// Older v4 headers also carry a retired `decision_dedup` key; it is
-/// ignored, since dedup never changed a plan bit.
+/// ignored, since dedup never changed a plan bit. Their `supervisor` may
+/// also carry the retired `recovery` and `snapshot_every` keys, which are
+/// ignored too: a session recorded with `"recovery":"RestoreSnapshot"`
+/// replays with forced-refit probes, the only recovery there is. (No
+/// golden carries one; `sharing.jsonl` recorded `ForceRefit`.)
 pub const TRACE_FORMAT_VERSION: u32 = 4;
 
 /// What kind of session a trace records.
@@ -188,7 +192,7 @@ pub struct TraceHeader {
     pub bus: Option<BusConfig>,
     /// The fault plan active while recording, when chaos was enabled —
     /// replay re-applies it so every injected fault (and therefore every
-    /// recovery action) reproduces. Absent in v1 traces and fault-free
+    /// quarantine and probe) reproduces. Absent in v1 traces and fault-free
     /// sessions.
     pub faults: Option<crate::faults::FaultPlan>,
     /// The fleet supervision policy the session ran under; absent in v1
@@ -918,7 +922,7 @@ impl Replayer {
                 }
                 // Chaos sessions: replay under the recorded fault plan and
                 // supervision policy, so injected faults, quarantines and
-                // recovery actions all reproduce bit-for-bit.
+                // probe refits all reproduce bit-for-bit.
                 if let Some(supervisor) = header.supervisor {
                     fleet.set_supervisor(supervisor);
                 }

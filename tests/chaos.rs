@@ -13,15 +13,16 @@
 //!    any injected crash point, falling back to the newest restorable
 //!    generation when the current one is torn;
 //! 3. **determinism** — the same seed and fault plan reproduce the same
-//!    outcomes, including every quarantine, probe and recovery action,
+//!    outcomes, including every quarantine, probe and recovery,
 //!    and a recorded chaos session (crash + restore included) replays
 //!    strictly.
 
 use proptest::prelude::*;
 use robustscaler::core::{RobustScalerConfig, RobustScalerVariant};
+use robustscaler::nhpp::NhppModel;
 use robustscaler::online::{
-    replay_path, BusConfig, FaultPlan, FaultyStorage, OnlineConfig, OsStorage, PolicyBands,
-    RecoveryAction, ReplayMode, SupervisorConfig, TenantFleet, TraceRecorder,
+    replay_path, BusConfig, FaultPlan, FaultyStorage, OnlineConfig, OnlineError, OsStorage,
+    PolicyBands, ReplayMode, SupervisorConfig, TenantFleet, TenantHealth, TraceRecorder,
 };
 use std::sync::Arc;
 
@@ -248,8 +249,6 @@ fn chaos_runs_are_bit_deterministic() {
         quarantine_after: 1,
         probe_backoff: 1,
         max_backoff: 4,
-        recovery: RecoveryAction::ForceRefit,
-        snapshot_every: 4,
     };
     let run = || {
         let mut fleet = TenantFleet::new(&config, 0.0, 4, 9).unwrap();
@@ -304,8 +303,6 @@ fn recorded_chaos_session_survives_crash_restore_and_replays() {
         quarantine_after: 1,
         probe_backoff: 1,
         max_backoff: 2,
-        recovery: RecoveryAction::ForceRefit,
-        snapshot_every: 0,
     };
     let base_seed = 21u64;
     let mut fleet = TenantFleet::new(&config, 0.0, 3, base_seed).unwrap();
@@ -381,6 +378,96 @@ fn recorded_chaos_session_survives_crash_restore_and_replays() {
     );
 
     let _ = std::fs::remove_dir_all(&ckpt_dir);
+    let _ = std::fs::remove_dir_all(&trace_dir);
+}
+
+/// A failed probe still drains its tenant's queue. The tenants are
+/// warm-started the way `fleet_demo` builds them: a bus, and a model
+/// installed up front, so the ring is still too short to refit. The
+/// victim fails its first round on an injected planning error and is
+/// quarantined at once; every probe after that fails its forced refit
+/// before reaching the fault, so the fault fires on round 0 only. Each
+/// failed probe must drain the bus like every other round, and the
+/// recorded session must replay strictly.
+#[test]
+fn failed_probe_still_drains_its_queue_and_replays() {
+    let config = chaos_config();
+    let trace_dir = scratch("failed-probe");
+    std::fs::create_dir_all(&trace_dir).unwrap();
+    let trace_path = trace_dir.join("probe.jsonl");
+
+    let tenants = 3usize;
+    let mut fleet = TenantFleet::new(&config, 0.0, tenants, 31).unwrap();
+    fleet.attach_bus(small_bus()).unwrap();
+    for index in 0..tenants {
+        let rate = 1.0 / (4.0 + index as f64);
+        let model = NhppModel::from_log_rates(0.0, 10.0, vec![rate.ln(); 40], Some(40)).unwrap();
+        fleet
+            .tenant_mut(index)
+            .unwrap()
+            .scaler
+            .install_model(model, 0.0)
+            .unwrap();
+    }
+    fleet.set_supervisor(SupervisorConfig {
+        quarantine_after: 1,
+        probe_backoff: 1,
+        max_backoff: 8,
+    });
+    fleet.set_faults(FaultPlan {
+        seed: 3,
+        plan_error: 1.0,
+        target_tenant: Some(0),
+        ..FaultPlan::default()
+    });
+    let header = fleet.trace_header(31);
+    fleet
+        .start_recording(TraceRecorder::to_file(&trace_path, &header).unwrap())
+        .unwrap();
+
+    // Round r covers [20 r, 20 (r + 1)): the ring holds 2 (r + 1)
+    // complete 10 s buckets, fewer than the 10 a refit needs until
+    // round 4. Probes run at rounds 1 and 3 (backoff 1, then 2).
+    let mut injected = 0;
+    for round in 0..7u64 {
+        let (lo, hi) = (20.0 * round as f64, 20.0 * (round + 1) as f64);
+        for index in 0..tenants {
+            let gap = 4.0 + index as f64;
+            let first = (lo / gap).ceil() as usize;
+            for t in (first..).map(|k| k as f64 * gap).take_while(|t| *t < hi) {
+                assert!(fleet.enqueue(index, t).unwrap(), "queue overflow");
+            }
+        }
+        let outcome = fleet.run_round_supervised(hi, &[0; 3]).unwrap();
+        let bus = fleet.bus().unwrap();
+        for index in 0..tenants {
+            assert_eq!(
+                bus.queued(index).unwrap(),
+                0,
+                "round {round} tenant {index}"
+            );
+        }
+        let victim = &outcome.outcomes[0];
+        injected += matches!(victim.error, Some(OnlineError::Injected { .. })) as usize;
+        if round == 1 || round == 3 {
+            assert_eq!(victim.health, TenantHealth::Probing, "round {round}");
+        }
+        for neighbour in &outcome.outcomes[1..] {
+            assert!(neighbour.error.is_none(), "round {round}: {neighbour:?}");
+        }
+    }
+    assert_eq!(injected, 1, "the fault fires on round 0 only");
+    let stats = fleet.supervision_stats();
+    assert_eq!((stats.probes, stats.recoveries), (2, 0), "{stats:?}");
+    fleet.finish_recording().unwrap().unwrap();
+
+    let strict = replay_path(&trace_path, ReplayMode::Strict, &PolicyBands::default()).unwrap();
+    assert!(
+        strict.passed(),
+        "strict divergence: {:?}",
+        strict.divergences
+    );
+    assert_eq!(strict.rounds, 7);
     let _ = std::fs::remove_dir_all(&trace_dir);
 }
 
@@ -518,7 +605,9 @@ fn page_out_io_failure_keeps_tenant_resident_and_bit_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // Flaky storage: failed page-outs are retried by the sweep and
-    // eventually land, still bit-identically.
+    // eventually land, still bit-identically. Their write retries count
+    // in the fleet's checkpoint I/O stats, and the pages that landed
+    // load back.
     let dir = scratch("pageout-flaky");
     let mut fleet = TenantFleet::new_cold(&config, 0.0, 5, 23, residency_config()).unwrap();
     fleet.attach_bus(small_bus()).unwrap();
@@ -532,6 +621,12 @@ fn page_out_io_failure_keeps_tenant_resident_and_bit_identical() {
     assert_eq!(reference_rounds, flaky_rounds);
     let stats = fleet.residency_stats();
     assert!(stats.page_outs > 0, "nothing ever paged out: {stats:?}");
+    let io = fleet.checkpoint_io_stats();
+    assert!(io.retries > 0, "no page write retried: {io:?}");
+    assert!(stats.paged > 0, "no page left to load: {stats:?}");
+    fleet.wake_all().unwrap();
+    let stats = fleet.residency_stats();
+    assert_eq!((stats.paged, stats.page_in_failures), (0, 0), "{stats:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -548,8 +643,6 @@ fn crash_restore_with_mixed_residency_and_faults_is_bit_identical() {
         quarantine_after: 3,
         probe_backoff: 1,
         max_backoff: 4,
-        recovery: RecoveryAction::ForceRefit,
-        snapshot_every: 0,
     };
     let faults = FaultPlan {
         seed: 2024,
