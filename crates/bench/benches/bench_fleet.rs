@@ -46,16 +46,15 @@ fn bench_fleet_round(c: &mut Criterion) {
             |b, &tenants| {
                 let mut fleet = build_fleet(tenants, 250);
                 fleet.set_workers(1);
-                // Cross-tenant batched planning + plan reuse on: the
-                // production configuration for large fleets (the
-                // `fleet_round_batched` group isolates each layer's
-                // speedup against the private path).
+                // Plan reuse on: the production configuration for large
+                // fleets (the `fleet_round_batched` group compares it with
+                // the private path).
                 fleet
                     .set_sharing(SharingConfig::on())
                     .expect("valid sharing");
                 // One untimed warm-up round so the timed iterations measure
                 // the steady state (plan cache populated). The cold all-miss
-                // round is what `fleet_round_batched/sharing_only` measures.
+                // round is what `fleet_round_batched/sharing_off` measures.
                 fleet.run_round_uniform(86_400.0, 0).expect("warm-up round");
                 let mut round = 1u64;
                 b.iter(|| {
@@ -71,26 +70,20 @@ fn bench_fleet_round(c: &mut Criterion) {
     group.finish();
 }
 
-/// Cross-tenant batched planning and plan reuse, isolated, on the same
-/// 1000-tenant fleet (everything else identical):
+/// Plan reuse against the private path on the same 1000-tenant fleet
+/// (everything else identical):
 ///
-/// * `sharing_on` — the full production stack ([`SharingConfig::on`]):
-///   shared sampling + the round-over-round plan cache. Steady-state
-///   rounds time-shift cached plans, so an untimed warm-up round precedes
-///   the timed loop; the cold all-miss round costs what `sharing_only`
-///   costs.
-/// * `sharing_only` — shared sampling alone ([`SharingConfig::sharing_only`],
-///   the PR 9 configuration): one arrival matrix per forecast cluster
-///   (~33 clusters for this rate mix at the default 5 % quantization),
-///   every member still runs its own decision loop every round.
-/// * `sharing_off` — the fully private path.
+/// * `sharing_on` — the round-over-round plan cache ([`SharingConfig::on`]).
+///   Steady-state rounds time-shift cached plans, so an untimed warm-up
+///   round precedes the timed loop.
+/// * `sharing_off` — every tenant samples its own forecast every round:
+///   the cold all-miss round, which is also `sharing_on`'s first round.
 fn bench_fleet_round_batched(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet_round_batched");
     group.sample_size(10);
     let tenants = 1_000usize;
     for (label, sharing) in [
         ("sharing_on", Some(SharingConfig::on())),
-        ("sharing_only", Some(SharingConfig::sharing_only())),
         ("sharing_off", None),
     ] {
         group.bench_with_input(
@@ -102,11 +95,11 @@ fn bench_fleet_round_batched(c: &mut Criterion) {
                 if let Some(sharing) = sharing {
                     fleet.set_sharing(*sharing).expect("valid sharing");
                 }
-                // Untimed warm-up round (uniform across the three flavours
-                // for comparability): `sharing_only`/`sharing_off` rounds
-                // all cost the same, but `sharing_on`'s first round is the
-                // all-miss round that populates the plan cache — the timed
-                // loop then measures the steady state the stack exists for.
+                // Untimed warm-up round (in both flavours for
+                // comparability): `sharing_off` rounds all cost the same,
+                // but `sharing_on`'s first round is the all-miss round that
+                // populates the plan cache — the timed loop then measures
+                // the steady state the cache exists for.
                 fleet.run_round_uniform(86_400.0, 0).expect("warm-up round");
                 let mut round = 1u64;
                 b.iter(|| {

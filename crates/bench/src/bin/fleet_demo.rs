@@ -38,8 +38,8 @@
 //!
 //! Environment knobs: `FLEET_TENANTS` (default 250), `FLEET_ROUNDS`
 //! (default 20), `FLEET_SAMPLES` (Monte Carlo R, default 250),
-//! `FLEET_SHARING` (0 = off, 1 = shared sampling only, 2 = shared
-//! sampling + plan cache; default 0).
+//! `FLEET_SHARING` (0 = off, any other value = the plan cache on;
+//! default 0).
 
 use robustscaler_core::{RobustScalerConfig, RobustScalerVariant};
 use robustscaler_nhpp::NhppModel;
@@ -85,7 +85,7 @@ fallback) while unhealthy. Probabilities are per tenant-round:
 
 Environment: FLEET_TENANTS (default 250), FLEET_ROUNDS (default 20),
 FLEET_SAMPLES (Monte Carlo R, default 250), FLEET_SHARING (0 = off,
-1 = shared sampling only, 2 = + plan cache; default 0).";
+any other value = plan cache on; default 0).";
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -115,13 +115,11 @@ struct CheckpointReport {
     identical_after_restore: bool,
 }
 
-/// Cross-tenant sharing / plan-reuse counters of the parallel stretch.
+/// Plan-reuse counters of the parallel stretch.
 #[derive(Debug, Clone, Serialize)]
 struct SharingReport {
     /// The active policy.
     config: SharingConfig,
-    /// Tenant-rounds planned against a shared cluster matrix.
-    shared_planning_rounds: u64,
     /// Rounds served from the per-tenant plan cache.
     plan_cache_hits: u64,
 }
@@ -165,7 +163,7 @@ struct DemoReport {
     runs: Vec<RunReport>,
     queue: Option<QueueReport>,
     determinism_across_workers: bool,
-    /// Sharing / plan-reuse policy and counters, when `FLEET_SHARING` > 0.
+    /// Plan-reuse policy and counters, when `FLEET_SHARING` > 0.
     sharing: Option<SharingReport>,
     checkpoint: Option<CheckpointReport>,
     /// Recorded-session trace (`--record`): path plus record/round counts.
@@ -414,11 +412,7 @@ fn main() {
     let tenants = env_usize("FLEET_TENANTS", 250);
     let rounds = env_usize("FLEET_ROUNDS", 20);
     let samples = env_usize("FLEET_SAMPLES", 250);
-    let sharing = match env_usize("FLEET_SHARING", 0) {
-        0 => None,
-        1 => Some(SharingConfig::sharing_only()),
-        _ => Some(SharingConfig::on()),
-    };
+    let sharing = (env_usize("FLEET_SHARING", 0) > 0).then(SharingConfig::on);
     let cores = available_threads();
 
     let mut checkpoint_dir: Option<String> = None;
@@ -578,13 +572,9 @@ fn main() {
         let stats = parallel_fleet.aggregate_stats();
         let report = SharingReport {
             config,
-            shared_planning_rounds: stats.shared_planning_rounds,
             plan_cache_hits: stats.plan_cache_hits,
         };
-        println!(
-            "plan reuse: {} shared tenant-rounds, {} plan-cache hits",
-            report.shared_planning_rounds, report.plan_cache_hits
-        );
+        println!("plan reuse: {} plan-cache hits", report.plan_cache_hits);
         report
     });
 

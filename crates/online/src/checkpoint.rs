@@ -90,7 +90,9 @@ use std::time::Duration;
 ///
 /// **Format v5** adds the fleet's [`SupervisorConfig`], [`FaultPlan`] and
 /// [`SharingConfig`] to the manifest ([`FleetWiring`]), so a restore
-/// re-arms them; older manifests restore with the defaults.
+/// re-arms them; older manifests restore with the defaults. A v5 sharing
+/// policy written while forecast clustering existed carries an `enabled`
+/// key; it is ignored on load, and the fleet restores to private planning.
 pub const CHECKPOINT_FORMAT_VERSION: u32 = 5;
 
 /// How many times a shard/manifest write is attempted before the
@@ -270,7 +272,8 @@ pub struct Manifest {
     pub supervisor: Option<SupervisorConfig>,
     /// The fleet's fault plan (format v5); `None` when injection was off.
     pub faults: Option<FaultPlan>,
-    /// The fleet's sharing policy (format v5).
+    /// The fleet's plan-reuse policy (format v5). A retired `enabled` key
+    /// (forecast clustering) is ignored on load.
     pub sharing: Option<SharingConfig>,
 }
 
@@ -289,7 +292,7 @@ pub struct FleetWiring {
     pub supervisor: Option<SupervisorConfig>,
     /// The fault plan (fleets with fault injection on).
     pub faults: Option<FaultPlan>,
-    /// The cross-tenant sharing policy.
+    /// The plan-reuse policy.
     pub sharing: Option<SharingConfig>,
 }
 

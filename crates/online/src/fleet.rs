@@ -35,10 +35,11 @@
 //! slot reports [`Quarantined`](OnlineError::Quarantined), though its
 //! arrival queue keeps draining so no data is lost), and the fleet probes
 //! it on an exponential-backoff schedule: a probe round refits the model
-//! from the tenant's own ring before it plans. Failing or quarantined
-//! tenants can serve a *degraded plan-stickiness fallback*: the last good
-//! plan, flagged `sticky` in [`FleetRound`], so QoS degrades gracefully
-//! instead of going unplanned. Cold tenants still warming up
+//! from the tenant's own ring before it plans (a warm-started tenant whose
+//! ring cannot train a model yet plans from its installed one). Failing or
+//! quarantined tenants can serve a *degraded plan-stickiness fallback*: the
+//! last good plan, flagged `sticky` in [`FleetRound`], so QoS degrades
+//! gracefully instead of going unplanned. Cold tenants still warming up
 //! ([`NotTrained`](OnlineError::NotTrained)) are never counted as
 //! failures, so healthy fleets behave bit-identically with supervision
 //! on (the default) or off.
@@ -65,12 +66,10 @@ use crate::replay::{
     model_fingerprint, QosRecord, ResidencyEvent, ScalerEvent, SessionKind, TraceHeader,
     TraceRecord, TraceRecorder, TraceSummary, WakeReason, TRACE_FORMAT_VERSION,
 };
-use crate::scaler::{OnlineConfig, OnlineScaler, OnlineStats, RoundPrep, ScalerSnapshot};
-use crate::sharing::{ClusterKey, SharingConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use crate::scaler::{OnlineConfig, OnlineScaler, OnlineStats, ScalerSnapshot};
+use crate::sharing::SharingConfig;
 use robustscaler_parallel::{available_threads, map_chunks_mut, WorkerPool};
-use robustscaler_scaling::{ArrivalSampler, PlanningRound};
+use robustscaler_scaling::PlanningRound;
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -79,8 +78,7 @@ use std::sync::Arc;
 /// SplitMix64 — the same stateless mixer the Monte Carlo sampler uses to
 /// derive per-path streams. The crate's one seed mixer: it derives
 /// per-tenant RNG seeds from the fleet seed (decorrelated but
-/// reproducible), shared-sampler seeds from cluster keys and fault rolls
-/// from the fault plan's seed.
+/// reproducible) and fault rolls from the fault plan's seed.
 pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -374,25 +372,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Outcome of one tenant's *prepare* phase — everything up to, but not
-/// including, the Monte Carlo planning stage.
-enum PrepOutcome {
-    /// The round finished in the prepare phase: it errored, the tenant is
-    /// quarantined, or the sufficiency check skipped the Monte Carlo
-    /// stage. The plan phase does not touch this tenant.
-    Done(Result<PlanningRound, OnlineError>),
-    /// The Monte Carlo stage still has to run in the plan phase.
-    Plan {
-        /// The tenant's forecast fingerprint, when sharing is enabled and
-        /// a fingerprint could be taken. `None` plans privately.
-        key: Option<ClusterKey>,
-        /// Arrival rows the tenant wants from a shared cluster matrix.
-        wanted: usize,
-    },
-}
-
-/// One tenant's *prepare* share of a planning round, executed inside the
-/// round worker's per-tenant `catch_unwind` boundary.
+/// One tenant's share of a planning round, executed inside the round
+/// worker's per-tenant `catch_unwind` boundary.
 ///
 /// Order matters for determinism and data retention: a probe's forced
 /// refit runs *first*, on the ring as the previous round left it; then
@@ -401,13 +382,12 @@ enum PrepOutcome {
 /// invariant (every round drains the bus) holds; injected corruption
 /// applies to the drained batch *after* the recorder captured the queue,
 /// so a replayed drain re-derives the identical corruption; only then is
-/// a failed probe reported, and planning prepared (refit, forecast
-/// refresh, sufficiency check) or refused, for quarantined tenants. The
-/// Monte Carlo stage itself runs in [`tenant_plan`] — split out so the
-/// fleet can batch arrival sampling across tenants in between. Prepare
-/// followed immediately by plan is bit-identical to the unsplit round.
+/// a failed probe reported, and the tenant planned through
+/// [`OnlineScaler::plan_round`] (refit, forecast refresh, sufficiency
+/// check, plan-cache lookup, Monte Carlo against its own forecast) or
+/// refused, for quarantined tenants.
 #[allow(clippy::too_many_arguments)]
-fn tenant_prepare(
+fn tenant_round(
     tenant: &mut Tenant,
     index: usize,
     round: u64,
@@ -417,8 +397,7 @@ fn tenant_prepare(
     faults: Option<&FaultInjector>,
     action: &TenantAction,
     buf: &mut Vec<f64>,
-    sharing: &SharingConfig,
-) -> PrepOutcome {
+) -> Result<PlanningRound, OnlineError> {
     let id = tenant.id;
     let probe = match action {
         TenantAction::Probe => tenant.scaler.probe_refit(now),
@@ -433,60 +412,24 @@ fn tenant_prepare(
                 }
                 tenant.scaler.ingest_batch(buf);
             }
-            Err(e) => return PrepOutcome::Done(Err(e)),
+            Err(e) => return Err(e),
         }
     }
-    if let Err(e) = probe {
-        return PrepOutcome::Done(Err(e));
-    }
+    probe?;
     if let TenantAction::Skip { until_round } = action {
-        return PrepOutcome::Done(Err(OnlineError::Quarantined {
+        return Err(OnlineError::Quarantined {
             tenant: id,
             until_round: *until_round,
-        }));
+        });
     }
     if let Some(injector) = faults {
         match injector.plan_fault(round, id) {
-            Some(PlanFault::Error) => {
-                return PrepOutcome::Done(Err(OnlineError::Injected { round, tenant: id }))
-            }
+            Some(PlanFault::Error) => return Err(OnlineError::Injected { round, tenant: id }),
             Some(PlanFault::Panic) => panic!("injected tenant panic (round {round}, tenant {id})"),
             None => {}
         }
     }
-    match tenant.scaler.prepare_round(now, covered) {
-        Err(e) => PrepOutcome::Done(Err(e)),
-        Ok(RoundPrep::Skip(finished)) | Ok(RoundPrep::Cached(finished)) => {
-            PrepOutcome::Done(Ok(finished))
-        }
-        Ok(RoundPrep::Plan) => {
-            let key = tenant.scaler.cluster_key(now, sharing);
-            let wanted = if key.is_some() {
-                tenant.scaler.shared_sampling_demand(now, covered)
-            } else {
-                0
-            };
-            PrepOutcome::Plan { key, wanted }
-        }
-    }
-}
-
-/// One tenant's *plan* share of a planning round: the Monte Carlo stage,
-/// against the cluster's shared sampler when one was assigned (falling
-/// back to private sampling if the shared horizon cannot serve this
-/// tenant), privately otherwise.
-fn tenant_plan(
-    tenant: &mut Tenant,
-    now: f64,
-    covered: usize,
-    sampler: Option<&ArrivalSampler>,
-) -> Result<PlanningRound, OnlineError> {
-    if let Some(sampler) = sampler {
-        if let Some(finished) = tenant.scaler.plan_shared(now, covered, sampler)? {
-            return Ok(finished);
-        }
-    }
-    tenant.scaler.plan_prepared(now, covered)
+    tenant.scaler.plan_round(now, covered)
 }
 
 /// The deployment settings of a restore (see [`TenantFleet::restore_with`]):
@@ -554,8 +497,8 @@ pub struct TenantFleet {
     /// Residency events of completed rounds, until taken with
     /// [`TenantFleet::take_residency_events`].
     residency_events: Vec<(u64, ResidencyEvent)>,
-    /// Cross-tenant shared-sampling policy (recorded in checkpoint
-    /// manifests and re-armed on restore).
+    /// Plan-reuse policy (recorded in checkpoint manifests and re-armed
+    /// on restore).
     sharing: SharingConfig,
 }
 
@@ -954,15 +897,15 @@ impl TenantFleet {
         self.pool.ensure_threads(self.workers);
     }
 
-    /// Set the cross-tenant shared-sampling policy (see [`SharingConfig`]).
+    /// Set the plan-reuse policy (see [`SharingConfig`]).
     ///
-    /// Off (the default) keeps rounds bit-identical to a fleet without the
-    /// sharing layer, at any worker count. On, tenants whose forecasts
-    /// quantize to the same [`ClusterKey`] plan against one shared
-    /// arrival-sample matrix per cluster — deterministic (the matrix is
-    /// seeded from the key and the round counter, never a tenant RNG) but
-    /// *not* bit-identical to sharing off. Checkpoints record the policy
-    /// in their manifest, and a restored fleet plans under it again.
+    /// Off (the default) keeps rounds bit-identical to a fleet without
+    /// plan reuse, at any worker count. With the plan cache on, every
+    /// tenant serves a round whose planning inputs did not change from its
+    /// own memoized plan, time-shifted — deterministic and worker-invariant
+    /// but *not* bit-identical to the cache off. Every other round samples
+    /// the tenant's own forecast. Checkpoints record the policy in their
+    /// manifest, and a restored fleet plans under it again.
     pub fn set_sharing(&mut self, sharing: SharingConfig) -> Result<(), OnlineError> {
         sharing.validate()?;
         self.sharing = sharing;
@@ -977,7 +920,7 @@ impl TenantFleet {
         Ok(())
     }
 
-    /// The active cross-tenant shared-sampling policy.
+    /// The active plan-reuse policy.
     pub fn sharing(&self) -> SharingConfig {
         self.sharing
     }
@@ -1197,12 +1140,10 @@ impl TenantFleet {
         let tracing = self.tracing;
         let sharing = self.sharing;
         let hibernation = self.hibernation.as_ref();
-        // Phase 1 — prepare, arrival-major: each worker drains and
-        // prepares *all* of its tenants (probe refit → drain → ingest →
-        // refit → sufficiency check) before any Monte Carlo planning
-        // runs, so the plan phase below sees every tenant's final
-        // forecast and can batch the sampling across them.
-        let prepare_work = |start: usize, chunk: &mut [TenantSlot]| {
+        // One parallel pass: each worker takes its tenants one by one
+        // through probe refit → drain → ingest → refit → sufficiency
+        // check → plan-cache lookup → Monte Carlo.
+        let round_work = |start: usize, chunk: &mut [TenantSlot]| {
             // Injected worker-thread death: fires at the chunk boundary,
             // outside any tenant, so the whole round aborts (see the
             // module docs — this fault class is worker-count-dependent).
@@ -1223,7 +1164,7 @@ impl TenantFleet {
                         // Dormant tenants are not touched at all — that
                         // is the whole round-latency win.
                         TenantAction::Dormant => {
-                            return PrepOutcome::Done(Err(OnlineError::Hibernated { tenant: id }));
+                            return Err(OnlineError::Hibernated { tenant: id });
                         }
                         TenantAction::Wake { .. } => {
                             if let TenantSlot::Paged(paged) = slot {
@@ -1242,19 +1183,19 @@ impl TenantFleet {
                                     // A failed page-in leaves the tenant
                                     // paged; the wake trigger persists,
                                     // so next round retries.
-                                    Err(e) => return PrepOutcome::Done(Err(e)),
+                                    Err(e) => return Err(e),
                                 }
                             }
                         }
                         _ => {}
                     }
                     let TenantSlot::Resident(tenant) = slot else {
-                        return PrepOutcome::Done(Err(OnlineError::Hibernated { tenant: id }));
+                        return Err(OnlineError::Hibernated { tenant: id });
                     };
                     // The tenant boundary: a panicking tenant (injected or
                     // real) poisons only its own slot.
                     catch_unwind(AssertUnwindSafe(|| {
-                        tenant_prepare(
+                        tenant_round(
                             tenant,
                             index,
                             round,
@@ -1264,24 +1205,23 @@ impl TenantFleet {
                             faults.as_ref(),
                             &actions_ref[index],
                             &mut buf,
-                            &sharing,
                         )
                     }))
                     .unwrap_or_else(|payload| {
-                        PrepOutcome::Done(Err(OnlineError::TenantPanicked {
+                        Err(OnlineError::TenantPanicked {
                             tenant: id,
                             message: panic_message(payload),
-                        }))
+                        })
                     })
                 })
-                .collect::<Vec<PrepOutcome>>()
+                .collect::<Vec<Result<PlanningRound, OnlineError>>>()
         };
-        let prepare_outcome = catch_unwind(AssertUnwindSafe(|| {
+        let round_outcome = catch_unwind(AssertUnwindSafe(|| {
             self.pool
-                .map_chunks_mut(&mut self.tenants, workers, prepare_work)
+                .map_chunks_mut(&mut self.tenants, workers, round_work)
         }));
-        let per_chunk: Vec<Vec<PrepOutcome>> = match prepare_outcome {
-            Ok(per_chunk) => per_chunk,
+        let results: Vec<Result<PlanningRound, OnlineError>> = match round_outcome {
+            Ok(per_chunk) => per_chunk.into_iter().flatten().collect(),
             Err(payload) => {
                 // A panic escaped the tenant boundary (injected worker
                 // fault or pool bug): the round is aborted whole. Tenant
@@ -1295,138 +1235,6 @@ impl TenantFleet {
                 });
             }
         };
-        let prep: Vec<PrepOutcome> = per_chunk.into_iter().flatten().collect();
-        let plans_pending = prep
-            .iter()
-            .filter(|outcome| matches!(outcome, PrepOutcome::Plan { .. }))
-            .count();
-        // Phase 2 — cluster assembly, serial: group the tenants that still
-        // need Monte Carlo planning by forecast fingerprint and sample one
-        // shared arrival matrix per multi-member cluster. Serial on
-        // purpose: membership, horizons and sampler seeds become a pure
-        // function of (tenant states, round) — identical for any worker
-        // count — and the seeds come from the keys themselves, so no
-        // tenant's RNG stream is touched. Any failure to build a cluster's
-        // matrix silently degrades its members to the private path.
-        let mut samplers: Vec<ArrivalSampler> = Vec::new();
-        let mut cluster_of: Vec<Option<usize>> = vec![None; prep.len()];
-        if self.sharing.enabled && plans_pending > 0 {
-            let mut clusters: std::collections::HashMap<ClusterKey, Vec<usize>> =
-                std::collections::HashMap::new();
-            // First-seen key order, so sampler assembly never iterates the
-            // map (iteration order would leak the hasher into timing — the
-            // plans themselves stay order-independent either way).
-            let mut order: Vec<ClusterKey> = Vec::new();
-            for (i, outcome) in prep.iter().enumerate() {
-                if let PrepOutcome::Plan { key: Some(key), .. } = outcome {
-                    clusters
-                        .entry(*key)
-                        .or_insert_with(|| {
-                            order.push(*key);
-                            Vec::new()
-                        })
-                        .push(i);
-                }
-            }
-            for key in order {
-                let members = &clusters[&key];
-                if members.len() < 2 {
-                    // A singleton gains nothing from the representative
-                    // approximation — private sampling costs the same.
-                    continue;
-                }
-                let horizon = members
-                    .iter()
-                    .map(|&i| match prep[i] {
-                        PrepOutcome::Plan { wanted, .. } => wanted,
-                        PrepOutcome::Done(_) => 0,
-                    })
-                    .max()
-                    .unwrap_or(0)
-                    .max(1);
-                let Ok(representative) = key.representative_intensity() else {
-                    continue;
-                };
-                let mut rng = StdRng::seed_from_u64(key.seed(round));
-                let Ok(sampler) =
-                    ArrivalSampler::new(&representative, now, horizon, key.samples(), &mut rng)
-                else {
-                    continue;
-                };
-                let slot = samplers.len();
-                samplers.push(sampler);
-                for &i in members {
-                    cluster_of[i] = Some(slot);
-                }
-            }
-        }
-        // Phase 3 — plan, batch-major: the Monte Carlo stage for every
-        // tenant the prepare phase left pending, against its cluster's
-        // shared matrix when one was built. Skipped entirely when nothing
-        // is pending (the common case for mostly-hibernated fleets), so
-        // quiet rounds pay no second parallel pass.
-        type PlanResult = Option<Result<PlanningRound, OnlineError>>;
-        let plan_results: Vec<PlanResult> = if plans_pending == 0 {
-            prep.iter().map(|_| None).collect()
-        } else {
-            let prep_ref = &prep;
-            let cluster_ref = &cluster_of;
-            let samplers_ref = &samplers;
-            let plan_work = |start: usize, chunk: &mut [TenantSlot]| {
-                chunk
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, slot)| {
-                        let index = start + i;
-                        if !matches!(prep_ref[index], PrepOutcome::Plan { .. }) {
-                            return None;
-                        }
-                        let TenantSlot::Resident(tenant) = slot else {
-                            // The prepare phase only leaves resident
-                            // tenants pending.
-                            return Some(Err(OnlineError::Hibernated { tenant: slot.id() }));
-                        };
-                        let sampler = cluster_ref[index].map(|slot| &samplers_ref[slot]);
-                        let id = tenant.id;
-                        Some(
-                            catch_unwind(AssertUnwindSafe(|| {
-                                tenant_plan(tenant, now, covered[index], sampler)
-                            }))
-                            .unwrap_or_else(|payload| {
-                                Err(OnlineError::TenantPanicked {
-                                    tenant: id,
-                                    message: panic_message(payload),
-                                })
-                            }),
-                        )
-                    })
-                    .collect::<Vec<PlanResult>>()
-            };
-            let plan_outcome = catch_unwind(AssertUnwindSafe(|| {
-                self.pool
-                    .map_chunks_mut(&mut self.tenants, workers, plan_work)
-            }));
-            match plan_outcome {
-                Ok(per_chunk) => per_chunk.into_iter().flatten().collect(),
-                Err(payload) => {
-                    // Same whole-round abort contract as the prepare phase.
-                    self.round_counter += 1;
-                    return Err(OnlineError::RoundPanicked {
-                        message: panic_message(payload),
-                    });
-                }
-            }
-        };
-        let results: Vec<Result<PlanningRound, OnlineError>> = prep
-            .into_iter()
-            .zip(plan_results)
-            .map(|(outcome, planned)| match outcome {
-                PrepOutcome::Done(result) => result,
-                PrepOutcome::Plan { .. } => {
-                    planned.expect("plan phase produced a result for every pending tenant")
-                }
-            })
-            .collect();
         // Attribute the page-ins the parallel section performed: a wake
         // whose slot is resident now paged in successfully; one still
         // paged failed (and will retry next round).
@@ -2033,7 +1841,10 @@ impl TenantFleet {
     /// the retired supervisor keys `recovery` and `snapshot_every`, and
     /// their shards a `last_good_snapshot`; all three are ignored, so a
     /// checkpoint written under `"recovery":"RestoreSnapshot"` restores
-    /// with forced-refit probes, the only recovery there is.
+    /// with forced-refit probes, the only recovery there is. Their sharing
+    /// policy may carry the retired forecast-clustering switch `enabled`;
+    /// it is ignored too, so such a checkpoint restores to every tenant
+    /// sampling its own forecast.
     ///
     /// `options` holds what belongs to the restoring process rather than
     /// to the checkpoint: the storage backend and the page directory. The
@@ -2874,88 +2685,20 @@ mod tests {
         assert_eq!(serial, run(5));
     }
 
-    /// Every tenant sees one arrival every `gap` seconds — identical
-    /// traffic, so live forecasts quantize to one cluster.
-    fn ingest_identical(fleet: &mut TenantFleet, duration: f64, gap: f64) {
-        for index in 0..fleet.len() {
-            let n = (duration / gap) as usize;
-            for k in 0..n {
-                fleet.ingest(index, k as f64 * gap).unwrap();
-            }
-        }
-    }
-
     #[test]
     fn sharing_switch_validates_and_defaults_off() {
         let mut fleet = TenantFleet::new(&fleet_config(), 0.0, 2, 1).unwrap();
-        assert!(!fleet.sharing().enabled);
+        assert!(!fleet.sharing().plan_cache);
         let mut bad = SharingConfig::on();
         bad.quantization = 0.0;
         assert!(fleet.set_sharing(bad).is_err());
         bad.quantization = f64::NAN;
         assert!(fleet.set_sharing(bad).is_err());
-        assert!(!fleet.sharing().enabled, "rejected config must not stick");
+        assert!(
+            !fleet.sharing().plan_cache,
+            "rejected config must not stick"
+        );
         fleet.set_sharing(SharingConfig::on()).unwrap();
-        assert!(fleet.sharing().enabled);
-    }
-
-    #[test]
-    fn shared_planning_is_deterministic_and_worker_invariant() {
-        let run = |workers: usize| {
-            let mut fleet = TenantFleet::new(&fleet_config(), 0.0, 8, 42).unwrap();
-            fleet.set_workers(workers);
-            fleet.set_sharing(SharingConfig::on()).unwrap();
-            ingest_identical(&mut fleet, 400.0, 5.0);
-            let mut all = Vec::new();
-            for round in 0..3 {
-                let now = 400.0 + 20.0 * round as f64;
-                all.push(fleet.run_round_uniform(now, round).unwrap());
-            }
-            (all, fleet.aggregate_stats())
-        };
-        let serial = run(1);
-        assert!(
-            serial.1.shared_planning_rounds > 0,
-            "identical tenants never planned against a shared matrix: {:?}",
-            serial.1
-        );
-        assert_eq!(serial, run(3));
-        assert_eq!(serial, run(8));
-    }
-
-    /// The golden statistical-equivalence band: sharing swaps the Monte
-    /// Carlo arrival universe, so plans need not be bit-identical to the
-    /// private path — but the demand estimate (a pure function of the
-    /// tenant's own forecast) must match exactly, every tenant must still
-    /// plan, and capacity decisions must stay in a narrow band around the
-    /// private plan.
-    #[test]
-    fn shared_plans_stay_inside_the_private_plan_band() {
-        let run = |sharing: bool| {
-            let mut fleet = TenantFleet::new(&fleet_config(), 0.0, 6, 9).unwrap();
-            if sharing {
-                fleet.set_sharing(SharingConfig::on()).unwrap();
-            }
-            ingest_identical(&mut fleet, 400.0, 5.0);
-            let rounds = fleet.run_round_uniform(400.0, 0).unwrap();
-            (rounds, fleet.aggregate_stats())
-        };
-        let (private, private_stats) = run(false);
-        let (shared, shared_stats) = run(true);
-        assert_eq!(private_stats.shared_planning_rounds, 0);
-        assert!(
-            shared_stats.shared_planning_rounds > 0,
-            "sharing never engaged: {shared_stats:?}"
-        );
-        for (p, s) in private.iter().zip(shared.iter()) {
-            let p = p.as_ref().unwrap();
-            let s = s.as_ref().unwrap();
-            assert_eq!(p.expected_arrivals_in_window, s.expected_arrivals_in_window);
-            let (pl, sl) = (p.decisions.len() as f64, s.decisions.len() as f64);
-            assert!(
-                (pl - sl).abs() <= 3.0_f64.max(0.5 * pl),
-                "shared decision count {sl} left the band around private {pl}"
-            );
-        }
+        assert!(fleet.sharing().plan_cache);
     }
 }

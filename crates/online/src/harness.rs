@@ -375,7 +375,6 @@ fn run_closed_loop_inner(
                     sharing: config
                         .plan_reuse
                         .map(|quantization| crate::sharing::SharingConfig {
-                            enabled: false,
                             quantization,
                             plan_cache: true,
                         }),
@@ -655,6 +654,61 @@ mod tests {
         assert!(replay.plans_checked > 0);
         assert!(replay.refits_checked >= 1, "boundary refit must be checked");
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// The plan cache keeps the QoS contract on a realistic trace: the
+    /// closed loop on `google_like` (the default `harness_demo` run, 6 h)
+    /// serves cache hits and meets the private loop's hit rate and cost
+    /// within small margins.
+    #[test]
+    fn plan_cache_keeps_closed_loop_qos_on_google_like_traffic() {
+        use robustscaler_traces::{google_like, ProcessingTimeModel, TraceConfig};
+        let hours = 6.0;
+        let trace = google_like(&TraceConfig {
+            duration: hours * 3_600.0,
+            traffic_scale: 0.5,
+            processing: ProcessingTimeModel::Exponential { mean: 20.0 },
+            seed: 424_242,
+        });
+        let mut pipeline =
+            RobustScalerConfig::for_variant(RobustScalerVariant::HittingProbability {
+                target: 0.9,
+            });
+        pipeline.mean_processing = 20.0;
+        pipeline.monte_carlo_samples = 300;
+        pipeline.planning_interval = 10.0;
+        pipeline.admm.max_iterations = 80;
+        pipeline.seed = 7;
+        let run = |plan_reuse: Option<f64>| {
+            let config = HarnessConfig {
+                online: OnlineConfig::new(pipeline),
+                sim: SimulationConfig {
+                    pending: PendingTimeDistribution::Deterministic(13.0),
+                    seed: 9,
+                    recent_history_window: 600.0,
+                },
+                warmup: (hours / 2.0) * 3_600.0,
+                faults: None,
+                plan_reuse,
+            };
+            run_closed_loop(&trace, &config).unwrap().0
+        };
+        let off = run(None);
+        let on = run(Some(0.05));
+        assert_eq!(off.stats.plan_cache_hits, 0);
+        assert!(on.stats.plan_cache_hits > 0, "{:?}", on.stats);
+        assert!(
+            on.hit_rate >= off.hit_rate - 0.02,
+            "hit rate {} with the plan cache, {} without",
+            on.hit_rate,
+            off.hit_rate
+        );
+        assert!(
+            on.relative_cost <= off.relative_cost * 1.05,
+            "relative cost {} with the plan cache, {} without",
+            on.relative_cost,
+            off.relative_cost
+        );
     }
 
     #[test]

@@ -22,11 +22,11 @@
 //!   queues and then plans, one parallel pass, with per-tenant
 //!   deterministic RNG seeds so fleet output is identical for any worker
 //!   count;
-//! * [`sharing`] — opt-in cross-tenant batched planning: tenants whose
-//!   live forecasts quantize to the same [`sharing::ClusterKey`] plan
-//!   against one shared arrival-sample matrix per cluster instead of each
-//!   sampling privately (off by default; off is bit-identical to a build
-//!   without it);
+//! * [`sharing`] — opt-in plan reuse: each scaler memoizes its last
+//!   planned round under a [`sharing::PlanCacheKey`] and time-shifts it
+//!   while its planning inputs stay unchanged; every other round samples
+//!   the tenant's own forecast (off by default; off is bit-identical to a
+//!   build without it);
 //! * [`harness`] — the closed-loop validation harness: replay a trace
 //!   through the bus → `OnlineScaler` → `Simulator` end to end and report
 //!   the paper's metrics (hit rate, `rt_avg`, total/relative cost) plus
@@ -97,4 +97,4 @@ pub use replay::{
 pub use scaler::{
     OnlineConfig, OnlineScaler, OnlineStats, ScalerSnapshot, SCALER_SNAPSHOT_VERSION,
 };
-pub use sharing::{ClusterKey, PlanCacheKey, SharingConfig, SHARING_PROBE_BUCKETS};
+pub use sharing::{PlanCacheKey, SharingConfig, SHARING_PROBE_BUCKETS};

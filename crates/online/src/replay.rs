@@ -84,17 +84,20 @@ use std::sync::{Arc, Mutex};
 /// activity-tiered fleets replay and validate bit-for-bit); v1/v2 traces
 /// parse as always-hot sessions.
 ///
-/// v4 added the optional `sharing` header field: the cross-tenant
-/// sharing / plan-reuse policy ([`crate::sharing::SharingConfig`]) the
-/// session ran under, re-applied by replay so shared-sampling and
-/// plan-cache universes reproduce bit-for-bit. Pre-v4 traces parse as
-/// sharing-off sessions (which they were — the setting did not exist).
-/// Older v4 headers also carry a retired `decision_dedup` key; it is
-/// ignored, since dedup never changed a plan bit. Their `supervisor` may
-/// also carry the retired `recovery` and `snapshot_every` keys, which are
-/// ignored too: a session recorded with `"recovery":"RestoreSnapshot"`
-/// replays with forced-refit probes, the only recovery there is. (No
-/// golden carries one; `sharing.jsonl` recorded `ForceRefit`.)
+/// v4 added the optional `sharing` header field: the plan-reuse policy
+/// ([`crate::sharing::SharingConfig`]) the session ran under, re-applied
+/// by replay so plan-cache universes reproduce bit-for-bit. Pre-v4 traces
+/// parse as sharing-off sessions (which they were — the setting did not
+/// exist). Older v4 headers also carry a retired `decision_dedup` key; it
+/// is ignored, since dedup never changed a plan bit. They also carry the
+/// retired forecast-clustering switch `enabled`, which is ignored on load
+/// too: a session recorded with `"enabled":true` replays with every tenant
+/// sampling its own forecast, so it diverges under strict replay. (The
+/// `sharing.jsonl` golden was recorded with `"enabled":false`.) Their
+/// `supervisor` may carry the retired `recovery` and `snapshot_every`
+/// keys, ignored as well: a session recorded with
+/// `"recovery":"RestoreSnapshot"` replays with forced-refit probes, the
+/// only recovery there is.
 pub const TRACE_FORMAT_VERSION: u32 = 4;
 
 /// What kind of session a trace records.
@@ -203,10 +206,9 @@ pub struct TraceHeader {
     /// bit-equivalent to a paged one) so hibernation and wake decisions
     /// reproduce. Absent in pre-v3 traces and always-hot sessions.
     pub residency: Option<crate::fleet::ResidencyConfig>,
-    /// The cross-tenant sharing / plan-reuse policy the session ran under
-    /// — replay re-applies it so the shared-sampling and plan-cache
-    /// universes reproduce bit-for-bit. Absent in pre-v4 traces
-    /// (sharing-off sessions by construction).
+    /// The plan-reuse policy the session ran under — replay re-applies it
+    /// so the plan-cache universe reproduces bit-for-bit. Absent in pre-v4
+    /// traces (sharing-off sessions by construction).
     pub sharing: Option<crate::sharing::SharingConfig>,
 }
 
@@ -936,9 +938,8 @@ impl Replayer {
                 if let Some(residency) = header.residency {
                     fleet.enable_residency(residency)?;
                 }
-                // Sharing / plan-reuse sessions (v4+): re-apply the recorded
-                // policy so shared sampling and plan-cache hits reproduce
-                // bit-for-bit.
+                // Plan-reuse sessions (v4+): re-apply the recorded policy so
+                // plan-cache hits reproduce bit-for-bit.
                 if let Some(sharing) = header.sharing {
                     fleet.set_sharing(sharing)?;
                 }
@@ -948,9 +949,6 @@ impl Replayer {
             SessionKind::Single => {
                 let mut scaler =
                     OnlineScaler::with_seed(header.online, header.origin, header.seed)?;
-                // A single-scaler session has no cross-tenant clustering;
-                // the recorded sharing policy matters only for its plan
-                // cache.
                 if let Some(sharing) = header.sharing {
                     if sharing.plan_cache {
                         scaler.enable_plan_reuse(sharing.quantization)?;

@@ -16,7 +16,7 @@
 
 use crate::error::OnlineError;
 use crate::replay::{model_fingerprint, RefitTrigger, ScalerEvent};
-use crate::sharing::{ClusterKey, PlanCacheKey, SharingConfig};
+use crate::sharing::PlanCacheKey;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use robustscaler_core::{RobustScalerConfig, RobustScalerPipeline};
@@ -24,8 +24,7 @@ use robustscaler_nhpp::{
     Forecaster, ForecasterSnapshot, Intensity, NhppModel, PiecewiseConstantIntensity,
 };
 use robustscaler_scaling::{
-    ArrivalSampler, DecisionConfig, PlannerConfig, PlannerScratch, PlannerState, PlanningRound,
-    SequentialPlanner,
+    DecisionConfig, PlannerConfig, PlannerScratch, PlannerState, PlanningRound, SequentialPlanner,
 };
 use robustscaler_timeseries::{CountRing, RingSnapshot};
 use serde::{Deserialize, Serialize};
@@ -124,10 +123,10 @@ pub struct OnlineStats {
     /// `OnlinePolicy`, which swallow the error to keep serving but must not
     /// leave persistent failure invisible).
     pub failed_rounds: u64,
-    /// Planning rounds (a subset of [`OnlineStats::planning_rounds`]) that
-    /// planned against a cluster-shared arrival-sample matrix instead of
-    /// sampling privately — the observability hook proving cross-tenant
-    /// sharing actually engaged (see [`crate::sharing`]).
+    /// Always 0: cross-tenant forecast clustering was removed (every
+    /// tenant samples its own forecast). Kept only until a benchmark change
+    /// updates `perfbench/`, which still reads it; snapshots that carry a
+    /// non-zero count load it unchanged.
     pub shared_planning_rounds: u64,
     /// Rounds served by time-shifting the memoized previous plan instead of
     /// re-running Monte Carlo (plan reuse, see
@@ -228,23 +227,6 @@ pub struct PlanCacheEntry {
     pub round: PlanningRound,
 }
 
-/// Outcome of the first half of a planning round (see
-/// [`OnlineScaler::prepare_round`]).
-#[derive(Debug)]
-pub(crate) enum RoundPrep {
-    /// The sufficiency check skipped the Monte Carlo stage — the round is
-    /// already finished.
-    Skip(PlanningRound),
-    /// The plan cache served the round (plan reuse): the memoized
-    /// previous plan, time-shifted to this instant. No Monte Carlo ran and
-    /// no RNG was consumed.
-    Cached(PlanningRound),
-    /// The Monte Carlo stage still has to run (privately via
-    /// [`OnlineScaler::plan_prepared`], or against a shared cluster sampler
-    /// via [`OnlineScaler::plan_shared`]).
-    Plan,
-}
-
 /// A continuously serving, incrementally refitting scaler for one tenant.
 #[derive(Debug, Clone)]
 pub struct OnlineScaler {
@@ -276,9 +258,6 @@ pub struct OnlineScaler {
     plan_reuse: Option<f64>,
     /// The memoized last planning round, when one is live.
     plan_cache: Option<PlanCacheEntry>,
-    /// The key computed by the last [`OnlineScaler::prepare_round`] that
-    /// missed, waiting for the planned round to populate the cache.
-    plan_cache_pending: Option<(PlanCacheKey, f64)>,
     /// FNV-1a 64 fingerprint of the installed model (what
     /// [`PlanCacheKey`] pins); refreshed on every refit/install.
     model_print: Option<u64>,
@@ -322,7 +301,6 @@ impl OnlineScaler {
             trace_events: Vec::new(),
             plan_reuse: None,
             plan_cache: None,
-            plan_cache_pending: None,
             model_print: None,
         })
     }
@@ -414,7 +392,6 @@ impl OnlineScaler {
     pub fn disable_plan_reuse(&mut self) {
         self.plan_reuse = None;
         self.plan_cache = None;
-        self.plan_cache_pending = None;
     }
 
     /// The armed plan-reuse tolerance, if any.
@@ -486,7 +463,18 @@ impl OnlineScaler {
     /// [`OnlineScaler::refit_now`] except the trace event carries the
     /// `Probe` trigger, so replay validates it in-round instead of
     /// re-executing it as a driver action.
+    ///
+    /// A scaler that already holds a model while its ring has fewer than
+    /// `min_training_buckets` complete buckets (a warm-started tenant)
+    /// skips the refit, which could not succeed: the probe round then plans
+    /// from the installed model.
     pub(crate) fn probe_refit(&mut self, now: f64) -> Result<(), OnlineError> {
+        self.ring.advance_to(now);
+        if self.forecaster.is_some()
+            && self.ring.complete_len(now) < self.config.min_training_buckets
+        {
+            return Ok(());
+        }
         self.refit_with_trigger(now, RefitTrigger::Probe)
     }
 
@@ -516,11 +504,10 @@ impl OnlineScaler {
     }
 
     /// Model changed (refit, drift refit, install, restore): the memoized
-    /// plan and any pending key are stale by definition — drop them and pin
-    /// the new model fingerprint future keys are built from.
+    /// plan is stale by definition — drop it and pin the new model
+    /// fingerprint future keys are built from.
     fn invalidate_plan_cache(&mut self, print: u64) {
         self.plan_cache = None;
-        self.plan_cache_pending = None;
         self.model_print = Some(print);
     }
 
@@ -674,29 +661,12 @@ impl OnlineScaler {
     /// refresh the forecast, and plan the creations that must start within
     /// the next planning window. `covered` is the number of upcoming
     /// arrivals already covered by scheduled/pending/ready instances.
-    pub fn plan_round(&mut self, now: f64, covered: usize) -> Result<PlanningRound, OnlineError> {
-        match self.prepare_round(now, covered)? {
-            RoundPrep::Skip(round) | RoundPrep::Cached(round) => Ok(round),
-            RoundPrep::Plan => self.plan_prepared(now, covered),
-        }
-    }
-
-    /// First half of [`OnlineScaler::plan_round`]: advance the ring, refit
-    /// if due, refresh the forecast, and run the cheap sufficiency check.
     ///
-    /// Returns [`RoundPrep::Skip`] with the finished (empty) round when the
-    /// Monte Carlo stage can be skipped, or [`RoundPrep::Plan`] when the
-    /// caller must follow up with [`OnlineScaler::plan_prepared`] (or the
-    /// shared-sampler pair [`OnlineScaler::cluster_key`] +
-    /// [`OnlineScaler::plan_shared`]). `prepare_round` followed immediately
-    /// by `plan_prepared` is bit-identical to `plan_round`; the split exists
-    /// so a fleet can interleave the phases across tenants and batch the
-    /// expensive sampling by forecast cluster.
-    pub(crate) fn prepare_round(
-        &mut self,
-        now: f64,
-        covered: usize,
-    ) -> Result<RoundPrep, OnlineError> {
+    /// The cheap sufficiency check can skip the Monte Carlo stage, and with
+    /// plan reuse armed an unchanged plan-cache key serves the memoized
+    /// plan time-shifted to `now`; otherwise the round samples the
+    /// tenant's own forecast.
+    pub fn plan_round(&mut self, now: f64, covered: usize) -> Result<PlanningRound, OnlineError> {
         self.maybe_refit(now)?;
         self.refresh_forecast(now)?;
         let forecast = self
@@ -706,35 +676,42 @@ impl OnlineScaler {
         if self.clearly_covered(now, covered) {
             self.stats.skipped_rounds += 1;
             let window_end = now + self.config.pipeline.planning_interval;
-            return Ok(RoundPrep::Skip(PlanningRound {
+            return Ok(PlanningRound {
                 decisions: Vec::new(),
                 expected_arrivals_in_window: forecast.integrated(now, window_end),
-            }));
+            });
         }
         // Plan reuse: when the content key of this round's inputs
         // matches the memoized round's, serve the cached plan time-shifted
-        // to `now` (no Monte Carlo, no RNG). A miss leaves the key pending
-        // so the planned round populates the cache.
-        self.plan_cache_pending = None;
-        if let Some(quantization) = self.plan_reuse {
-            if let Some(key) = self.plan_cache_key(now, covered, quantization) {
-                let hit = self.plan_cache.as_ref().filter(|e| e.key == key).map(|e| {
-                    let forecast = self
-                        .cached_forecast
-                        .as_ref()
-                        .expect("refresh_forecast populated the cache");
-                    let window_end = now + self.config.pipeline.planning_interval;
-                    e.round
-                        .shifted_by(now - e.now, forecast.integrated(now, window_end))
-                });
-                if let Some(round) = hit {
-                    self.stats.plan_cache_hits += 1;
-                    return Ok(RoundPrep::Cached(round));
-                }
-                self.plan_cache_pending = Some((key, now));
-            }
+        // to `now` (no Monte Carlo, no RNG). A miss caches the round planned
+        // below under the key.
+        let key = self
+            .plan_reuse
+            .and_then(|quantization| self.plan_cache_key(now, covered, quantization));
+        if let Some(entry) = self.plan_cache.as_ref().filter(|e| Some(e.key) == key) {
+            let window_end = now + self.config.pipeline.planning_interval;
+            let round = entry
+                .round
+                .shifted_by(now - entry.now, forecast.integrated(now, window_end));
+            self.stats.plan_cache_hits += 1;
+            return Ok(round);
         }
-        Ok(RoundPrep::Plan)
+        let round = self.planner.plan_window_with(
+            forecast,
+            now,
+            PlannerState { covered },
+            &mut self.rng,
+            &mut self.scratch,
+        )?;
+        self.stats.planning_rounds += 1;
+        if let Some(key) = key {
+            self.plan_cache = Some(PlanCacheEntry {
+                key,
+                now,
+                round: round.clone(),
+            });
+        }
+        Ok(round)
     }
 
     /// The plan-cache content key of a round's planning inputs; `None` when no
@@ -755,117 +732,6 @@ impl OnlineScaler {
             covered,
             quantization,
         )
-    }
-
-    /// Populate the plan cache from a just-planned round when a key is
-    /// pending (reuse armed and this round's `prepare_round` missed).
-    fn store_plan_cache(&mut self, round: &PlanningRound) {
-        if self.plan_reuse.is_some() {
-            if let Some((key, at)) = self.plan_cache_pending.take() {
-                self.plan_cache = Some(PlanCacheEntry {
-                    key,
-                    now: at,
-                    round: round.clone(),
-                });
-            }
-        }
-    }
-
-    /// Second half of [`OnlineScaler::plan_round`]: the private Monte Carlo
-    /// planning stage. Must follow a [`RoundPrep::Plan`] from
-    /// [`OnlineScaler::prepare_round`] at the same `now`.
-    pub(crate) fn plan_prepared(
-        &mut self,
-        now: f64,
-        covered: usize,
-    ) -> Result<PlanningRound, OnlineError> {
-        let forecast = self
-            .cached_forecast
-            .as_ref()
-            .expect("prepare_round refreshed the forecast");
-        let round = self.planner.plan_window_with(
-            forecast,
-            now,
-            PlannerState { covered },
-            &mut self.rng,
-            &mut self.scratch,
-        )?;
-        self.stats.planning_rounds += 1;
-        self.store_plan_cache(&round);
-        Ok(round)
-    }
-
-    /// Fingerprint this tenant's current forecast for cross-tenant shared
-    /// sampling. `None` when sharing is disabled, no forecast is cached, or
-    /// the probe geometry degenerates — the tenant then plans privately.
-    pub(crate) fn cluster_key(&self, now: f64, sharing: &SharingConfig) -> Option<ClusterKey> {
-        if !sharing.enabled {
-            return None;
-        }
-        let forecast = self.cached_forecast.as_ref()?;
-        let decision = &self.planner.config().decision;
-        ClusterKey::from_forecast(
-            forecast,
-            now,
-            self.config.pipeline.planning_interval,
-            &decision.rule,
-            &decision.pending,
-            decision.monte_carlo_samples,
-            sharing.quantization,
-        )
-    }
-
-    /// How many arrival rows this tenant wants from a shared cluster matrix
-    /// at `now`.
-    ///
-    /// Deliberately more generous than the private planner's initial
-    /// horizon guess (30% headroom plus a constant, against 5% plus a
-    /// constant): a shared matrix cannot be extended per tenant, and a
-    /// shortfall forces a full private replan instead of a cheap
-    /// `extend_horizon`. Never exceeds the hard per-round decision ceiling.
-    pub(crate) fn shared_sampling_demand(&self, now: f64, covered: usize) -> usize {
-        let config = self.planner.config();
-        let cap = covered + config.max_decisions_per_round;
-        let lead = config.decision.pending.mean();
-        let window_end = now + config.planning_interval;
-        let expected = self
-            .cached_forecast
-            .as_ref()
-            .map(|forecast| forecast.integrated(now, window_end + lead))
-            .unwrap_or(0.0);
-        (covered + (1.3 * expected).ceil() as usize + 8).min(cap)
-    }
-
-    /// Attempt the second half of a round against a shared cluster sampler.
-    ///
-    /// `Ok(Some(round))` completes the round (counted as a planning round);
-    /// `Ok(None)` means the shared matrix could not serve this tenant
-    /// (origin/replication mismatch or horizon shortfall) and the caller
-    /// must fall back to [`OnlineScaler::plan_prepared`].
-    pub(crate) fn plan_shared(
-        &mut self,
-        now: f64,
-        covered: usize,
-        sampler: &ArrivalSampler,
-    ) -> Result<Option<PlanningRound>, OnlineError> {
-        let forecast = self
-            .cached_forecast
-            .as_ref()
-            .expect("prepare_round refreshed the forecast");
-        let round = self.planner.plan_window_shared(
-            forecast,
-            sampler,
-            now,
-            PlannerState { covered },
-            &mut self.rng,
-            &mut self.scratch,
-        )?;
-        if let Some(round) = &round {
-            self.stats.planning_rounds += 1;
-            self.stats.shared_planning_rounds += 1;
-            self.store_plan_cache(round);
-        }
-        Ok(round)
     }
 
     /// Capture the scaler's full serving state as a serializable,

@@ -218,64 +218,13 @@ impl SequentialPlanner {
         })
     }
 
-    /// Plan one window against a *shared*, pre-built arrival-sample matrix.
-    ///
-    /// Fleets with many tenants whose forecasts quantize to the same cluster
-    /// can sample one [`ArrivalSampler`] per cluster and have every member
-    /// plan against it zero-copy, instead of each tenant paying the dominant
-    /// Monte Carlo sampling cost itself. The tenant's *own* forecast
-    /// `intensity` still provides `expected_arrivals_in_window`, and the
-    /// tenant's own `rng` still drives any stochastic pending-time draws, so
-    /// per-tenant decisions remain independent.
-    ///
-    /// Returns `Ok(None)` when the shared sampler cannot serve this tenant —
-    /// its time origin or replication count differs, or its horizon runs out
-    /// before the window is provably finished. Callers fall back to the
-    /// private [`SequentialPlanner::plan_window_with`] path in that case; a
-    /// `None` makes no decision and must have no side effects the fallback
-    /// would duplicate (pending draws burned on a partial attempt are
-    /// acceptable: shared planning is its own deterministic universe, not a
-    /// bit-replay of the private path).
-    pub fn plan_window_shared<I, R>(
-        &self,
-        intensity: &I,
-        sampler: &ArrivalSampler,
-        now: f64,
-        state: PlannerState,
-        rng: &mut R,
-        scratch: &mut PlannerScratch,
-    ) -> Result<Option<PlanningRound>, ScalingError>
-    where
-        I: Intensity + Sync,
-        R: Rng + ?Sized,
-    {
-        if sampler.now() != now
-            || sampler.replications() != self.config.decision.monte_carlo_samples
-        {
-            return Ok(None);
-        }
-        let window_end = now + self.config.planning_interval;
-        let expected_in_window = intensity.integrated(now, window_end);
-        let mut decisions: Vec<ScalingDecision> = Vec::new();
-        if !self.walk(sampler, state, window_end, &mut decisions, rng, scratch)? {
-            // The shared horizon was exhausted while creations still landed
-            // inside the window — this tenant needs more arrivals than the
-            // cluster matrix holds. Let the caller replan privately.
-            return Ok(None);
-        }
-        Ok(Some(PlanningRound {
-            decisions,
-            expected_arrivals_in_window: expected_in_window,
-        }))
-    }
-
-    /// The decision walk both planning paths share. Decides arrival after
-    /// arrival, resuming after the last one in `decisions` (arrival
-    /// `state.covered + 1` on a fresh walk), and returns `true` once the
-    /// round is finished: a creation fell at or past `window_end` — later
-    /// arrivals only need creations after this window, so they are left to
-    /// the next round — or the per-round cap was reached. Returns `false`
-    /// when `sampler`'s horizon ran out first.
+    /// The decision walk of [`SequentialPlanner::plan_window_with`].
+    /// Decides arrival after arrival, resuming after the last one in
+    /// `decisions` (arrival `state.covered + 1` on a fresh walk), and
+    /// returns `true` once the round is finished: a creation fell at or
+    /// past `window_end` — later arrivals only need creations after this
+    /// window, so they are left to the next round — or the per-round cap
+    /// was reached. Returns `false` when `sampler`'s horizon ran out first.
     fn walk<R>(
         &self,
         sampler: &ArrivalSampler,

@@ -21,8 +21,9 @@ use proptest::prelude::*;
 use robustscaler::core::{RobustScalerConfig, RobustScalerVariant};
 use robustscaler::nhpp::NhppModel;
 use robustscaler::online::{
-    replay_path, BusConfig, FaultPlan, FaultyStorage, OnlineConfig, OnlineError, OsStorage,
-    PolicyBands, ReplayMode, SupervisorConfig, TenantFleet, TenantHealth, TraceRecorder,
+    replay_path, BusConfig, FaultInjector, FaultPlan, FaultyStorage, FleetRound, OnlineConfig,
+    OnlineError, OsStorage, PolicyBands, ReplayMode, SupervisorConfig, TenantFleet, TenantHealth,
+    TraceRecorder,
 };
 use std::sync::Arc;
 
@@ -381,25 +382,14 @@ fn recorded_chaos_session_survives_crash_restore_and_replays() {
     let _ = std::fs::remove_dir_all(&trace_dir);
 }
 
-/// A failed probe still drains its tenant's queue. The tenants are
-/// warm-started the way `fleet_demo` builds them: a bus, and a model
-/// installed up front, so the ring is still too short to refit. The
-/// victim fails its first round on an injected planning error and is
-/// quarantined at once; every probe after that fails its forced refit
-/// before reaching the fault, so the fault fires on round 0 only. Each
-/// failed probe must drain the bus like every other round, and the
-/// recorded session must replay strictly.
-#[test]
-fn failed_probe_still_drains_its_queue_and_replays() {
-    let config = chaos_config();
-    let trace_dir = scratch("failed-probe");
-    std::fs::create_dir_all(&trace_dir).unwrap();
-    let trace_path = trace_dir.join("probe.jsonl");
-
-    let tenants = 3usize;
-    let mut fleet = TenantFleet::new(&config, 0.0, tenants, 31).unwrap();
+/// A 3-tenant bus-fed fleet built the way `fleet_demo` builds it: every
+/// tenant `warm` accepts gets a model installed up front, so it plans at
+/// once although its ring is too short to refit. Supervision quarantines
+/// after one failure and probes with backoff 1, 2, 4, … rounds.
+fn probed_fleet(seed: u64, warm: impl Fn(usize) -> bool) -> TenantFleet {
+    let mut fleet = TenantFleet::new(&chaos_config(), 0.0, 3, seed).unwrap();
     fleet.attach_bus(small_bus()).unwrap();
-    for index in 0..tenants {
+    for index in (0..fleet.len()).filter(|&index| warm(index)) {
         let rate = 1.0 / (4.0 + index as f64);
         let model = NhppModel::from_log_rates(0.0, 10.0, vec![rate.ln(); 40], Some(40)).unwrap();
         fleet
@@ -414,6 +404,47 @@ fn failed_probe_still_drains_its_queue_and_replays() {
         probe_backoff: 1,
         max_backoff: 8,
     });
+    fleet
+}
+
+/// Run round `round` of a [`probed_fleet`]: tenant `i` sees one arrival
+/// every `4 + i` seconds over `[20 round, 20 (round + 1))`, so the ring
+/// holds 2 (round + 1) complete 10 s buckets — fewer than the 10 a refit
+/// needs until round 4. Every queue must be empty afterwards.
+fn run_probed_round(fleet: &mut TenantFleet, round: u64) -> FleetRound {
+    let (lo, hi) = (20.0 * round as f64, 20.0 * (round + 1) as f64);
+    for index in 0..fleet.len() {
+        let gap = 4.0 + index as f64;
+        let first = (lo / gap).ceil() as usize;
+        for t in (first..).map(|k| k as f64 * gap).take_while(|t| *t < hi) {
+            assert!(fleet.enqueue(index, t).unwrap(), "queue overflow");
+        }
+    }
+    let outcome = fleet.run_round_supervised(hi, &[0; 3]).unwrap();
+    let bus = fleet.bus().unwrap();
+    for index in 0..fleet.len() {
+        assert_eq!(
+            bus.queued(index).unwrap(),
+            0,
+            "round {round} tenant {index}"
+        );
+    }
+    outcome
+}
+
+/// A failed probe still drains its tenant's queue. The victim has no model
+/// and fails its first round on an injected planning error, so it is
+/// quarantined at once; every probe after that fails its forced refit on
+/// the short ring before reaching the fault, so the fault fires on round 0
+/// only. Each failed probe must drain the bus like every other round, and
+/// the recorded session must replay strictly.
+#[test]
+fn failed_probe_still_drains_its_queue_and_replays() {
+    let trace_dir = scratch("failed-probe");
+    std::fs::create_dir_all(&trace_dir).unwrap();
+    let trace_path = trace_dir.join("probe.jsonl");
+
+    let mut fleet = probed_fleet(31, |index| index != 0);
     fleet.set_faults(FaultPlan {
         seed: 3,
         plan_error: 1.0,
@@ -425,28 +456,10 @@ fn failed_probe_still_drains_its_queue_and_replays() {
         .start_recording(TraceRecorder::to_file(&trace_path, &header).unwrap())
         .unwrap();
 
-    // Round r covers [20 r, 20 (r + 1)): the ring holds 2 (r + 1)
-    // complete 10 s buckets, fewer than the 10 a refit needs until
-    // round 4. Probes run at rounds 1 and 3 (backoff 1, then 2).
+    // Probes run at rounds 1 and 3 (backoff 1, then 2).
     let mut injected = 0;
     for round in 0..7u64 {
-        let (lo, hi) = (20.0 * round as f64, 20.0 * (round + 1) as f64);
-        for index in 0..tenants {
-            let gap = 4.0 + index as f64;
-            let first = (lo / gap).ceil() as usize;
-            for t in (first..).map(|k| k as f64 * gap).take_while(|t| *t < hi) {
-                assert!(fleet.enqueue(index, t).unwrap(), "queue overflow");
-            }
-        }
-        let outcome = fleet.run_round_supervised(hi, &[0; 3]).unwrap();
-        let bus = fleet.bus().unwrap();
-        for index in 0..tenants {
-            assert_eq!(
-                bus.queued(index).unwrap(),
-                0,
-                "round {round} tenant {index}"
-            );
-        }
+        let outcome = run_probed_round(&mut fleet, round);
         let victim = &outcome.outcomes[0];
         injected += matches!(victim.error, Some(OnlineError::Injected { .. })) as usize;
         if round == 1 || round == 3 {
@@ -468,6 +481,70 @@ fn failed_probe_still_drains_its_queue_and_replays() {
         strict.divergences
     );
     assert_eq!(strict.rounds, 7);
+    let _ = std::fs::remove_dir_all(&trace_dir);
+}
+
+/// A warm-started tenant recovers on its first probe. Its ring is too short
+/// to refit, so the probe skips the forced refit and plans from the
+/// installed model. The fault schedule errors the victim on round 0 only:
+/// the first seed whose schedule does so is taken, so the scenario does not
+/// hang on one hash value. The recorded session must replay strictly.
+#[test]
+fn quarantined_warm_tenant_recovers_from_its_installed_model() {
+    let rounds = 6u64;
+    let faults = (0..)
+        .map(|seed| FaultPlan {
+            seed,
+            plan_error: 0.5,
+            target_tenant: Some(0),
+            ..FaultPlan::default()
+        })
+        .find(|plan| {
+            let injector = FaultInjector::new(*plan);
+            (0..rounds).all(|round| injector.plan_fault(round, 0).is_some() == (round == 0))
+        })
+        .unwrap();
+    let trace_dir = scratch("warm-probe");
+    std::fs::create_dir_all(&trace_dir).unwrap();
+    let trace_path = trace_dir.join("probe.jsonl");
+
+    let mut fleet = probed_fleet(37, |_| true);
+    fleet.set_faults(faults);
+    let header = fleet.trace_header(37);
+    fleet
+        .start_recording(TraceRecorder::to_file(&trace_path, &header).unwrap())
+        .unwrap();
+
+    for round in 0..rounds {
+        let outcome = run_probed_round(&mut fleet, round);
+        let victim = &outcome.outcomes[0];
+        match round {
+            0 => assert!(
+                matches!(victim.error, Some(OnlineError::Injected { .. })),
+                "{victim:?}"
+            ),
+            1 => assert_eq!(victim.health, TenantHealth::Recovered, "{victim:?}"),
+            _ => assert_eq!(victim.health, TenantHealth::Healthy, "round {round}"),
+        }
+        if round > 0 {
+            assert!(victim.error.is_none() && !victim.sticky, "round {round}");
+        }
+        for neighbour in &outcome.outcomes[1..] {
+            assert!(neighbour.error.is_none(), "round {round}: {neighbour:?}");
+        }
+    }
+    let stats = fleet.supervision_stats();
+    assert_eq!((stats.probes, stats.recoveries), (1, 1), "{stats:?}");
+    assert_eq!(stats.quarantined_now, 0, "{stats:?}");
+    fleet.finish_recording().unwrap().unwrap();
+
+    let strict = replay_path(&trace_path, ReplayMode::Strict, &PolicyBands::default()).unwrap();
+    assert!(
+        strict.passed(),
+        "strict divergence: {:?}",
+        strict.divergences
+    );
+    assert_eq!(strict.rounds, rounds);
     let _ = std::fs::remove_dir_all(&trace_dir);
 }
 

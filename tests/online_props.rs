@@ -282,7 +282,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The cross-tenant sharing switch, left disabled (its default),
+    /// The plan-reuse switch, left disabled (its default),
     /// changes nothing: a fleet with `SharingConfig::default()` applied
     /// explicitly produces bit-identical plans and stats to a fleet that
     /// never touched it, at 1, 3 and 8 workers.
@@ -322,14 +322,10 @@ proptest! {
         }
     }
 
-    /// With the full reuse stack enabled (`SharingConfig::on()` = shared
-    /// sampling + plan cache), plans are still deterministic and
-    /// worker-count invariant — cluster sampler seeds are derived from
-    /// the cluster's *content*, and cache keys are pure functions of
-    /// forecast content — though not necessarily equal to the sharing-off
-    /// plans.
-    /// Varied per-tenant gaps exercise the mixed case: some tenants
-    /// cluster, the rest degrade to the private path as singletons. The
+    /// With plan reuse enabled (`SharingConfig::on()` = the plan cache),
+    /// plans are still deterministic and worker-count invariant — cache
+    /// keys are pure functions of each tenant's own planning inputs —
+    /// though not necessarily equal to the sharing-off plans. The
     /// compared stats include `plan_cache_hits`, so cache behaviour is
     /// pinned worker-invariant too.
     #[test]

@@ -5,8 +5,8 @@
 //! bit-for-bit (strict mode), and any injected divergence is caught with a
 //! pointed diff naming the round, tenant and field. The golden corpus
 //! under `tests/traces/` pins five scenario shapes (diurnal, flash-crowd,
-//! drift-triggering, kill-and-restore-mid-burst, and a fleet with every
-//! sharing layer on); CI replays them strictly, so any behavioural change
+//! drift-triggering, kill-and-restore-mid-burst, and a fleet with the plan
+//! cache on); CI replays them strictly, so any behavioural change
 //! to ingestion, training, planning or plan reuse shows up as a
 //! divergence, not a silent drift. Regenerate the
 //! goldens intentionally with `REGEN_GOLDEN_TRACES=1 cargo test --test
@@ -224,10 +224,7 @@ fn record_scenario(name: &str) -> String {
         // for two rounds let the plan cache hit.
         "sharing" => record_fleet(
             &config,
-            SharingConfig {
-                enabled: false,
-                ..SharingConfig::on()
-            },
+            SharingConfig::on(),
             505,
             8,
             &|tenant, _| if tenant < 2 { 4.0 } else { 7.0 },
