@@ -31,34 +31,17 @@
 //! Every generation serializes every shard, so each generation directory
 //! is self-contained and restores on its own.
 //!
-//! **Format v2** (reads v1): tenant snapshots optionally carry the
-//! tenant's *undrained arrival queue* (contents + [`QueueStats`]) so a
-//! fleet killed mid-burst restores with its queues intact and replays
-//! bit-identically, and the manifest records the bus configuration needed
-//! to rebuild the queues. Shard entries may name a `reused_from`
-//! generation: earlier writers hard-linked unchanged shards from the
-//! previous generation instead of reserializing them. Such generations
-//! still load; new ones never reuse.
+//! Durability is self-healing. Every filesystem touch goes through the
+//! small [`CheckpointStorage`] trait (default: [`OsStorage`]), so chaos
+//! tests can inject deterministic `io::ErrorKind`s straight into the
+//! atomic-swap path. Shard and manifest writes retry with bounded backoff
+//! before failing the checkpoint (counted in [`CheckpointStore::io_stats`]).
+//! The previous generation is retained alongside the current one, each
+//! generation directory carries its own `manifest.json` copy, and
+//! [`CheckpointStore::load_shards`] scans back to the newest restorable
+//! generation when the current one is corrupt.
 //!
-//! **Format v3** (reads v1 and v2) adds self-healing durability:
-//!
-//! * every filesystem touch goes through a small [`CheckpointStorage`]
-//!   trait (default: [`OsStorage`]), so chaos tests can inject
-//!   deterministic `io::ErrorKind`s straight into the atomic-swap path;
-//! * shard and manifest writes **retry with bounded backoff** before
-//!   failing the checkpoint (counted in [`CheckpointStore::io_stats`]);
-//! * the **previous generation is retained** alongside the current one
-//!   (older ones are still swept), each generation directory carries its
-//!   own `manifest.json` copy, and [`CheckpointStore::load_shards`] scans
-//!   back to the newest *restorable* generation when the current one is
-//!   corrupt — noting which generation was skipped instead of stranding
-//!   the data;
-//! * tenant snapshots optionally persist the fleet's per-tenant
-//!   supervision state ([`SupervisionSnapshot`]: failure counters,
-//!   quarantine + backoff schedule, the last good plan/snapshot), so a
-//!   restored fleet resumes its quarantine lifecycle bit-identically.
-//!
-//! Formats v4 and v5 are described at [`CHECKPOINT_FORMAT_VERSION`].
+//! The layout is described at [`CHECKPOINT_FORMAT_VERSION`].
 
 use crate::error::OnlineError;
 use crate::faults::FaultPlan;
@@ -76,24 +59,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Checkpoint format version recorded in the manifest; bump on any change
-/// to the manifest or shard layout and keep [`CheckpointStore::read_manifest`]
-/// able to read every version still deployed (v1 checkpoints — no queue
-/// state, no `reused_from` — load as fleets with empty queues; v2 — no
-/// supervision state — as fleets with every tenant healthy; v3 — no
-/// residency state or fleet round in the manifest — as fully-hot fleets).
+/// Checkpoint format version recorded in the manifest. A build reads only
+/// the version it writes: any other version fails the restore, and the
+/// write into that directory, with [`OnlineError::UnsupportedSnapshotVersion`].
+/// Bump it on any change to the manifest or shard layout.
 ///
-/// **Format v4** adds the hot/cold residency tier: tenant snapshots
-/// optionally carry a [`ResidencySnapshot`], and the manifest records the
-/// fleet's [`ResidencyConfig`] and round
-/// counter so a restored fleet resumes its residency state machine exactly.
-///
-/// **Format v5** adds the fleet's [`SupervisorConfig`], [`FaultPlan`] and
-/// [`SharingConfig`] to the manifest ([`FleetWiring`]), so a restore
-/// re-arms them; older manifests restore with the defaults. A v5 sharing
-/// policy written while forecast clustering existed carries an `enabled`
-/// key; it is ignored on load, and the fleet restores to private planning.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 5;
+/// A [`Manifest`] records the fleet's round counter and its wiring
+/// ([`FleetWiring`]: arrival bus, residency, supervisor, fault plan and
+/// sharing policy) beside the shard list. Each shard holds a
+/// `Vec<TenantSnapshot>`: the scaler snapshot plus, where the fleet runs
+/// them, the tenant's undrained queue, its supervision state and its
+/// residency state. Unknown keys are ignored on load.
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 6;
 
 /// How many times a shard/manifest write is attempted before the
 /// checkpoint fails (first try + retries).
@@ -106,8 +83,7 @@ const RETRY_BACKOFF: Duration = Duration::from_millis(2);
 pub const DEFAULT_TENANTS_PER_SHARD: usize = 64;
 
 /// One tenant's persisted state: its stable id, the scaler snapshot, and
-/// (format v2, when the fleet runs an arrival bus) the tenant's undrained
-/// ingestion queue.
+/// the fleet state that travels with the tenant.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TenantSnapshot {
     /// Stable tenant identifier.
@@ -115,17 +91,15 @@ pub struct TenantSnapshot {
     /// The tenant's full serving state.
     pub scaler: ScalerSnapshot,
     /// Arrivals enqueued but not yet drained at checkpoint time, in
-    /// enqueue order (`None` in v1 checkpoints and for fleets without a
-    /// bus).
+    /// enqueue order (`None` for fleets without a bus).
     pub queued: Option<Vec<f64>>,
     /// The tenant queue's back-pressure accounting at checkpoint time.
     pub queue: Option<QueueStats>,
-    /// The fleet's supervision state for this tenant (format v3; `None`
-    /// in older checkpoints and for single-tenant harness snapshots).
+    /// The fleet's supervision state for this tenant (`None` for
+    /// single-tenant harness snapshots).
     pub supervision: Option<SupervisionSnapshot>,
-    /// The fleet's residency state for this tenant (format v4; `None` in
-    /// older checkpoints and for fleets without residency tiering — the
-    /// tenant restores hot).
+    /// The fleet's residency state for this tenant (`None` for fleets
+    /// without residency tiering — the tenant restores hot).
     pub residency: Option<ResidencySnapshot>,
 }
 
@@ -144,7 +118,7 @@ impl TenantSnapshot {
     }
 }
 
-/// Per-tenant residency state persisted with the tenant (format v4), so a
+/// Per-tenant residency state persisted with the tenant, so a
 /// restored fleet resumes its hot/cold tiering exactly: a cold tenant comes
 /// back cold (resident in memory, re-paged lazily), a hot tenant's idle
 /// streak continues where it left off.
@@ -174,14 +148,11 @@ pub struct QuarantineState {
     pub next_probe: u64,
 }
 
-/// Per-tenant supervision state persisted with the tenant (format v3), so
+/// Per-tenant supervision state persisted with the tenant, so
 /// a restored fleet resumes failure counting, quarantine backoff and
 /// degraded-mode planning exactly where the checkpointed fleet stopped.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SupervisionSnapshot {
-    /// The fleet's round counter at checkpoint time (every tenant records
-    /// the same value; restore takes the max).
-    pub round: u64,
     /// Consecutive supervised failures (cold-start `NotTrained` excluded).
     pub consecutive_failures: u32,
     /// The active quarantine, if any.
@@ -201,10 +172,7 @@ pub struct SupervisionSnapshot {
 }
 
 /// Manifest entry for one shard file.
-///
-/// `Deserialize` is hand-written so manifests predating
-/// [`ShardEntry::bytes`] or [`ShardEntry::reused_from`] still load.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardEntry {
     /// Shard file path relative to the checkpoint directory.
     pub file: String,
@@ -212,36 +180,11 @@ pub struct ShardEntry {
     pub tenants: usize,
     /// FNV-1a 64-bit checksum of the shard file's bytes, lowercase hex.
     pub checksum: String,
-    /// Size of the shard file when its bytes were serialized, `0` when
-    /// unknown (manifests written before this field existed).
+    /// Size of the shard file's bytes.
     pub bytes: u64,
-    /// The generation that serialized these bytes when an earlier writer
-    /// hard-linked the shard from it instead of rewriting it. Always
-    /// `None` for shards written now; read so those generations still
-    /// load.
+    /// Always `None`: every checkpoint writes every shard. Kept only until
+    /// a benchmark change updates `perfbench/`, which still reads it.
     pub reused_from: Option<u64>,
-}
-
-impl Deserialize for ShardEntry {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let require = |key: &str| {
-            v.get(key)
-                .ok_or_else(|| serde::Error::msg(format!("missing field `{key}` in ShardEntry")))
-        };
-        Ok(Self {
-            file: Deserialize::from_value(require("file")?)?,
-            tenants: Deserialize::from_value(require("tenants")?)?,
-            checksum: Deserialize::from_value(require("checksum")?)?,
-            bytes: match v.get("bytes") {
-                Some(value) => Deserialize::from_value(value)?,
-                None => 0,
-            },
-            reused_from: match v.get("reused_from") {
-                Some(value) => Deserialize::from_value(value)?,
-                None => None,
-            },
-        })
-    }
 }
 
 /// The checkpoint manifest: the single swap point that makes a generation
@@ -257,24 +200,20 @@ pub struct Manifest {
     /// The shard files of this generation, in tenant order.
     pub shards: Vec<ShardEntry>,
     /// The arrival-bus configuration of the checkpointed fleet, needed to
-    /// rebuild the queues on restore; `None` when the fleet had no bus
-    /// (and in v1 checkpoints).
+    /// rebuild the queues on restore; `None` when the fleet had no bus.
     pub bus: Option<BusConfig>,
-    /// The fleet's round counter at checkpoint time (format v4). Older
-    /// checkpoints reconstruct it from the per-tenant supervision
-    /// snapshots; it is recorded here because a shard an earlier writer
-    /// reused carries the round of the generation that wrote its bytes.
-    pub round: Option<u64>,
-    /// The fleet's residency configuration (format v4); `None` for fleets
-    /// without residency tiering. Restore re-enables tiering from it.
+    /// The fleet's round counter at checkpoint time (0 for a bare tenant
+    /// set).
+    pub round: u64,
+    /// The fleet's residency configuration; `None` for fleets without
+    /// residency tiering. Restore re-enables tiering from it.
     pub residency: Option<ResidencyConfig>,
-    /// The fleet's supervision policy (format v5).
-    pub supervisor: Option<SupervisorConfig>,
-    /// The fleet's fault plan (format v5); `None` when injection was off.
+    /// The fleet's supervision policy.
+    pub supervisor: SupervisorConfig,
+    /// The fleet's fault plan; `None` when injection was off.
     pub faults: Option<FaultPlan>,
-    /// The fleet's plan-reuse policy (format v5). A retired `enabled` key
-    /// (forecast clustering) is ignored on load.
-    pub sharing: Option<SharingConfig>,
+    /// The fleet's plan-reuse policy.
+    pub sharing: SharingConfig,
 }
 
 /// Everything a manifest records about the fleet beside its shards: the
@@ -285,15 +224,15 @@ pub struct FleetWiring {
     /// The arrival-bus configuration (fleets with a bus).
     pub bus: Option<BusConfig>,
     /// The fleet round counter.
-    pub round: Option<u64>,
+    pub round: u64,
     /// The residency policy (fleets with residency tiering).
     pub residency: Option<ResidencyConfig>,
     /// The supervision policy.
-    pub supervisor: Option<SupervisorConfig>,
+    pub supervisor: SupervisorConfig,
     /// The fault plan (fleets with fault injection on).
     pub faults: Option<FaultPlan>,
     /// The plan-reuse policy.
-    pub sharing: Option<SharingConfig>,
+    pub sharing: SharingConfig,
 }
 
 /// Knobs for [`CheckpointStore::write_with`] beyond the snapshot set.
@@ -306,8 +245,8 @@ pub struct WriteOptions<'a> {
     /// Persistent worker pool to serialize on (falls back to scoped
     /// threads when `None`).
     pub pool: Option<&'a WorkerPool>,
-    /// What the manifest records about the fleet (all `None` for a bare
-    /// tenant set).
+    /// What the manifest records about the fleet (round 0 and the
+    /// defaults for a bare tenant set).
     pub fleet: FleetWiring,
 }
 
@@ -576,7 +515,7 @@ impl CheckpointStore {
                 shard: None,
                 message: format!("manifest parse failure: {e}"),
             })?;
-        if manifest.version == 0 || manifest.version > CHECKPOINT_FORMAT_VERSION {
+        if manifest.version != CHECKPOINT_FORMAT_VERSION {
             return Err(OnlineError::UnsupportedSnapshotVersion {
                 found: manifest.version,
                 supported: CHECKPOINT_FORMAT_VERSION,
@@ -651,8 +590,8 @@ impl CheckpointStore {
         // No manifest at all → first generation. An *unreadable* or
         // unsupported manifest must fail the write instead: silently
         // restarting at generation 1 would break the documented
-        // monotonicity, and an old binary would clobber a newer-format
-        // checkpoint rather than failing loudly. A listing failure other
+        // monotonicity, and this build would clobber a checkpoint of
+        // another format version rather than failing loudly. A listing failure other
         // than a missing directory fails the write for the same reason.
         let names = self.dir_names()?;
         let generation = if names.iter().any(|name| name == "manifest.json") {
@@ -1016,7 +955,7 @@ impl HibernationStore {
             std::str::from_utf8(&bytes).map_err(|e| page_err(format!("invalid UTF-8: {e}")))?;
         let envelope: HibernatedTenant =
             serde_json::from_str(text).map_err(|e| page_err(format!("parse failure: {e}")))?;
-        if envelope.version == 0 || envelope.version > HIBERNATION_FORMAT_VERSION {
+        if envelope.version != HIBERNATION_FORMAT_VERSION {
             return Err(OnlineError::UnsupportedSnapshotVersion {
                 found: envelope.version,
                 supported: HIBERNATION_FORMAT_VERSION,
@@ -1149,77 +1088,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_manifests_without_bus_or_reuse_fields_still_load() {
-        let dir = temp_dir("v1-compat");
-        let store = CheckpointStore::new(&dir);
-        let snapshots = some_snapshots(2);
-        store.write(&snapshots, 8, 1).unwrap();
-        // Rewrite the manifest the way a v1 binary would have: no `bus`,
-        // no `reused_from`, version 1 — field-for-field what PR 4 wrote.
-        let manifest = store.read_manifest().unwrap();
-        let shard = &manifest.shards[0];
-        let v1 = format!(
-            "{{\"version\":1,\"generation\":{},\"tenant_count\":{},\"shards\":[{{\
-             \"file\":\"{}\",\"tenants\":{},\"checksum\":\"{}\"}}]}}",
-            manifest.generation, manifest.tenant_count, shard.file, shard.tenants, shard.checksum
-        );
-        fs::write(dir.join("manifest.json"), v1.as_bytes()).unwrap();
-        let back = store.read_manifest().unwrap();
-        assert_eq!(back.version, 1);
-        assert_eq!(back.bus, None);
-        assert_eq!(back.shards[0].reused_from, None);
-        assert_eq!(
-            (back.supervisor, back.faults, back.sharing),
-            (None, None, None)
-        );
-        assert_eq!(store.load(1).unwrap(), snapshots);
-        // A fleet restored from it gets the default wiring.
-        let fleet = crate::fleet::TenantFleet::restore(&dir, &fast_config()).unwrap();
-        assert_eq!(fleet.supervisor(), SupervisorConfig::default());
-        assert_eq!(fleet.fault_plan(), None);
-        assert_eq!(fleet.sharing(), SharingConfig::default());
-        assert_eq!(fleet.residency(), None);
-        assert!(fleet.bus().is_none());
-        // And the next write continues the generation sequence.
-        let next = store.write(&snapshots, 8, 1).unwrap();
-        assert_eq!(next.generation, manifest.generation + 1);
-        assert_eq!(next.version, CHECKPOINT_FORMAT_VERSION);
-        let _ = fs::remove_dir_all(&dir);
-
-        // A generation written by shard reuse: generation 2 hard-links
-        // generation 1's shard files, and its manifests name the generation
-        // that serialized the bytes.
-        let dir = temp_dir("reuse-compat");
-        let store = CheckpointStore::new(&dir);
-        let snapshots = some_snapshots(5);
-        let first = store.write(&snapshots, 2, 1).unwrap();
-        fs::create_dir_all(dir.join("gen-000002")).unwrap();
-        let mut reused = first.clone();
-        reused.generation = 2;
-        for entry in &mut reused.shards {
-            let file = entry.file.replace("gen-000001", "gen-000002");
-            fs::hard_link(dir.join(&entry.file), dir.join(&file)).unwrap();
-            entry.file = file;
-            entry.reused_from = Some(1);
-        }
-        let json = serde_json::to_string(&reused).unwrap();
-        fs::write(dir.join("gen-000002/manifest.json"), &json).unwrap();
-        fs::write(dir.join("manifest.json"), &json).unwrap();
-        assert_eq!(store.read_manifest().unwrap(), reused);
-        assert_eq!(store.load(2).unwrap(), snapshots);
-        // The next write serializes every shard afresh, and its sweep of
-        // generation 1 leaves generation 2's linked shards loadable.
-        let third = store.write(&snapshots, 2, 1).unwrap();
-        assert_eq!(third.generation, 3);
-        assert!(third.shards.iter().all(|s| s.reused_from.is_none()));
-        assert!(!dir.join("gen-000001").exists());
-        for entry in &reused.shards {
-            assert_eq!(store.load_shard(entry).unwrap().len(), entry.tenants);
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn manifest_version_and_consistency_are_checked() {
         let dir = temp_dir("manifest");
         let store = CheckpointStore::new(&dir);
@@ -1244,6 +1112,24 @@ mod tests {
         )
         .unwrap();
         assert!(store.read_manifest().is_err());
+        // A checkpoint of the previous format version, root manifest and
+        // generation copy alike, is neither restorable nor writable.
+        manifest.tenant_count -= 1;
+        manifest.version = CHECKPOINT_FORMAT_VERSION - 1;
+        let old = serde_json::to_string(&manifest).unwrap();
+        fs::write(dir.join("manifest.json"), &old).unwrap();
+        fs::write(dir.join("gen-000001/manifest.json"), &old).unwrap();
+        assert!(matches!(
+            crate::fleet::TenantFleet::restore(&dir, &fast_config()),
+            Err(OnlineError::UnsupportedSnapshotVersion { found, .. })
+                if found == CHECKPOINT_FORMAT_VERSION - 1
+        ));
+        assert!(matches!(
+            store.write(&snapshots, 8, 1),
+            Err(OnlineError::UnsupportedSnapshotVersion { .. })
+        ));
+        assert_eq!(fs::read_to_string(dir.join("manifest.json")).unwrap(), old);
+        assert!(dir.join(&manifest.shards[0].file).exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -26,7 +26,7 @@ pub enum OnlineError {
     UnsupportedSnapshotVersion {
         /// Version found in the snapshot.
         found: u32,
-        /// Newest version this build supports.
+        /// The one version this build reads.
         supported: u32,
     },
     /// A checkpoint store operation failed. `shard` names the offending
@@ -118,7 +118,7 @@ impl fmt::Display for OnlineError {
             OnlineError::Simulator(e) => write!(f, "simulator error: {e}"),
             OnlineError::UnsupportedSnapshotVersion { found, supported } => write!(
                 f,
-                "snapshot format version {found} not supported (this build reads <= {supported})"
+                "snapshot format version {found} not supported (this build reads only {supported})"
             ),
             OnlineError::Checkpoint { shard, message } => match shard {
                 Some(shard) => write!(f, "checkpoint shard `{shard}`: {message}"),

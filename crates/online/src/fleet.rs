@@ -328,8 +328,8 @@ pub struct SupervisionStats {
     pub quarantined_now: usize,
 }
 
-/// Per-tenant supervision state ([`SupervisionSnapshot`] minus the round
-/// counter, which is fleet-global, plus transient per-round flags).
+/// Per-tenant supervision state ([`SupervisionSnapshot`] plus the health
+/// it implies and transient per-round flags).
 #[derive(Debug, Clone, Default)]
 struct Supervision {
     consecutive_failures: u32,
@@ -1705,7 +1705,6 @@ impl TenantFleet {
             self.bus.as_ref().map(|bus| bus.checkpoint_queues());
         let indexed: Vec<(usize, &TenantSlot)> = self.tenants.iter().enumerate().collect();
         let supervision = &self.supervision;
-        let round = self.round_counter;
         let residency_on = self.residency.is_some();
         let residency_state: &[Residency] = &self.residency_state;
         let config = self.config;
@@ -1737,7 +1736,6 @@ impl TenantFleet {
                 }
                 let sup = &supervision[index];
                 snapshot.supervision = Some(SupervisionSnapshot {
-                    round,
                     consecutive_failures: sup.consecutive_failures,
                     quarantine: sup.quarantine,
                     failures: sup.failures,
@@ -1781,11 +1779,11 @@ impl TenantFleet {
                 pool: Some(&self.pool),
                 fleet: FleetWiring {
                     bus: self.bus.as_ref().map(|bus| bus.config()),
-                    round: Some(self.round_counter),
+                    round: self.round_counter,
                     residency: self.residency,
-                    supervisor: Some(self.supervisor),
+                    supervisor: self.supervisor,
                     faults: self.fault_plan(),
-                    sharing: Some(self.sharing),
+                    sharing: self.sharing,
                 },
             },
         );
@@ -1835,16 +1833,10 @@ impl TenantFleet {
     /// sharing policy. Each is validated the way its setter validates it
     /// (an invalid hand-edited value fails with
     /// [`OnlineError::InvalidConfig`]) and re-applied, so the restored
-    /// fleet plans under the policy it was checkpointed with. Checkpoints
-    /// older than format v5 carry no supervisor, fault plan or sharing
-    /// policy and restore with the defaults. Older v5 manifests may carry
-    /// the retired supervisor keys `recovery` and `snapshot_every`, and
-    /// their shards a `last_good_snapshot`; all three are ignored, so a
-    /// checkpoint written under `"recovery":"RestoreSnapshot"` restores
-    /// with forced-refit probes, the only recovery there is. Their sharing
-    /// policy may carry the retired forecast-clustering switch `enabled`;
-    /// it is ignored too, so such a checkpoint restores to every tenant
-    /// sampling its own forecast.
+    /// fleet plans under the policy it was checkpointed with. Only
+    /// checkpoints of the current [`crate::CHECKPOINT_FORMAT_VERSION`]
+    /// restore; any other version fails with
+    /// [`OnlineError::UnsupportedSnapshotVersion`].
     ///
     /// `options` holds what belongs to the restoring process rather than
     /// to the checkpoint: the storage backend and the page directory. The
@@ -1891,8 +1883,7 @@ impl TenantFleet {
         }
         // Supervision and residency state travel with the tenants: pull
         // them out before the snapshots are consumed by the scaler rebuild
-        // below. Pre-v3 checkpoints carry no supervision (those tenants
-        // restore healthy); pre-v4 carry no residency (all hot).
+        // below.
         let supervision: Vec<Option<SupervisionSnapshot>> = snapshots
             .iter_mut()
             .map(|snapshot| snapshot.supervision.take())
@@ -1926,10 +1917,9 @@ impl TenantFleet {
             TenantSlot::Paged(_) => unreachable!("restore materializes every tenant"),
         };
         let mut fleet = Self::assemble(*config, origin, tenants, workers, bus);
-        let mut round_counter = 0;
+        fleet.round_counter = manifest.round;
         for (i, snapshot) in supervision.into_iter().enumerate() {
             let Some(snapshot) = snapshot else { continue };
-            round_counter = round_counter.max(snapshot.round);
             fleet.supervision[i] = Supervision {
                 consecutive_failures: snapshot.consecutive_failures,
                 quarantine: snapshot.quarantine,
@@ -1947,9 +1937,6 @@ impl TenantFleet {
                 served_sticky: false,
             };
         }
-        // The manifest round (format v4) is authoritative; older
-        // checkpoints fall back to the max supervision round.
-        fleet.round_counter = manifest.round.unwrap_or(round_counter);
         // Residency state restores resident-cold: cold tenants come back
         // in memory (the restore just built them) but stay hibernated —
         // they re-page lazily on the first round if a hibernation store
@@ -1971,15 +1958,11 @@ impl TenantFleet {
                 };
             }
         }
-        if let Some(supervisor) = manifest.supervisor {
-            fleet.set_supervisor(supervisor);
-        }
+        fleet.set_supervisor(manifest.supervisor);
         if let Some(faults) = manifest.faults {
             fleet.set_faults(faults);
         }
-        if let Some(sharing) = manifest.sharing {
-            fleet.set_sharing(sharing)?;
-        }
+        fleet.set_sharing(manifest.sharing)?;
         fleet.checkpoint_storage = options.storage;
         if let Some(hibernation_dir) = options.hibernation_dir {
             fleet.set_hibernation_dir(hibernation_dir)?;
@@ -2562,34 +2545,14 @@ mod tests {
         assert_eq!(restored.supervision_stats(), fleet.supervision_stats());
         assert_eq!(restored.tenant_health(2), Some(TenantHealth::Quarantined));
 
-        // The same checkpoint as an earlier build wrote it: the manifest's
-        // supervisor carries the retired snapshot-restore keys and the
-        // quarantined tenant's shard a last-good scaler snapshot. It
-        // restores with the three surviving policy fields.
-        let legacy_dir = dir.join("legacy");
-        fleet.checkpoint_sharded(&legacy_dir, 2).unwrap();
-        write_retired_supervision_keys(&legacy_dir, &fleet, 2);
-        let mut legacy = TenantFleet::restore(&legacy_dir, &config).unwrap();
-        assert_eq!(
-            legacy.supervisor(),
-            SupervisorConfig {
-                quarantine_after: 1,
-                probe_backoff: 4,
-                max_backoff: SupervisorConfig::default().max_backoff,
-            }
-        );
-        assert_eq!(legacy.tenant_health(2), Some(TenantHealth::Quarantined));
-
-        // All three continue identically: the quarantined tenant probes
-        // on the same round (1 + 4 = 5) and recovers by refit.
+        // Both continue identically: the quarantined tenant probes on the
+        // same round (1 + 4 = 5) and recovers by refit.
         let refits_before = fleet.tenant(2).unwrap().scaler.stats().refits;
         for round in 2..8u64 {
             let now = 400.0 + 20.0 * round as f64;
             let ours = fleet.run_round_supervised(now, &[0, 0, 0]).unwrap();
             let theirs = restored.run_round_supervised(now, &[0, 0, 0]).unwrap();
-            let old = legacy.run_round_supervised(now, &[0, 0, 0]).unwrap();
             assert_eq!(ours, theirs, "round {round}");
-            assert_eq!(ours, old, "legacy checkpoint, round {round}");
             let expected = if round == 5 {
                 TenantHealth::Recovered
             } else if round < 5 {
@@ -2599,72 +2562,10 @@ mod tests {
             };
             assert_eq!(ours.outcomes[2].health, expected, "round {round}");
         }
-        assert!(legacy.tenant(2).unwrap().scaler.stats().refits > refits_before);
+        assert!(restored.tenant(2).unwrap().scaler.stats().refits > refits_before);
         assert_eq!(fleet.supervision_stats(), restored.supervision_stats());
-        assert_eq!(fleet.supervision_stats(), legacy.supervision_stats());
         assert_eq!(fleet.supervision_stats().quarantined_now, 0);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Rewrite a generation-1 checkpoint in `dir` into the files an
-    /// earlier build wrote: `"recovery":"RestoreSnapshot"` and
-    /// `"snapshot_every":8` in the manifests' supervisor, and tenant
-    /// `index`'s current scaler as its shard's `last_good_snapshot` (the
-    /// shard checksum and size in the manifests follow the new bytes).
-    fn write_retired_supervision_keys(dir: &Path, fleet: &TenantFleet, index: usize) {
-        let store = CheckpointStore::new(dir);
-        let manifest = store.read_manifest().unwrap();
-        let entry = manifest
-            .shards
-            .iter()
-            .find(|entry| {
-                store
-                    .load_shard(entry)
-                    .unwrap()
-                    .iter()
-                    .any(|tenant| tenant.id == index as u64)
-            })
-            .unwrap();
-        let shard_path = dir.join(&entry.file);
-        let shard = std::fs::read_to_string(&shard_path).unwrap();
-        let scaler =
-            serde_json::to_string(&fleet.tenant(index).unwrap().scaler.snapshot()).unwrap();
-        // Every tenant's supervision object opens with its round; only the
-        // target tenant gets the snapshot.
-        let marker = format!("\"id\":{index},");
-        let start = shard.find(&marker).unwrap();
-        let at =
-            start + shard[start..].find("\"supervision\":{").unwrap() + "\"supervision\":{".len();
-        let shard = format!(
-            "{}\"last_good_snapshot\":{scaler},{}",
-            &shard[..at],
-            &shard[at..]
-        );
-        std::fs::write(&shard_path, &shard).unwrap();
-        let old_entry = format!(
-            "\"checksum\":\"{}\",\"bytes\":{}",
-            entry.checksum, entry.bytes
-        );
-        let new_entry = format!(
-            "\"checksum\":\"{:016x}\",\"bytes\":{}",
-            crate::checkpoint::fnv1a64(shard.as_bytes()),
-            shard.len()
-        );
-        for manifest_path in [
-            dir.join("manifest.json"),
-            dir.join("gen-000001/manifest.json"),
-        ] {
-            let text = std::fs::read_to_string(&manifest_path).unwrap();
-            assert!(
-                text.contains(&old_entry) && text.contains("\"supervisor\":{"),
-                "{text}"
-            );
-            let text = text.replace(&old_entry, &new_entry).replace(
-                "\"supervisor\":{",
-                "\"supervisor\":{\"recovery\":\"RestoreSnapshot\",\"snapshot_every\":8,",
-            );
-            std::fs::write(&manifest_path, text).unwrap();
-        }
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //! drain boundaries) and comparing the regenerated stream field by field
 //! against the recorded one.
 //!
-//! ## Trace format (v1)
+//! ## Trace format
 //!
 //! One [`TraceRecord`] per line. Line 1 is always [`TraceRecord::Header`]
 //! (format version, session kind, seed, tenant count, ring origin, the
-//! full [`OnlineConfig`] and — when an arrival bus was attached — its
-//! [`BusConfig`]). After it, in session order:
+//! full [`OnlineConfig`] and the session's wiring: arrival bus, fault
+//! plan, supervisor, residency and sharing policies). After it, in
+//! session order:
 //!
 //! * [`TraceRecord::Install`] — an externally fitted model installed into
 //!   a tenant (warm starts). Replay *executes* it.
@@ -36,9 +37,14 @@
 //!   (`enqueued`, `dropped_full`, `queued_peak`) are recorded for audit
 //!   but not re-derivable (replay enqueues only the *accepted* arrivals),
 //!   so they are not compared.
+//! * [`TraceRecord::Residency`] — a hibernate/wake transition of an
+//!   activity-tiered fleet. Validated bit-for-bit.
 //! * [`TraceRecord::Qos`] — final serving counters and (harness sessions)
 //!   the QoS headline metrics. Counters are validated; the QoS scalars
 //!   are checked against [`PolicyBands`].
+//!
+//! A build parses only its own [`TRACE_FORMAT_VERSION`]; unknown keys are
+//! ignored on load.
 //!
 //! ## Strict vs lenient
 //!
@@ -71,33 +77,10 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-/// Trace format version written by [`TraceRecorder`]; bump on any record
-/// layout change and keep [`RecordedTrace::parse`] reading every version
-/// still present in checked-in golden corpora.
-///
-/// v2 added the optional `faults` / `supervisor` header fields (chaos
-/// sessions replay their injected faults and quarantine decisions); v1
-/// traces parse as fault-free sessions under the default supervisor.
-///
-/// v3 added the optional `residency` header field and the
-/// [`TraceRecord::Residency`] record (hibernate/wake transitions of
-/// activity-tiered fleets replay and validate bit-for-bit); v1/v2 traces
-/// parse as always-hot sessions.
-///
-/// v4 added the optional `sharing` header field: the plan-reuse policy
-/// ([`crate::sharing::SharingConfig`]) the session ran under, re-applied
-/// by replay so plan-cache universes reproduce bit-for-bit. Pre-v4 traces
-/// parse as sharing-off sessions (which they were — the setting did not
-/// exist). Older v4 headers also carry a retired `decision_dedup` key; it
-/// is ignored, since dedup never changed a plan bit. They also carry the
-/// retired forecast-clustering switch `enabled`, which is ignored on load
-/// too: a session recorded with `"enabled":true` replays with every tenant
-/// sampling its own forecast, so it diverges under strict replay. (The
-/// `sharing.jsonl` golden was recorded with `"enabled":false`.) Their
-/// `supervisor` may carry the retired `recovery` and `snapshot_every`
-/// keys, ignored as well: a session recorded with
-/// `"recovery":"RestoreSnapshot"` replays with forced-refit probes, the
-/// only recovery there is.
+/// Trace format version written by [`TraceRecorder`], the only one
+/// [`RecordedTrace::parse`] reads; bump on any record layout change. The
+/// layout is the one the module docs describe; unknown keys are ignored
+/// on load.
 pub const TRACE_FORMAT_VERSION: u32 = 4;
 
 /// What kind of session a trace records.
@@ -195,20 +178,18 @@ pub struct TraceHeader {
     pub bus: Option<BusConfig>,
     /// The fault plan active while recording, when chaos was enabled —
     /// replay re-applies it so every injected fault (and therefore every
-    /// quarantine and probe) reproduces. Absent in v1 traces and fault-free
-    /// sessions.
+    /// quarantine and probe) reproduces. Absent in fault-free sessions.
     pub faults: Option<crate::faults::FaultPlan>,
-    /// The fleet supervision policy the session ran under; absent in v1
-    /// traces and single-scaler sessions (replay then uses the default).
+    /// The fleet supervision policy the session ran under; absent in
+    /// single-scaler sessions.
     pub supervisor: Option<crate::fleet::SupervisorConfig>,
     /// The residency policy, when activity tiering was enabled — replay
     /// re-enables it (paging off: a resident-cold tenant is
     /// bit-equivalent to a paged one) so hibernation and wake decisions
-    /// reproduce. Absent in pre-v3 traces and always-hot sessions.
+    /// reproduce. Absent in always-hot sessions.
     pub residency: Option<crate::fleet::ResidencyConfig>,
     /// The plan-reuse policy the session ran under — replay re-applies it
-    /// so the plan-cache universe reproduces bit-for-bit. Absent in pre-v4
-    /// traces (sharing-off sessions by construction).
+    /// so the plan-cache universe reproduces bit-for-bit.
     pub sharing: Option<crate::sharing::SharingConfig>,
 }
 
@@ -311,7 +292,7 @@ pub enum TraceRecord {
     Plan(PlanRecord),
     /// One residency transition (hibernate or wake) observed by round
     /// `round` — validated against the regenerated transition stream on
-    /// replay. Only present in v3+ traces of residency-enabled sessions.
+    /// replay. Only present in traces of residency-enabled sessions.
     Residency {
         /// Round index the transition was recorded under.
         round: u64,
@@ -349,8 +330,7 @@ impl TraceRecord {
 /// Fingerprint of a model: FNV-1a 64 over its JSON serialization,
 /// lowercase hex — cheap, stable, and sensitive to any parameter change.
 pub fn model_fingerprint(model: &NhppModel) -> String {
-    let json = serde_json::to_string(model).expect("an NhppModel always serializes");
-    format!("{:016x}", crate::checkpoint::fnv1a64(json.as_bytes()))
+    format!("{:016x}", crate::scaler::fingerprint64(model))
 }
 
 // ---------------------------------------------------------------------------
@@ -743,11 +723,11 @@ impl RecordedTrace {
             Ok(_) => return Err(trace_err(1, "first record is not a header")),
             Err(e) => return Err(trace_err(1, format!("header parse failure: {e}"))),
         };
-        if header.version == 0 || header.version > TRACE_FORMAT_VERSION {
+        if header.version != TRACE_FORMAT_VERSION {
             return Err(trace_err(
                 1,
                 format!(
-                    "unsupported trace format version {} (this build reads <= {})",
+                    "unsupported trace format version {} (this build reads only {})",
                     header.version, TRACE_FORMAT_VERSION
                 ),
             ));
@@ -938,7 +918,7 @@ impl Replayer {
                 if let Some(residency) = header.residency {
                     fleet.enable_residency(residency)?;
                 }
-                // Plan-reuse sessions (v4+): re-apply the recorded policy so
+                // Plan-reuse sessions: re-apply the recorded policy so
                 // plan-cache hits reproduce bit-for-bit.
                 if let Some(sharing) = header.sharing {
                     fleet.set_sharing(sharing)?;

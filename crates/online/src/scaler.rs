@@ -15,7 +15,7 @@
 //! threads the surrounding fleet uses.
 
 use crate::error::OnlineError;
-use crate::replay::{model_fingerprint, RefitTrigger, ScalerEvent};
+use crate::replay::{RefitTrigger, ScalerEvent};
 use crate::sharing::PlanCacheKey;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -99,13 +99,7 @@ impl OnlineConfig {
 }
 
 /// Serving-loop counters exposed for observability and tests.
-///
-/// `Deserialize` is hand-written: the counters persist inside
-/// [`ScalerSnapshot`]s, and snapshots written before
-/// [`OnlineStats::shared_planning_rounds`] or
-/// [`OnlineStats::plan_cache_hits`] existed must load with those counters
-/// at zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct OnlineStats {
     /// Arrivals accepted into the ring.
     pub arrivals_ingested: u64,
@@ -125,8 +119,7 @@ pub struct OnlineStats {
     pub failed_rounds: u64,
     /// Always 0: cross-tenant forecast clustering was removed (every
     /// tenant samples its own forecast). Kept only until a benchmark change
-    /// updates `perfbench/`, which still reads it; snapshots that carry a
-    /// non-zero count load it unchanged.
+    /// updates `perfbench/`, which still reads it.
     pub shared_planning_rounds: u64,
     /// Rounds served by time-shifting the memoized previous plan instead of
     /// re-running Monte Carlo (plan reuse, see
@@ -136,37 +129,8 @@ pub struct OnlineStats {
     pub plan_cache_hits: u64,
 }
 
-impl Deserialize for OnlineStats {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let require = |key: &str| match v.get(key) {
-            Some(value) => Deserialize::from_value(value),
-            None => Err(serde::Error::msg(format!(
-                "missing field `{key}` in OnlineStats"
-            ))),
-        };
-        Ok(Self {
-            arrivals_ingested: require("arrivals_ingested")?,
-            arrivals_dropped: require("arrivals_dropped")?,
-            refits: require("refits")?,
-            drift_refits: require("drift_refits")?,
-            planning_rounds: require("planning_rounds")?,
-            skipped_rounds: require("skipped_rounds")?,
-            failed_rounds: require("failed_rounds")?,
-            shared_planning_rounds: match v.get("shared_planning_rounds") {
-                Some(value) => Deserialize::from_value(value)?,
-                None => 0,
-            },
-            plan_cache_hits: match v.get("plan_cache_hits") {
-                Some(value) => Deserialize::from_value(value)?,
-                None => 0,
-            },
-        })
-    }
-}
-
-/// Format version written by [`OnlineScaler::snapshot`]; bump on any layout
-/// change and keep [`OnlineScaler::restore`] reading versions still present
-/// in fleet checkpoints.
+/// Format version written by [`OnlineScaler::snapshot`], the only one
+/// [`OnlineScaler::restore`] reads; bump on any layout change.
 pub const SCALER_SNAPSHOT_VERSION: u32 = 1;
 
 /// A serializable, version-tagged copy of everything that makes an
@@ -428,14 +392,14 @@ impl OnlineScaler {
     /// Install an externally fitted model (warm start from persisted state,
     /// or synthetic models in benches) without consuming ring history.
     pub fn install_model(&mut self, model: NhppModel, now: f64) -> Result<(), OnlineError> {
+        let print = fingerprint64(&model);
         if self.tracing {
             self.trace_events.push(ScalerEvent::Install {
                 at: now,
-                fingerprint: model_fingerprint(&model),
+                fingerprint: format!("{print:016x}"),
                 model: model.clone(),
             });
         }
-        let print = fingerprint64(&model);
         match &mut self.forecaster {
             Some(f) => f.refresh(model),
             None => {
@@ -482,14 +446,14 @@ impl OnlineScaler {
         self.ring.advance_to(now);
         let snapshot = self.ring.series_complete(now)?;
         let trained = self.pipeline.train_on_counts(snapshot)?;
+        let print = fingerprint64(&trained.model);
         if self.tracing {
             self.trace_events.push(ScalerEvent::Refit {
                 at: now,
                 trigger,
-                fingerprint: model_fingerprint(&trained.model),
+                fingerprint: format!("{print:016x}"),
             });
         }
-        let print = fingerprint64(&trained.model);
         match &mut self.forecaster {
             Some(f) => f.refresh(trained.model),
             None => self.forecaster = Some(trained.forecaster(self.pipeline.config())?),
@@ -822,10 +786,10 @@ impl OnlineScaler {
     }
 }
 
-/// FNV-1a 64 over a model's JSON — the raw form of
-/// [`crate::replay::model_fingerprint`], kept numeric for
-/// [`PlanCacheKey`]'s fixed-width fields.
-fn fingerprint64(model: &NhppModel) -> u64 {
+/// FNV-1a 64 over a model's JSON: the key field [`PlanCacheKey`] embeds,
+/// and, as lowercase hex, the trace fingerprint
+/// ([`crate::replay::model_fingerprint`]).
+pub(crate) fn fingerprint64(model: &NhppModel) -> u64 {
     let json = serde_json::to_string(model).expect("an NhppModel always serializes");
     crate::checkpoint::fnv1a64(json.as_bytes())
 }

@@ -40,10 +40,8 @@ const EMPTY_MASS: f64 = 1e-12;
 /// Fleet-level plan-reuse policy.
 ///
 /// It changes no tenant state, only how the next rounds compute their
-/// plans. Fleet checkpoints record it in the manifest (format v5), so a
-/// restored fleet plans under the policy it was checkpointed with.
-/// Manifests and trace headers written while forecast clustering existed
-/// also carry an `enabled` key; it is ignored on load.
+/// plans. Fleet checkpoints record it in the manifest, so a restored
+/// fleet plans under the policy it was checkpointed with.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SharingConfig {
     /// Geometric quantization ratio for the plan-cache key's forecast-mass

@@ -629,7 +629,7 @@ fn hand_edited_manifest_policies_fail_restore_validation() {
     let written = fleet.checkpoint(&dir).unwrap();
     let edits: [fn(&mut Manifest); 2] = [
         |m| m.residency.as_mut().unwrap().cold_after = 0,
-        |m| m.sharing.as_mut().unwrap().quantization = 0.0,
+        |m| m.sharing.quantization = 0.0,
     ];
     for edit in edits {
         let mut manifest = written.clone();

@@ -252,14 +252,11 @@ fn replay_golden(name: &str) -> RecordedTrace {
         )
     });
     let trace = RecordedTrace::parse(&text).unwrap();
-    // Goldens may lag the current format (they are regenerated only when
-    // their recorded *behavior* changes): replaying an older version IS
-    // the backward-compatibility contract. v2 added optional chaos header
-    // fields, so v1 goldens stay byte-frozen and replay as fault-free.
-    assert!(
-        trace.header.version <= TRACE_FORMAT_VERSION,
-        "golden `{name}` was recorded by a future format (v{})",
-        trace.header.version
+    // A build reads only its own format, so every golden is re-recorded
+    // whenever the format version changes.
+    assert_eq!(
+        trace.header.version, TRACE_FORMAT_VERSION,
+        "golden `{name}` was recorded at another format version"
     );
     let report = replay_trace(&trace, ReplayMode::Strict, &PolicyBands::default())
         .unwrap_or_else(|e| panic!("golden `{name}` diverged: {e}"));
@@ -404,12 +401,16 @@ fn unknown_future_version_fails_naming_line_one() {
         &|round| round,
     );
     let current = format!("\"version\":{TRACE_FORMAT_VERSION}");
-    let bumped = text.replacen(&current, "\"version\":99", 1);
-    assert_ne!(text, bumped, "header serialization changed shape");
-    let err = RecordedTrace::parse(&bumped).unwrap_err();
-    let message = err.to_string();
-    assert!(message.contains("version 99"), "{message}");
-    assert!(message.contains("line 1"), "{message}");
+    // A future version and the previous one both fail: a build reads only
+    // the version it writes.
+    for version in [99, TRACE_FORMAT_VERSION - 1] {
+        let other = text.replacen(&current, &format!("\"version\":{version}"), 1);
+        assert_ne!(text, other, "header serialization changed shape");
+        let err = RecordedTrace::parse(&other).unwrap_err();
+        let message = err.to_string();
+        assert!(message.contains(&format!("version {version}")), "{message}");
+        assert!(message.contains("line 1"), "{message}");
+    }
 }
 
 #[test]
@@ -513,25 +514,6 @@ fn retired_bus_and_queue_keys_still_restore_and_replay() {
     let report = replay_trace(&trace, ReplayMode::Strict, &PolicyBands::default()).unwrap();
     assert!(report.passed(), "{:?}", report.divergences);
     assert!(report.plans_checked > 0);
-}
-
-/// Format-compatibility pin: the committed v1 fixture (frozen bytes, never
-/// regenerated) must stay readable by every future reader of version 1.
-#[test]
-fn v1_fixture_still_parses() {
-    let path = traces_dir().join("v1_fixture.jsonl");
-    let trace = RecordedTrace::load(&path).unwrap_or_else(|e| {
-        panic!("v1 fixture {} unreadable: {e}", path.display());
-    });
-    assert_eq!(trace.header.version, 1);
-    assert!(trace
-        .records
-        .iter()
-        .any(|(_, r)| matches!(r, TraceRecord::Plan(_))));
-    assert!(matches!(
-        trace.records.last().map(|(_, r)| r),
-        Some(TraceRecord::Qos(_))
-    ));
 }
 
 proptest! {
