@@ -1,16 +1,29 @@
 //! Criterion bench: scaling-decision computation (paper Fig. 8's runtime
-//! axis) — the sort-and-search Algorithm 3, the quantile rule of eq. (3),
-//! and a full planning window as a function of QPS and of the Monte Carlo
-//! sample count R.
+//! axis). The exact engine that planning runs — one decision and one full
+//! planning window per rule — beside the paper's Monte Carlo reference: the
+//! sort-and-search Algorithm 3 and the quantile rule of eq. (3) as a
+//! function of the sample count R.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use robustscaler_nhpp::PiecewiseConstantIntensity;
 use robustscaler_scaling::{
-    solve_waiting_root, ArrivalSampler, DecisionConfig, DecisionRule, PendingTimeModel,
-    PlannerConfig, PlannerState, SequentialPlanner,
+    decide_exact, solve_waiting_root, ArrivalSampler, DecisionConfig, DecisionRule,
+    PendingTimeModel, PlannerConfig, PlannerState, SequentialPlanner,
 };
+
+/// The three rules at the paper's targets (α = 0.1, 1 s waiting, 2 s idle).
+const RULES: [(&str, DecisionRule); 3] = [
+    ("hp", DecisionRule::HittingProbability { alpha: 0.1 }),
+    (
+        "rt",
+        DecisionRule::ResponseTime {
+            target_waiting: 1.0,
+        },
+    ),
+    ("cost", DecisionRule::CostBudget { target_idle: 2.0 }),
+];
 
 fn bench_sort_and_search(c: &mut Criterion) {
     let mut group = c.benchmark_group("sort_and_search_vs_samples");
@@ -26,6 +39,8 @@ fn bench_sort_and_search(c: &mut Criterion) {
     group.finish();
 }
 
+/// The Monte Carlo reference for one HP decision: sampling R paths plus the
+/// quantile rule.
 fn bench_single_decision(c: &mut Criterion) {
     let mut group = c.benchmark_group("hp_decision_vs_samples");
     let intensity = PiecewiseConstantIntensity::new(0.0, 1e6, vec![5.0]).unwrap();
@@ -42,7 +57,6 @@ fn bench_single_decision(c: &mut Criterion) {
                         pending: PendingTimeModel::Deterministic(13.0),
                         monte_carlo_samples: r,
                     },
-                    &mut rng,
                 )
                 .unwrap()
             });
@@ -51,66 +65,40 @@ fn bench_single_decision(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_planning_window_vs_qps(c: &mut Criterion) {
-    let mut group = c.benchmark_group("planning_window_vs_qps");
-    group.sample_size(10);
-    for &qps in &[1.0_f64, 10.0, 100.0] {
-        let intensity = PiecewiseConstantIntensity::new(0.0, 1e6, vec![qps]).unwrap();
-        let planner = SequentialPlanner::new(PlannerConfig {
-            decision: DecisionConfig {
-                rule: DecisionRule::HittingProbability { alpha: 0.1 },
-                pending: PendingTimeModel::Deterministic(13.0),
-                monte_carlo_samples: 300,
-            },
-            planning_interval: 5.0,
-            max_decisions_per_round: 10_000,
-        })
-        .unwrap();
-        group.bench_with_input(
-            BenchmarkId::from_parameter(qps as u64),
-            &intensity,
-            |b, intensity| {
-                let mut rng = StdRng::seed_from_u64(11);
-                b.iter(|| {
-                    planner
-                        .plan_window(intensity, 0.0, PlannerState { covered: 0 }, &mut rng)
-                        .unwrap()
-                });
-            },
-        );
+/// One exact decision (the third upcoming arrival at 5 QPS) per rule — the
+/// counterpart of `hp_decision_vs_samples`.
+fn bench_exact_decision(c: &mut Criterion) {
+    let mut group = c.benchmark_group("exact_decision");
+    let intensity = PiecewiseConstantIntensity::new(0.0, 1e6, vec![5.0]).unwrap();
+    for (name, rule) in RULES {
+        group.bench_function(name, |b| {
+            b.iter(|| decide_exact(&intensity, 0.0, 3, &rule, 13.0));
+        });
     }
     group.finish();
 }
 
-/// A full planning round at the paper's operating point (Fig. 8: R = 1000,
-/// Δ such that ≈ 50 arrivals fall in the window) as a function of the Monte
-/// Carlo replication count. This is the engine's end-to-end hot path and the
-/// number tracked across PRs in `BENCH_decision.json`.
-fn bench_plan_window(c: &mut Criterion) {
-    let mut group = c.benchmark_group("plan_window");
-    group.sample_size(10);
-    // 5 QPS over a 10 s window: ≈ 50 expected arrivals per round; the 13 s
-    // pending lead means the planner looks well past the initial horizon
-    // guess, exercising the horizon-growth path.
-    let intensity = PiecewiseConstantIntensity::new(0.0, 1e6, vec![5.0]).unwrap();
-    for &r in &[250usize, 1_000, 4_000] {
-        let planner = SequentialPlanner::new(PlannerConfig {
-            decision: DecisionConfig {
-                rule: DecisionRule::HittingProbability { alpha: 0.1 },
-                pending: PendingTimeModel::Deterministic(13.0),
-                monte_carlo_samples: r,
-            },
+/// A full exact planning round per rule at 5 QPS over a 10 s window
+/// (≈ 50 arrivals in the window, ≈ 115 decisions with the 13 s lead), on a
+/// 60 s-bucket diurnal-ish forecast like a serving tenant's. The planner is
+/// reused across iterations, so the HP quantile table is warm — the serving
+/// steady state.
+fn bench_exact_plan_window(c: &mut Criterion) {
+    let mut group = c.benchmark_group("exact_plan_window");
+    let rates: Vec<f64> = (0..60)
+        .map(|k| 5.0 * (1.0 + 0.3 * (k as f64 / 9.5).sin()))
+        .collect();
+    let intensity = PiecewiseConstantIntensity::new(0.0, 60.0, rates).unwrap();
+    for (name, rule) in RULES {
+        let mut planner = SequentialPlanner::new(PlannerConfig {
+            rule,
+            pending: PendingTimeModel::Deterministic(13.0),
             planning_interval: 10.0,
             max_decisions_per_round: 10_000,
         })
         .unwrap();
-        group.bench_with_input(BenchmarkId::from_parameter(r), &planner, |b, planner| {
-            let mut rng = StdRng::seed_from_u64(17);
-            b.iter(|| {
-                planner
-                    .plan_window(&intensity, 0.0, PlannerState { covered: 0 }, &mut rng)
-                    .unwrap()
-            });
+        group.bench_function(name, |b| {
+            b.iter(|| planner.plan_window(&intensity, 30.0, PlannerState { covered: 0 }));
         });
     }
     group.finish();
@@ -120,7 +108,7 @@ criterion_group!(
     benches,
     bench_sort_and_search,
     bench_single_decision,
-    bench_planning_window_vs_qps,
-    bench_plan_window
+    bench_exact_decision,
+    bench_exact_plan_window
 );
 criterion_main!(benches);

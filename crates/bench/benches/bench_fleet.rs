@@ -1,10 +1,10 @@
 //! Criterion bench: multi-tenant fleet planning throughput.
 //!
 //! One iteration is one full fleet round — every tenant refreshes its
-//! forecast if needed and plans its next window (R = 250 Monte Carlo
-//! samples, ~5–25 arrivals per 10 s window across the tenant mix). The
-//! acceptance bar for the serving layer is ≥ 100 tenant-rounds/sec at
-//! R = 250 on one core, i.e. ≤ 2.5 s per round at 250 tenants serially.
+//! forecast if needed and plans its next window exactly (~5–25 arrivals
+//! per 10 s window across the tenant mix). The acceptance bar for the
+//! serving layer is ≥ 100 tenant-rounds/sec on one core, i.e. ≤ 2.5 s per
+//! round at 250 tenants serially.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use robustscaler_core::{RobustScalerConfig, RobustScalerVariant};
@@ -14,11 +14,10 @@ use robustscaler_parallel::available_threads;
 
 /// Warm-started fleet: models installed directly so the timed loop
 /// measures the serving path (forecast refresh + plan window), not ADMM.
-fn build_fleet(tenants: usize, samples: usize) -> TenantFleet {
+fn build_fleet(tenants: usize) -> TenantFleet {
     let mut pipeline =
         RobustScalerConfig::for_variant(RobustScalerVariant::HittingProbability { target: 0.9 });
     pipeline.planning_interval = 10.0;
-    pipeline.monte_carlo_samples = samples;
     pipeline.mean_processing = 20.0;
     let config = OnlineConfig::new(pipeline);
     let mut fleet = TenantFleet::new(&config, 0.0, tenants, 7).expect("valid fleet");
@@ -44,7 +43,7 @@ fn bench_fleet_round(c: &mut Criterion) {
             BenchmarkId::from_parameter(tenants),
             &tenants,
             |b, &tenants| {
-                let mut fleet = build_fleet(tenants, 250);
+                let mut fleet = build_fleet(tenants);
                 fleet.set_workers(1);
                 // Plan reuse on: the production configuration for large
                 // fleets (the `fleet_round_batched` group compares it with
@@ -76,7 +75,7 @@ fn bench_fleet_round(c: &mut Criterion) {
 /// * `sharing_on` — the round-over-round plan cache ([`SharingConfig::on`]).
 ///   Steady-state rounds time-shift cached plans, so an untimed warm-up
 ///   round precedes the timed loop.
-/// * `sharing_off` — every tenant samples its own forecast every round:
+/// * `sharing_off` — every tenant plans against its own forecast every round:
 ///   the cold all-miss round, which is also `sharing_on`'s first round.
 fn bench_fleet_round_batched(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet_round_batched");
@@ -90,7 +89,7 @@ fn bench_fleet_round_batched(c: &mut Criterion) {
             BenchmarkId::from_parameter(label),
             &sharing,
             |b, sharing| {
-                let mut fleet = build_fleet(tenants, 250);
+                let mut fleet = build_fleet(tenants);
                 fleet.set_workers(1);
                 if let Some(sharing) = sharing {
                     fleet.set_sharing(*sharing).expect("valid sharing");
@@ -122,7 +121,7 @@ fn bench_fleet_round_parallel(c: &mut Criterion) {
             BenchmarkId::from_parameter(tenants),
             &tenants,
             |b, &tenants| {
-                let mut fleet = build_fleet(tenants, 250);
+                let mut fleet = build_fleet(tenants);
                 fleet.set_workers(workers);
                 let mut round = 0u64;
                 b.iter(|| {
@@ -143,7 +142,7 @@ fn bench_fleet_round_parallel(c: &mut Criterion) {
 /// count × tenants by the iteration time for arrivals/sec; compare the
 /// iteration time against `fleet_round_vs_tenants` at the same tenant
 /// count for the drain share of a round (the "ingestion off the critical
-/// path" acceptance bar: ≤ 10 % at 250 tenants, R = 250).
+/// path" acceptance bar: ≤ 10 % at 250 tenants).
 fn bench_ingest_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("ingest_throughput");
     group.sample_size(10);
@@ -192,7 +191,7 @@ fn bench_fleet_checkpoint(c: &mut Criterion) {
     group.sample_size(10);
     let dir = std::env::temp_dir().join(format!("robustscaler-bench-ckpt-{}", std::process::id()));
     for &tenants in &[100usize, 250] {
-        let mut fleet = build_fleet(tenants, 250);
+        let mut fleet = build_fleet(tenants);
         fleet.set_workers(1);
         // A planned round so snapshots carry live RNG/cache state, as in
         // production — an idle fleet would checkpoint unrealistically fast.
@@ -252,7 +251,6 @@ fn bench_fleet_hibernation(c: &mut Criterion) {
     let mut pipeline =
         RobustScalerConfig::for_variant(RobustScalerVariant::HittingProbability { target: 0.9 });
     pipeline.planning_interval = 10.0;
-    pipeline.monte_carlo_samples = 250;
     pipeline.mean_processing = 20.0;
     let config = OnlineConfig::new(pipeline);
 
@@ -272,7 +270,7 @@ fn bench_fleet_hibernation(c: &mut Criterion) {
     );
     drop(big);
 
-    let mut reference = build_fleet(active, 250);
+    let mut reference = build_fleet(active);
     reference.set_workers(1);
     group.bench_function(BenchmarkId::new("round_1k_resident", active), |b| {
         let mut round = 0u64;
@@ -290,7 +288,7 @@ fn bench_fleet_hibernation(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("robustscaler-bench-pages-{}", std::process::id()));
     let store = HibernationStore::new(&dir);
     let scaler = {
-        let mut fleet = build_fleet(1, 250);
+        let mut fleet = build_fleet(1);
         fleet
             .run_round_uniform(86_400.0, 0)
             .expect("round succeeds");

@@ -18,14 +18,14 @@ fn main() {
     println!("\n(a) hitting probability: nominal vs actual");
     println!("{:>12} {:>12}", "nominal", "actual");
     for &target in &[0.5, 0.7, 0.8, 0.9, 0.95] {
-        let (point, _) = run_policy_spec(&workload, PolicySpec::RobustScalerHp(target), 30.0, 200);
+        let (point, _) = run_policy_spec(&workload, PolicySpec::RobustScalerHp(target), 30.0);
         println!("{:>12.2} {:>12.3}", target, point.hit_rate);
     }
 
     println!("\n(b) expected response time (s): nominal vs actual");
     println!("{:>12} {:>12}", "nominal", "actual");
     for &target in &[183.0, 186.0, 190.0, 195.0] {
-        let (point, _) = run_policy_spec(&workload, PolicySpec::RobustScalerRt(target), 30.0, 200);
+        let (point, _) = run_policy_spec(&workload, PolicySpec::RobustScalerRt(target), 30.0);
         println!("{:>12.1} {:>12.1}", target, point.rt_avg);
     }
 
@@ -33,7 +33,7 @@ fn main() {
     println!("{:>12} {:>12}", "nominal", "actual");
     for &budget in &[195.0, 200.0, 215.0, 230.0] {
         let (point, metrics) =
-            run_policy_spec(&workload, PolicySpec::RobustScalerCost(budget), 30.0, 200);
+            run_policy_spec(&workload, PolicySpec::RobustScalerCost(budget), 30.0);
         let actual = metrics.cost_per_query();
         println!(
             "{:>12.1} {:>12.1}   (relative_cost {:.3})",

@@ -19,7 +19,7 @@ fn main() {
     );
     for &delta in &[5.0, 15.0, 30.0, 60.0, 120.0, 300.0] {
         eprintln!("  running Δ = {delta} ...");
-        let (point, _) = run_policy_spec(&workload, PolicySpec::RobustScalerHp(0.9), delta, 200);
+        let (point, _) = run_policy_spec(&workload, PolicySpec::RobustScalerHp(0.9), delta);
         println!(
             "{:>12.0} {:>10.3} {:>10.1} {:>14.3}",
             delta, point.hit_rate, point.rt_avg, point.relative_cost

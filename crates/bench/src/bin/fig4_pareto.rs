@@ -12,7 +12,7 @@ use robustscaler_bench::workloads::{
 
 fn sweep(workload: &Workload, specs: &[PolicySpec]) -> Vec<ParetoPoint> {
     // The policy evaluations are independent; fan them out across cores.
-    run_policy_specs(workload, specs, 30.0, 200)
+    run_policy_specs(workload, specs, 30.0)
         .into_iter()
         .map(|(point, _)| point)
         .collect()

@@ -32,7 +32,7 @@ fn main() {
         "policy", "mean_hit", "var(hit|50)", "mean_rt", "var(rt|50)"
     );
     // The policy evaluations are independent; fan them out across cores.
-    for (point, _) in run_policy_specs(&workload, &specs, 30.0, 200) {
+    for (point, _) in run_policy_specs(&workload, &specs, 30.0) {
         println!(
             "{:<22} {:>12.3} {:>14.5} {:>12.1} {:>14.2}",
             point.label, point.hit_rate, point.hit_variance, point.rt_avg, point.rt_variance

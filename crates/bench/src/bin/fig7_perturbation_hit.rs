@@ -40,7 +40,7 @@ fn main() {
             .iter()
             .map(|&spec| {
                 eprintln!("  c={c}: running {} ...", spec.label());
-                run_policy_spec(&workload, spec, 30.0, 200).0
+                run_policy_spec(&workload, spec, 30.0).0
             })
             .collect();
         print_table(&format!("Fig. 7 — perturbation size c = {c}"), &points);

@@ -17,7 +17,7 @@ fn run_specs(workload: &Workload, specs: &[PolicySpec], suffix: &str) -> Vec<Par
         .iter()
         .map(|&spec| {
             eprintln!("  running {} ({suffix}) ...", spec.label());
-            let (mut point, _) = run_policy_spec(workload, spec, 30.0, 200);
+            let (mut point, _) = run_policy_spec(workload, spec, 30.0);
             point.label = format!("{} {suffix}", point.label);
             point
         })

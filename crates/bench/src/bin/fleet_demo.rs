@@ -37,9 +37,8 @@
 //!   fallbacks) instead of failing outright (see `--help`).
 //!
 //! Environment knobs: `FLEET_TENANTS` (default 250), `FLEET_ROUNDS`
-//! (default 20), `FLEET_SAMPLES` (Monte Carlo R, default 250),
-//! `FLEET_SHARING` (0 = off, any other value = the plan cache on;
-//! default 0).
+//! (default 20), `FLEET_SHARING` (0 = off, any other value = the plan
+//! cache on; default 0).
 
 use robustscaler_core::{RobustScalerConfig, RobustScalerVariant};
 use robustscaler_nhpp::NhppModel;
@@ -84,8 +83,7 @@ fallback) while unhealthy. Probabilities are per tenant-round:
   --fault-tenant <n>           restrict planning/arrival faults to tenant n
 
 Environment: FLEET_TENANTS (default 250), FLEET_ROUNDS (default 20),
-FLEET_SAMPLES (Monte Carlo R, default 250), FLEET_SHARING (0 = off,
-any other value = plan cache on; default 0).";
+FLEET_SHARING (0 = off, any other value = plan cache on; default 0).";
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -155,7 +153,6 @@ impl QueueReport {
 struct DemoReport {
     tenants: usize,
     rounds: usize,
-    monte_carlo_samples: usize,
     restored_from_checkpoint: bool,
     /// Arrivals are enqueued by a producer thread overlapped with the
     /// previous round's planning (the drain-at-round-boundary contract).
@@ -222,11 +219,10 @@ fn collect_warnings(
     warnings
 }
 
-fn fleet_config(samples: usize) -> OnlineConfig {
+fn fleet_config() -> OnlineConfig {
     let mut pipeline =
         RobustScalerConfig::for_variant(RobustScalerVariant::HittingProbability { target: 0.9 });
     pipeline.planning_interval = 10.0;
-    pipeline.monte_carlo_samples = samples;
     pipeline.mean_processing = 20.0;
     OnlineConfig::new(pipeline)
 }
@@ -234,9 +230,9 @@ fn fleet_config(samples: usize) -> OnlineConfig {
 /// A fleet whose tenants are warm-started with a diurnal-ish model so every
 /// round exercises the full forecast → plan path without paying ADMM
 /// training inside the timed loop, with the arrival bus attached.
-fn build_fleet(tenants: usize, samples: usize, seed: u64) -> TenantFleet {
-    let config = fleet_config(samples);
-    let mut fleet = TenantFleet::new(&config, 0.0, tenants, seed).expect("valid fleet");
+fn build_fleet(tenants: usize) -> TenantFleet {
+    let config = fleet_config();
+    let mut fleet = TenantFleet::new(&config, 0.0, tenants, 0).expect("valid fleet");
     fleet.attach_bus(BusConfig::default()).expect("fresh bus");
     for index in 0..tenants {
         // Tenant traffic levels spread over [0.5, 2.5] QPS with a mild
@@ -411,7 +407,6 @@ fn checkpoint_and_verify(
 fn main() {
     let tenants = env_usize("FLEET_TENANTS", 250);
     let rounds = env_usize("FLEET_ROUNDS", 20);
-    let samples = env_usize("FLEET_SAMPLES", 250);
     let sharing = (env_usize("FLEET_SHARING", 0) > 0).then(SharingConfig::on);
     let cores = available_threads();
 
@@ -466,9 +461,9 @@ fn main() {
         std::process::exit(2);
     }
 
-    let config = fleet_config(samples);
+    let config = fleet_config();
     println!(
-        "Fleet serving demo — {tenants} tenants, {rounds} rounds, R = {samples}, {cores} core(s){}",
+        "Fleet serving demo — {tenants} tenants, {rounds} rounds, {cores} core(s){}",
         if chaos {
             format!(" — chaos mode (fault seed {})", faults.seed)
         } else {
@@ -476,14 +471,14 @@ fn main() {
         }
     );
 
-    let build = |seed: u64| -> TenantFleet {
+    let build = || -> TenantFleet {
         let mut fleet = if restore {
             let dir = checkpoint_dir.as_deref().expect("checked above");
             let fleet = TenantFleet::restore(dir, &config).expect("restore succeeds");
             println!("restored {} tenants from {dir}", fleet.len());
             fleet
         } else {
-            build_fleet(tenants, samples, seed)
+            build_fleet(tenants)
         };
         // A restored fleet keeps the fault plan and sharing policy its
         // checkpoint recorded; the flags, when given, override them.
@@ -499,18 +494,18 @@ fn main() {
         fleet
     };
 
-    let mut serial_fleet = build(7);
+    let mut serial_fleet = build();
     let tenants = serial_fleet.len();
     serial_fleet.set_workers(1);
     let (serial_secs, serial_decisions, serial_plans) = run_rounds(&mut serial_fleet, 0, rounds);
 
-    let mut parallel_fleet = build(7);
+    let mut parallel_fleet = build();
     parallel_fleet.set_workers(cores);
     // Recording attaches *before* the timed stretch (per-tenant Install
     // records are emitted at attach, outside the timed loop) and detaches
     // after it, before the checkpoint phase's extra verification rounds.
     if let Some(path) = &record_path {
-        let recorder = TraceRecorder::to_file(path, &parallel_fleet.trace_header(7))
+        let recorder = TraceRecorder::to_file(path, &parallel_fleet.trace_header())
             .expect("writable trace path");
         parallel_fleet
             .start_recording(recorder)
@@ -637,7 +632,6 @@ fn main() {
         let report = DemoReport {
             tenants,
             rounds,
-            monte_carlo_samples: samples,
             restored_from_checkpoint: restore,
             ingest_overlapped: queue.is_some(),
             queue,

@@ -118,7 +118,7 @@ fn print_report(report: &HarnessReport) {
     );
     if report.stats.plan_cache_hits > 0 {
         println!(
-            "plan reuse:     {} cached round(s) served without resampling",
+            "plan reuse:     {} cached round(s) served without re-planning",
             report.stats.plan_cache_hits
         );
     }
@@ -185,10 +185,8 @@ fn main() {
     let mut pipeline =
         RobustScalerConfig::for_variant(RobustScalerVariant::HittingProbability { target: 0.9 });
     pipeline.mean_processing = 20.0;
-    pipeline.monte_carlo_samples = 300;
     pipeline.planning_interval = 10.0;
     pipeline.admm.max_iterations = 80;
-    pipeline.seed = 7;
     let config = HarnessConfig {
         online: OnlineConfig::new(pipeline),
         sim: SimulationConfig {

@@ -7,15 +7,85 @@
 //! target HP 0.9 → achieved ≈ 0.99; target extra-RT 1 s → achieved ≈ 0.5 s;
 //! target idle cost 2 s → achieved ≈ 2.5 s. The shape to reproduce is
 //! "achieved ≈ target (HP conservatively above)".
+//!
+//! The policies plan with the exact engine, which is the R → ∞ limit of
+//! the paper's Monte Carlo decisions; their achieved levels form that
+//! column. Beside it, the per-decision gap |Monte Carlo − exact| of the
+//! creation times at R ∈ {300, 1000, 10000}, over planning instants across
+//! the test hour, shows the Monte Carlo error shrinking at the 1/√R rate.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use robustscaler_bench::workloads::scale_from_env;
 use robustscaler_core::{
     evaluate_policy, RobustScalerConfig, RobustScalerPipeline, RobustScalerVariant,
+};
+use robustscaler_nhpp::Forecaster;
+use robustscaler_scaling::{
+    decide_batch, decide_exact, ArrivalSampler, DecisionConfig, DecisionRule, PendingTimeModel,
+    PlannerConfig, PlannerState, SequentialPlanner,
 };
 use robustscaler_simulator::{PendingTimeDistribution, SimulationConfig};
 use robustscaler_traces::{simulated_high_qps, ProcessingTimeModel};
 
 const HOUR: f64 = 3_600.0;
+
+/// Replication counts of the Monte Carlo columns.
+const REPLICATIONS: [usize; 3] = [300, 1_000, 10_000];
+
+/// Arrival indices compared per planning instant (the first ones of the
+/// round — the decisions the round actually schedules first).
+const INDICES_PER_INSTANT: usize = 40;
+
+/// Mean |Monte Carlo − exact| creation time, per entry of
+/// [`REPLICATIONS`], over planning instants every minute of the test hour,
+/// and the number of decisions compared.
+fn decision_gaps(
+    forecaster: &Forecaster,
+    rule: DecisionRule,
+    from: f64,
+    pending: PendingTimeModel,
+) -> ([f64; 3], usize) {
+    let tau = pending.mean();
+    let mut planner = SequentialPlanner::new(PlannerConfig {
+        rule,
+        pending,
+        planning_interval: 5.0,
+        max_decisions_per_round: 2_000,
+    })
+    .expect("valid planner config");
+    let mut sums = [0.0; 3];
+    let mut compared = 0;
+    for minute in 0..60 {
+        let now = from + 60.0 * minute as f64;
+        let forecast = forecaster.forecast(now, 600.0).expect("forecast");
+        let round = planner.plan_window(&forecast, now, PlannerState { covered: 0 });
+        let count = round.decisions.len().clamp(1, INDICES_PER_INSTANT);
+        let exact: Vec<f64> = (1..=count)
+            .map(|i| decide_exact(&forecast, now, i, &rule, tau).unconstrained_creation_time)
+            .collect();
+        for (k, &replications) in REPLICATIONS.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(1_000 * minute + k as u64);
+            let sampler = ArrivalSampler::new(&forecast, now, count, replications, &mut rng)
+                .expect("valid sampler");
+            let config = DecisionConfig {
+                rule,
+                pending,
+                monte_carlo_samples: replications,
+            };
+            let monte_carlo = decide_batch(&sampler, 1, count, &config).expect("decisions");
+            for (mc, exact) in monte_carlo.iter().zip(&exact) {
+                if exact.is_finite() {
+                    sums[k] += (mc.unconstrained_creation_time - exact).abs();
+                    if k == 0 {
+                        compared += 1;
+                    }
+                }
+            }
+        }
+    }
+    (sums.map(|sum| sum / compared.max(1) as f64), compared)
+}
 
 fn main() {
     let scale = scale_from_env(1.0);
@@ -48,7 +118,6 @@ fn main() {
         let mut config = RobustScalerConfig::for_variant(variant);
         config.mean_processing = 20.0;
         config.planning_interval = 5.0;
-        config.monte_carlo_samples = 1_000;
         RobustScalerPipeline::new(config)
             .expect("valid configuration")
             .build_policy(&train)
@@ -56,15 +125,15 @@ fn main() {
     };
 
     println!(
-        "\n{:<20} {:>16} {:>16}",
-        "variant", "target level", "achieved level"
+        "\n{:<20} {:>16} {:>24}",
+        "variant", "target level", "achieved (exact, R → ∞)"
     );
 
     // RobustScaler-HP: target hitting probability 0.9.
     let mut hp = build(RobustScalerVariant::HittingProbability { target: 0.9 });
     let (hp_result, _) = evaluate_policy(&test, &mut hp, sim).unwrap();
     println!(
-        "{:<20} {:>16.2} {:>16.3}",
+        "{:<20} {:>16.2} {:>24.3}",
         "RobustScaler-HP", 0.9, hp_result.hit_rate
     );
 
@@ -73,7 +142,7 @@ fn main() {
     let mut rt = build(RobustScalerVariant::ResponseTime { target: 21.0 });
     let (_, rt_metrics) = evaluate_policy(&test, &mut rt, sim).unwrap();
     println!(
-        "{:<20} {:>16.2} {:>16.3}",
+        "{:<20} {:>16.2} {:>24.3}",
         "RobustScaler-RT",
         1.0,
         rt_metrics.waiting_avg()
@@ -85,13 +154,54 @@ fn main() {
     let (_, cost_metrics) = evaluate_policy(&test, &mut cost, sim).unwrap();
     let achieved_idle = cost_metrics.cost_per_query() - 13.0 - 20.0;
     println!(
-        "{:<20} {:>16.2} {:>16.3}",
+        "{:<20} {:>16.2} {:>24.3}",
         "RobustScaler-cost", 2.0, achieved_idle
     );
+
+    // Per-decision Monte Carlo error against the exact engine, on the
+    // forecast of a model trained like the policies above.
+    let mut config =
+        RobustScalerConfig::for_variant(RobustScalerVariant::HittingProbability { target: 0.9 });
+    config.mean_processing = 20.0;
+    config.planning_interval = 5.0;
+    let pipeline = RobustScalerPipeline::new(config).expect("valid configuration");
+    let forecaster = pipeline
+        .train(&train)
+        .and_then(|trained| trained.forecaster(pipeline.config()))
+        .expect("training succeeds");
+    println!(
+        "\n{:<20} {:>10} {:>14} {:>14} {:>14}",
+        "rule", "decisions", "R = 300", "R = 1000", "R = 10000"
+    );
+    for (name, variant) in [
+        (
+            "HP (α = 0.1)",
+            RobustScalerVariant::HittingProbability { target: 0.9 },
+        ),
+        (
+            "RT (1 s waiting)",
+            RobustScalerVariant::ResponseTime { target: 21.0 },
+        ),
+        (
+            "cost (2 s idle)",
+            RobustScalerVariant::CostBudget { budget: 35.0 },
+        ),
+    ] {
+        let rule = variant
+            .to_rule(config.mean_processing, config.pending.mean())
+            .expect("valid rule");
+        let (gaps, compared) = decision_gaps(&forecaster, rule, test.start(), config.pending);
+        println!(
+            "{:<20} {:>10} {:>14.4} {:>14.4} {:>14.4}",
+            name, compared, gaps[0], gaps[1], gaps[2]
+        );
+    }
+    println!("(mean |Monte Carlo − exact| creation time per decision, seconds)");
 
     println!(
         "\nExpected shape (paper Table I): HP achieved ≥ target (0.99 vs 0.9),\n\
          RT-waiting achieved ≤ target (0.51 vs 1), idle cost achieved slightly\n\
-         above target (2.5 vs 2) — Monte Carlo with R = 1000 is accurate enough."
+         above target (2.5 vs 2). The Monte Carlo gap to the exact decisions\n\
+         shrinks about √10 for every 10× more replications."
     );
 }

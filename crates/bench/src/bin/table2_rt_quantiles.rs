@@ -11,7 +11,7 @@ use robustscaler_traces::remove_day;
 const LEVELS: [f64; 4] = [0.75, 0.95, 0.99, 0.999];
 
 fn quantile_row(workload: &Workload, spec: PolicySpec) -> Vec<f64> {
-    let (_, metrics) = run_policy_spec(workload, spec, 30.0, 200);
+    let (_, metrics) = run_policy_spec(workload, spec, 30.0);
     metrics.rt_quantiles(&LEVELS).expect("non-empty metrics")
 }
 

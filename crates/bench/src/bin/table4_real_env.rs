@@ -24,7 +24,6 @@ fn main() {
         });
         config.mean_processing = workload.mean_processing;
         config.planning_interval = 30.0;
-        config.monte_carlo_samples = 500;
         config.charge_compute_latency = charge_latency;
         let mut policy = RobustScalerPipeline::new(config)
             .expect("valid configuration")

@@ -70,18 +70,15 @@ pub struct ParetoPoint {
 
 /// Build the RobustScaler pipeline configuration shared by all sweeps.
 ///
-/// `planning_interval` and `monte_carlo_samples` are exposed because two of
-/// the experiments (Fig. 8 and Fig. 10 d) sweep them explicitly.
+/// `planning_interval` is exposed because Fig. 10 d sweeps it explicitly.
 pub fn robustscaler_config(
     variant: RobustScalerVariant,
     workload: &Workload,
     planning_interval: f64,
-    monte_carlo_samples: usize,
 ) -> RobustScalerConfig {
     let mut config = RobustScalerConfig::for_variant(variant);
     config.mean_processing = workload.mean_processing;
     config.planning_interval = planning_interval;
-    config.monte_carlo_samples = monte_carlo_samples;
     config.admm.max_iterations = 100;
     config
 }
@@ -96,14 +93,13 @@ pub fn run_policy_specs(
     workload: &Workload,
     specs: &[PolicySpec],
     planning_interval: f64,
-    monte_carlo_samples: usize,
 ) -> Vec<(ParetoPoint, SimulationMetrics)> {
     robustscaler_parallel::parallel_map(
         specs,
         robustscaler_parallel::available_threads(),
         |&spec| {
             eprintln!("  running {} on {} ...", spec.label(), workload.name);
-            run_policy_spec(workload, spec, planning_interval, monte_carlo_samples)
+            run_policy_spec(workload, spec, planning_interval)
         },
     )
 }
@@ -114,7 +110,6 @@ pub fn run_policy_spec(
     workload: &Workload,
     spec: PolicySpec,
     planning_interval: f64,
-    monte_carlo_samples: usize,
 ) -> (ParetoPoint, SimulationMetrics) {
     let (result, metrics) = match spec {
         PolicySpec::BackupPool(size) => {
@@ -130,7 +125,6 @@ pub fn run_policy_spec(
                 RobustScalerVariant::HittingProbability { target },
                 workload,
                 planning_interval,
-                monte_carlo_samples,
             );
             let mut policy = RobustScalerPipeline::new(config)
                 .expect("valid configuration")
@@ -143,7 +137,6 @@ pub fn run_policy_spec(
                 RobustScalerVariant::ResponseTime { target },
                 workload,
                 planning_interval,
-                monte_carlo_samples,
             );
             let mut policy = RobustScalerPipeline::new(config)
                 .expect("valid configuration")
@@ -156,7 +149,6 @@ pub fn run_policy_spec(
                 RobustScalerVariant::CostBudget { budget },
                 workload,
                 planning_interval,
-                monte_carlo_samples,
             );
             let mut policy = RobustScalerPipeline::new(config)
                 .expect("valid configuration")
@@ -215,8 +207,8 @@ mod tests {
     #[test]
     fn baseline_sweep_produces_monotone_cost() {
         let workload = google_workload(0.15);
-        let (small, _) = run_policy_spec(&workload, PolicySpec::BackupPool(0), 30.0, 100);
-        let (large, _) = run_policy_spec(&workload, PolicySpec::BackupPool(3), 30.0, 100);
+        let (small, _) = run_policy_spec(&workload, PolicySpec::BackupPool(0), 30.0);
+        let (large, _) = run_policy_spec(&workload, PolicySpec::BackupPool(3), 30.0);
         assert!(large.total_cost > small.total_cost);
         assert!(large.hit_rate >= small.hit_rate);
         assert!((small.relative_cost - 1.0).abs() < 1e-9);

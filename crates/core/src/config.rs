@@ -32,13 +32,17 @@ pub struct RobustScalerConfig {
     /// Planning interval Δ in seconds (the paper uses 1 s; larger values
     /// trade cost for fewer planning rounds, Fig. 10 d).
     pub planning_interval: f64,
-    /// Monte Carlo sample count R for the decision rules.
+    /// Unused by planning, which is exact (`robustscaler_scaling::exact`)
+    /// and samples nothing. Kept only because `perfbench/` assigns it;
+    /// dropped with the next benchmark change (ROADMAP item 2).
     pub monte_carlo_samples: usize,
     /// How far ahead (seconds) one forecast is reused before being refreshed.
     pub forecast_horizon: f64,
     /// Hard cap on creations scheduled per planning round.
     pub max_decisions_per_round: usize,
-    /// RNG seed for the Monte Carlo machinery inside the policy.
+    /// Unused by planning, which draws no random numbers. Kept only because
+    /// `perfbench/` assigns it; dropped with the next benchmark change
+    /// (ROADMAP item 2).
     pub seed: u64,
     /// Charge the wall-clock time spent computing decisions against the
     /// schedule (the "real environment" mode of Table IV).
@@ -47,7 +51,7 @@ pub struct RobustScalerConfig {
 
 impl RobustScalerConfig {
     /// A reasonable default configuration for a given variant: Δt = 60 s,
-    /// pending time 13 s, planning every 30 s with 300 Monte Carlo samples.
+    /// pending time 13 s, planning every 30 s.
     pub fn for_variant(variant: RobustScalerVariant) -> Self {
         Self {
             bucket_width: 60.0,
@@ -84,9 +88,6 @@ impl RobustScalerConfig {
         }
         if !(self.planning_interval > 0.0) {
             return Err(CoreError::InvalidConfig("planning_interval must be > 0"));
-        }
-        if self.monte_carlo_samples == 0 {
-            return Err(CoreError::InvalidConfig("monte_carlo_samples must be >= 1"));
         }
         if !(self.forecast_horizon > self.planning_interval) {
             return Err(CoreError::InvalidConfig(
@@ -139,9 +140,6 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = base;
         c.planning_interval = 0.0;
-        assert!(c.validate().is_err());
-        let mut c = base;
-        c.monte_carlo_samples = 0;
         assert!(c.validate().is_err());
         let mut c = base;
         c.forecast_horizon = c.planning_interval;

@@ -151,7 +151,6 @@ mod tests {
         });
         // Keep the unit tests fast.
         c.admm.max_iterations = 60;
-        c.monte_carlo_samples = 100;
         c
     }
 

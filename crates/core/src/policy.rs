@@ -3,7 +3,7 @@
 //! At every planning tick the policy refreshes its intensity forecast if
 //! needed, asks the sequential planner which instance creations must start
 //! within the next planning window, and emits the corresponding scheduling
-//! commands. A cheap sufficiency check skips the Monte Carlo work entirely
+//! commands. A cheap sufficiency check skips planning entirely
 //! when the instances already on the way clearly cover everything the
 //! forecast expects in the window — this is what keeps planning every few
 //! seconds affordable on week-long traces.
@@ -11,10 +11,8 @@
 use crate::config::RobustScalerConfig;
 use crate::error::CoreError;
 use crate::pipeline::TrainedModel;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use robustscaler_nhpp::{Forecaster, Intensity, PiecewiseConstantIntensity};
-use robustscaler_scaling::{DecisionConfig, PlannerConfig, PlannerState, SequentialPlanner};
+use robustscaler_scaling::{PlannerConfig, PlannerState, SequentialPlanner};
 use robustscaler_simulator::{Autoscaler, ScalingCommand, SystemState};
 use std::time::Instant;
 
@@ -24,7 +22,6 @@ pub struct RobustScalerPolicy {
     config: RobustScalerConfig,
     forecaster: Forecaster,
     planner: SequentialPlanner,
-    rng: StdRng,
     cached_forecast: Option<PiecewiseConstantIntensity>,
     cached_until: f64,
     /// Cumulative seconds spent computing decisions (reported by the
@@ -42,16 +39,12 @@ impl RobustScalerPolicy {
             .variant
             .to_rule(config.mean_processing, config.pending.mean())?;
         let planner = SequentialPlanner::new(PlannerConfig {
-            decision: DecisionConfig {
-                rule,
-                pending: config.pending,
-                monte_carlo_samples: config.monte_carlo_samples,
-            },
+            rule,
+            pending: config.pending,
             planning_interval: config.planning_interval,
             max_decisions_per_round: config.max_decisions_per_round,
         })?;
         Ok(Self {
-            rng: StdRng::seed_from_u64(config.seed),
             config,
             forecaster,
             planner,
@@ -95,7 +88,7 @@ impl RobustScalerPolicy {
 
     /// Cheap test: are the instances already on the way clearly enough for
     /// everything the forecast expects before the end of the window (plus the
-    /// startup lead time)? If so, skip the Monte Carlo planning entirely.
+    /// startup lead time)? If so, skip planning entirely.
     fn clearly_covered(&self, state: &SystemState) -> bool {
         let Some(forecast) = &self.cached_forecast else {
             return false;
@@ -129,17 +122,13 @@ impl Autoscaler for RobustScalerPolicy {
             .cached_forecast
             .as_ref()
             .expect("refresh_forecast populated the cache");
-        let round = match self.planner.plan_window(
+        let round = self.planner.plan_window(
             forecast,
             state.now,
             PlannerState {
                 covered: state.covered(),
             },
-            &mut self.rng,
-        ) {
-            Ok(round) => round,
-            Err(_) => return Vec::new(),
-        };
+        );
         self.planning_rounds += 1;
         let elapsed = started.elapsed().as_secs_f64();
         self.compute_seconds += elapsed;
@@ -189,10 +178,8 @@ mod tests {
     fn fast_config(variant: RobustScalerVariant) -> RobustScalerConfig {
         let mut c = RobustScalerConfig::for_variant(variant);
         c.admm.max_iterations = 40;
-        c.monte_carlo_samples = 120;
         c.planning_interval = 20.0;
         c.mean_processing = 5.0;
-        c.seed = 3;
         c
     }
 

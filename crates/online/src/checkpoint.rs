@@ -70,7 +70,7 @@ use std::time::Duration;
 /// `Vec<TenantSnapshot>`: the scaler snapshot plus, where the fleet runs
 /// them, the tenant's undrained queue, its supervision state and its
 /// residency state. Unknown keys are ignored on load.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 6;
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 7;
 
 /// How many times a shard/manifest write is attempted before the
 /// checkpoint fails (first try + retries).
@@ -739,12 +739,19 @@ impl CheckpointStore {
     /// that was skipped (also counted in [`CheckpointStore::io_stats`] and
     /// queued for [`CheckpointStore::take_notes`]). Only when no generation
     /// is restorable does the original failure surface.
+    ///
+    /// A root manifest of another format version is not a broken
+    /// generation but a directory this build cannot read: it fails at once
+    /// with [`OnlineError::UnsupportedSnapshotVersion`], as
+    /// [`CheckpointStore::write`] does, instead of restoring an older
+    /// generation.
     #[allow(clippy::type_complexity)]
     pub fn load_shards(
         &self,
         workers: usize,
     ) -> Result<(Manifest, Vec<Result<Vec<TenantSnapshot>, OnlineError>>), OnlineError> {
         let primary = match self.read_manifest() {
+            Err(e @ OnlineError::UnsupportedSnapshotVersion { .. }) => return Err(e),
             Ok(manifest) => {
                 let results =
                     parallel_map(&manifest.shards, workers, |entry| self.load_shard(entry));
@@ -831,7 +838,7 @@ impl CheckpointStore {
 }
 
 /// Format version of hibernation page files.
-pub const HIBERNATION_FORMAT_VERSION: u32 = 1;
+pub const HIBERNATION_FORMAT_VERSION: u32 = 2;
 
 /// On-disk envelope of one hibernated tenant's page file.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -987,8 +994,10 @@ mod tests {
     fn some_snapshots(n: u64) -> Vec<TenantSnapshot> {
         (0..n)
             .map(|id| {
-                let mut scaler = OnlineScaler::with_seed(fast_config(), 0.0, 1000 + id).unwrap();
-                let arrivals: Vec<f64> = (0..200).map(|i| i as f64 * 3.0).collect();
+                let mut scaler = OnlineScaler::new(fast_config(), 0.0).unwrap();
+                // A distinct traffic level per tenant keeps snapshots apart.
+                let gap = 3.0 + 0.25 * id as f64;
+                let arrivals: Vec<f64> = (0..200).map(|i| i as f64 * gap).collect();
                 scaler.ingest_batch(&arrivals);
                 scaler.plan_round(600.0, 0).unwrap();
                 TenantSnapshot::new(id, scaler.snapshot())
@@ -1130,6 +1139,25 @@ mod tests {
         ));
         assert_eq!(fs::read_to_string(dir.join("manifest.json")).unwrap(), old);
         assert!(dir.join(&manifest.shards[0].file).exists());
+        let _ = fs::remove_dir_all(&dir);
+
+        // Two generations, the root and generation-2 manifests at a newer
+        // format version: the restore fails naming that version instead of
+        // falling back to the still-readable generation 1.
+        let dir = temp_dir("manifest-newer");
+        let store = CheckpointStore::new(&dir);
+        store.write(&snapshots, 8, 1).unwrap();
+        let mut manifest = store.write(&snapshots, 8, 1).unwrap();
+        assert_eq!(manifest.generation, 2);
+        manifest.version = CHECKPOINT_FORMAT_VERSION + 1;
+        let newer = serde_json::to_string(&manifest).unwrap();
+        fs::write(dir.join("manifest.json"), &newer).unwrap();
+        fs::write(dir.join("gen-000002/manifest.json"), &newer).unwrap();
+        assert!(matches!(
+            crate::fleet::TenantFleet::restore(&dir, &fast_config()),
+            Err(OnlineError::UnsupportedSnapshotVersion { found, .. })
+                if found == CHECKPOINT_FORMAT_VERSION + 1
+        ));
         let _ = fs::remove_dir_all(&dir);
     }
 

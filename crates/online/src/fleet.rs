@@ -2,15 +2,15 @@
 //! sharded across a persistent worker pool, fed by an event-driven
 //! arrival bus.
 //!
-//! Each tenant owns its scaler — ring buffer, model, planner scratch and
-//! RNG — so tenants never share mutable state and a round's output is a
-//! pure function of (per-tenant seed, ingestion history, round sequence).
-//! The fleet shards the tenant vector into contiguous chunks on a
-//! [`WorkerPool`] whose threads park between rounds (no spawn/join on the
-//! round's critical path); because chunking depends only on the worker
-//! budget, chunk outputs are collected in chunk order, and no randomness
-//! crosses tenant boundaries, the result is **identical for any worker
-//! count**, which the online proptests pin.
+//! Each tenant owns its scaler — ring buffer, model and planner — so
+//! tenants never share mutable state. Planning is exact and draws no random
+//! numbers, so a round's output is a pure function of (ingestion history,
+//! round sequence) per tenant. The fleet shards the tenant vector into
+//! contiguous chunks on a [`WorkerPool`] whose threads park between rounds
+//! (no spawn/join on the round's critical path); because chunking depends
+//! only on the worker budget and chunk outputs are collected in chunk
+//! order, the result is **identical for any worker count** by
+//! construction, which the online proptests pin.
 //!
 //! ## Ingestion runtime
 //!
@@ -76,9 +76,8 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// SplitMix64 — the same stateless mixer the Monte Carlo sampler uses to
-/// derive per-path streams. The crate's one seed mixer: it derives
-/// per-tenant RNG seeds from the fleet seed (decorrelated but
-/// reproducible) and fault rolls from the fault plan's seed.
+/// derive per-path streams. The crate's one seed mixer: it derives fault
+/// rolls from the fault plan's seed.
 pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -173,8 +172,6 @@ impl TenantSlot {
 #[derive(Debug, Clone)]
 struct PagedTenant {
     id: u64,
-    /// The tenant's derived RNG seed — materializes a virgin tenant.
-    seed: u64,
     kind: PageKind,
     /// Serving counters frozen at page-out ([`TenantFleet::aggregate_stats`]
     /// reads them without paging the tenant back in).
@@ -184,7 +181,7 @@ struct PagedTenant {
 /// Where a paged tenant's state lives.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum PageKind {
-    /// Never materialized: rebuilt from `(config, origin, seed)` alone.
+    /// Never materialized: rebuilt from `(config, origin)` alone.
     Virgin,
     /// Paged out to the hibernation store; `checksum` is the page
     /// receipt that verifies the read back.
@@ -384,7 +381,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// so a replayed drain re-derives the identical corruption; only then is
 /// a failed probe reported, and the tenant planned through
 /// [`OnlineScaler::plan_round`] (refit, forecast refresh, sufficiency
-/// check, plan-cache lookup, Monte Carlo against its own forecast) or
+/// check, plan-cache lookup, exact plan against its own forecast) or
 /// refused, for quarantined tenants.
 #[allow(clippy::too_many_arguments)]
 fn tenant_round(
@@ -531,7 +528,7 @@ fn read_page(
 }
 
 /// Turn a paged tenant back into a serving scaler: a virgin tenant is
-/// built from `(config, origin, seed)`, an on-disk one is paged in and
+/// built from `(config, origin)`, an on-disk one is paged in and
 /// restored. Tracing and the plan cache are armed per the fleet's policy,
 /// as everywhere a scaler becomes resident.
 fn page_in_scaler(
@@ -543,7 +540,7 @@ fn page_in_scaler(
     sharing: &SharingConfig,
 ) -> Result<OnlineScaler, OnlineError> {
     let mut scaler = match paged.kind {
-        PageKind::Virgin => OnlineScaler::with_seed(config, origin, paged.seed)?,
+        PageKind::Virgin => OnlineScaler::new(config, origin)?,
         PageKind::OnDisk { checksum } => {
             OnlineScaler::restore(read_page(hibernation, paged.id, checksum)?, config)?
         }
@@ -612,14 +609,17 @@ impl Clone for TenantFleet {
 impl TenantFleet {
     /// Build a fleet of `tenant_count` tenants sharing one configuration.
     ///
-    /// Every tenant gets its own deterministic RNG seed derived from
-    /// `base_seed` and its id, and its own ring anchored at `origin`. The
-    /// worker budget defaults to the machine's available parallelism.
+    /// Every tenant gets its own ring anchored at `origin`. The worker
+    /// budget defaults to the machine's available parallelism.
+    ///
+    /// The seed argument is unused: planning draws no random numbers. It
+    /// stays only as long as `new_cold`'s, which `perfbench/` passes; both
+    /// go with the next benchmark change (ROADMAP item 2).
     pub fn new(
         config: &OnlineConfig,
         origin: f64,
         tenant_count: usize,
-        base_seed: u64,
+        _base_seed: u64,
     ) -> Result<Self, OnlineError> {
         if tenant_count == 0 {
             return Err(OnlineError::InvalidConfig(
@@ -628,10 +628,9 @@ impl TenantFleet {
         }
         let tenants = (0..tenant_count as u64)
             .map(|id| {
-                let seed = splitmix64(base_seed.wrapping_add(id));
                 Ok(TenantSlot::Resident(Box::new(Tenant {
                     id,
-                    scaler: OnlineScaler::with_seed(*config, origin, seed)?,
+                    scaler: OnlineScaler::new(*config, origin)?,
                 })))
             })
             .collect::<Result<Vec<_>, OnlineError>>()?;
@@ -646,7 +645,7 @@ impl TenantFleet {
 
     /// Build a fleet of `tenant_count` tenants with **no scaler in
     /// memory**: every slot starts cold and virgin, materialized on first
-    /// arrival (or direct access) from `(config, origin, seed)` alone.
+    /// arrival (or direct access) from `(config, origin)` alone.
     ///
     /// This is the memory-bounded registration path: a fleet can register
     /// 100k+ tenants and pay memory only for the ones that actually see
@@ -657,13 +656,16 @@ impl TenantFleet {
     /// tenants leave memory again.
     ///
     /// A cold-started fleet plans bit-identically to a [`TenantFleet::new`]
-    /// fleet with the same seed under the same driving: a virgin tenant
-    /// materializes to exactly the scaler `new` would have built.
+    /// fleet under the same driving: a virgin tenant materializes to exactly
+    /// the scaler `new` would have built.
+    ///
+    /// The seed argument is unused (see [`TenantFleet::new`]);
+    /// `perfbench/` passes it.
     pub fn new_cold(
         config: &OnlineConfig,
         origin: f64,
         tenant_count: usize,
-        base_seed: u64,
+        _base_seed: u64,
         residency: ResidencyConfig,
     ) -> Result<Self, OnlineError> {
         if tenant_count == 0 {
@@ -675,16 +677,11 @@ impl TenantFleet {
         // uses it, so one constructed-and-discarded scaler proves all
         // `tenant_count` of them constructible — without materializing
         // them (the whole point of a cold start).
-        drop(OnlineScaler::with_seed(
-            *config,
-            origin,
-            splitmix64(base_seed),
-        )?);
+        drop(OnlineScaler::new(*config, origin)?);
         let tenants = (0..tenant_count as u64)
             .map(|id| {
                 TenantSlot::Paged(PagedTenant {
                     id,
-                    seed: splitmix64(base_seed.wrapping_add(id)),
                     kind: PageKind::Virgin,
                     stats: OnlineStats::default(),
                 })
@@ -785,7 +782,7 @@ impl TenantFleet {
     }
 
     /// Ensure slot `index` is resident, materializing it if paged: a
-    /// virgin tenant is built from `(config, origin, seed)`, an on-disk
+    /// virgin tenant is built from `(config, origin)`, an on-disk
     /// one is paged in and verified against its receipt.
     fn materialize(&mut self, index: usize) -> Result<(), OnlineError> {
         let TenantSlot::Paged(paged) = &self.tenants[index] else {
@@ -1142,7 +1139,7 @@ impl TenantFleet {
         let hibernation = self.hibernation.as_ref();
         // One parallel pass: each worker takes its tenants one by one
         // through probe refit → drain → ingest → refit → sufficiency
-        // check → plan-cache lookup → Monte Carlo.
+        // check → plan-cache lookup → exact plan.
         let round_work = |start: usize, chunk: &mut [TenantSlot]| {
             // Injected worker-thread death: fires at the chunk boundary,
             // outside any tenant, so the whole round aborts (see the
@@ -1362,9 +1359,6 @@ impl TenantFleet {
                     Ok(receipt) => {
                         self.tenants[i] = TenantSlot::Paged(PagedTenant {
                             id,
-                            // Never used: an on-disk page rebuilds from
-                            // its snapshot, not from a seed.
-                            seed: 0,
                             kind: PageKind::OnDisk {
                                 checksum: receipt.checksum,
                             },
@@ -1682,7 +1676,7 @@ impl TenantFleet {
     /// fleet's worker pool; the write is crash-safe (a new generation
     /// becomes current only at the final atomic manifest rename, so a crash
     /// mid-checkpoint leaves the previous checkpoint intact). The snapshot
-    /// captures per-tenant seeds, RNG stream positions, serving counters,
+    /// captures per-tenant rings, models, serving counters, plan caches,
     /// refit deadlines **and each tenant's undrained arrival queue**, so a
     /// fleet restored from the checkpoint — even one taken mid-burst, with
     /// arrivals still queued — plans bit-identically to one that never
@@ -1720,9 +1714,7 @@ impl TenantFleet {
                 let scaler_snapshot = match slot {
                     TenantSlot::Resident(tenant) => tenant.scaler.snapshot(),
                     TenantSlot::Paged(paged) => match paged.kind {
-                        PageKind::Virgin => {
-                            OnlineScaler::with_seed(config, origin, paged.seed)?.snapshot()
-                        }
+                        PageKind::Virgin => OnlineScaler::new(config, origin)?.snapshot(),
                         PageKind::OnDisk { checksum } => {
                             read_page(hibernation, paged.id, checksum)?
                         }
@@ -1818,14 +1810,12 @@ impl TenantFleet {
     /// deserializing shards in parallel, and re-arm it exactly as it was
     /// checkpointed.
     ///
-    /// `config` is the shared serving configuration (per-tenant seeds and
-    /// RNG positions come from the checkpoint, not from `config`'s seed).
-    /// Shards are checksum-verified before parsing; a corrupt shard fails
+    /// `config` is the shared serving configuration. Shards are checksum-verified before parsing; a corrupt shard fails
     /// the restore with an error naming that shard unless an older
     /// retained generation still loads, in which case the returned notes
     /// name the generation that was skipped and why.
     ///
-    /// Tenant state travels in the shards: rings, models, RNG positions,
+    /// Tenant state travels in the shards: rings, models, plan caches,
     /// supervision and residency state, and every tenant's undrained
     /// arrival queue, so a restore mid-burst continues bit-identically.
     /// The manifest carries the fleet's round counter and its wiring: the
@@ -1983,14 +1973,11 @@ impl TenantFleet {
     }
 
     /// The [`TraceHeader`] describing this fleet session: everything a
-    /// replay needs to rebuild it. `base_seed` must be the seed the fleet
-    /// was constructed with (per-tenant seeds are derived from it and are
-    /// not recoverable from the tenants).
-    pub fn trace_header(&self, base_seed: u64) -> TraceHeader {
+    /// replay needs to rebuild it.
+    pub fn trace_header(&self) -> TraceHeader {
         TraceHeader {
             version: TRACE_FORMAT_VERSION,
             session: SessionKind::Fleet,
-            seed: base_seed,
             tenants: self.tenants.len(),
             origin: self.origin,
             online: self.config,
@@ -2125,7 +2112,6 @@ mod tests {
         pipeline.bucket_width = 10.0;
         pipeline.periodicity_aggregation = 2;
         pipeline.admm.max_iterations = 30;
-        pipeline.monte_carlo_samples = 60;
         pipeline.planning_interval = 20.0;
         pipeline.mean_processing = 5.0;
         pipeline.forecast_horizon = 600.0;
@@ -2176,7 +2162,7 @@ mod tests {
     }
 
     #[test]
-    fn tenants_get_distinct_seeds_and_independent_plans() {
+    fn tenants_plan_independently() {
         let mut fleet = TenantFleet::new(&fleet_config(), 0.0, 3, 7).unwrap();
         ingest_uniform(&mut fleet, 400.0);
         let rounds: Vec<_> = fleet

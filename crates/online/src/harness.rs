@@ -246,7 +246,7 @@ pub struct HarnessConfig {
     /// the round-over-round plan cache
     /// ([`OnlineScaler::enable_plan_reuse`]), so steady-state ticks whose
     /// planning inputs are unchanged within the quantization band serve a
-    /// time-shifted cached plan instead of resampling. `None` (the
+    /// time-shifted cached plan instead of re-planning. `None` (the
     /// default) plans every round. Recorded in the trace header so replay
     /// reproduces the same cache universe.
     pub plan_reuse: Option<f64>,
@@ -361,7 +361,6 @@ fn run_closed_loop_inner(
                 &TraceHeader {
                     version: TRACE_FORMAT_VERSION,
                     session: SessionKind::Single,
-                    seed: config.online.pipeline.seed,
                     tenants: 1,
                     origin: trace.start(),
                     online: config.online,
@@ -518,10 +517,8 @@ mod tests {
         pipeline.bucket_width = 30.0;
         pipeline.periodicity_aggregation = 2;
         pipeline.admm.max_iterations = 40;
-        pipeline.monte_carlo_samples = 120;
         pipeline.planning_interval = 20.0;
         pipeline.mean_processing = 5.0;
-        pipeline.seed = 3;
         let mut online = OnlineConfig::new(pipeline);
         online.window_buckets = 480;
         online.min_training_buckets = 60;
@@ -675,10 +672,8 @@ mod tests {
                 target: 0.9,
             });
         pipeline.mean_processing = 20.0;
-        pipeline.monte_carlo_samples = 300;
         pipeline.planning_interval = 10.0;
         pipeline.admm.max_iterations = 80;
-        pipeline.seed = 7;
         let run = |plan_reuse: Option<f64>| {
             let config = HarnessConfig {
                 online: OnlineConfig::new(pipeline),

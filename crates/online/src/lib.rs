@@ -1,6 +1,6 @@
 //! Online multi-tenant serving layer for the RobustScaler reproduction.
 //!
-//! The offline pipeline (train → forecast → Monte Carlo scaling plan) runs
+//! The offline pipeline (train → forecast → exact scaling plan) runs
 //! once over a frozen trace. A production autoscaler instead runs a
 //! *serving loop*: arrivals stream in continuously, the model goes stale
 //! and must be refitted, and one process plans for many tenants at once.
@@ -15,18 +15,17 @@
 //!   (`ingest_batch` → the ring's bulk append, bit-identical to the
 //!   per-arrival path), drift detection against the live forecast,
 //!   rolling NHPP refits through `RobustScalerPipeline::train_on_counts`,
-//!   and per-round plans via the zero-copy `plan_window_with` machinery;
+//!   and per-round plans from the exact planner (`plan_window`);
 //! * [`fleet::TenantFleet`] — hundreds of independent tenants sharded
 //!   across a persistent `robustscaler_parallel::WorkerPool` (threads
 //!   parked between rounds); each round worker drains its tenants'
-//!   queues and then plans, one parallel pass, with per-tenant
-//!   deterministic RNG seeds so fleet output is identical for any worker
-//!   count;
+//!   queues and then plans, one parallel pass; planning draws no random
+//!   numbers, so fleet output is identical for any worker count;
 //! * [`sharing`] — opt-in plan reuse: each scaler memoizes its last
 //!   planned round under a [`sharing::PlanCacheKey`] and time-shifts it
-//!   while its planning inputs stay unchanged; every other round samples
-//!   the tenant's own forecast (off by default; off is bit-identical to a
-//!   build without it);
+//!   while its planning inputs stay unchanged; every other round plans
+//!   exactly against the tenant's own forecast (off by default; off is
+//!   bit-identical to a build without it);
 //! * [`harness`] — the closed-loop validation harness: replay a trace
 //!   through the bus → `OnlineScaler` → `Simulator` end to end and report
 //!   the paper's metrics (hit rate, `rt_avg`, total/relative cost) plus
@@ -47,11 +46,13 @@
 //!
 //! ## Determinism guarantees
 //!
-//! Given a fixed configuration (including seeds) and a fixed queue state
-//! at every round boundary, every plan is bit-identical across runs,
-//! worker counts and tenant-shard layouts: tenants own all of their mutable state (ring,
-//! model, planner scratch, RNG), and the only intra-tenant parallelism —
-//! Monte Carlo replication sampling — derives per-path RNG streams.
+//! Given a fixed configuration and a fixed queue state at every round
+//! boundary, every plan is bit-identical across runs, worker counts and
+//! tenant-shard layouts by construction: planning is exact and draws no
+//! random numbers, so a round's plan is a pure function of the tenant's
+//! installed model, its covered count and the planning instant (plus, with
+//! plan reuse armed, its memoized previous round), and tenants own all of
+//! that state. Only fault injection is seeded (the [`FaultPlan`] seed).
 //! Bus-fed ingestion (enqueue + round-boundary drain) is bit-identical to
 //! routing every arrival synchronously through `ingest`; producers that
 //! quiesce at round boundaries therefore keep the whole pipeline

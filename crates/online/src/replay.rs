@@ -6,14 +6,14 @@
 //! timing or queue behavior while the aggregates stay inside their bands.
 //! This module records the *whole session* — every arrival batch, every
 //! plan, every refit, every queue drain — as one JSONL trace, and replays
-//! it by re-executing the session from the header (same seeds, same bus
-//! drain boundaries) and comparing the regenerated stream field by field
+//! it by re-executing the session from the header (same configuration,
+//! same bus drain boundaries) and comparing the regenerated stream field by field
 //! against the recorded one.
 //!
 //! ## Trace format
 //!
 //! One [`TraceRecord`] per line. Line 1 is always [`TraceRecord::Header`]
-//! (format version, session kind, seed, tenant count, ring origin, the
+//! (format version, session kind, tenant count, ring origin, the
 //! full [`OnlineConfig`] and the session's wiring: arrival bus, fault
 //! plan, supervisor, residency and sharing policies). After it, in
 //! session order:
@@ -81,7 +81,7 @@ use std::sync::{Arc, Mutex};
 /// [`RecordedTrace::parse`] reads; bump on any record layout change. The
 /// layout is the one the module docs describe; unknown keys are ignored
 /// on load.
-pub const TRACE_FORMAT_VERSION: u32 = 4;
+pub const TRACE_FORMAT_VERSION: u32 = 5;
 
 /// What kind of session a trace records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -165,9 +165,6 @@ pub struct TraceHeader {
     pub version: u32,
     /// Fleet or single-scaler session.
     pub session: SessionKind,
-    /// The base seed: the fleet seed per-tenant seeds are derived from,
-    /// or the single scaler's pipeline seed.
-    pub seed: u64,
     /// Number of tenants (always 1 for [`SessionKind::Single`]).
     pub tenants: usize,
     /// The bucket-grid origin every ring was anchored at.
@@ -897,8 +894,7 @@ impl Replayer {
     ) -> Result<Self, OnlineError> {
         let session = match header.session {
             SessionKind::Fleet => {
-                let mut fleet =
-                    TenantFleet::new(&header.online, header.origin, header.tenants, header.seed)?;
+                let mut fleet = TenantFleet::new(&header.online, header.origin, header.tenants, 0)?;
                 if let Some(bus) = header.bus {
                     fleet.attach_bus(bus)?;
                 }
@@ -927,8 +923,7 @@ impl Replayer {
                 ReplaySession::Fleet(fleet)
             }
             SessionKind::Single => {
-                let mut scaler =
-                    OnlineScaler::with_seed(header.online, header.origin, header.seed)?;
+                let mut scaler = OnlineScaler::new(header.online, header.origin)?;
                 if let Some(sharing) = header.sharing {
                     if sharing.plan_cache {
                         scaler.enable_plan_reuse(sharing.quantization)?;
@@ -1560,7 +1555,7 @@ mod tests {
             tenants_per_group: 2,
         };
         fleet.attach_bus(bus).unwrap();
-        let header = fleet.trace_header(seed);
+        let header = fleet.trace_header();
         (fleet, header)
     }
 
@@ -1646,7 +1641,7 @@ mod tests {
             .scaler
             .install_model(model, 0.0)
             .unwrap();
-        let header = fleet.trace_header(5);
+        let header = fleet.trace_header();
         let sink = MemorySink::new();
         let lines = sink.lines();
         let recorder = TraceRecorder::new(Box::new(sink), &header).unwrap();

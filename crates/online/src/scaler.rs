@@ -7,25 +7,23 @@
 //! [`CountRing`], refits the NHPP from
 //! ring snapshots — on a schedule, or early when the observed traffic
 //! drifts away from the forecast — and emits one scaling plan per round
-//! through the zero-copy `plan_window_with` machinery.
+//! from the exact planner (`SequentialPlanner::plan_window`).
 //!
-//! Determinism contract: all Monte Carlo randomness is drawn from the
-//! scaler's own seeded RNG, so a fixed (seed, ingestion sequence, round
-//! sequence) produces bit-identical plans regardless of how many worker
-//! threads the surrounding fleet uses.
+//! Determinism contract: planning draws no random numbers. A round's plan
+//! is a pure function of (installed model, `covered`, `now`) plus, with
+//! plan reuse armed, the memoized previous round; so a fixed ingestion and
+//! round sequence produces bit-identical plans regardless of how many
+//! worker threads the surrounding fleet uses, and a restored snapshot
+//! continues exactly.
 
 use crate::error::OnlineError;
 use crate::replay::{RefitTrigger, ScalerEvent};
 use crate::sharing::PlanCacheKey;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use robustscaler_core::{RobustScalerConfig, RobustScalerPipeline};
 use robustscaler_nhpp::{
     Forecaster, ForecasterSnapshot, Intensity, NhppModel, PiecewiseConstantIntensity,
 };
-use robustscaler_scaling::{
-    DecisionConfig, PlannerConfig, PlannerScratch, PlannerState, PlanningRound, SequentialPlanner,
-};
+use robustscaler_scaling::{PlannerConfig, PlannerState, PlanningRound, SequentialPlanner};
 use robustscaler_timeseries::{CountRing, RingSnapshot};
 use serde::{Deserialize, Serialize};
 
@@ -34,7 +32,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct OnlineConfig {
     /// The underlying pipeline configuration (bucket width, variant, ADMM,
-    /// forecast, planner and Monte Carlo settings).
+    /// forecast and planner settings).
     pub pipeline: RobustScalerConfig,
     /// Ring capacity: how many Δt buckets of history are retained and used
     /// for refits (the rolling training window).
@@ -109,7 +107,7 @@ pub struct OnlineStats {
     pub refits: u64,
     /// Refits triggered early by drift detection.
     pub drift_refits: u64,
-    /// Planning rounds that ran the Monte Carlo optimizer.
+    /// Planning rounds that ran the planner.
     pub planning_rounds: u64,
     /// Planning rounds skipped by the cheap sufficiency check.
     pub skipped_rounds: u64,
@@ -118,47 +116,40 @@ pub struct OnlineStats {
     /// leave persistent failure invisible).
     pub failed_rounds: u64,
     /// Always 0: cross-tenant forecast clustering was removed (every
-    /// tenant samples its own forecast). Kept only until a benchmark change
-    /// updates `perfbench/`, which still reads it.
+    /// tenant plans against its own forecast). Kept only until a benchmark
+    /// change updates `perfbench/`, which still reads it.
     pub shared_planning_rounds: u64,
     /// Rounds served by time-shifting the memoized previous plan instead of
-    /// re-running Monte Carlo (plan reuse, see
-    /// [`crate::sharing::PlanCacheKey`]). Deliberately *not* counted into
-    /// [`OnlineStats::planning_rounds`]: a cache hit runs no optimizer and
-    /// consumes no RNG.
+    /// re-planning (plan reuse, see [`crate::sharing::PlanCacheKey`]).
+    /// Deliberately *not* counted into [`OnlineStats::planning_rounds`]: a
+    /// cache hit runs no planner.
     pub plan_cache_hits: u64,
 }
 
 /// Format version written by [`OnlineScaler::snapshot`], the only one
 /// [`OnlineScaler::restore`] reads; bump on any layout change.
-pub const SCALER_SNAPSHOT_VERSION: u32 = 1;
+pub const SCALER_SNAPSHOT_VERSION: u32 = 2;
 
 /// A serializable, version-tagged copy of everything that makes an
 /// [`OnlineScaler`] resume bit-identically: the ingestion ring, the
-/// installed model (with its forecast configuration), the RNG's exact
-/// position in its stream, the serving counters, the refit schedule, and
-/// the forecast-cache anchor.
+/// installed model (with its forecast configuration), the serving
+/// counters, the refit schedule, the forecast-cache anchor and the plan
+/// cache.
 ///
 /// The forecast cache itself is *not* stored: it is a pure function of
 /// (model, `cached_forecast_from`, horizon), so [`OnlineScaler::restore`]
 /// recomputes it bit-identically from the anchor. Everything else the
-/// scaler holds (pipeline, planner, scratch buffers) is either derived from
-/// the configuration passed to `restore` or has no observable effect on
-/// plans (scratch reuse is pinned bit-identical by the PR 2 proptests).
+/// scaler holds (pipeline, planner and its Gamma-quantile table) is derived
+/// from the configuration passed to `restore`; the table's entries depend
+/// only on the index and α, so a rebuilt planner plans bit-identically.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScalerSnapshot {
     /// Snapshot format version ([`SCALER_SNAPSHOT_VERSION`]).
     pub version: u32,
-    /// The tenant's RNG seed (`config.pipeline.seed` at snapshot time), so
-    /// a restored scaler re-snapshots identically.
-    pub seed: u64,
     /// The ingestion ring.
     pub ring: RingSnapshot,
     /// The installed model and forecast configuration, if fitted.
     pub forecaster: Option<ForecasterSnapshot>,
-    /// The RNG's full state — the Monte Carlo stream resumes exactly where
-    /// the snapshotted scaler left it.
-    pub rng_state: [u64; 4],
     /// Serving-loop counters.
     pub stats: OnlineStats,
     /// When the last refit ran; `None` encodes "never" (the in-memory
@@ -168,11 +159,9 @@ pub struct ScalerSnapshot {
     /// recomputed from this anchor on restore.
     pub cached_forecast_from: Option<f64>,
     /// The memoized last planning round (the plan cache), if one was
-    /// live. Persisted — not rebuilt — because a cache hit consumes no RNG:
-    /// a restored scaler that re-planned where the original would have hit
-    /// would advance its Monte Carlo stream differently and diverge.
-    /// Absent in snapshots written before plan reuse existed (they load
-    /// with an empty cache, which is exact: those scalers never hit).
+    /// live. Persisted — not rebuilt — because a hit serves the cached
+    /// round time-shifted, not a fresh plan: a restored scaler that
+    /// re-planned where the original would have hit would diverge.
     pub plan_cache: Option<PlanCacheEntry>,
 }
 
@@ -198,8 +187,6 @@ pub struct OnlineScaler {
     pipeline: RobustScalerPipeline,
     planner: SequentialPlanner,
     ring: CountRing,
-    rng: StdRng,
-    scratch: PlannerScratch,
     forecaster: Option<Forecaster>,
     cached_forecast: Option<PiecewiseConstantIntensity>,
     /// Anchor of the cached forecast (what `refresh_forecast` passed as
@@ -229,8 +216,7 @@ pub struct OnlineScaler {
 
 impl OnlineScaler {
     /// Create a scaler whose bucket grid is anchored at `origin` (the
-    /// tenant's serving start time). RNG seeding comes from the pipeline
-    /// configuration's `seed`.
+    /// tenant's serving start time).
     pub fn new(config: OnlineConfig, origin: f64) -> Result<Self, OnlineError> {
         config.validate()?;
         let pipeline = RobustScalerPipeline::new(config.pipeline)?;
@@ -239,22 +225,17 @@ impl OnlineScaler {
             config.pipeline.pending.mean(),
         )?;
         let planner = SequentialPlanner::new(PlannerConfig {
-            decision: DecisionConfig {
-                rule,
-                pending: config.pipeline.pending,
-                monte_carlo_samples: config.pipeline.monte_carlo_samples,
-            },
+            rule,
+            pending: config.pipeline.pending,
             planning_interval: config.pipeline.planning_interval,
             max_decisions_per_round: config.pipeline.max_decisions_per_round,
         })?;
         let ring = CountRing::new(origin, config.pipeline.bucket_width, config.window_buckets)?;
         Ok(Self {
-            rng: StdRng::seed_from_u64(config.pipeline.seed),
             config,
             pipeline,
             planner,
             ring,
-            scratch: PlannerScratch::new(),
             forecaster: None,
             cached_forecast: None,
             cached_from: None,
@@ -267,17 +248,6 @@ impl OnlineScaler {
             plan_cache: None,
             model_print: None,
         })
-    }
-
-    /// [`OnlineScaler::new`] with an explicit RNG seed (the fleet derives a
-    /// distinct deterministic seed per tenant).
-    pub fn with_seed(
-        mut config: OnlineConfig,
-        origin: f64,
-        seed: u64,
-    ) -> Result<Self, OnlineError> {
-        config.pipeline.seed = seed;
-        Self::new(config, origin)
     }
 
     /// The configuration in use.
@@ -542,8 +512,8 @@ impl OnlineScaler {
         Ok(())
     }
 
-    /// Cheap sufficiency check mirroring the offline policy: skip the Monte
-    /// Carlo planning when the instances already on the way clearly cover
+    /// Cheap sufficiency check mirroring the offline policy: skip planning
+    /// when the instances already on the way clearly cover
     /// everything the forecast expects within the window plus startup lead.
     fn clearly_covered(&self, now: f64, covered: usize) -> bool {
         let Some(forecast) = &self.cached_forecast else {
@@ -626,9 +596,9 @@ impl OnlineScaler {
     /// the next planning window. `covered` is the number of upcoming
     /// arrivals already covered by scheduled/pending/ready instances.
     ///
-    /// The cheap sufficiency check can skip the Monte Carlo stage, and with
-    /// plan reuse armed an unchanged plan-cache key serves the memoized
-    /// plan time-shifted to `now`; otherwise the round samples the
+    /// The cheap sufficiency check can skip planning, and with plan reuse
+    /// armed an unchanged plan-cache key serves the memoized plan
+    /// time-shifted to `now`; otherwise the round plans exactly against the
     /// tenant's own forecast.
     pub fn plan_round(&mut self, now: f64, covered: usize) -> Result<PlanningRound, OnlineError> {
         self.maybe_refit(now)?;
@@ -647,7 +617,7 @@ impl OnlineScaler {
         }
         // Plan reuse: when the content key of this round's inputs
         // matches the memoized round's, serve the cached plan time-shifted
-        // to `now` (no Monte Carlo, no RNG). A miss caches the round planned
+        // to `now` without planning. A miss caches the round planned
         // below under the key.
         let key = self
             .plan_reuse
@@ -660,13 +630,9 @@ impl OnlineScaler {
             self.stats.plan_cache_hits += 1;
             return Ok(round);
         }
-        let round = self.planner.plan_window_with(
-            forecast,
-            now,
-            PlannerState { covered },
-            &mut self.rng,
-            &mut self.scratch,
-        )?;
+        let round = self
+            .planner
+            .plan_window(forecast, now, PlannerState { covered });
         self.stats.planning_rounds += 1;
         if let Some(key) = key {
             self.plan_cache = Some(PlanCacheEntry {
@@ -684,15 +650,14 @@ impl OnlineScaler {
     fn plan_cache_key(&self, now: f64, covered: usize, quantization: f64) -> Option<PlanCacheKey> {
         let forecast = self.cached_forecast.as_ref()?;
         let model = self.model_print?;
-        let decision = &self.planner.config().decision;
+        let planner = self.planner.config();
         PlanCacheKey::from_forecast(
             forecast,
             model,
             now,
             self.config.pipeline.planning_interval,
-            &decision.rule,
-            &decision.pending,
-            decision.monte_carlo_samples,
+            &planner.rule,
+            &planner.pending,
             covered,
             quantization,
         )
@@ -708,10 +673,8 @@ impl OnlineScaler {
     pub fn snapshot(&self) -> ScalerSnapshot {
         ScalerSnapshot {
             version: SCALER_SNAPSHOT_VERSION,
-            seed: self.config.pipeline.seed,
             ring: self.ring.snapshot(),
             forecaster: self.forecaster.as_ref().map(Forecaster::snapshot),
-            rng_state: self.rng.state(),
             stats: self.stats,
             last_refit_at: self.last_refit_at.is_finite().then_some(self.last_refit_at),
             cached_forecast_from: self.cached_from,
@@ -722,10 +685,10 @@ impl OnlineScaler {
     /// Rebuild a scaler from a [`ScalerSnapshot`] and the (shared, static)
     /// configuration.
     ///
-    /// The snapshot carries all per-tenant mutable state — ring, model, RNG
-    /// position, counters, refit deadline, forecast-cache anchor — while
-    /// `config` carries everything reconstructable: pipeline, planner and
-    /// scratch buffers are rebuilt from it. The snapshot's grid must match
+    /// The snapshot carries all per-tenant mutable state — ring, model,
+    /// counters, refit deadline, forecast-cache anchor, plan cache — while
+    /// `config` carries everything reconstructable: pipeline and planner
+    /// are rebuilt from it. The snapshot's grid must match
     /// the configuration (bucket width, window capacity); a mismatch is
     /// rejected rather than silently re-binning history.
     pub fn restore(snapshot: ScalerSnapshot, config: OnlineConfig) -> Result<Self, OnlineError> {
@@ -735,7 +698,7 @@ impl OnlineScaler {
                 supported: SCALER_SNAPSHOT_VERSION,
             });
         }
-        let mut scaler = Self::with_seed(config, snapshot.ring.origin, snapshot.seed)?;
+        let mut scaler = Self::new(config, snapshot.ring.origin)?;
         let ring = snapshot.ring.restore()?;
         if ring.bucket_width() != scaler.config.pipeline.bucket_width {
             return Err(OnlineError::InvalidConfig(
@@ -756,7 +719,6 @@ impl OnlineScaler {
             ),
             None => None,
         };
-        scaler.rng = StdRng::from_state(snapshot.rng_state);
         scaler.stats = snapshot.stats;
         scaler.last_refit_at = snapshot.last_refit_at.unwrap_or(f64::NEG_INFINITY);
         if let Some(from) = snapshot.cached_forecast_from {
@@ -807,11 +769,9 @@ pub(crate) mod tests {
         pipeline.bucket_width = 10.0;
         pipeline.periodicity_aggregation = 2;
         pipeline.admm.max_iterations = 40;
-        pipeline.monte_carlo_samples = 120;
         pipeline.planning_interval = 20.0;
         pipeline.mean_processing = 5.0;
         pipeline.forecast_horizon = 600.0;
-        pipeline.seed = 11;
         let mut config = OnlineConfig::new(pipeline);
         config.window_buckets = 360;
         config.min_training_buckets = 30;
@@ -836,8 +796,8 @@ pub(crate) mod tests {
     #[test]
     fn ingest_batch_is_bit_identical_to_the_per_arrival_loop() {
         let config = fast_config();
-        let mut bulk = OnlineScaler::with_seed(config, 0.0, 3).unwrap();
-        let mut reference = OnlineScaler::with_seed(config, 0.0, 3).unwrap();
+        let mut bulk = OnlineScaler::new(config, 0.0).unwrap();
+        let mut reference = OnlineScaler::new(config, 0.0).unwrap();
         // Sorted traffic, a duplicate burst, an out-of-order straggler, a
         // pre-origin drop and a corrupt timestamp.
         let mut arrivals = uniform_arrivals(900.0, 4.0);
@@ -964,9 +924,9 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn fixed_seed_runs_are_deterministic() {
+    fn repeated_runs_are_deterministic() {
         let run = || {
-            let mut scaler = OnlineScaler::with_seed(fast_config(), 0.0, 99).unwrap();
+            let mut scaler = OnlineScaler::new(fast_config(), 0.0).unwrap();
             scaler.ingest_batch(&uniform_arrivals(900.0, 4.0));
             let mut rounds = Vec::new();
             for i in 0..5 {
@@ -980,7 +940,7 @@ pub(crate) mod tests {
     #[test]
     fn snapshot_restore_resumes_bit_identically() {
         let config = fast_config();
-        let mut live = OnlineScaler::with_seed(config, 0.0, 77).unwrap();
+        let mut live = OnlineScaler::new(config, 0.0).unwrap();
         live.ingest_batch(&uniform_arrivals(900.0, 4.0));
         live.plan_round(900.0, 0).unwrap();
         // Mid-run snapshot, through JSON like a real checkpoint.
@@ -1056,7 +1016,7 @@ pub(crate) mod tests {
     #[test]
     fn plan_cache_hits_shift_plans_in_steady_state() {
         let config = fast_config();
-        let mut reuse = OnlineScaler::with_seed(config, 0.0, 21).unwrap();
+        let mut reuse = OnlineScaler::new(config, 0.0).unwrap();
         reuse.install_model(flat_model(0.5), 600.0).unwrap();
         reuse.enable_plan_reuse(0.05).unwrap();
         let first = reuse.plan_round(600.0, 0).unwrap();
@@ -1081,7 +1041,7 @@ pub(crate) mod tests {
     #[test]
     fn plan_cache_misses_on_covered_change_and_invalidates_on_model_change() {
         let config = fast_config();
-        let mut scaler = OnlineScaler::with_seed(config, 0.0, 22).unwrap();
+        let mut scaler = OnlineScaler::new(config, 0.0).unwrap();
         scaler.install_model(flat_model(0.5), 600.0).unwrap();
         scaler.enable_plan_reuse(0.05).unwrap();
         scaler.plan_round(600.0, 0).unwrap();
@@ -1114,7 +1074,7 @@ pub(crate) mod tests {
     fn refit_invalidates_the_plan_cache() {
         let mut config = fast_config();
         config.refit_interval = 1e9; // only explicit refits
-        let mut scaler = OnlineScaler::with_seed(config, 0.0, 23).unwrap();
+        let mut scaler = OnlineScaler::new(config, 0.0).unwrap();
         scaler.ingest_batch(&uniform_arrivals(900.0, 5.0));
         // Coarse tolerance: the fitted forecast is only near-flat, and this
         // test is about invalidation, not about the band's width.
@@ -1134,7 +1094,7 @@ pub(crate) mod tests {
     #[test]
     fn plan_cache_survives_snapshot_restore_and_rearm() {
         let config = fast_config();
-        let mut live = OnlineScaler::with_seed(config, 0.0, 24).unwrap();
+        let mut live = OnlineScaler::new(config, 0.0).unwrap();
         live.install_model(flat_model(0.5), 600.0).unwrap();
         live.enable_plan_reuse(0.05).unwrap();
         live.plan_round(600.0, 0).unwrap(); // populates the cache

@@ -1,23 +1,23 @@
 //! Plan reuse: the fleet's reuse policy and the plan-cache key.
 //!
 //! Every tenant plans against its *own* forecast. A round that has to plan
-//! draws its Monte Carlo arrival paths from the tenant's fitted NHPP by time
-//! rescaling (paper Alg. 3/4), with the tenant's own RNG, so no
-//! approximation crosses tenant boundaries. The one reuse layer is
-//! round-over-round and per tenant: a scaler memoizes its last planned round
-//! under a [`PlanCacheKey`] and, while the key stays unchanged, serves the
-//! cached plan time-shifted to the new planning instant instead of
-//! resampling.
+//! computes its decisions exactly from the tenant's fitted NHPP by time
+//! rescaling (paper eqs. 3/5/7), so no approximation crosses tenant
+//! boundaries. The one reuse layer is round-over-round and per tenant: a
+//! scaler memoizes its last planned round under a [`PlanCacheKey`] and,
+//! while the key stays unchanged, serves the cached plan time-shifted to
+//! the new planning instant instead of re-planning.
 //!
 //! # Determinism contract
 //!
 //! * **Plan cache off** (the default) is bit-identical to a scaler without
 //!   this module, at any worker count.
 //! * **Plan cache on** is itself deterministic and worker-invariant: keys
-//!   are pure functions of the tenant's own planning inputs, a hit consumes
-//!   no RNG, and the cache entry is persisted in snapshots. It is *not*
-//!   bit-identical to the cache off (a hit skips the draws a resampling run
-//!   would make); its error is bounded by the quantization ratio.
+//!   are pure functions of the tenant's own planning inputs, and the cache
+//!   entry is persisted in snapshots. It is *not* bit-identical to the
+//!   cache off (a hit time-shifts the previous plan where a re-plan would
+//!   see the forecast's small drift); its error is bounded by the
+//!   quantization ratio.
 
 use robustscaler_scaling::{DecisionRule, PendingTimeModel};
 use serde::{Deserialize, Serialize};
@@ -52,11 +52,12 @@ pub struct SharingConfig {
     /// Plan reuse: the per-scaler round-over-round plan cache.
     /// Each scaler memoizes its last planned round under a
     /// [`PlanCacheKey`]; an unchanged key time-shifts the cached plan
-    /// instead of resampling. A deterministic, worker-invariant
-    /// *approximation* universe (a hit consumes no RNG, so downstream
-    /// draws differ from a resampling run); it is invalidated on refit,
-    /// drift, model install, and disable, and the cache state is persisted
-    /// in snapshots so kill-and-restore stays bit-equivalent.
+    /// instead of re-planning. A deterministic, worker-invariant
+    /// *approximation* universe (a hit reuses the previous plan where a
+    /// re-plan could differ within the quantization band); it is
+    /// invalidated on refit, drift, model install, and disable, and the
+    /// cache state is persisted in snapshots so kill-and-restore stays
+    /// bit-equivalent.
     pub plan_cache: bool,
 }
 
@@ -96,7 +97,7 @@ impl SharingConfig {
 /// Every discrete planning input is pinned **exactly**: the forecast
 /// model's fingerprint (the FNV-1a 64 checkpoints use — any refit, drift
 /// refit or install changes it), the rule parameters, the pending-time
-/// model, the replication count, the window length and the covered count.
+/// model, the window length and the covered count.
 /// The forecast itself is probed over [`SHARING_PROBE_BUCKETS`] windows
 /// *relative to `now`*, and the probe masses are geometrically quantized at
 /// the reuse layer's tolerance: two rounds produce equal keys exactly when
@@ -104,13 +105,12 @@ impl SharingConfig {
 /// horizon, viewed from the planning instant, stayed within the
 /// quantization band. Under those conditions the previous round's creation
 /// times translate with the planning instant, so the cached
-/// [`PlanningRound`] is time-shifted instead of resampled — a controlled
+/// [`PlanningRound`] is time-shifted instead of re-planned — a controlled
 /// approximation whose error the quantization knob bounds.
 ///
 /// The key is serializable: a scaler's cache entry is persisted in its
-/// snapshot so kill-and-restore resumes bit-identically (a cache hit
-/// consumes no RNG — an emptied cache after restore would diverge the
-/// stream).
+/// snapshot so kill-and-restore resumes bit-identically (an emptied cache
+/// after restore would re-plan where the original hits, and diverge).
 ///
 /// [`PlanningRound`]: robustscaler_scaling::PlanningRound
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -119,10 +119,9 @@ pub struct PlanCacheKey {
     interval_bits: u64,
     step_bits: u64,
     quant_bits: u64,
-    samples: u64,
     covered: u64,
     rule: (u8, u64),
-    pending: (u8, u64, u64),
+    pending: u64,
     bins: [i64; SHARING_PROBE_BUCKETS],
 }
 
@@ -144,7 +143,6 @@ impl PlanCacheKey {
         interval: f64,
         rule: &DecisionRule,
         pending: &PendingTimeModel,
-        samples: usize,
         covered: usize,
         quantization: f64,
     ) -> Option<Self>
@@ -176,19 +174,13 @@ impl PlanCacheKey {
             interval_bits: interval.to_bits(),
             step_bits: step.to_bits(),
             quant_bits: quantization.to_bits(),
-            samples: samples as u64,
             covered: covered as u64,
             rule: match *rule {
                 DecisionRule::HittingProbability { alpha } => (0, alpha.to_bits()),
                 DecisionRule::ResponseTime { target_waiting } => (1, target_waiting.to_bits()),
                 DecisionRule::CostBudget { target_idle } => (2, target_idle.to_bits()),
             },
-            pending: match *pending {
-                PendingTimeModel::Deterministic(delay) => (0, delay.to_bits(), 0),
-                PendingTimeModel::LogNormal { mean, std_dev } => {
-                    (1, mean.to_bits(), std_dev.to_bits())
-                }
-            },
+            pending: pending.mean().to_bits(),
             bins,
         })
     }
@@ -229,7 +221,6 @@ mod tests {
             10.0,
             &DecisionRule::HittingProbability { alpha: 0.1 },
             &PendingTimeModel::Deterministic(13.0),
-            250,
             covered,
             0.05,
         )

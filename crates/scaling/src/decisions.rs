@@ -1,8 +1,9 @@
-//! The three stochastically constrained decision rules (paper §VI-B).
+//! The three stochastically constrained decision rules (paper §VI-B),
+//! solved by Monte Carlo as in the paper's Algorithm 3.
 //!
 //! All three rules reduce, per upcoming query `i`, to a one-dimensional
-//! stochastic root-finding problem over Monte Carlo samples of
-//! `(ξ_i, τ_i)`:
+//! stochastic root-finding problem over Monte Carlo samples of `ξ_i`
+//! (the pending time `τ` is deterministic):
 //!
 //! * **HP-constrained** (eq. 3): `x_i* = α-quantile of (ξ_i − τ_i)` — the
 //!   latest creation time whose hitting probability is still `1 − α`.
@@ -10,12 +11,16 @@
 //!   `E[(τ_i − (ξ_i − x)⁺)⁺] = d − µ_s` (Algorithm 3).
 //! * **cost-constrained** (eq. 7): `x_i* = 0` when the budget is slack,
 //!   otherwise `x_i*` solves `E[(ξ_i − τ_i − x)⁺] = B − µ_τ − µ_s`.
+//!
+//! Serving never runs these: the planner uses the exact engine of
+//! [`crate::exact`], to which these estimates converge at the `1/√R` rate.
+//! They remain the paper's experiment (Table I, Fig. 8) and the oracle the
+//! exact engine is tested against.
 
 use crate::arrivals::ArrivalSampler;
 use crate::error::ScalingError;
 use crate::qos::PendingTimeModel;
-use crate::sort_search::{solve_idle_cost_root_flat, solve_waiting_root_flat, PendingColumn};
-use rand::Rng;
+use crate::sort_search::{solve_idle_cost_root_flat, solve_waiting_root_flat};
 use robustscaler_stats::empirical_quantile_unstable;
 use serde::{Deserialize, Serialize};
 
@@ -79,7 +84,8 @@ pub struct DecisionConfig {
     pub rule: DecisionRule,
     /// Pending (startup) time model of new instances.
     pub pending: PendingTimeModel,
-    /// Number of Monte Carlo replications `R`.
+    /// Number of Monte Carlo replications `R` the arrival sampler is built
+    /// with.
     pub monte_carlo_samples: usize,
 }
 
@@ -113,19 +119,28 @@ pub struct ScalingDecision {
     pub clamped: bool,
 }
 
+impl ScalingDecision {
+    /// The decision for query `arrival_index` whose rule solved to the raw
+    /// creation time `raw`, clamped to no earlier than the planning time
+    /// `now`.
+    pub fn at(arrival_index: usize, raw: f64, now: f64) -> Self {
+        Self {
+            arrival_index,
+            unconstrained_creation_time: raw,
+            creation_time: raw.max(now),
+            clamped: raw < now,
+        }
+    }
+}
+
 /// Reusable buffers for the per-decision hot loop.
 ///
-/// One decision needs R pending-time samples, an R-element working set for
-/// the rule's statistic and (for the RT/cost rules) a breakpoint buffer of
-/// up to 2R entries. Allocating those per decision dominates small-R
-/// planning rounds, so the planner threads one `DecisionScratch` through
-/// [`decide_with`] for the whole round; the buffers grow once and are then
-/// reused allocation-free.
+/// One decision needs an R-element working set for the rule's statistic
+/// and (for the RT/cost rules) a breakpoint buffer of up to 2R entries.
+/// Batch callers thread one `DecisionScratch` through [`decide_with`]; the
+/// buffers grow once and are then reused allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct DecisionScratch {
-    /// Pending-time samples `τ_r` (stochastic pending models only — the
-    /// deterministic model is threaded through as a constant).
-    pendings: Vec<f64>,
     /// HP rule: the differences `ξ_r − τ_r` (selected in place).
     diffs: Vec<f64>,
     /// RT rule: the 2R `(position, slope delta)` breakpoints.
@@ -145,99 +160,58 @@ impl DecisionScratch {
 /// Monte Carlo samples of its arrival time.
 ///
 /// `sampler` must have been built from the forecast intensity at the current
-/// planning time; `rng` supplies the pending-time samples. Validates the
-/// configuration on every call; batch callers should validate once and use
-/// [`decide_with`].
-pub fn decide<R: Rng + ?Sized>(
+/// planning time. Validates the configuration on every call; batch callers
+/// should validate once and use [`decide_with`].
+pub fn decide(
     sampler: &ArrivalSampler,
     arrival_index: usize,
     config: &DecisionConfig,
-    rng: &mut R,
 ) -> Result<ScalingDecision, ScalingError> {
     config.validate()?;
-    decide_with(
-        sampler,
-        arrival_index,
-        config,
-        rng,
-        &mut DecisionScratch::new(),
-    )
+    decide_with(sampler, arrival_index, config, &mut DecisionScratch::new())
 }
 
 /// [`decide`] for pre-validated configurations, with caller-provided scratch
-/// buffers — the allocation-free hot path the planner loops over.
+/// buffers — the allocation-free path batch callers loop over.
 ///
 /// `config` is trusted to have passed [`DecisionConfig::validate`]; an
 /// invalid configuration still fails (the underlying quantile/root solvers
 /// reject out-of-range parameters) but with a less specific error.
-pub fn decide_with<R: Rng + ?Sized>(
+pub fn decide_with(
     sampler: &ArrivalSampler,
     arrival_index: usize,
     config: &DecisionConfig,
-    rng: &mut R,
     scratch: &mut DecisionScratch,
 ) -> Result<ScalingDecision, ScalingError> {
     let arrivals = sampler.arrival_samples(arrival_index)?;
-    let now = sampler.now();
-    // Deterministic pending times are threaded through as a constant: the
-    // model draws nothing from the RNG and the solvers run the identical
-    // arithmetic either way, so this is bit-identical to materializing the
-    // τ buffer while keeping the inner loops over flat, vectorizable slices.
-    let taus = match config.pending {
-        PendingTimeModel::Deterministic(value) => PendingColumn::Constant(value),
-        _ => {
-            config
-                .pending
-                .sample_into(rng, arrivals.len(), &mut scratch.pendings);
-            PendingColumn::PerReplication(&scratch.pendings)
-        }
-    };
+    let PendingTimeModel::Deterministic(tau) = config.pending;
 
     let raw = match config.rule {
         DecisionRule::HittingProbability { alpha } => {
             // x* = α-quantile of (ξ − τ), by in-place selection.
             scratch.diffs.clear();
-            match taus {
-                PendingColumn::Constant(tau) => {
-                    scratch.diffs.extend(arrivals.iter().map(|xi| xi - tau));
-                }
-                PendingColumn::PerReplication(pendings) => {
-                    scratch.diffs.extend(
-                        arrivals
-                            .iter()
-                            .zip(pendings.iter())
-                            .map(|(xi, tau)| xi - tau),
-                    );
-                }
-            }
+            scratch.diffs.extend(arrivals.iter().map(|xi| xi - tau));
             empirical_quantile_unstable(&mut scratch.diffs, alpha)?
         }
         DecisionRule::ResponseTime { target_waiting } => {
-            solve_waiting_root_flat(arrivals, taus, target_waiting, &mut scratch.breakpoints)?
+            solve_waiting_root_flat(arrivals, tau, target_waiting, &mut scratch.breakpoints)?
         }
         DecisionRule::CostBudget { target_idle } => {
-            solve_idle_cost_root_flat(arrivals, taus, target_idle, &mut scratch.points)?
+            solve_idle_cost_root_flat(arrivals, tau, target_idle, &mut scratch.points)?
         }
     };
 
-    let clamped = raw < now;
-    Ok(ScalingDecision {
-        arrival_index,
-        unconstrained_creation_time: raw,
-        creation_time: raw.max(now),
-        clamped,
-    })
+    Ok(ScalingDecision::at(arrival_index, raw, sampler.now()))
 }
 
 /// Compute decisions for a contiguous range of upcoming queries
 /// (`first_index ..= last_index`, 1-based). The configuration is validated
 /// once and the scratch buffers are shared across the whole batch.
-pub fn decide_batch<R: Rng + ?Sized>(
+pub fn decide_batch(
     sampler: &ArrivalSampler,
     first_index: usize,
     last_index: usize,
     config: &DecisionConfig,
-    rng: &mut R,
 ) -> Result<Vec<ScalingDecision>, ScalingError> {
     if first_index == 0 || last_index < first_index {
         return Err(ScalingError::InvalidParameter(
@@ -247,7 +221,7 @@ pub fn decide_batch<R: Rng + ?Sized>(
     config.validate()?;
     let mut scratch = DecisionScratch::new();
     (first_index..=last_index)
-        .map(|i| decide_with(sampler, i, config, rng, &mut scratch))
+        .map(|i| decide_with(sampler, i, config, &mut scratch))
         .collect()
 }
 
@@ -298,14 +272,7 @@ mod tests {
         // Constant rate 0.2 QPS, pending 13 s, first upcoming query.
         let s = sampler(0.2, 1000.0, 3, 20_000, 1);
         let alpha = 0.2;
-        let mut rng = StdRng::seed_from_u64(2);
-        let d = decide(
-            &s,
-            1,
-            &config(DecisionRule::HittingProbability { alpha }),
-            &mut rng,
-        )
-        .unwrap();
+        let d = decide(&s, 1, &config(DecisionRule::HittingProbability { alpha })).unwrap();
         // Check against the exact solution: ξ₁ − now ~ Exp(0.2); the
         // α-quantile of ξ₁ − τ is now + Q_exp(α) − 13.
         let exact = 1000.0 + -(1.0 - alpha).ln() / 0.2 - 13.0;
@@ -333,12 +300,10 @@ mod tests {
         // Very high rate: the first arrival comes almost immediately, so a
         // 13-second head start is impossible.
         let s = sampler(50.0, 500.0, 2, 5_000, 3);
-        let mut rng = StdRng::seed_from_u64(4);
         let d = decide(
             &s,
             1,
             &config(DecisionRule::HittingProbability { alpha: 0.05 }),
-            &mut rng,
         )
         .unwrap();
         assert!(d.clamped);
@@ -350,12 +315,10 @@ mod tests {
     fn rt_rule_meets_the_waiting_budget_in_expectation() {
         let s = sampler(0.1, 0.0, 2, 20_000, 5);
         let target_waiting = 3.0;
-        let mut rng = StdRng::seed_from_u64(6);
         let d = decide(
             &s,
             1,
             &config(DecisionRule::ResponseTime { target_waiting }),
-            &mut rng,
         )
         .unwrap();
         // Recompute the empirical expected waiting at the decision point.
@@ -375,12 +338,10 @@ mod tests {
     fn cost_rule_with_slack_budget_recommends_reactive_scaling() {
         // Low traffic and a huge idle budget: never create early.
         let s = sampler(0.01, 0.0, 2, 5_000, 7);
-        let mut rng = StdRng::seed_from_u64(8);
         let d = decide(
             &s,
             1,
             &config(DecisionRule::CostBudget { target_idle: 1e9 }),
-            &mut rng,
         )
         .unwrap();
         // The raw solution equals the earliest breakpoint; after clamping it
@@ -392,14 +353,7 @@ mod tests {
     fn cost_rule_meets_the_idle_budget_in_expectation() {
         let s = sampler(0.05, 0.0, 2, 20_000, 9);
         let target_idle = 5.0;
-        let mut rng = StdRng::seed_from_u64(10);
-        let d = decide(
-            &s,
-            1,
-            &config(DecisionRule::CostBudget { target_idle }),
-            &mut rng,
-        )
-        .unwrap();
+        let d = decide(&s, 1, &config(DecisionRule::CostBudget { target_idle })).unwrap();
         let arrivals = s.arrival_samples(1).unwrap();
         let idle: f64 = arrivals
             .iter()
@@ -412,13 +366,11 @@ mod tests {
     #[test]
     fn later_arrivals_get_later_creation_times() {
         let s = sampler(0.5, 0.0, 10, 5_000, 11);
-        let mut rng = StdRng::seed_from_u64(12);
         let decisions = decide_batch(
             &s,
             1,
             10,
             &config(DecisionRule::HittingProbability { alpha: 0.1 }),
-            &mut rng,
         )
         .unwrap();
         assert_eq!(decisions.len(), 10);
@@ -430,7 +382,6 @@ mod tests {
             0,
             5,
             &config(DecisionRule::HittingProbability { alpha: 0.1 }),
-            &mut rng
         )
         .is_err());
         assert!(decide_batch(
@@ -438,7 +389,6 @@ mod tests {
             5,
             4,
             &config(DecisionRule::HittingProbability { alpha: 0.1 }),
-            &mut rng
         )
         .is_err());
     }
@@ -446,19 +396,16 @@ mod tests {
     #[test]
     fn smaller_alpha_means_earlier_creation() {
         let s = sampler(0.2, 0.0, 2, 10_000, 13);
-        let mut rng = StdRng::seed_from_u64(14);
         let strict = decide(
             &s,
             1,
             &config(DecisionRule::HittingProbability { alpha: 0.05 }),
-            &mut rng,
         )
         .unwrap();
         let loose = decide(
             &s,
             1,
             &config(DecisionRule::HittingProbability { alpha: 0.5 }),
-            &mut rng,
         )
         .unwrap();
         assert!(strict.unconstrained_creation_time < loose.unconstrained_creation_time);

@@ -6,12 +6,12 @@
 //! would lie in the past even under the fastest plausible arrival stream —
 //! these must always remain covered by already-scheduled instances, so
 //! planning is triggered while κ instances are still outstanding.
+//!
+//! Nothing in serving computes κ yet: the planners run on a fixed cadence
+//! Δ (see [`crate::planner`]).
 
 use crate::error::ScalingError;
-use crate::qos::PendingTimeModel;
-use rand::Rng;
 use robustscaler_stats::special::gamma_p_inverse;
-use robustscaler_stats::{ContinuousDistribution, Gamma};
 
 /// Largest index considered when searching for κ (a safety cap; traffic
 /// would need to be extreme for κ to reach it).
@@ -50,51 +50,9 @@ pub fn kappa_deterministic_pending(
     Ok(kappa)
 }
 
-/// Compute κ by Monte Carlo for a general pending-time model.
-///
-/// For each candidate `i`, `replications` samples of `γ_i/λ̄ − τ` are drawn
-/// and the empirical α-quantile is checked against zero.
-pub fn kappa_monte_carlo<R: Rng + ?Sized>(
-    rate_upper_bound: f64,
-    pending: &PendingTimeModel,
-    alpha: f64,
-    replications: usize,
-    rng: &mut R,
-) -> Result<usize, ScalingError> {
-    if !(rate_upper_bound > 0.0) || !rate_upper_bound.is_finite() {
-        return Err(ScalingError::InvalidParameter(
-            "rate upper bound must be finite and > 0",
-        ));
-    }
-    if !(alpha > 0.0 && alpha < 1.0) {
-        return Err(ScalingError::InvalidParameter("alpha must be in (0, 1)"));
-    }
-    if replications == 0 {
-        return Err(ScalingError::InvalidParameter("replications must be >= 1"));
-    }
-    pending.validate()?;
-
-    let mut kappa = 0usize;
-    for i in 1..=KAPPA_CAP {
-        let gamma = Gamma::with_unit_scale(i as f64).expect("positive shape");
-        let mut diffs: Vec<f64> = (0..replications)
-            .map(|_| gamma.sample(rng) / rate_upper_bound - pending.sample(rng))
-            .collect();
-        let quantile = robustscaler_stats::empirical_quantile_unstable(&mut diffs, alpha)?;
-        if quantile < 0.0 {
-            kappa = i;
-        } else {
-            break;
-        }
-    }
-    Ok(kappa)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn rejects_invalid_parameters() {
@@ -102,23 +60,6 @@ mod tests {
         assert!(kappa_deterministic_pending(1.0, -1.0, 0.1).is_err());
         assert!(kappa_deterministic_pending(1.0, 13.0, 0.0).is_err());
         assert!(kappa_deterministic_pending(1.0, 13.0, 1.0).is_err());
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(kappa_monte_carlo(
-            1.0,
-            &PendingTimeModel::Deterministic(13.0),
-            0.1,
-            0,
-            &mut rng
-        )
-        .is_err());
-        assert!(kappa_monte_carlo(
-            -1.0,
-            &PendingTimeModel::Deterministic(13.0),
-            0.1,
-            100,
-            &mut rng
-        )
-        .is_err());
     }
 
     #[test]
@@ -157,55 +98,5 @@ mod tests {
         // λ̄·τ = 0.1: even the first arrival's α-quantile exceeds it for
         // α = 0.5 (median 0.693), so κ = 0.
         assert_eq!(kappa_deterministic_pending(0.05, 2.0, 0.5).unwrap(), 0);
-    }
-
-    #[test]
-    fn monte_carlo_agrees_with_closed_form_for_deterministic_pending() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for &(rate, tau, alpha) in &[
-            (0.5_f64, 13.0_f64, 0.1_f64),
-            (2.0, 13.0, 0.05),
-            (1.0, 2.0, 0.5),
-        ] {
-            let exact = kappa_deterministic_pending(rate, tau, alpha).unwrap();
-            let mc = kappa_monte_carlo(
-                rate,
-                &PendingTimeModel::Deterministic(tau),
-                alpha,
-                20_000,
-                &mut rng,
-            )
-            .unwrap();
-            assert!(
-                (exact as i64 - mc as i64).abs() <= 1,
-                "rate {rate} tau {tau} alpha {alpha}: exact {exact} vs mc {mc}"
-            );
-        }
-    }
-
-    #[test]
-    fn random_pending_time_changes_kappa_smoothly() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let deterministic = kappa_monte_carlo(
-            1.0,
-            &PendingTimeModel::Deterministic(13.0),
-            0.1,
-            10_000,
-            &mut rng,
-        )
-        .unwrap();
-        let random = kappa_monte_carlo(
-            1.0,
-            &PendingTimeModel::LogNormal {
-                mean: 13.0,
-                std_dev: 3.0,
-            },
-            0.1,
-            10_000,
-            &mut rng,
-        )
-        .unwrap();
-        // Randomness in τ shifts κ a little but not wildly.
-        assert!((deterministic as i64 - random as i64).abs() <= 4);
     }
 }

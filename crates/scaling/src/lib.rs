@@ -5,8 +5,7 @@
 //!
 //! * the **HP-constrained** rule (eqs. 2–3): the α-quantile of `ξ_i − τ_i`,
 //! * the **RT-constrained** rule (eqs. 4–5): the root of
-//!   `E[(τ − (ξ − x)⁺)⁺] = d − µ_s`, solved by the sort-and-search
-//!   Algorithm 3 in `O(R log R)`,
+//!   `E[(τ − (ξ − x)⁺)⁺] = d − µ_s`,
 //! * the **cost-constrained** rule (eqs. 6–7): the root of
 //!   `E[(ξ − τ − x)⁺] = B − µ_τ − µ_s`,
 //!
@@ -14,11 +13,16 @@
 //! (Algorithm 4) that carries the provable hitting-probability guarantees of
 //! Propositions 1 and 2.
 //!
-//! The module layout mirrors that structure: [`qos`] defines the metrics,
-//! [`arrivals`] samples the i-th upcoming arrival time from a forecast
-//! intensity, [`decisions`] implements the three rules, [`sort_search`]
-//! implements Algorithm 3, [`kappa`] the threshold, and [`planner`] the
-//! sequential planning loop.
+//! The paper solves each rule by Monte Carlo over R sampled arrival paths
+//! (Algorithm 3). Under its NHPP, `Λ(now, ξ_i) ~ Gamma(i, 1)`, so with a
+//! deterministic pending time each rule also has an exact solution, and
+//! planning uses that: [`exact`] computes the three decisions without
+//! sampling, and [`planner`] walks them round by round. The Monte Carlo
+//! engine stays for the paper's accuracy and scalability experiments and as
+//! the exact engine's test oracle: [`arrivals`] samples the i-th upcoming
+//! arrival time from a forecast intensity, [`decisions`] implements the
+//! three rules on those samples and [`sort_search`] implements Algorithm 3.
+//! [`qos`] defines the metrics and [`kappa`] the threshold.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -26,6 +30,7 @@
 pub mod arrivals;
 pub mod decisions;
 pub mod error;
+pub mod exact;
 pub mod kappa;
 pub mod planner;
 pub mod qos;
@@ -37,10 +42,11 @@ pub use decisions::{
     ScalingDecision,
 };
 pub use error::ScalingError;
-pub use kappa::{kappa_deterministic_pending, kappa_monte_carlo};
-pub use planner::{PlannerConfig, PlannerScratch, PlannerState, PlanningRound, SequentialPlanner};
+pub use exact::{decide_exact, ArrivalLaw};
+pub use kappa::kappa_deterministic_pending;
+pub use planner::{PlannerConfig, PlannerState, PlanningRound, SequentialPlanner};
 pub use qos::{cost, hit, response_time, PendingTimeModel, QosOutcome};
 pub use sort_search::{
     solve_idle_cost_root, solve_idle_cost_root_flat, solve_idle_cost_root_with, solve_waiting_root,
-    solve_waiting_root_flat, solve_waiting_root_with, PendingColumn,
+    solve_waiting_root_flat, solve_waiting_root_with,
 };

@@ -8,23 +8,35 @@
 //! window `[now, now + Δ)`. Creations further in the future are left to later
 //! rounds, which will know more about the traffic.
 //!
-//! The κ threshold (see [`crate::kappa`]) guarantees that planning at this
-//! cadence always happens at least κ + 1 arrivals ahead, which is what the
-//! hitting-probability guarantee of Proposition 1 needs.
+//! Every decision is exact ([`crate::exact`]): the HP rule in closed form
+//! from a per-planner table of Gamma quantiles, the RT and cost rules by a
+//! bracketed root. A round is therefore a pure function of (forecast,
+//! `now`, covered count) under a fixed configuration — no sampling and no
+//! RNG.
+//!
+//! Algorithm 4 triggers planning while at least κ instances (eq. 8,
+//! [`crate::kappa`]) are still outstanding, which the hitting-probability
+//! guarantee of Proposition 1 needs. This planner does not: it runs on the
+//! fixed cadence Δ whatever the coverage, and nothing in serving computes
+//! κ. A query whose optimal creation time has already passed when a round
+//! first reaches it is clamped to `now` ([`ScalingDecision::clamped`]) and
+//! can miss its QoS target. Planning on κ's trigger is ROADMAP item 3.
 
-use crate::arrivals::ArrivalSampler;
-use crate::decisions::{decide_with, DecisionConfig, DecisionScratch, ScalingDecision};
+use crate::decisions::{DecisionRule, ScalingDecision};
 use crate::error::ScalingError;
-use rand::Rng;
-use robustscaler_nhpp::Intensity;
+use crate::exact::ArrivalLaw;
+use crate::qos::PendingTimeModel;
+use robustscaler_nhpp::{Intensity, InverseHint, PiecewiseConstantIntensity};
+use robustscaler_stats::special::gamma_p_inverse;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the sequential planner.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PlannerConfig {
-    /// The per-query decision configuration (rule, pending model, Monte Carlo
-    /// sample count).
-    pub decision: DecisionConfig,
+    /// The per-query decision rule.
+    pub rule: DecisionRule,
+    /// Pending (startup) time model of new instances.
+    pub pending: PendingTimeModel,
     /// Planning interval `Δ` in seconds.
     pub planning_interval: f64,
     /// Hard cap on the number of creations scheduled in one round (a safety
@@ -35,7 +47,8 @@ pub struct PlannerConfig {
 impl PlannerConfig {
     /// Validate the configuration.
     pub fn validate(&self) -> Result<(), ScalingError> {
-        self.decision.validate()?;
+        self.rule.validate()?;
+        self.pending.validate()?;
         if !(self.planning_interval > 0.0) || !self.planning_interval.is_finite() {
             return Err(ScalingError::InvalidParameter(
                 "planning interval must be finite and > 0",
@@ -56,26 +69,6 @@ pub struct PlannerState {
     /// Number of upcoming arrivals already covered by scheduled-but-not-yet
     /// -created instances plus pending/ready idle instances.
     pub covered: usize,
-}
-
-/// Reusable state threaded through consecutive planning rounds.
-///
-/// A serving process plans every Δ seconds for the lifetime of a tenant;
-/// reallocating the per-decision Monte Carlo buffers each round would undo
-/// the zero-copy work of the decision layer. One `PlannerScratch` per
-/// tenant keeps the [`DecisionScratch`] buffers alive across rounds — they
-/// grow once to the steady-state round size and are then reused
-/// allocation-free.
-#[derive(Debug, Clone, Default)]
-pub struct PlannerScratch {
-    decision: DecisionScratch,
-}
-
-impl PlannerScratch {
-    /// Fresh, empty scratch (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// One round's planning output.
@@ -121,13 +114,21 @@ impl PlanningRound {
 #[derive(Debug, Clone)]
 pub struct SequentialPlanner {
     config: PlannerConfig,
+    /// HP rule: `F⁻¹_{Γ(i,1)}(α)` at index `i − 1`, filled on first use
+    /// (NaN until then). An entry depends only on `(i, α)`, so a cold table
+    /// and a warm one plan bit-identically; the table is runtime state of
+    /// this planner, never persisted or shared.
+    quantiles: Vec<f64>,
 }
 
 impl SequentialPlanner {
     /// Create a planner.
     pub fn new(config: PlannerConfig) -> Result<Self, ScalingError> {
         config.validate()?;
-        Ok(Self { config })
+        Ok(Self {
+            config,
+            quantiles: Vec::new(),
+        })
     }
 
     /// The planner's configuration.
@@ -139,141 +140,99 @@ impl SequentialPlanner {
     ///
     /// `intensity` is the forecast arrival intensity (absolute time);
     /// `state.covered` tells the planner how many upcoming arrivals already
-    /// have an instance on the way.
-    pub fn plan_window<I, R>(
-        &self,
-        intensity: &I,
+    /// have an instance on the way. Decides arrival after arrival from
+    /// `state.covered + 1` on and stops at the first creation at or past
+    /// the window's end — later arrivals need creations only after this
+    /// window and are left to the next round — or at the per-round cap.
+    pub fn plan_window(
+        &mut self,
+        intensity: &PiecewiseConstantIntensity,
         now: f64,
         state: PlannerState,
-        rng: &mut R,
-    ) -> Result<PlanningRound, ScalingError>
-    where
-        I: Intensity + Sync,
-        R: Rng + ?Sized,
-    {
-        self.plan_window_with(intensity, now, state, rng, &mut PlannerScratch::new())
-    }
-
-    /// [`SequentialPlanner::plan_window`] with caller-provided scratch —
-    /// the resumable entry point for serving loops that plan round after
-    /// round and want the Monte Carlo buffers reused across rounds.
-    pub fn plan_window_with<I, R>(
-        &self,
-        intensity: &I,
-        now: f64,
-        state: PlannerState,
-        rng: &mut R,
-        scratch: &mut PlannerScratch,
-    ) -> Result<PlanningRound, ScalingError>
-    where
-        I: Intensity + Sync,
-        R: Rng + ?Sized,
-    {
+    ) -> PlanningRound {
         let window_end = now + self.config.planning_interval;
-        let expected_in_window = intensity.integrated(now, window_end);
-        let max_horizon = state.covered + self.config.max_decisions_per_round;
-
-        // Initial guess of how many arrival indices we may need to look at:
-        // a creation must land inside the window when its arrival comes
-        // within roughly one pending lead past the window's end, so count
-        // the forecast mass out to there plus a small constant. The guess is
-        // deliberately tight — sampling is the round's dominant cost and
-        // unconsumed arrival rows are pure waste, while undershooting only
-        // costs an `extend_horizon` call that continues the per-path streams
-        // (consumed samples are bit-identical for any guess/growth schedule).
-        let lead = self.config.decision.pending.mean();
-        let expected_to_lead = intensity.integrated(now, window_end + lead);
-        let mut horizon = state.covered + (1.05 * expected_to_lead).ceil() as usize + 3;
-        horizon = horizon.min(max_horizon);
-
-        // One sampler serves the whole round: when the horizon guess turns
-        // out too small, `extend_horizon` continues the already-sampled
-        // exponential-increment paths instead of resampling from scratch, so
-        // earlier decisions stay valid and are never recomputed. The
-        // configuration was validated when the planner was built, so the
-        // per-decision loop runs the validation-free scratch path.
-        let mut sampler = ArrivalSampler::new(
-            intensity,
+        let tau = self.config.pending.mean();
+        let walk = Walk {
+            first: state.covered + 1,
             now,
-            horizon,
-            self.config.decision.monte_carlo_samples,
-            rng,
-        )?;
-        let mut decisions: Vec<ScalingDecision> = Vec::new();
-        while !self.walk(&sampler, state, window_end, &mut decisions, rng, scratch)?
-            && horizon < max_horizon
-        {
-            // Every sampled index needed a creation inside the window — the
-            // horizon was too small; enlarge and keep going. Growth is
-            // geometric but gentle (+25%, at least 8 rows): the tight guess
-            // above undershoots by at most the decision rule's quantile
-            // margin, so doubling would overshoot far more than it saves.
-            horizon = (horizon + (horizon / 4).max(8)).min(max_horizon);
-            sampler.extend_horizon(intensity, horizon);
-        }
-
-        Ok(PlanningRound {
+            window_end,
+            cap: self.config.max_decisions_per_round,
+        };
+        let decisions = match self.config.rule {
+            DecisionRule::HittingProbability { alpha } => {
+                // The quantiles grow with the index, so one inverse cursor
+                // makes the whole walk O(1) per decision.
+                let mut hint = InverseHint::default();
+                let quantiles = &mut self.quantiles;
+                walk.run(|i| {
+                    let quantile = gamma_quantile(quantiles, i, alpha);
+                    intensity.inverse_integrated_hinted(now, quantile, &mut hint) - tau
+                })
+            }
+            DecisionRule::ResponseTime { target_waiting } => {
+                let law = ArrivalLaw::new(intensity, now);
+                walk.run(|i| law.waiting_root(i, tau, target_waiting))
+            }
+            DecisionRule::CostBudget { target_idle } => {
+                let law = ArrivalLaw::new(intensity, now);
+                walk.run(|i| law.idle_root(i, tau, target_idle))
+            }
+        };
+        PlanningRound {
             decisions,
-            expected_arrivals_in_window: expected_in_window,
-        })
+            expected_arrivals_in_window: intensity.integrated(now, window_end),
+        }
     }
+}
 
-    /// The decision walk of [`SequentialPlanner::plan_window_with`].
-    /// Decides arrival after arrival, resuming after the last one in
-    /// `decisions` (arrival `state.covered + 1` on a fresh walk), and
-    /// returns `true` once the round is finished: a creation fell at or
-    /// past `window_end` — later arrivals only need creations after this
-    /// window, so they are left to the next round — or the per-round cap
-    /// was reached. Returns `false` when `sampler`'s horizon ran out first.
-    fn walk<R>(
-        &self,
-        sampler: &ArrivalSampler,
-        state: PlannerState,
-        window_end: f64,
-        decisions: &mut Vec<ScalingDecision>,
-        rng: &mut R,
-        scratch: &mut PlannerScratch,
-    ) -> Result<bool, ScalingError>
-    where
-        R: Rng + ?Sized,
-    {
-        let next = state.covered + 1 + decisions.len();
-        for index in next..=sampler.horizon_arrivals() {
-            let decision = decide_with(
-                sampler,
-                index,
-                &self.config.decision,
-                rng,
-                &mut scratch.decision,
-            )?;
-            if decision.creation_time >= window_end {
-                return Ok(true);
+/// One round's decision walk over consecutive arrival indices.
+struct Walk {
+    first: usize,
+    now: f64,
+    window_end: f64,
+    cap: usize,
+}
+
+impl Walk {
+    /// Decide arrivals `first, first + 1, …` from their raw creation times
+    /// until one falls at or past the window's end or the cap is reached.
+    fn run(&self, mut raw_creation_time: impl FnMut(usize) -> f64) -> Vec<ScalingDecision> {
+        let mut decisions = Vec::new();
+        for index in self.first.. {
+            let decision = ScalingDecision::at(index, raw_creation_time(index), self.now);
+            if decision.creation_time >= self.window_end {
+                break;
             }
             decisions.push(decision);
-            if decisions.len() >= self.config.max_decisions_per_round {
-                return Ok(true);
+            if decisions.len() >= self.cap {
+                break;
             }
         }
-        Ok(false)
+        decisions
     }
+}
+
+/// `F⁻¹_{Γ(i,1)}(α)` from `table`, computing and storing it on first use.
+fn gamma_quantile(table: &mut Vec<f64>, i: usize, alpha: f64) -> f64 {
+    if table.len() < i {
+        table.resize(i, f64::NAN);
+    }
+    let entry = &mut table[i - 1];
+    if entry.is_nan() {
+        *entry = gamma_p_inverse(i as f64, alpha);
+    }
+    *entry
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decisions::DecisionRule;
-    use crate::qos::PendingTimeModel;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use robustscaler_nhpp::PiecewiseConstantIntensity;
+    use crate::exact::decide_exact;
 
     fn planner(rule: DecisionRule, interval: f64) -> SequentialPlanner {
         SequentialPlanner::new(PlannerConfig {
-            decision: DecisionConfig {
-                rule,
-                pending: PendingTimeModel::Deterministic(13.0),
-                monte_carlo_samples: 400,
-            },
+            rule,
+            pending: PendingTimeModel::Deterministic(13.0),
             planning_interval: interval,
             max_decisions_per_round: 500,
         })
@@ -287,11 +246,8 @@ mod tests {
     #[test]
     fn config_validation() {
         let mut config = PlannerConfig {
-            decision: DecisionConfig {
-                rule: DecisionRule::HittingProbability { alpha: 0.1 },
-                pending: PendingTimeModel::Deterministic(13.0),
-                monte_carlo_samples: 100,
-            },
+            rule: DecisionRule::HittingProbability { alpha: 0.1 },
+            pending: PendingTimeModel::Deterministic(13.0),
             planning_interval: 0.0,
             max_decisions_per_round: 100,
         };
@@ -301,18 +257,17 @@ mod tests {
         assert!(SequentialPlanner::new(config).is_err());
         config.max_decisions_per_round = 10;
         assert!(SequentialPlanner::new(config).is_ok());
+        config.pending = PendingTimeModel::Deterministic(-1.0);
+        assert!(SequentialPlanner::new(config).is_err());
     }
 
     #[test]
     fn plans_roughly_the_expected_number_of_creations_per_window() {
         // 2 QPS and a 10-second window: about 20 arrivals; with a 13 s pending
         // time every one of them needs a creation scheduled within the window.
-        let planner = planner(DecisionRule::HittingProbability { alpha: 0.1 }, 10.0);
+        let mut planner = planner(DecisionRule::HittingProbability { alpha: 0.1 }, 10.0);
         let intensity = flat_intensity(2.0);
-        let mut rng = StdRng::seed_from_u64(1);
-        let round = planner
-            .plan_window(&intensity, 100.0, PlannerState { covered: 0 }, &mut rng)
-            .unwrap();
+        let round = planner.plan_window(&intensity, 100.0, PlannerState { covered: 0 });
         assert!((round.expected_arrivals_in_window - 20.0).abs() < 1e-9);
         // Every arrival expected within the window plus the 13 s startup lead
         // needs a creation scheduled now; with the α = 0.1 safety margin the
@@ -336,12 +291,8 @@ mod tests {
 
     #[test]
     fn covered_arrivals_shift_the_planned_indices() {
-        let planner = planner(DecisionRule::HittingProbability { alpha: 0.1 }, 10.0);
-        let intensity = flat_intensity(1.0);
-        let mut rng = StdRng::seed_from_u64(2);
-        let round = planner
-            .plan_window(&intensity, 0.0, PlannerState { covered: 5 }, &mut rng)
-            .unwrap();
+        let mut planner = planner(DecisionRule::HittingProbability { alpha: 0.1 }, 10.0);
+        let round = planner.plan_window(&flat_intensity(1.0), 0.0, PlannerState { covered: 5 });
         assert!(!round.decisions.is_empty());
         assert_eq!(round.decisions[0].arrival_index, 6);
     }
@@ -350,65 +301,60 @@ mod tests {
     fn quiet_traffic_schedules_nothing() {
         // 0.001 QPS and a 1-second window: the first uncovered arrival is far
         // in the future and its creation time falls outside the window.
-        let planner = planner(DecisionRule::HittingProbability { alpha: 0.1 }, 1.0);
-        let intensity = flat_intensity(0.001);
-        let mut rng = StdRng::seed_from_u64(3);
-        let round = planner
-            .plan_window(&intensity, 0.0, PlannerState { covered: 2 }, &mut rng)
-            .unwrap();
+        let mut planner = planner(DecisionRule::HittingProbability { alpha: 0.1 }, 1.0);
+        let round = planner.plan_window(&flat_intensity(0.001), 0.0, PlannerState { covered: 2 });
         assert!(round.decisions.is_empty(), "{:?}", round.decisions);
     }
 
     #[test]
     fn respects_the_per_round_cap() {
-        let planner = SequentialPlanner::new(PlannerConfig {
-            decision: DecisionConfig {
-                rule: DecisionRule::HittingProbability { alpha: 0.1 },
-                pending: PendingTimeModel::Deterministic(13.0),
-                monte_carlo_samples: 200,
-            },
+        let mut planner = SequentialPlanner::new(PlannerConfig {
+            rule: DecisionRule::HittingProbability { alpha: 0.1 },
+            pending: PendingTimeModel::Deterministic(13.0),
             planning_interval: 100.0,
             max_decisions_per_round: 25,
         })
         .unwrap();
-        let intensity = flat_intensity(10.0); // ~1000 arrivals per window
-        let mut rng = StdRng::seed_from_u64(4);
-        let round = planner
-            .plan_window(&intensity, 0.0, PlannerState { covered: 0 }, &mut rng)
-            .unwrap();
+        // ~1000 arrivals per window.
+        let round = planner.plan_window(&flat_intensity(10.0), 0.0, PlannerState { covered: 0 });
         assert_eq!(round.decisions.len(), 25);
     }
 
     #[test]
-    fn scratch_reuse_across_rounds_is_bit_identical_to_fresh_scratch() {
-        let planner = planner(DecisionRule::HittingProbability { alpha: 0.1 }, 10.0);
-        let intensity = flat_intensity(1.5);
-        // Fresh scratch every round vs one scratch threaded through all
-        // rounds: same RNG stream, so the plans must match exactly.
-        let mut fresh_rng = StdRng::seed_from_u64(11);
-        let mut reused_rng = StdRng::seed_from_u64(11);
-        let mut scratch = PlannerScratch::new();
-        for round in 0..5 {
-            let now = 50.0 + 10.0 * round as f64;
-            let state = PlannerState { covered: round };
-            let fresh = planner
-                .plan_window(&intensity, now, state, &mut fresh_rng)
-                .unwrap();
-            let reused = planner
-                .plan_window_with(&intensity, now, state, &mut reused_rng, &mut scratch)
-                .unwrap();
-            assert_eq!(fresh, reused, "round {round}");
+    fn warm_and_cold_quantile_tables_plan_bit_identically() {
+        // One planner threaded through several rounds (its quantile table
+        // warm, filled out of order by varying covered counts) vs a fresh
+        // planner per round: the plans must match exactly, and match the
+        // one-off exact decisions.
+        let intensity =
+            PiecewiseConstantIntensity::new(0.0, 30.0, vec![1.5, 0.2, 3.0, 0.0, 0.7]).unwrap();
+        let rule = DecisionRule::HittingProbability { alpha: 0.1 };
+        let mut warm = planner(rule, 10.0);
+        for (round, covered) in [7usize, 0, 3, 12, 1].into_iter().enumerate() {
+            let now = 5.0 + 20.0 * round as f64;
+            let state = PlannerState { covered };
+            let fresh = planner(rule, 10.0).plan_window(&intensity, now, state);
+            assert_eq!(
+                warm.plan_window(&intensity, now, state),
+                fresh,
+                "round {round}"
+            );
+            for d in &fresh.decisions {
+                let one_off = decide_exact(&intensity, now, d.arrival_index, &rule, 13.0);
+                assert_eq!(
+                    one_off.creation_time.to_bits(),
+                    d.creation_time.to_bits(),
+                    "round {round} index {}",
+                    d.arrival_index
+                );
+            }
         }
     }
 
     #[test]
     fn shifted_rounds_translate_creation_times_and_keep_indices() {
-        let planner = planner(DecisionRule::HittingProbability { alpha: 0.1 }, 10.0);
-        let intensity = flat_intensity(2.0);
-        let mut rng = StdRng::seed_from_u64(9);
-        let round = planner
-            .plan_window(&intensity, 100.0, PlannerState { covered: 0 }, &mut rng)
-            .unwrap();
+        let mut planner = planner(DecisionRule::HittingProbability { alpha: 0.1 }, 10.0);
+        let round = planner.plan_window(&flat_intensity(2.0), 100.0, PlannerState { covered: 0 });
         assert!(!round.decisions.is_empty());
         let shifted = round.shifted_by(10.0, 21.5);
         assert_eq!(shifted.decisions.len(), round.decisions.len());
@@ -428,21 +374,20 @@ mod tests {
     }
 
     #[test]
-    fn rt_rule_planner_produces_monotone_creation_times() {
-        let planner = planner(
+    fn rt_and_cost_planners_produce_monotone_creation_times() {
+        for rule in [
             DecisionRule::ResponseTime {
                 target_waiting: 2.0,
             },
-            20.0,
-        );
-        let intensity = flat_intensity(1.0);
-        let mut rng = StdRng::seed_from_u64(5);
-        let round = planner
-            .plan_window(&intensity, 50.0, PlannerState { covered: 0 }, &mut rng)
-            .unwrap();
-        assert!(!round.decisions.is_empty());
-        for pair in round.decisions.windows(2) {
-            assert!(pair[1].creation_time >= pair[0].creation_time - 1e-9);
+            DecisionRule::CostBudget { target_idle: 3.0 },
+        ] {
+            let mut planner = planner(rule, 20.0);
+            let round =
+                planner.plan_window(&flat_intensity(1.0), 50.0, PlannerState { covered: 0 });
+            assert!(!round.decisions.is_empty(), "{rule:?}");
+            for pair in round.decisions.windows(2) {
+                assert!(pair[1].creation_time >= pair[0].creation_time - 1e-9);
+            }
         }
     }
 }

@@ -13,8 +13,6 @@
 //! reactive cold-start case.
 
 use crate::error::ScalingError;
-use rand::Rng;
-use robustscaler_stats::{ContinuousDistribution, LogNormal};
 use serde::{Deserialize, Serialize};
 
 /// Positive part `(v)⁺`.
@@ -77,92 +75,37 @@ impl QosOutcome {
 /// The pending (instance startup) time model used when planning.
 ///
 /// The paper's experiments use a fixed pod pending time (13 s in the
-/// scalability study); production startup times are heavy-tailed, so a
-/// log-normal option is provided as well.
+/// scalability study). Planning is exact for a deterministic pending time
+/// (see [`crate::exact`]); the simulator's own pending-time distribution
+/// may still be random.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum PendingTimeModel {
     /// Deterministic pending time of the given length (seconds).
     Deterministic(f64),
-    /// Log-normal pending time with the given mean and standard deviation.
-    LogNormal {
-        /// Mean pending time in seconds.
-        mean: f64,
-        /// Standard deviation of the pending time in seconds.
-        std_dev: f64,
-    },
 }
 
 impl PendingTimeModel {
     /// Validate the parameters.
     pub fn validate(&self) -> Result<(), ScalingError> {
-        match self {
-            PendingTimeModel::Deterministic(v) => {
-                if !(*v >= 0.0) || !v.is_finite() {
-                    return Err(ScalingError::InvalidParameter(
-                        "deterministic pending time must be finite and >= 0",
-                    ));
-                }
-            }
-            PendingTimeModel::LogNormal { mean, std_dev } => {
-                if !(*mean > 0.0) || !(*std_dev > 0.0) {
-                    return Err(ScalingError::InvalidParameter(
-                        "log-normal pending time needs mean > 0 and std_dev > 0",
-                    ));
-                }
-            }
+        let PendingTimeModel::Deterministic(v) = self;
+        if !(*v >= 0.0) || !v.is_finite() {
+            return Err(ScalingError::InvalidParameter(
+                "deterministic pending time must be finite and >= 0",
+            ));
         }
         Ok(())
     }
 
     /// Expected pending time `µ_τ`.
     pub fn mean(&self) -> f64 {
-        match self {
-            PendingTimeModel::Deterministic(v) => *v,
-            PendingTimeModel::LogNormal { mean, .. } => *mean,
-        }
-    }
-
-    /// Draw one pending time.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        match self {
-            PendingTimeModel::Deterministic(v) => *v,
-            PendingTimeModel::LogNormal { mean, std_dev } => {
-                LogNormal::from_mean_std(*mean, *std_dev)
-                    .expect("validated parameters")
-                    .sample(rng)
-            }
-        }
-    }
-
-    /// Draw `n` pending times.
-    pub fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.sample_into(rng, n, &mut out);
-        out
-    }
-
-    /// Draw `n` pending times into a reusable buffer (cleared first), so the
-    /// per-decision hot loop neither allocates nor rebuilds the distribution
-    /// per draw.
-    pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, n: usize, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(n);
-        match self {
-            PendingTimeModel::Deterministic(v) => out.extend(std::iter::repeat_n(*v, n)),
-            PendingTimeModel::LogNormal { mean, std_dev } => {
-                let distribution =
-                    LogNormal::from_mean_std(*mean, *std_dev).expect("validated parameters");
-                out.extend((0..n).map(|_| distribution.sample(rng)));
-            }
-        }
+        let PendingTimeModel::Deterministic(v) = self;
+        *v
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn response_time_covers_all_three_cases() {
@@ -212,28 +155,13 @@ mod tests {
     }
 
     #[test]
-    fn pending_models_validate_and_sample() {
+    fn pending_model_validates() {
         assert!(PendingTimeModel::Deterministic(-1.0).validate().is_err());
-        assert!(PendingTimeModel::LogNormal {
-            mean: 0.0,
-            std_dev: 1.0
-        }
-        .validate()
-        .is_err());
+        assert!(PendingTimeModel::Deterministic(f64::NAN)
+            .validate()
+            .is_err());
         let det = PendingTimeModel::Deterministic(13.0);
         det.validate().unwrap();
         assert_eq!(det.mean(), 13.0);
-        let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(det.sample(&mut rng), 13.0);
-
-        let ln = PendingTimeModel::LogNormal {
-            mean: 13.0,
-            std_dev: 3.0,
-        };
-        ln.validate().unwrap();
-        let samples = ln.sample_n(&mut rng, 50_000);
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        assert!((mean - 13.0).abs() < 0.2, "mean {mean}");
-        assert!(samples.iter().all(|&t| t > 0.0));
     }
 }

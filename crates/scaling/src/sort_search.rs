@@ -17,21 +17,10 @@
 
 use crate::error::ScalingError;
 
-/// Pending-time samples `τ_r` viewed as a column: either one constant shared
-/// by every replication (the deterministic model — the common case, whose
-/// solver inner loops vectorize) or a borrowed per-replication buffer.
-#[derive(Debug, Clone, Copy)]
-pub enum PendingColumn<'a> {
-    /// Every replication has the same pending time.
-    Constant(f64),
-    /// Replication `r` has pending time `taus[r]`.
-    PerReplication(&'a [f64]),
-}
-
 /// Internal view of the `(ξ_r, τ_r)` Monte Carlo samples. The root solvers
-/// are generic over the storage so the decision hot path can feed flat
-/// column buffers (an arrival row borrowed from the sampler matrix plus a
-/// [`PendingColumn`]) while the pair-based public API keeps its shape; both
+/// are generic over the storage so the decision path can feed a flat
+/// arrival row borrowed from the sampler matrix plus one deterministic
+/// pending time, while the pair-based public API keeps its shape; both
 /// instantiations run identical arithmetic in identical order, so their
 /// results are bit-for-bit equal for equal sample values.
 trait SampleView {
@@ -57,7 +46,7 @@ impl SampleView for &[(f64, f64)] {
 
 struct FlatSamples<'a> {
     xis: &'a [f64],
-    taus: PendingColumn<'a>,
+    tau: f64,
 }
 
 impl SampleView for FlatSamples<'_> {
@@ -70,23 +59,9 @@ impl SampleView for FlatSamples<'_> {
         self.xis[r]
     }
     #[inline]
-    fn tau(&self, r: usize) -> f64 {
-        match self.taus {
-            PendingColumn::Constant(v) => v,
-            PendingColumn::PerReplication(taus) => taus[r],
-        }
+    fn tau(&self, _r: usize) -> f64 {
+        self.tau
     }
-}
-
-fn check_pending_column(xis: &[f64], taus: PendingColumn<'_>) -> Result<(), ScalingError> {
-    if let PendingColumn::PerReplication(t) = taus {
-        if t.len() != xis.len() {
-            return Err(ScalingError::InvalidParameter(
-                "pending-time column length must match the arrival column",
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// Evaluate the empirical expected waiting time `Ŵ(x)` directly (O(R)).
@@ -143,18 +118,17 @@ pub fn solve_waiting_root_with(
     waiting_root_impl(&samples, target, breakpoints)
 }
 
-/// [`solve_waiting_root_with`] over flat column buffers: the arrival samples
-/// `ξ_r` are a borrowed row of the sampler matrix and the pending times come
-/// from a [`PendingColumn`]. Bit-identical to the pair-based solver for the
-/// same `(ξ_r, τ_r)` values, without materializing the pairs.
+/// [`solve_waiting_root_with`] over a flat arrival column: the samples `ξ_r`
+/// are a borrowed row of the sampler matrix and every replication has the
+/// deterministic pending time `tau`. Bit-identical to the pair-based solver
+/// for the same `(ξ_r, τ)` values, without materializing the pairs.
 pub fn solve_waiting_root_flat(
     xis: &[f64],
-    taus: PendingColumn<'_>,
+    tau: f64,
     target: f64,
     breakpoints: &mut Vec<(f64, f64)>,
 ) -> Result<f64, ScalingError> {
-    check_pending_column(xis, taus)?;
-    waiting_root_impl(&FlatSamples { xis, taus }, target, breakpoints)
+    waiting_root_impl(&FlatSamples { xis, tau }, target, breakpoints)
 }
 
 fn waiting_root_impl<S: SampleView>(
@@ -241,16 +215,15 @@ pub fn solve_idle_cost_root_with(
     idle_cost_root_impl(&samples, target, points)
 }
 
-/// [`solve_idle_cost_root_with`] over flat column buffers; see
+/// [`solve_idle_cost_root_with`] over a flat arrival column; see
 /// [`solve_waiting_root_flat`] for the storage contract.
 pub fn solve_idle_cost_root_flat(
     xis: &[f64],
-    taus: PendingColumn<'_>,
+    tau: f64,
     target: f64,
     points: &mut Vec<f64>,
 ) -> Result<f64, ScalingError> {
-    check_pending_column(xis, taus)?;
-    idle_cost_root_impl(&FlatSamples { xis, taus }, target, points)
+    idle_cost_root_impl(&FlatSamples { xis, tau }, target, points)
 }
 
 fn idle_cost_root_impl<S: SampleView>(
@@ -452,60 +425,19 @@ mod tests {
         let mut breakpoints = Vec::new();
         let mut points = Vec::new();
         for seed in 50..54_u64 {
-            let samples = random_samples(250, seed);
-            let xis: Vec<f64> = samples.iter().map(|&(x, _)| x).collect();
-            let taus: Vec<f64> = samples.iter().map(|&(_, t)| t).collect();
+            let xis: Vec<f64> = random_samples(250, seed).iter().map(|&(x, _)| x).collect();
             let const_samples: Vec<(f64, f64)> = xis.iter().map(|&x| (x, 13.0)).collect();
             for &target in &[0.5, 3.0, 11.0] {
                 assert_eq!(
-                    solve_waiting_root_flat(
-                        &xis,
-                        PendingColumn::PerReplication(&taus),
-                        target,
-                        &mut breakpoints
-                    )
-                    .unwrap(),
-                    solve_waiting_root(&samples, target).unwrap()
-                );
-                assert_eq!(
-                    solve_idle_cost_root_flat(
-                        &xis,
-                        PendingColumn::PerReplication(&taus),
-                        target,
-                        &mut points
-                    )
-                    .unwrap(),
-                    solve_idle_cost_root(&samples, target).unwrap()
-                );
-                assert_eq!(
-                    solve_waiting_root_flat(
-                        &xis,
-                        PendingColumn::Constant(13.0),
-                        target,
-                        &mut breakpoints
-                    )
-                    .unwrap(),
+                    solve_waiting_root_flat(&xis, 13.0, target, &mut breakpoints).unwrap(),
                     solve_waiting_root(&const_samples, target).unwrap()
                 );
                 assert_eq!(
-                    solve_idle_cost_root_flat(
-                        &xis,
-                        PendingColumn::Constant(13.0),
-                        target,
-                        &mut points
-                    )
-                    .unwrap(),
+                    solve_idle_cost_root_flat(&xis, 13.0, target, &mut points).unwrap(),
                     solve_idle_cost_root(&const_samples, target).unwrap()
                 );
             }
         }
-        assert!(solve_waiting_root_flat(
-            &[1.0, 2.0],
-            PendingColumn::PerReplication(&[1.0]),
-            0.5,
-            &mut breakpoints
-        )
-        .is_err());
     }
 
     #[test]

@@ -257,9 +257,9 @@ mod tests {
         let metrics = simulator.run(&trace, &mut adap).unwrap();
         // Scale-ins show up as unused instances deleted before the end.
         let scaled_in = metrics
-            .instances
+            .unused
             .iter()
-            .filter(|i| !i.served_query && i.deleted_at < trace.end() - 1.0)
+            .filter(|i| i.deleted_at < trace.end() - 1.0)
             .count();
         assert!(scaled_in > 0, "expected scale-in events");
     }

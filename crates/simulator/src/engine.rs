@@ -21,7 +21,7 @@
 
 use crate::autoscaler::{Autoscaler, ScalingCommand, SystemState};
 use crate::error::SimulatorError;
-use crate::metrics::{InstanceRecord, QueryOutcome, SimulationMetrics};
+use crate::metrics::{QueryOutcome, SimulationMetrics};
 use crate::trace::Trace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -191,11 +191,7 @@ impl Simulator {
         // Charge leftover idle instances until the end of the trace.
         let end = trace.end();
         for instance in state.idle.drain(..) {
-            metrics.instances.push(InstanceRecord {
-                created_at: instance.created_at,
-                deleted_at: end.max(instance.created_at),
-                served_query: false,
-            });
+            metrics.record_unused(instance.created_at, end.max(instance.created_at));
         }
         Ok(metrics)
     }
@@ -321,11 +317,7 @@ impl EngineState {
                             .map(|(i, _)| i)
                         {
                             let removed = self.idle.swap_remove(pos);
-                            metrics.instances.push(InstanceRecord {
-                                created_at: removed.created_at,
-                                deleted_at: now,
-                                served_query: false,
-                            });
+                            metrics.record_unused(removed.created_at, now);
                         } else if !self.scheduled.is_empty() {
                             // No idle instance to remove: cancel a scheduled
                             // creation instead (latest first).
@@ -371,13 +363,8 @@ impl EngineState {
             Some(index) if self.idle[index].ready_at <= arrival => {
                 // Hit: processing starts immediately.
                 let instance = self.idle.swap_remove(index);
-                metrics.instances.push(InstanceRecord {
-                    created_at: instance.created_at,
-                    deleted_at: arrival + processing,
-                    served_query: true,
-                });
+                metrics.record_served(instance.created_at, arrival + processing);
                 QueryOutcome {
-                    arrival,
                     response_time: processing,
                     waiting_time: 0.0,
                     hit: true,
@@ -388,13 +375,8 @@ impl EngineState {
                 // An instance is pending: the query waits for it.
                 let instance = self.idle.swap_remove(index);
                 let waiting = instance.ready_at - arrival;
-                metrics.instances.push(InstanceRecord {
-                    created_at: instance.created_at,
-                    deleted_at: instance.ready_at + processing,
-                    served_query: true,
-                });
+                metrics.record_served(instance.created_at, instance.ready_at + processing);
                 QueryOutcome {
-                    arrival,
                     response_time: waiting + processing,
                     waiting_time: waiting,
                     hit: false,
@@ -414,13 +396,8 @@ impl EngineState {
                     self.scheduled.swap_remove(pos);
                 }
                 let pending = config.pending.sample(rng);
-                metrics.instances.push(InstanceRecord {
-                    created_at: arrival,
-                    deleted_at: arrival + pending + processing,
-                    served_query: true,
-                });
+                metrics.record_served(arrival, arrival + pending + processing);
                 QueryOutcome {
-                    arrival,
                     response_time: pending + processing,
                     waiting_time: pending,
                     hit: false,
@@ -493,7 +470,7 @@ mod tests {
         assert!((metrics.rt_avg() - 18.0).abs() < 1e-9);
         // Cost = (pending + processing) per query.
         assert!((metrics.total_cost() - 50.0 * 18.0).abs() < 1e-9);
-        assert_eq!(metrics.instances.len(), 50);
+        assert_eq!(metrics.instance_count(), 50);
     }
 
     #[test]
@@ -537,10 +514,10 @@ mod tests {
         let mut policy = BackupPool::new(3);
         let metrics = sim.run(&trace, &mut policy).unwrap();
         assert_eq!(metrics.query_count(), 200);
-        let served = metrics.instances.iter().filter(|i| i.served_query).count();
-        assert_eq!(served, 200);
+        assert_eq!(metrics.served_instances, 200);
         // Conservation: every instance has a non-negative lifecycle.
-        assert!(metrics.instances.iter().all(|i| i.lifecycle() >= 0.0));
+        assert!(metrics.unused.iter().all(|i| i.lifecycle() >= 0.0));
+        assert!(metrics.total_cost() >= 0.0);
     }
 
     #[test]
@@ -632,9 +609,9 @@ mod tests {
         let unused = metrics.unused_instances();
         assert!(unused >= 3, "unused {unused}");
         let scaled_in_cost: f64 = metrics
-            .instances
+            .unused
             .iter()
-            .filter(|i| !i.served_query && i.deleted_at <= 30.0 + 1e-9)
+            .filter(|i| i.deleted_at <= 30.0 + 1e-9)
             .map(|i| i.lifecycle())
             .sum();
         assert!((scaled_in_cost - 90.0).abs() < 1e-6, "{scaled_in_cost}");
@@ -648,7 +625,7 @@ mod tests {
         let metrics = sim.run(&trace, &mut policy).unwrap();
         // 4 initial + 3 replenished = 7 instances; 3 served, 4 idle at the end
         // charged until the last arrival (t = 20).
-        assert_eq!(metrics.instances.len(), 7);
+        assert_eq!(metrics.instance_count(), 7);
         assert_eq!(metrics.unused_instances(), 4);
     }
 }

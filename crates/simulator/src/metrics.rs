@@ -12,8 +12,6 @@ use serde::{Deserialize, Serialize};
 /// Outcome of one simulated query.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct QueryOutcome {
-    /// Arrival time of the query.
-    pub arrival: f64,
     /// Response time (waiting + processing).
     pub response_time: f64,
     /// Waiting time before processing started.
@@ -24,16 +22,13 @@ pub struct QueryOutcome {
     pub cold_start: bool,
 }
 
-/// Lifecycle record of one instance.
+/// Lifecycle record of one instance that never served a query.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct InstanceRecord {
     /// Creation time.
     pub created_at: f64,
-    /// Deletion time (after serving its query, on scale-in, or at the end of
-    /// the simulation).
+    /// Deletion time (on scale-in, or at the end of the simulation).
     pub deleted_at: f64,
-    /// Whether the instance ever served a query.
-    pub served_query: bool,
 }
 
 impl InstanceRecord {
@@ -44,15 +39,47 @@ impl InstanceRecord {
 }
 
 /// Aggregated simulation results.
+///
+/// Every query is served by exactly one instance, so served instances are
+/// only counted and their lifecycles summed; a record is kept for each
+/// instance that never served a query (the wasted warm capacity).
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct SimulationMetrics {
     /// Per-query outcomes in arrival order.
     pub queries: Vec<QueryOutcome>,
-    /// Per-instance lifecycle records.
-    pub instances: Vec<InstanceRecord>,
+    /// Lifecycle records of the instances that never served a query, in
+    /// deletion order.
+    pub unused: Vec<InstanceRecord>,
+    /// Number of instances that served a query.
+    pub served_instances: usize,
+    /// Sum of every instance's lifecycle length (served and unused), added
+    /// in deletion order.
+    pub instance_seconds: f64,
 }
 
 impl SimulationMetrics {
+    /// Account for an instance that served a query, alive over
+    /// `[created_at, deleted_at]`.
+    pub(crate) fn record_served(&mut self, created_at: f64, deleted_at: f64) {
+        self.served_instances += 1;
+        self.instance_seconds += (deleted_at - created_at).max(0.0);
+    }
+
+    /// Account for an instance deleted without serving a query.
+    pub(crate) fn record_unused(&mut self, created_at: f64, deleted_at: f64) {
+        let record = InstanceRecord {
+            created_at,
+            deleted_at,
+        };
+        self.instance_seconds += record.lifecycle();
+        self.unused.push(record);
+    }
+
+    /// Number of instances created over the run.
+    pub fn instance_count(&self) -> usize {
+        self.served_instances + self.unused.len()
+    }
+
     /// Number of simulated queries.
     pub fn query_count(&self) -> usize {
         self.queries.len()
@@ -92,7 +119,7 @@ impl SimulationMetrics {
     /// Total cost: the sum of all instance lifecycle lengths in seconds
     /// (the paper's `total_cost`).
     pub fn total_cost(&self) -> f64 {
-        self.instances.iter().map(|i| i.lifecycle()).sum()
+        self.instance_seconds
     }
 
     /// Average cost per query.
@@ -153,7 +180,7 @@ impl SimulationMetrics {
 
     /// Number of instances that never served a query (wasted warm capacity).
     pub fn unused_instances(&self) -> usize {
-        self.instances.iter().filter(|i| !i.served_query).count()
+        self.unused.len()
     }
 }
 
@@ -163,7 +190,6 @@ mod tests {
 
     fn outcome(rt: f64, hit: bool) -> QueryOutcome {
         QueryOutcome {
-            arrival: 0.0,
             response_time: rt,
             waiting_time: rt - 1.0,
             hit,
@@ -171,24 +197,15 @@ mod tests {
         }
     }
 
-    fn instance(created: f64, deleted: f64, served: bool) -> InstanceRecord {
-        InstanceRecord {
-            created_at: created,
-            deleted_at: deleted,
-            served_query: served,
-        }
-    }
-
     #[test]
     fn aggregates_are_computed_correctly() {
-        let metrics = SimulationMetrics {
+        let mut metrics = SimulationMetrics {
             queries: vec![outcome(2.0, true), outcome(4.0, false), outcome(6.0, true)],
-            instances: vec![
-                instance(0.0, 10.0, true),
-                instance(5.0, 8.0, true),
-                instance(7.0, 9.0, false),
-            ],
+            ..SimulationMetrics::default()
         };
+        metrics.record_served(0.0, 10.0);
+        metrics.record_served(5.0, 8.0);
+        metrics.record_unused(7.0, 9.0);
         assert_eq!(metrics.query_count(), 3);
         assert!((metrics.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         assert!((metrics.rt_avg() - 4.0).abs() < 1e-12);
@@ -197,6 +214,14 @@ mod tests {
         assert!((metrics.cost_per_query() - 5.0).abs() < 1e-12);
         assert!((metrics.cold_start_rate() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(metrics.unused_instances(), 1);
+        assert_eq!(metrics.instance_count(), 3);
+        assert_eq!(
+            metrics.unused,
+            vec![InstanceRecord {
+                created_at: 7.0,
+                deleted_at: 9.0
+            }]
+        );
     }
 
     #[test]
@@ -214,7 +239,7 @@ mod tests {
     fn quantiles_match_manual_computation() {
         let metrics = SimulationMetrics {
             queries: (1..=100).map(|i| outcome(i as f64, true)).collect(),
-            instances: vec![],
+            ..SimulationMetrics::default()
         };
         let qs = metrics.rt_quantiles(&[0.75, 0.95, 0.99]).unwrap();
         assert!((qs[0] - 75.25).abs() < 0.5);
@@ -227,7 +252,7 @@ mod tests {
         // Stable: identical response times.
         let stable = SimulationMetrics {
             queries: (0..200).map(|_| outcome(5.0, true)).collect(),
-            instances: vec![],
+            ..SimulationMetrics::default()
         };
         assert!(stable.windowed_rt_variance(50).unwrap() < 1e-12);
         // Unstable: alternating windows of fast/slow responses.
@@ -235,7 +260,7 @@ mod tests {
             queries: (0..200)
                 .map(|i| outcome(if (i / 50) % 2 == 0 { 1.0 } else { 21.0 }, true))
                 .collect(),
-            instances: vec![],
+            ..SimulationMetrics::default()
         };
         assert!(unstable.windowed_rt_variance(50).unwrap() > 50.0);
         assert!(unstable.windowed_hit_variance(50).unwrap() < 1e-12);
@@ -244,7 +269,13 @@ mod tests {
 
     #[test]
     fn lifecycle_is_non_negative() {
-        let rec = instance(5.0, 4.0, false);
+        let rec = InstanceRecord {
+            created_at: 5.0,
+            deleted_at: 4.0,
+        };
         assert_eq!(rec.lifecycle(), 0.0);
+        let mut metrics = SimulationMetrics::default();
+        metrics.record_served(5.0, 4.0);
+        assert_eq!(metrics.total_cost(), 0.0);
     }
 }

@@ -62,7 +62,6 @@ fn main() {
             RobustScalerConfig::for_variant(RobustScalerVariant::HittingProbability { target });
         config.mean_processing = 180.0;
         config.planning_interval = 60.0;
-        config.monte_carlo_samples = 200;
         let pipeline = RobustScalerPipeline::new(config).expect("valid configuration");
         let mut policy = pipeline.build_policy(&train).expect("training succeeds");
         let (mut result, _) = evaluate_policy(&test, &mut policy, sim).unwrap();

@@ -42,7 +42,6 @@ fn main() {
         RobustScalerConfig::for_variant(RobustScalerVariant::ResponseTime { target: 21.0 });
     config.mean_processing = 20.0;
     config.planning_interval = 10.0;
-    config.monte_carlo_samples = 300;
     let pipeline = RobustScalerPipeline::new(config).expect("valid configuration");
 
     let train_started = Instant::now();

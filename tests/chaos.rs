@@ -310,7 +310,7 @@ fn recorded_chaos_session_survives_crash_restore_and_replays() {
     fleet.attach_bus(small_bus()).unwrap();
     fleet.set_supervisor(supervisor);
     fleet.set_faults(plan);
-    let header = fleet.trace_header(base_seed);
+    let header = fleet.trace_header();
     fleet
         .start_recording(TraceRecorder::to_file(&trace_path, &header).unwrap())
         .unwrap();
@@ -451,7 +451,7 @@ fn failed_probe_still_drains_its_queue_and_replays() {
         target_tenant: Some(0),
         ..FaultPlan::default()
     });
-    let header = fleet.trace_header(31);
+    let header = fleet.trace_header();
     fleet
         .start_recording(TraceRecorder::to_file(&trace_path, &header).unwrap())
         .unwrap();
@@ -510,7 +510,7 @@ fn quarantined_warm_tenant_recovers_from_its_installed_model() {
 
     let mut fleet = probed_fleet(37, |_| true);
     fleet.set_faults(faults);
-    let header = fleet.trace_header(37);
+    let header = fleet.trace_header();
     fleet
         .start_recording(TraceRecorder::to_file(&trace_path, &header).unwrap())
         .unwrap();

@@ -9,9 +9,9 @@
 //! the closed-loop online harness, so any future hot-path rework that
 //! shifts the numbers must consciously re-pin them.
 //!
-//! Everything here is deterministic: synthetic traces, Monte Carlo
-//! machinery and the simulator all run from fixed seeds, and a repeat run
-//! must reproduce the metrics bit for bit.
+//! Everything here is deterministic: synthetic traces and the simulator
+//! run from fixed seeds, and planning is exact (no sampling, no RNG), so a
+//! repeat run must reproduce the metrics bit for bit.
 
 use robustscaler::core::{
     evaluate_policy, EvaluationResult, RobustScalerConfig, RobustScalerPipeline,
@@ -37,10 +37,8 @@ fn golden_trace() -> Trace {
 fn golden_config(variant: RobustScalerVariant) -> RobustScalerConfig {
     let mut config = RobustScalerConfig::for_variant(variant);
     config.mean_processing = 20.0;
-    config.monte_carlo_samples = 300;
     config.planning_interval = 10.0;
     config.admm.max_iterations = 80;
-    config.seed = 7;
     config
 }
 
@@ -174,7 +172,7 @@ fn golden_online_harness_closed_loop() {
     );
 
     // Bit-for-bit determinism: the same configuration replays to the same
-    // report (Monte Carlo, simulator and refit schedule all seeded).
+    // report (exact planning, seeded simulator, fixed refit schedule).
     let (repeat, _) = run_closed_loop(&trace, &config).unwrap();
     assert_eq!(report, repeat, "closed-loop replay is not deterministic");
 }

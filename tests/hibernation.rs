@@ -272,7 +272,7 @@ fn recorded_hibernating_session_replays_strictly() {
     let mut fleet = paging_fleet(13, &dir);
     fleet.set_tracing(true);
     let sink = robustscaler::online::FileSink::create(&trace).unwrap();
-    let recorder = TraceRecorder::new(Box::new(sink), &fleet.trace_header(13)).unwrap();
+    let recorder = TraceRecorder::new(Box::new(sink), &fleet.trace_header()).unwrap();
     fleet.start_recording(recorder).unwrap();
     drive(&mut fleet, 11);
     let summary = fleet.finish_recording().unwrap().unwrap();

@@ -145,8 +145,8 @@ proptest! {
             arrivals.swap(i - shuffle_stride, i);
         }
         let config = online_config(10.0);
-        let mut bulk = OnlineScaler::with_seed(config, 0.0, seed).unwrap();
-        let mut reference = OnlineScaler::with_seed(config, 0.0, seed).unwrap();
+        let mut bulk = OnlineScaler::new(config, 0.0).unwrap();
+        let mut reference = OnlineScaler::new(config, 0.0).unwrap();
         let mut fed = 0;
         let mut chunk_index = 0;
         while fed < arrivals.len() {

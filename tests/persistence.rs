@@ -140,7 +140,7 @@ proptest! {
         post_rounds in 1usize..4,
     ) {
         let config = online_config();
-        let mut live = OnlineScaler::with_seed(config, 0.0, seed).unwrap();
+        let mut live = OnlineScaler::new(config, 0.0).unwrap();
         let warm: Vec<f64> = (0..(400.0 / gap) as usize).map(|i| i as f64 * gap).collect();
         live.ingest_batch(&warm);
         for i in 0..pre_rounds {

@@ -105,7 +105,7 @@ fn record_fleet(
     fleet.set_sharing(sharing).unwrap();
     let sink = MemorySink::new();
     let lines = sink.lines();
-    let recorder = TraceRecorder::new(Box::new(sink), &fleet.trace_header(seed)).unwrap();
+    let recorder = TraceRecorder::new(Box::new(sink), &fleet.trace_header()).unwrap();
     fleet.start_recording(recorder).unwrap();
     for round in 0..rounds {
         enqueue_window(&fleet, round, gap_for);
@@ -134,7 +134,7 @@ fn record_kill_restore(
     fleet.attach_bus(bus_config()).unwrap();
     let sink = MemorySink::new();
     let lines = sink.lines();
-    let recorder = TraceRecorder::new(Box::new(sink), &fleet.trace_header(seed)).unwrap();
+    let recorder = TraceRecorder::new(Box::new(sink), &fleet.trace_header()).unwrap();
     fleet.start_recording(recorder).unwrap();
     for round in 0..2 {
         enqueue_window(&fleet, round, &gap_for);
@@ -539,7 +539,7 @@ proptest! {
                 let sink = MemorySink::new();
                 let lines = sink.lines();
                 let recorder =
-                    TraceRecorder::new(Box::new(sink), &fleet.trace_header(base_seed))
+                    TraceRecorder::new(Box::new(sink), &fleet.trace_header())
                         .unwrap();
                 fleet.start_recording(recorder).unwrap();
                 for round in 0..rounds {
