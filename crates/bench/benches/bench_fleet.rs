@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use robustscaler_core::{RobustScalerConfig, RobustScalerVariant};
 use robustscaler_nhpp::NhppModel;
-use robustscaler_online::{BusConfig, OnlineConfig, SharingConfig, TenantFleet};
+use robustscaler_online::{BusConfig, OnlineConfig, TenantFleet};
 use robustscaler_parallel::available_threads;
 
 /// Warm-started fleet: models installed directly so the timed loop
@@ -20,7 +20,7 @@ fn build_fleet(tenants: usize) -> TenantFleet {
     pipeline.planning_interval = 10.0;
     pipeline.mean_processing = 20.0;
     let config = OnlineConfig::new(pipeline);
-    let mut fleet = TenantFleet::new(&config, 0.0, tenants, 7).expect("valid fleet");
+    let mut fleet = TenantFleet::new(&config, 0.0, tenants).expect("valid fleet");
     for index in 0..tenants {
         let base = 0.5 + 2.0 * (index as f64 / tenants.max(2) as f64);
         let log_rates = vec![base.ln(); 1_440];
@@ -45,63 +45,14 @@ fn bench_fleet_round(c: &mut Criterion) {
             |b, &tenants| {
                 let mut fleet = build_fleet(tenants);
                 fleet.set_workers(1);
-                // Plan reuse on: the production configuration for large
-                // fleets (the `fleet_round_batched` group compares it with
-                // the private path).
-                fleet
-                    .set_sharing(SharingConfig::on())
-                    .expect("valid sharing");
-                // One untimed warm-up round so the timed iterations measure
-                // the steady state (plan cache populated). The cold all-miss
-                // round is what `fleet_round_batched/sharing_off` measures.
+                // One untimed warm-up round fills every planner's quantile
+                // table and forecast cache; each timed round then plans every
+                // tenant exactly.
                 fleet.run_round_uniform(86_400.0, 0).expect("warm-up round");
                 let mut round = 1u64;
                 b.iter(|| {
                     // Advance time so the forecast cache is exercised like a
                     // live serving loop (refresh roughly once per horizon).
-                    let now = 86_400.0 + 10.0 * round as f64;
-                    round += 1;
-                    fleet.run_round_uniform(now, 0).expect("round succeeds")
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-/// Plan reuse against the private path on the same 1000-tenant fleet
-/// (everything else identical):
-///
-/// * `sharing_on` — the round-over-round plan cache ([`SharingConfig::on`]).
-///   Steady-state rounds time-shift cached plans, so an untimed warm-up
-///   round precedes the timed loop.
-/// * `sharing_off` — every tenant plans against its own forecast every round:
-///   the cold all-miss round, which is also `sharing_on`'s first round.
-fn bench_fleet_round_batched(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fleet_round_batched");
-    group.sample_size(10);
-    let tenants = 1_000usize;
-    for (label, sharing) in [
-        ("sharing_on", Some(SharingConfig::on())),
-        ("sharing_off", None),
-    ] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(label),
-            &sharing,
-            |b, sharing| {
-                let mut fleet = build_fleet(tenants);
-                fleet.set_workers(1);
-                if let Some(sharing) = sharing {
-                    fleet.set_sharing(*sharing).expect("valid sharing");
-                }
-                // Untimed warm-up round (in both flavours for
-                // comparability): `sharing_off` rounds all cost the same,
-                // but `sharing_on`'s first round is the all-miss round that
-                // populates the plan cache — the timed loop then measures
-                // the steady state the cache exists for.
-                fleet.run_round_uniform(86_400.0, 0).expect("warm-up round");
-                let mut round = 1u64;
-                b.iter(|| {
                     let now = 86_400.0 + 10.0 * round as f64;
                     round += 1;
                     fleet.run_round_uniform(now, 0).expect("round succeeds")
@@ -158,7 +109,7 @@ fn bench_ingest_throughput(c: &mut Criterion) {
                     });
                 pipeline.planning_interval = 10.0;
                 let config = OnlineConfig::new(pipeline);
-                let mut fleet = TenantFleet::new(&config, 0.0, tenants, 7).expect("valid fleet");
+                let mut fleet = TenantFleet::new(&config, 0.0, tenants).expect("valid fleet");
                 fleet.set_workers(1);
                 let bus = fleet.attach_bus(BusConfig::default()).expect("fresh bus");
                 let mut arrivals = vec![0.0_f64; PER_TENANT];
@@ -309,7 +260,6 @@ fn bench_fleet_hibernation(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_fleet_round,
-    bench_fleet_round_batched,
     bench_fleet_round_parallel,
     bench_ingest_throughput,
     bench_fleet_checkpoint,

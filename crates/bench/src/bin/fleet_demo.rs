@@ -36,15 +36,14 @@
 //!   the supervised round path (quarantine, backoff probes, sticky
 //!   fallbacks) instead of failing outright (see `--help`).
 //!
-//! Environment knobs: `FLEET_TENANTS` (default 250), `FLEET_ROUNDS`
-//! (default 20), `FLEET_SHARING` (0 = off, any other value = the plan
-//! cache on; default 0).
+//! Environment knobs: `FLEET_TENANTS` (default 250) and `FLEET_ROUNDS`
+//! (default 20).
 
 use robustscaler_core::{RobustScalerConfig, RobustScalerVariant};
 use robustscaler_nhpp::NhppModel;
 use robustscaler_online::{
     ArrivalBus, BusConfig, CheckpointIoStats, FaultPlan, FaultyStorage, OnlineConfig, QueueStats,
-    SharingConfig, SupervisionStats, TenantFleet, TraceRecorder, TraceSummary,
+    SupervisionStats, TenantFleet, TraceRecorder, TraceSummary,
 };
 use robustscaler_parallel::available_threads;
 use serde::Serialize;
@@ -82,8 +81,7 @@ fallback) while unhealthy. Probabilities are per tenant-round:
                                can exhaust the retries and fail the run)
   --fault-tenant <n>           restrict planning/arrival faults to tenant n
 
-Environment: FLEET_TENANTS (default 250), FLEET_ROUNDS (default 20),
-FLEET_SHARING (0 = off, any other value = plan cache on; default 0).";
+Environment: FLEET_TENANTS (default 250), FLEET_ROUNDS (default 20).";
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -111,15 +109,6 @@ struct CheckpointReport {
     write_secs: f64,
     restore_secs: f64,
     identical_after_restore: bool,
-}
-
-/// Plan-reuse counters of the parallel stretch.
-#[derive(Debug, Clone, Serialize)]
-struct SharingReport {
-    /// The active policy.
-    config: SharingConfig,
-    /// Rounds served from the per-tenant plan cache.
-    plan_cache_hits: u64,
 }
 
 /// Arrival-queue health of one timed stretch.
@@ -160,8 +149,6 @@ struct DemoReport {
     runs: Vec<RunReport>,
     queue: Option<QueueReport>,
     determinism_across_workers: bool,
-    /// Plan-reuse policy and counters, when `FLEET_SHARING` > 0.
-    sharing: Option<SharingReport>,
     checkpoint: Option<CheckpointReport>,
     /// Recorded-session trace (`--record`): path plus record/round counts.
     trace: Option<TraceSummary>,
@@ -232,7 +219,7 @@ fn fleet_config() -> OnlineConfig {
 /// training inside the timed loop, with the arrival bus attached.
 fn build_fleet(tenants: usize) -> TenantFleet {
     let config = fleet_config();
-    let mut fleet = TenantFleet::new(&config, 0.0, tenants, 0).expect("valid fleet");
+    let mut fleet = TenantFleet::new(&config, 0.0, tenants).expect("valid fleet");
     fleet.attach_bus(BusConfig::default()).expect("fresh bus");
     for index in 0..tenants {
         // Tenant traffic levels spread over [0.5, 2.5] QPS with a mild
@@ -387,8 +374,8 @@ fn checkpoint_and_verify(
     let manifest = fleet.checkpoint(dir).expect("checkpoint succeeds");
     let write_secs = started.elapsed().as_secs_f64();
     let started = Instant::now();
-    // The manifest re-arms the fault plan, supervision policy and
-    // sharing policy, so the continuation needs no wiring by hand.
+    // The manifest re-arms the fault plan and supervision policy, so the
+    // continuation needs no wiring by hand.
     let mut restored = TenantFleet::restore(dir, config).expect("restore succeeds");
     let restore_secs = started.elapsed().as_secs_f64();
     let (_, _, live_plans) = run_rounds(fleet, first_round, rounds);
@@ -407,7 +394,6 @@ fn checkpoint_and_verify(
 fn main() {
     let tenants = env_usize("FLEET_TENANTS", 250);
     let rounds = env_usize("FLEET_ROUNDS", 20);
-    let sharing = (env_usize("FLEET_SHARING", 0) > 0).then(SharingConfig::on);
     let cores = available_threads();
 
     let mut checkpoint_dir: Option<String> = None;
@@ -480,16 +466,10 @@ fn main() {
         } else {
             build_fleet(tenants)
         };
-        // A restored fleet keeps the fault plan and sharing policy its
-        // checkpoint recorded; the flags, when given, override them.
+        // A restored fleet keeps the fault plan its checkpoint recorded;
+        // the flags, when given, override it.
         if chaos {
             fleet.set_faults(faults);
-        }
-        // Both the serial and parallel fleet get the sharing policy, so
-        // the worker-invariance check below validates the sharing
-        // determinism contract as a side effect.
-        if let Some(sharing) = sharing {
-            fleet.set_sharing(sharing).expect("valid sharing config");
         }
         fleet
     };
@@ -562,16 +542,6 @@ fn main() {
             queue.enqueued, queue.dropped_full, queue.queued_peak, queue.drained_per_round
         );
     }
-
-    let sharing_report = sharing.map(|config| {
-        let stats = parallel_fleet.aggregate_stats();
-        let report = SharingReport {
-            config,
-            plan_cache_hits: stats.plan_cache_hits,
-        };
-        println!("plan reuse: {} plan-cache hits", report.plan_cache_hits);
-        report
-    });
 
     let supervision = chaos.then(|| parallel_fleet.supervision_stats());
     if let Some(sup) = &supervision {
@@ -650,7 +620,6 @@ fn main() {
                 },
             ],
             determinism_across_workers: identical,
-            sharing: sharing_report,
             checkpoint,
             trace,
             faults: chaos.then_some(faults),

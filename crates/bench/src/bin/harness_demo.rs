@@ -17,11 +17,8 @@
 //!   (dropped arrivals, failed planning rounds);
 //! * `--fault-*` — deterministic fault injection (see `--help`).
 //!
-//! Environment knobs: `HARNESS_HOURS` (trace length, default 6),
-//! `HARNESS_SCALE` (traffic scale, default 0.5), `HARNESS_PLAN_REUSE`
-//! (plan-cache quantization, 0 = off, default 0 — e.g. 0.05 arms the
-//! round-over-round plan cache so steady-state ticks between refits serve
-//! time-shifted cached plans).
+//! Environment knobs: `HARNESS_HOURS` (trace length, default 6) and
+//! `HARNESS_SCALE` (traffic scale, default 0.5).
 
 use robustscaler_core::{RobustScalerConfig, RobustScalerVariant};
 use robustscaler_online::{
@@ -58,8 +55,7 @@ per planning round:
   --fault-clock-skew-secs <s>  signed skew magnitude in seconds (default 30)
 
 Environment: HARNESS_HOURS (trace length, default 6), HARNESS_SCALE
-(traffic scale, default 0.5), HARNESS_PLAN_REUSE (plan-cache quantization,
-0 = off, default 0).";
+(traffic scale, default 0.5).";
 
 /// `--json` payload: the report, the trace summary when recording, and the
 /// degradation warnings (empty on a fully clean run).
@@ -116,12 +112,6 @@ fn print_report(report: &HarnessReport) {
         report.stats.skipped_rounds,
         report.stats.failed_rounds
     );
-    if report.stats.plan_cache_hits > 0 {
-        println!(
-            "plan reuse:     {} cached round(s) served without re-planning",
-            report.stats.plan_cache_hits
-        );
-    }
     if let Some(queue) = &report.queue {
         println!(
             "ingest queue:   {} enqueued, {} dropped (full), peak {} queued, \
@@ -196,10 +186,7 @@ fn main() {
         },
         warmup: (hours / 2.0) * 3_600.0,
         faults: faulted.then_some(faults),
-        plan_reuse: {
-            let quantization = env_f64("HARNESS_PLAN_REUSE", 0.0);
-            (quantization > 0.0).then_some(quantization)
-        },
+        plan_reuse: None,
     };
 
     println!(

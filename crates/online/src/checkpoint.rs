@@ -16,9 +16,9 @@
 //!   with a checksum error *naming the shard*; other shards stay loadable —
 //!   a corrupt file can never silently zero a tenant.
 //! * **Bit-identical resume.** Restoring a checkpoint reproduces every
-//!   tenant's ring, model, RNG stream position, counters and refit
-//!   deadlines exactly, so a restored fleet's plans are bit-identical to a
-//!   fleet that never stopped (pinned by `tests/persistence.rs`).
+//!   tenant's ring, model, counters and refit deadlines exactly, so a
+//!   restored fleet's plans are bit-identical to a fleet that never
+//!   stopped (pinned by `tests/persistence.rs`).
 //!
 //! On-disk layout under the checkpoint directory:
 //!
@@ -48,7 +48,6 @@ use crate::faults::FaultPlan;
 use crate::fleet::{ResidencyConfig, SupervisorConfig};
 use crate::ingest::{BusConfig, QueueStats};
 use crate::scaler::ScalerSnapshot;
-use crate::sharing::SharingConfig;
 use robustscaler_parallel::{parallel_map, WorkerPool};
 use robustscaler_scaling::PlanningRound;
 use serde::{Deserialize, Serialize};
@@ -65,12 +64,12 @@ use std::time::Duration;
 /// Bump it on any change to the manifest or shard layout.
 ///
 /// A [`Manifest`] records the fleet's round counter and its wiring
-/// ([`FleetWiring`]: arrival bus, residency, supervisor, fault plan and
-/// sharing policy) beside the shard list. Each shard holds a
+/// ([`FleetWiring`]: arrival bus, residency, supervisor and fault plan)
+/// beside the shard list. Each shard holds a
 /// `Vec<TenantSnapshot>`: the scaler snapshot plus, where the fleet runs
 /// them, the tenant's undrained queue, its supervision state and its
 /// residency state. Unknown keys are ignored on load.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 7;
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 8;
 
 /// How many times a shard/manifest write is attempted before the
 /// checkpoint fails (first try + retries).
@@ -212,8 +211,6 @@ pub struct Manifest {
     pub supervisor: SupervisorConfig,
     /// The fleet's fault plan; `None` when injection was off.
     pub faults: Option<FaultPlan>,
-    /// The fleet's plan-reuse policy.
-    pub sharing: SharingConfig,
 }
 
 /// Everything a manifest records about the fleet beside its shards: the
@@ -231,8 +228,6 @@ pub struct FleetWiring {
     pub supervisor: SupervisorConfig,
     /// The fault plan (fleets with fault injection on).
     pub faults: Option<FaultPlan>,
-    /// The plan-reuse policy.
-    pub sharing: SharingConfig,
 }
 
 /// Knobs for [`CheckpointStore::write_with`] beyond the snapshot set.
@@ -649,7 +644,6 @@ impl CheckpointStore {
             residency: options.fleet.residency,
             supervisor: options.fleet.supervisor,
             faults: options.fleet.faults,
-            sharing: options.fleet.sharing,
         };
         let manifest_json =
             serde_json::to_string(&manifest).map_err(|e| OnlineError::Checkpoint {
@@ -838,7 +832,7 @@ impl CheckpointStore {
 }
 
 /// Format version of hibernation page files.
-pub const HIBERNATION_FORMAT_VERSION: u32 = 2;
+pub const HIBERNATION_FORMAT_VERSION: u32 = 3;
 
 /// On-disk envelope of one hibernated tenant's page file.
 #[derive(Debug, Clone, Serialize, Deserialize)]

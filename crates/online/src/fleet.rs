@@ -67,7 +67,6 @@ use crate::replay::{
     TraceRecord, TraceRecorder, TraceSummary, WakeReason, TRACE_FORMAT_VERSION,
 };
 use crate::scaler::{OnlineConfig, OnlineScaler, OnlineStats, ScalerSnapshot};
-use crate::sharing::SharingConfig;
 use robustscaler_parallel::{available_threads, map_chunks_mut, WorkerPool};
 use robustscaler_scaling::PlanningRound;
 use serde::{Deserialize, Serialize};
@@ -381,7 +380,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// so a replayed drain re-derives the identical corruption; only then is
 /// a failed probe reported, and the tenant planned through
 /// [`OnlineScaler::plan_round`] (refit, forecast refresh, sufficiency
-/// check, plan-cache lookup, exact plan against its own forecast) or
+/// check, exact plan against its own forecast) or
 /// refused, for quarantined tenants.
 #[allow(clippy::too_many_arguments)]
 fn tenant_round(
@@ -431,8 +430,8 @@ fn tenant_round(
 
 /// The deployment settings of a restore (see [`TenantFleet::restore_with`]):
 /// where the restored process keeps its files. Everything the checkpointed
-/// session ran *with* — bus, residency, supervisor, fault plan, sharing —
-/// comes back from the manifest instead. The default (both `None`) is
+/// session ran *with* — bus, residency, supervisor, fault plan — comes
+/// back from the manifest instead. The default (both `None`) is
 /// [`TenantFleet::restore`].
 #[derive(Debug, Clone, Default)]
 pub struct RestoreOptions {
@@ -494,21 +493,20 @@ pub struct TenantFleet {
     /// Residency events of completed rounds, until taken with
     /// [`TenantFleet::take_residency_events`].
     residency_events: Vec<(u64, ResidencyEvent)>,
-    /// Plan-reuse policy (recorded in checkpoint manifests and re-armed
-    /// on restore).
-    sharing: SharingConfig,
 }
 
-/// Arm or disarm a scaler's plan cache per the fleet's sharing
-/// policy — applied wherever a scaler becomes resident (set_sharing,
-/// materialize, and the in-round wake path), exactly like tracing.
-fn apply_plan_reuse(scaler: &mut OnlineScaler, sharing: &SharingConfig) {
-    if sharing.plan_cache {
-        scaler
-            .enable_plan_reuse(sharing.quantization)
-            .expect("a validated SharingConfig has a usable quantization");
-    } else {
-        scaler.disable_plan_reuse();
+/// Unused; kept only because `perfbench/` calls it; removed by the next
+/// benchmark change (ROADMAP item 2). The plan cache it configured is
+/// gone: every tenant plans exactly each round, and
+/// [`TenantFleet::set_sharing`] ignores this value.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SharingConfig {}
+
+impl SharingConfig {
+    /// Unused; kept only because `perfbench/` calls it; removed by the
+    /// next benchmark change (ROADMAP item 2).
+    pub fn on() -> Self {
+        Self {}
     }
 }
 
@@ -529,15 +527,14 @@ fn read_page(
 
 /// Turn a paged tenant back into a serving scaler: a virgin tenant is
 /// built from `(config, origin)`, an on-disk one is paged in and
-/// restored. Tracing and the plan cache are armed per the fleet's policy,
-/// as everywhere a scaler becomes resident.
+/// restored. Tracing is armed per the fleet's setting, as everywhere a
+/// scaler becomes resident.
 fn page_in_scaler(
     paged: &PagedTenant,
     config: OnlineConfig,
     origin: f64,
     hibernation: Option<&HibernationStore>,
     tracing: bool,
-    sharing: &SharingConfig,
 ) -> Result<OnlineScaler, OnlineError> {
     let mut scaler = match paged.kind {
         PageKind::Virgin => OnlineScaler::new(config, origin)?,
@@ -546,7 +543,6 @@ fn page_in_scaler(
         }
     };
     scaler.set_tracing(tracing);
-    apply_plan_reuse(&mut scaler, sharing);
     Ok(scaler)
 }
 
@@ -601,7 +597,6 @@ impl Clone for TenantFleet {
             saw_direct: vec![false; tenant_count],
             pending_wakes: Vec::new(),
             residency_events: Vec::new(),
-            sharing: self.sharing,
         }
     }
 }
@@ -611,15 +606,10 @@ impl TenantFleet {
     ///
     /// Every tenant gets its own ring anchored at `origin`. The worker
     /// budget defaults to the machine's available parallelism.
-    ///
-    /// The seed argument is unused: planning draws no random numbers. It
-    /// stays only as long as `new_cold`'s, which `perfbench/` passes; both
-    /// go with the next benchmark change (ROADMAP item 2).
     pub fn new(
         config: &OnlineConfig,
         origin: f64,
         tenant_count: usize,
-        _base_seed: u64,
     ) -> Result<Self, OnlineError> {
         if tenant_count == 0 {
             return Err(OnlineError::InvalidConfig(
@@ -659,8 +649,9 @@ impl TenantFleet {
     /// fleet under the same driving: a virgin tenant materializes to exactly
     /// the scaler `new` would have built.
     ///
-    /// The seed argument is unused (see [`TenantFleet::new`]);
-    /// `perfbench/` passes it.
+    /// The seed argument is unused: planning draws no random numbers. It
+    /// stays only because `perfbench/` passes it; it goes with the next
+    /// benchmark change (ROADMAP item 2).
     pub fn new_cold(
         config: &OnlineConfig,
         origin: f64,
@@ -726,7 +717,6 @@ impl TenantFleet {
             saw_direct: vec![false; tenant_count],
             pending_wakes: Vec::new(),
             residency_events: Vec::new(),
-            sharing: SharingConfig::default(),
         }
     }
 
@@ -795,7 +785,6 @@ impl TenantFleet {
             self.origin,
             self.hibernation.as_ref(),
             self.tracing,
-            &self.sharing,
         );
         match scaler {
             Ok(scaler) => {
@@ -894,32 +883,11 @@ impl TenantFleet {
         self.pool.ensure_threads(self.workers);
     }
 
-    /// Set the plan-reuse policy (see [`SharingConfig`]).
-    ///
-    /// Off (the default) keeps rounds bit-identical to a fleet without
-    /// plan reuse, at any worker count. With the plan cache on, every
-    /// tenant serves a round whose planning inputs did not change from its
-    /// own memoized plan, time-shifted — deterministic and worker-invariant
-    /// but *not* bit-identical to the cache off. Every other round samples
-    /// the tenant's own forecast. Checkpoints record the policy in their
-    /// manifest, and a restored fleet plans under it again.
-    pub fn set_sharing(&mut self, sharing: SharingConfig) -> Result<(), OnlineError> {
-        sharing.validate()?;
-        self.sharing = sharing;
-        // Arm (or disarm) the plan cache on every resident scaler;
-        // paged tenants pick the policy up as they materialize, exactly
-        // like tracing.
-        for slot in &mut self.tenants {
-            if let TenantSlot::Resident(tenant) = slot {
-                apply_plan_reuse(&mut tenant.scaler, &sharing);
-            }
-        }
+    /// Unused; kept only because `perfbench/` calls it; removed by the
+    /// next benchmark change (ROADMAP item 2). Always `Ok(())`, and
+    /// changes nothing (see [`SharingConfig`]).
+    pub fn set_sharing(&mut self, _sharing: SharingConfig) -> Result<(), OnlineError> {
         Ok(())
-    }
-
-    /// The active plan-reuse policy.
-    pub fn sharing(&self) -> SharingConfig {
-        self.sharing
     }
 
     /// Always 0: cluster decision dedup was removed (planning every
@@ -1135,11 +1103,10 @@ impl TenantFleet {
         let config = self.config;
         let origin = self.origin;
         let tracing = self.tracing;
-        let sharing = self.sharing;
         let hibernation = self.hibernation.as_ref();
         // One parallel pass: each worker takes its tenants one by one
         // through probe refit → drain → ingest → refit → sufficiency
-        // check → plan-cache lookup → exact plan.
+        // check → exact plan.
         let round_work = |start: usize, chunk: &mut [TenantSlot]| {
             // Injected worker-thread death: fires at the chunk boundary,
             // outside any tenant, so the whole round aborts (see the
@@ -1165,14 +1132,7 @@ impl TenantFleet {
                         }
                         TenantAction::Wake { .. } => {
                             if let TenantSlot::Paged(paged) = slot {
-                                match page_in_scaler(
-                                    paged,
-                                    config,
-                                    origin,
-                                    hibernation,
-                                    tracing,
-                                    &sharing,
-                                ) {
+                                match page_in_scaler(paged, config, origin, hibernation, tracing) {
                                     Ok(scaler) => {
                                         *slot =
                                             TenantSlot::Resident(Box::new(Tenant { id, scaler }));
@@ -1676,7 +1636,7 @@ impl TenantFleet {
     /// fleet's worker pool; the write is crash-safe (a new generation
     /// becomes current only at the final atomic manifest rename, so a crash
     /// mid-checkpoint leaves the previous checkpoint intact). The snapshot
-    /// captures per-tenant rings, models, serving counters, plan caches,
+    /// captures per-tenant rings, models, serving counters,
     /// refit deadlines **and each tenant's undrained arrival queue**, so a
     /// fleet restored from the checkpoint — even one taken mid-burst, with
     /// arrivals still queued — plans bit-identically to one that never
@@ -1775,7 +1735,6 @@ impl TenantFleet {
                     residency: self.residency,
                     supervisor: self.supervisor,
                     faults: self.fault_plan(),
-                    sharing: self.sharing,
                 },
             },
         );
@@ -1815,12 +1774,12 @@ impl TenantFleet {
     /// retained generation still loads, in which case the returned notes
     /// name the generation that was skipped and why.
     ///
-    /// Tenant state travels in the shards: rings, models, plan caches,
-    /// supervision and residency state, and every tenant's undrained
-    /// arrival queue, so a restore mid-burst continues bit-identically.
+    /// Tenant state travels in the shards: rings, models, supervision and
+    /// residency state, and every tenant's undrained arrival queue, so a
+    /// restore mid-burst continues bit-identically.
     /// The manifest carries the fleet's round counter and its wiring: the
-    /// arrival bus, residency policy, supervisor policy, fault plan and
-    /// sharing policy. Each is validated the way its setter validates it
+    /// arrival bus, residency policy, supervisor policy and fault plan.
+    /// Each is validated the way its setter validates it
     /// (an invalid hand-edited value fails with
     /// [`OnlineError::InvalidConfig`]) and re-applied, so the restored
     /// fleet plans under the policy it was checkpointed with. Only
@@ -1952,7 +1911,6 @@ impl TenantFleet {
         if let Some(faults) = manifest.faults {
             fleet.set_faults(faults);
         }
-        fleet.set_sharing(manifest.sharing)?;
         fleet.checkpoint_storage = options.storage;
         if let Some(hibernation_dir) = options.hibernation_dir {
             fleet.set_hibernation_dir(hibernation_dir)?;
@@ -1985,7 +1943,6 @@ impl TenantFleet {
             faults: self.fault_plan(),
             supervisor: Some(self.supervisor),
             residency: self.residency,
-            sharing: Some(self.sharing),
         }
     }
 
@@ -2093,7 +2050,6 @@ impl TenantFleet {
             total.skipped_rounds += s.skipped_rounds;
             total.failed_rounds += s.failed_rounds;
             total.shared_planning_rounds += s.shared_planning_rounds;
-            total.plan_cache_hits += s.plan_cache_hits;
         }
         total
     }
@@ -2152,8 +2108,8 @@ mod tests {
 
     #[test]
     fn rejects_empty_fleets_and_bad_indices() {
-        assert!(TenantFleet::new(&fleet_config(), 0.0, 0, 1).is_err());
-        let mut fleet = TenantFleet::new(&fleet_config(), 0.0, 2, 1).unwrap();
+        assert!(TenantFleet::new(&fleet_config(), 0.0, 0).is_err());
+        let mut fleet = TenantFleet::new(&fleet_config(), 0.0, 2).unwrap();
         assert!(fleet.ingest(2, 1.0).is_err());
         assert!(fleet.run_round(400.0, &[0]).is_err());
         // No bus attached: enqueue is a configuration error.
@@ -2163,7 +2119,7 @@ mod tests {
 
     #[test]
     fn tenants_plan_independently() {
-        let mut fleet = TenantFleet::new(&fleet_config(), 0.0, 3, 7).unwrap();
+        let mut fleet = TenantFleet::new(&fleet_config(), 0.0, 3).unwrap();
         ingest_uniform(&mut fleet, 400.0);
         let rounds: Vec<_> = fleet
             .run_round_uniform(400.0, 0)
@@ -2180,7 +2136,7 @@ mod tests {
 
     #[test]
     fn one_failing_tenant_does_not_poison_the_round() {
-        let mut fleet = TenantFleet::new(&fleet_config(), 0.0, 3, 7).unwrap();
+        let mut fleet = TenantFleet::new(&fleet_config(), 0.0, 3).unwrap();
         // Tenants 0 and 2 get traffic; tenant 1 stays empty and cannot
         // train — its slot errors, the others still plan.
         for index in [0usize, 2] {
@@ -2198,11 +2154,11 @@ mod tests {
     #[test]
     fn bus_fed_rounds_match_direct_ingestion() {
         let config = fleet_config();
-        let mut direct = TenantFleet::new(&config, 0.0, 4, 11).unwrap();
+        let mut direct = TenantFleet::new(&config, 0.0, 4).unwrap();
         ingest_uniform(&mut direct, 400.0);
         let direct_rounds = direct.run_round_uniform(400.0, 0).unwrap();
 
-        let mut bused = TenantFleet::new(&config, 0.0, 4, 11).unwrap();
+        let mut bused = TenantFleet::new(&config, 0.0, 4).unwrap();
         bused.attach_bus(small_bus_config()).unwrap();
         assert!(bused.attach_bus(small_bus_config()).is_err());
         enqueue_uniform(&bused, 400.0);
@@ -2219,7 +2175,7 @@ mod tests {
 
     #[test]
     fn drain_bus_flushes_queues_without_planning() {
-        let mut fleet = TenantFleet::new(&fleet_config(), 0.0, 3, 5).unwrap();
+        let mut fleet = TenantFleet::new(&fleet_config(), 0.0, 3).unwrap();
         assert_eq!(fleet.drain_bus().unwrap(), 0); // no bus: no-op
         fleet.attach_bus(small_bus_config()).unwrap();
         enqueue_uniform(&fleet, 200.0);
@@ -2237,7 +2193,7 @@ mod tests {
             std::env::temp_dir().join(format!("robustscaler-fleet-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let config = fleet_config();
-        let mut fleet = TenantFleet::new(&config, 0.0, 5, 42).unwrap();
+        let mut fleet = TenantFleet::new(&config, 0.0, 5).unwrap();
         ingest_uniform(&mut fleet, 400.0);
         fleet.run_round_uniform(400.0, 0).unwrap();
         let manifest = fleet.checkpoint_sharded(&dir, 2).unwrap();
@@ -2265,7 +2221,7 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let config = fleet_config();
-        let mut fleet = TenantFleet::new(&config, 0.0, 3, 9).unwrap();
+        let mut fleet = TenantFleet::new(&config, 0.0, 3).unwrap();
         fleet.attach_bus(small_bus_config()).unwrap();
         enqueue_uniform(&fleet, 400.0);
         fleet.run_round_uniform(400.0, 0).unwrap();
@@ -2308,14 +2264,14 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let config = fleet_config();
-        let mut fleet = TenantFleet::new(&config, 0.0, 4, 13).unwrap();
+        let mut fleet = TenantFleet::new(&config, 0.0, 4).unwrap();
         ingest_uniform(&mut fleet, 400.0);
         fleet.run_round_uniform(400.0, 0).unwrap();
         fleet.checkpoint_sharded(&dir, 2).unwrap();
 
         // A *different* fleet writes the next generation into the same
         // directory.
-        let mut foreign = TenantFleet::new(&config, 0.0, 4, 999).unwrap();
+        let mut foreign = TenantFleet::new(&config, 0.0, 4).unwrap();
         ingest_uniform(&mut foreign, 200.0);
         foreign.checkpoint_sharded(&dir, 2).unwrap();
 
@@ -2328,7 +2284,7 @@ mod tests {
 
     #[test]
     fn cloned_fleets_have_independent_buses_with_equal_contents() {
-        let mut fleet = TenantFleet::new(&fleet_config(), 0.0, 2, 3).unwrap();
+        let mut fleet = TenantFleet::new(&fleet_config(), 0.0, 2).unwrap();
         fleet.attach_bus(small_bus_config()).unwrap();
         fleet.enqueue(0, 1.0).unwrap();
         let clone = fleet.clone();
@@ -2365,11 +2321,11 @@ mod tests {
     fn injected_tenant_panic_poisons_only_its_slot() {
         silence_injected_panics();
         let config = fleet_config();
-        let mut clean = TenantFleet::new(&config, 0.0, 3, 7).unwrap();
+        let mut clean = TenantFleet::new(&config, 0.0, 3).unwrap();
         ingest_uniform(&mut clean, 400.0);
         let clean_rounds = clean.run_round_uniform(400.0, 0).unwrap();
 
-        let mut faulted = TenantFleet::new(&config, 0.0, 3, 7).unwrap();
+        let mut faulted = TenantFleet::new(&config, 0.0, 3).unwrap();
         faulted.set_faults(FaultPlan {
             seed: 1,
             plan_panic: 1.0,
@@ -2396,7 +2352,7 @@ mod tests {
     #[test]
     fn injected_worker_panic_aborts_the_round_but_not_the_fleet() {
         silence_injected_panics();
-        let mut fleet = TenantFleet::new(&fleet_config(), 0.0, 3, 7).unwrap();
+        let mut fleet = TenantFleet::new(&fleet_config(), 0.0, 3).unwrap();
         ingest_uniform(&mut fleet, 400.0);
         fleet.set_faults(FaultPlan {
             seed: 4,
@@ -2417,7 +2373,7 @@ mod tests {
     #[test]
     fn quarantine_lifecycle_backs_off_and_recovers() {
         let config = fleet_config();
-        let mut fleet = TenantFleet::new(&config, 0.0, 2, 5).unwrap();
+        let mut fleet = TenantFleet::new(&config, 0.0, 2).unwrap();
         fleet.set_supervisor(SupervisorConfig {
             quarantine_after: 2,
             probe_backoff: 2,
@@ -2505,7 +2461,7 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let config = fleet_config();
-        let mut fleet = TenantFleet::new(&config, 0.0, 3, 17).unwrap();
+        let mut fleet = TenantFleet::new(&config, 0.0, 3).unwrap();
         fleet.set_supervisor(SupervisorConfig {
             quarantine_after: 1,
             probe_backoff: 4,
@@ -2557,7 +2513,7 @@ mod tests {
     #[test]
     fn worker_count_does_not_change_the_plans() {
         let run = |workers: usize| {
-            let mut fleet = TenantFleet::new(&fleet_config(), 0.0, 8, 42).unwrap();
+            let mut fleet = TenantFleet::new(&fleet_config(), 0.0, 8).unwrap();
             fleet.set_workers(workers);
             ingest_uniform(&mut fleet, 400.0);
             let mut all = Vec::new();
@@ -2570,22 +2526,5 @@ mod tests {
         let serial = run(1);
         assert_eq!(serial, run(2));
         assert_eq!(serial, run(5));
-    }
-
-    #[test]
-    fn sharing_switch_validates_and_defaults_off() {
-        let mut fleet = TenantFleet::new(&fleet_config(), 0.0, 2, 1).unwrap();
-        assert!(!fleet.sharing().plan_cache);
-        let mut bad = SharingConfig::on();
-        bad.quantization = 0.0;
-        assert!(fleet.set_sharing(bad).is_err());
-        bad.quantization = f64::NAN;
-        assert!(fleet.set_sharing(bad).is_err());
-        assert!(
-            !fleet.sharing().plan_cache,
-            "rejected config must not stick"
-        );
-        fleet.set_sharing(SharingConfig::on()).unwrap();
-        assert!(fleet.sharing().plan_cache);
     }
 }

@@ -242,13 +242,10 @@ pub struct HarnessConfig {
     /// disabled plan runs clean). Warm-up ingestion and the boundary refit
     /// are never faulted — chaos starts with the first live planning tick.
     pub faults: Option<FaultPlan>,
-    /// Plan reuse for the serving scaler: `Some(quantization)` arms
-    /// the round-over-round plan cache
-    /// ([`OnlineScaler::enable_plan_reuse`]), so steady-state ticks whose
-    /// planning inputs are unchanged within the quantization band serve a
-    /// time-shifted cached plan instead of re-planning. `None` (the
-    /// default) plans every round. Recorded in the trace header so replay
-    /// reproduces the same cache universe.
+    /// Unused; kept only because `perfbench/` sets it; removed by the
+    /// next benchmark change (ROADMAP item 2). The plan cache it armed is
+    /// gone, so it must be `None`: [`run_closed_loop`] rejects `Some(_)`
+    /// with [`OnlineError::InvalidConfig`] rather than ignore it.
     pub plan_reuse: Option<f64>,
 }
 
@@ -319,8 +316,8 @@ pub fn run_closed_loop_recorded(
 /// from disk to serve the live replay.
 ///
 /// Because a [`crate::scaler::ScalerSnapshot`] captures every piece of
-/// hidden mutable state (ring, model, RNG position, counters, refit
-/// deadline, forecast-cache anchor), the report and metrics are
+/// hidden mutable state (ring, model, counters, refit deadline,
+/// forecast-cache anchor), the report and metrics are
 /// **bit-identical** to the uninterrupted [`run_closed_loop`] on the same
 /// trace and configuration — the equivalence the golden harness test pins.
 pub fn run_closed_loop_with_restart(
@@ -340,6 +337,11 @@ fn run_closed_loop_inner(
     record: Option<&std::path::Path>,
 ) -> Result<(HarnessReport, SimulationMetrics, Option<TraceSummary>), OnlineError> {
     config.online.validate()?;
+    if config.plan_reuse.is_some() {
+        return Err(OnlineError::InvalidConfig(
+            "plan_reuse must be None: the plan cache was removed",
+        ));
+    }
     if !(config.warmup > 0.0) || config.warmup >= trace.duration() {
         return Err(OnlineError::InvalidConfig(
             "warmup must lie strictly inside the trace duration",
@@ -350,9 +352,6 @@ fn run_closed_loop_inner(
 
     let simulator = Simulator::new(config.sim)?;
     let mut scaler = OnlineScaler::new(config.online, trace.start())?;
-    if let Some(quantization) = config.plan_reuse {
-        scaler.enable_plan_reuse(quantization)?;
-    }
     let mut recorder = match record {
         Some(path) => {
             scaler.set_tracing(true);
@@ -371,12 +370,6 @@ fn run_closed_loop_inner(
                     faults: config.faults.filter(FaultPlan::enabled),
                     supervisor: None,
                     residency: None,
-                    sharing: config
-                        .plan_reuse
-                        .map(|quantization| crate::sharing::SharingConfig {
-                            quantization,
-                            plan_cache: true,
-                        }),
                 },
             )?)
         }
@@ -441,14 +434,9 @@ fn run_closed_loop_inner(
             })?;
         scaler = OnlineScaler::restore(snapshot.scaler, config.online)?;
         // Tracing is runtime wiring, not scaler state, so it is deliberately
-        // absent from snapshots — re-arm it on the restored instance. Plan
-        // reuse is the same kind of wiring (the cache *contents* restored
-        // with the snapshot; the enable switch did not), so re-arm it too.
+        // absent from snapshots — re-arm it on the restored instance.
         if recorder.is_some() {
             scaler.set_tracing(true);
-        }
-        if let Some(quantization) = config.plan_reuse {
-            scaler.enable_plan_reuse(quantization)?;
         }
     }
 
@@ -544,6 +532,18 @@ mod tests {
         assert!(run_closed_loop(&trace, &config).is_err());
         config.warmup = 2.0 * 3_600.0;
         assert!(run_closed_loop(&trace, &config).is_err());
+    }
+
+    #[test]
+    fn rejects_plan_reuse() {
+        let trace = uniform_trace(3.0 * 3_600.0, 45.0, 5.0);
+        let mut config = harness_config();
+        config.warmup = 1.5 * 3_600.0;
+        config.plan_reuse = Some(0.05);
+        assert!(matches!(
+            run_closed_loop(&trace, &config),
+            Err(OnlineError::InvalidConfig(_))
+        ));
     }
 
     #[test]
@@ -650,103 +650,6 @@ mod tests {
         assert_eq!(replay.rounds, summary.rounds);
         assert!(replay.plans_checked > 0);
         assert!(replay.refits_checked >= 1, "boundary refit must be checked");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    /// The plan cache keeps the QoS contract on a realistic trace: the
-    /// closed loop on `google_like` (the default `harness_demo` run, 6 h)
-    /// serves cache hits and meets the private loop's hit rate and cost
-    /// within small margins.
-    #[test]
-    fn plan_cache_keeps_closed_loop_qos_on_google_like_traffic() {
-        use robustscaler_traces::{google_like, ProcessingTimeModel, TraceConfig};
-        let hours = 6.0;
-        let trace = google_like(&TraceConfig {
-            duration: hours * 3_600.0,
-            traffic_scale: 0.5,
-            processing: ProcessingTimeModel::Exponential { mean: 20.0 },
-            seed: 424_242,
-        });
-        let mut pipeline =
-            RobustScalerConfig::for_variant(RobustScalerVariant::HittingProbability {
-                target: 0.9,
-            });
-        pipeline.mean_processing = 20.0;
-        pipeline.planning_interval = 10.0;
-        pipeline.admm.max_iterations = 80;
-        let run = |plan_reuse: Option<f64>| {
-            let config = HarnessConfig {
-                online: OnlineConfig::new(pipeline),
-                sim: SimulationConfig {
-                    pending: PendingTimeDistribution::Deterministic(13.0),
-                    seed: 9,
-                    recent_history_window: 600.0,
-                },
-                warmup: (hours / 2.0) * 3_600.0,
-                faults: None,
-                plan_reuse,
-            };
-            run_closed_loop(&trace, &config).unwrap().0
-        };
-        let off = run(None);
-        let on = run(Some(0.05));
-        assert_eq!(off.stats.plan_cache_hits, 0);
-        assert!(on.stats.plan_cache_hits > 0, "{:?}", on.stats);
-        assert!(
-            on.hit_rate >= off.hit_rate - 0.02,
-            "hit rate {} with the plan cache, {} without",
-            on.hit_rate,
-            off.hit_rate
-        );
-        assert!(
-            on.relative_cost <= off.relative_cost * 1.05,
-            "relative cost {} with the plan cache, {} without",
-            on.relative_cost,
-            off.relative_cost
-        );
-    }
-
-    #[test]
-    fn plan_reuse_kill_and_restore_stays_bit_identical() {
-        let dir = std::env::temp_dir().join(format!(
-            "robustscaler-harness-reuse-ckpt-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let trace = uniform_trace(3.0 * 3_600.0, 45.0, 5.0);
-        let mut config = harness_config();
-        config.warmup = 1.5 * 3_600.0;
-        config.plan_reuse = Some(0.05);
-        let (continuous, continuous_metrics) = run_closed_loop(&trace, &config).unwrap();
-        let (restarted, restarted_metrics) =
-            run_closed_loop_with_restart(&trace, &config, &dir).unwrap();
-        // The cache contents travel in the snapshot and the restart re-arms
-        // reuse, so the interrupted session is bit-identical to the
-        // continuous one even when hits consume no RNG.
-        assert_eq!(continuous, restarted);
-        assert_eq!(continuous_metrics, restarted_metrics);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn plan_reuse_recorded_sessions_replay_strictly() {
-        use crate::replay::{replay_path, PolicyBands, ReplayMode};
-        let path = std::env::temp_dir().join(format!(
-            "robustscaler-harness-reuse-trace-{}.jsonl",
-            std::process::id()
-        ));
-        let trace = uniform_trace(3.0 * 3_600.0, 45.0, 5.0);
-        let mut config = harness_config();
-        config.warmup = 1.5 * 3_600.0;
-        config.plan_reuse = Some(0.05);
-        let (plain, _) = run_closed_loop(&trace, &config).unwrap();
-        let (report, _, summary) = run_closed_loop_recorded(&trace, &config, &path).unwrap();
-        assert_eq!(plain, report);
-        // The header carries the reuse policy, so the replayer rebuilds the
-        // same cache universe and every round validates bit-for-bit.
-        let replay = replay_path(&path, ReplayMode::Strict, &PolicyBands::default()).unwrap();
-        assert!(replay.passed(), "divergences: {:?}", replay.divergences);
-        assert_eq!(replay.rounds, summary.rounds);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -20,12 +20,9 @@
 //!   across a persistent `robustscaler_parallel::WorkerPool` (threads
 //!   parked between rounds); each round worker drains its tenants'
 //!   queues and then plans, one parallel pass; planning draws no random
-//!   numbers, so fleet output is identical for any worker count;
-//! * [`sharing`] — opt-in plan reuse: each scaler memoizes its last
-//!   planned round under a [`sharing::PlanCacheKey`] and time-shifts it
-//!   while its planning inputs stay unchanged; every other round plans
-//!   exactly against the tenant's own forecast (off by default; off is
-//!   bit-identical to a build without it);
+//!   numbers, so fleet output is identical for any worker count; every
+//!   round that is not skipped plans exactly against the tenant's own
+//!   forecast, with no plan reuse across rounds or tenants;
 //! * [`harness`] — the closed-loop validation harness: replay a trace
 //!   through the bus → `OnlineScaler` → `Simulator` end to end and report
 //!   the paper's metrics (hit rate, `rt_avg`, total/relative cost) plus
@@ -50,9 +47,8 @@
 //! boundary, every plan is bit-identical across runs, worker counts and
 //! tenant-shard layouts by construction: planning is exact and draws no
 //! random numbers, so a round's plan is a pure function of the tenant's
-//! installed model, its covered count and the planning instant (plus, with
-//! plan reuse armed, its memoized previous round), and tenants own all of
-//! that state. Only fault injection is seeded (the [`FaultPlan`] seed).
+//! installed model, its covered count and the planning instant, and
+//! tenants own all of that state. Only fault injection is seeded (the [`FaultPlan`] seed).
 //! Bus-fed ingestion (enqueue + round-boundary drain) is bit-identical to
 //! routing every arrival synchronously through `ingest`; producers that
 //! quiesce at round boundaries therefore keep the whole pipeline
@@ -69,7 +65,6 @@ pub mod harness;
 pub mod ingest;
 pub mod replay;
 pub mod scaler;
-pub mod sharing;
 
 pub use checkpoint::{
     CheckpointIoStats, CheckpointStorage, CheckpointStore, FleetWiring, HibernationStore, Manifest,
@@ -79,7 +74,7 @@ pub use checkpoint::{
 pub use error::OnlineError;
 pub use faults::{FaultInjector, FaultPlan, FaultyStorage, IoOp, PlanFault};
 pub use fleet::{
-    FleetRound, ResidencyConfig, ResidencyStats, RestoreOptions, SupervisionStats,
+    FleetRound, ResidencyConfig, ResidencyStats, RestoreOptions, SharingConfig, SupervisionStats,
     SupervisorConfig, Tenant, TenantFleet, TenantHealth, TenantOutcome,
 };
 pub use harness::{
@@ -98,4 +93,3 @@ pub use replay::{
 pub use scaler::{
     OnlineConfig, OnlineScaler, OnlineStats, ScalerSnapshot, SCALER_SNAPSHOT_VERSION,
 };
-pub use sharing::{PlanCacheKey, SharingConfig, SHARING_PROBE_BUCKETS};

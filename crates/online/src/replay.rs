@@ -15,7 +15,7 @@
 //! One [`TraceRecord`] per line. Line 1 is always [`TraceRecord::Header`]
 //! (format version, session kind, tenant count, ring origin, the
 //! full [`OnlineConfig`] and the session's wiring: arrival bus, fault
-//! plan, supervisor, residency and sharing policies). After it, in
+//! plan, supervisor and residency policies). After it, in
 //! session order:
 //!
 //! * [`TraceRecord::Install`] — an externally fitted model installed into
@@ -81,7 +81,7 @@ use std::sync::{Arc, Mutex};
 /// [`RecordedTrace::parse`] reads; bump on any record layout change. The
 /// layout is the one the module docs describe; unknown keys are ignored
 /// on load.
-pub const TRACE_FORMAT_VERSION: u32 = 5;
+pub const TRACE_FORMAT_VERSION: u32 = 6;
 
 /// What kind of session a trace records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -185,9 +185,6 @@ pub struct TraceHeader {
     /// bit-equivalent to a paged one) so hibernation and wake decisions
     /// reproduce. Absent in always-hot sessions.
     pub residency: Option<crate::fleet::ResidencyConfig>,
-    /// The plan-reuse policy the session ran under — replay re-applies it
-    /// so the plan-cache universe reproduces bit-for-bit.
-    pub sharing: Option<crate::sharing::SharingConfig>,
 }
 
 /// One tenant's planning outcome for one round.
@@ -325,9 +322,12 @@ impl TraceRecord {
 }
 
 /// Fingerprint of a model: FNV-1a 64 over its JSON serialization,
-/// lowercase hex — cheap, stable, and sensitive to any parameter change.
+/// lowercase hex — stable and sensitive to any parameter change. It
+/// serializes the whole model, so scalers compute it only while tracing
+/// (for [`TraceRecord::Refit`] and [`TraceRecord::Install`]).
 pub fn model_fingerprint(model: &NhppModel) -> String {
-    format!("{:016x}", crate::scaler::fingerprint64(model))
+    let json = serde_json::to_string(model).expect("an NhppModel always serializes");
+    format!("{:016x}", crate::checkpoint::fnv1a64(json.as_bytes()))
 }
 
 // ---------------------------------------------------------------------------
@@ -894,7 +894,7 @@ impl Replayer {
     ) -> Result<Self, OnlineError> {
         let session = match header.session {
             SessionKind::Fleet => {
-                let mut fleet = TenantFleet::new(&header.online, header.origin, header.tenants, 0)?;
+                let mut fleet = TenantFleet::new(&header.online, header.origin, header.tenants)?;
                 if let Some(bus) = header.bus {
                     fleet.attach_bus(bus)?;
                 }
@@ -914,21 +914,11 @@ impl Replayer {
                 if let Some(residency) = header.residency {
                     fleet.enable_residency(residency)?;
                 }
-                // Plan-reuse sessions: re-apply the recorded policy so
-                // plan-cache hits reproduce bit-for-bit.
-                if let Some(sharing) = header.sharing {
-                    fleet.set_sharing(sharing)?;
-                }
                 fleet.set_tracing(true);
                 ReplaySession::Fleet(fleet)
             }
             SessionKind::Single => {
                 let mut scaler = OnlineScaler::new(header.online, header.origin)?;
-                if let Some(sharing) = header.sharing {
-                    if sharing.plan_cache {
-                        scaler.enable_plan_reuse(sharing.quantization)?;
-                    }
-                }
                 scaler.set_tracing(true);
                 let bus = ArrivalBus::new(1, header.bus.unwrap_or_default())?;
                 ReplaySession::Single {
@@ -1547,9 +1537,9 @@ mod tests {
     use super::*;
     use crate::scaler::tests::fast_config;
 
-    fn fleet_with_bus(seed: u64) -> (TenantFleet, TraceHeader) {
+    fn fleet_with_bus() -> (TenantFleet, TraceHeader) {
         let config = fast_config();
-        let mut fleet = TenantFleet::new(&config, 0.0, 3, seed).unwrap();
+        let mut fleet = TenantFleet::new(&config, 0.0, 3).unwrap();
         let bus = BusConfig {
             capacity_per_tenant: 4_096,
             tenants_per_group: 2,
@@ -1585,8 +1575,8 @@ mod tests {
         }
     }
 
-    fn record_session(seed: u64, rounds: usize) -> String {
-        let (mut fleet, header) = fleet_with_bus(seed);
+    fn record_session(rounds: usize) -> String {
+        let (mut fleet, header) = fleet_with_bus();
         let sink = MemorySink::new();
         let lines = sink.lines();
         let recorder = TraceRecorder::new(Box::new(sink), &header).unwrap();
@@ -1601,7 +1591,7 @@ mod tests {
 
     #[test]
     fn fresh_recordings_replay_strictly() {
-        let text = record_session(17, 3);
+        let text = record_session(3);
         let trace = RecordedTrace::parse(&text).unwrap();
         assert_eq!(trace.header.version, TRACE_FORMAT_VERSION);
         assert_eq!(trace.header.session, SessionKind::Fleet);
@@ -1614,7 +1604,7 @@ mod tests {
     #[test]
     fn recording_is_identical_across_worker_counts() {
         let run = |workers: usize| {
-            let (mut fleet, header) = fleet_with_bus(23);
+            let (mut fleet, header) = fleet_with_bus();
             fleet.set_workers(workers);
             let sink = MemorySink::new();
             let lines = sink.lines();
@@ -1633,7 +1623,7 @@ mod tests {
     #[test]
     fn direct_ingestion_and_installs_record_and_replay() {
         let config = fast_config();
-        let mut fleet = TenantFleet::new(&config, 0.0, 2, 5).unwrap();
+        let mut fleet = TenantFleet::new(&config, 0.0, 2).unwrap();
         let model = NhppModel::from_log_rates(0.0, 10.0, vec![(0.4_f64).ln(); 60], None).unwrap();
         fleet
             .tenant_mut(0)
@@ -1665,7 +1655,7 @@ mod tests {
 
     #[test]
     fn lenient_mode_collects_divergences_and_checks_bands() {
-        let text = record_session(31, 2);
+        let text = record_session(2);
         // Flip one plan's expected_arrivals_in_window.
         let mutated: Vec<String> = text
             .lines()
@@ -1696,7 +1686,7 @@ mod tests {
 
     #[test]
     fn parse_errors_name_the_line() {
-        let text = record_session(7, 2);
+        let text = record_session(2);
         // Corrupt a middle line.
         let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
         let victim = lines.len() / 2;
@@ -1714,7 +1704,7 @@ mod tests {
             RecordedTrace::parse(""),
             Err(OnlineError::Trace { line: Some(1), .. })
         ));
-        let text = record_session(3, 1);
+        let text = record_session(1);
         let current = format!("\"version\":{TRACE_FORMAT_VERSION}");
         assert!(
             text.contains(&current),
@@ -1728,7 +1718,7 @@ mod tests {
 
     #[test]
     fn take_recorder_and_reattach_continue_one_trace() {
-        let (mut fleet, header) = fleet_with_bus(41);
+        let (mut fleet, header) = fleet_with_bus();
         let sink = MemorySink::new();
         let lines = sink.lines();
         let recorder = TraceRecorder::new(Box::new(sink), &header).unwrap();

@@ -10,15 +10,13 @@
 //! from the exact planner (`SequentialPlanner::plan_window`).
 //!
 //! Determinism contract: planning draws no random numbers. A round's plan
-//! is a pure function of (installed model, `covered`, `now`) plus, with
-//! plan reuse armed, the memoized previous round; so a fixed ingestion and
-//! round sequence produces bit-identical plans regardless of how many
-//! worker threads the surrounding fleet uses, and a restored snapshot
-//! continues exactly.
+//! is a pure function of (installed model, `covered`, `now`), so a fixed
+//! ingestion and round sequence produces bit-identical plans regardless of
+//! how many worker threads the surrounding fleet uses, and a restored
+//! snapshot continues exactly.
 
 use crate::error::OnlineError;
-use crate::replay::{RefitTrigger, ScalerEvent};
-use crate::sharing::PlanCacheKey;
+use crate::replay::{model_fingerprint, RefitTrigger, ScalerEvent};
 use robustscaler_core::{RobustScalerConfig, RobustScalerPipeline};
 use robustscaler_nhpp::{
     Forecaster, ForecasterSnapshot, Intensity, NhppModel, PiecewiseConstantIntensity,
@@ -119,22 +117,21 @@ pub struct OnlineStats {
     /// tenant plans against its own forecast). Kept only until a benchmark
     /// change updates `perfbench/`, which still reads it.
     pub shared_planning_rounds: u64,
-    /// Rounds served by time-shifting the memoized previous plan instead of
-    /// re-planning (plan reuse, see [`crate::sharing::PlanCacheKey`]).
-    /// Deliberately *not* counted into [`OnlineStats::planning_rounds`]: a
-    /// cache hit runs no planner.
+    /// Always 0: the plan cache was removed (every round that is not
+    /// skipped plans exactly). Unused; kept only because `perfbench/`
+    /// builds and reads it; removed by the next benchmark change (ROADMAP
+    /// item 2).
     pub plan_cache_hits: u64,
 }
 
 /// Format version written by [`OnlineScaler::snapshot`], the only one
 /// [`OnlineScaler::restore`] reads; bump on any layout change.
-pub const SCALER_SNAPSHOT_VERSION: u32 = 2;
+pub const SCALER_SNAPSHOT_VERSION: u32 = 3;
 
 /// A serializable, version-tagged copy of everything that makes an
 /// [`OnlineScaler`] resume bit-identically: the ingestion ring, the
 /// installed model (with its forecast configuration), the serving
-/// counters, the refit schedule, the forecast-cache anchor and the plan
-/// cache.
+/// counters, the refit schedule and the forecast-cache anchor.
 ///
 /// The forecast cache itself is *not* stored: it is a pure function of
 /// (model, `cached_forecast_from`, horizon), so [`OnlineScaler::restore`]
@@ -158,26 +155,6 @@ pub struct ScalerSnapshot {
     /// Start time of the cached forecast, if one was live; the cache is
     /// recomputed from this anchor on restore.
     pub cached_forecast_from: Option<f64>,
-    /// The memoized last planning round (the plan cache), if one was
-    /// live. Persisted — not rebuilt — because a hit serves the cached
-    /// round time-shifted, not a fresh plan: a restored scaler that
-    /// re-planned where the original would have hit would diverge.
-    pub plan_cache: Option<PlanCacheEntry>,
-}
-
-/// One memoized planning round: the content key it was planned under, the
-/// planning instant it is anchored at, and the round itself (see
-/// [`crate::sharing::PlanCacheKey`] for the reuse contract).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PlanCacheEntry {
-    /// The content fingerprint of the round's planning inputs.
-    pub key: PlanCacheKey,
-    /// The planning instant the cached round was computed at. Hits shift
-    /// the cached decisions by `now - this` — always from the original
-    /// anchor, never hit-over-hit, so repeated hits stay bit-deterministic.
-    pub now: f64,
-    /// The cached planning round.
-    pub round: PlanningRound,
 }
 
 /// A continuously serving, incrementally refitting scaler for one tenant.
@@ -202,16 +179,6 @@ pub struct OnlineScaler {
     /// recording driver re-enables it.
     tracing: bool,
     trace_events: Vec<ScalerEvent>,
-    /// Plan reuse: `Some(quantization)` when the round-over-round
-    /// plan cache is armed. Runtime wiring like `tracing` — not persisted;
-    /// a restored scaler starts with reuse off (its cache intact but
-    /// unreachable) until the driver re-arms it.
-    plan_reuse: Option<f64>,
-    /// The memoized last planning round, when one is live.
-    plan_cache: Option<PlanCacheEntry>,
-    /// FNV-1a 64 fingerprint of the installed model (what
-    /// [`PlanCacheKey`] pins); refreshed on every refit/install.
-    model_print: Option<u64>,
 }
 
 impl OnlineScaler {
@@ -244,9 +211,6 @@ impl OnlineScaler {
             stats: OnlineStats::default(),
             tracing: false,
             trace_events: Vec::new(),
-            plan_reuse: None,
-            plan_cache: None,
-            model_print: None,
         })
     }
 
@@ -303,36 +267,6 @@ impl OnlineScaler {
         std::mem::take(&mut self.trace_events)
     }
 
-    /// Arm plan reuse (the round-over-round plan cache) at the
-    /// given geometric forecast tolerance — see
-    /// [`crate::sharing::PlanCacheKey`] for the contract.
-    ///
-    /// Runtime wiring like tracing: not persisted in snapshots. Arming
-    /// keeps any cache loaded by [`OnlineScaler::restore`], so a restored
-    /// and re-armed scaler continues bit-identically to one that never
-    /// stopped.
-    pub fn enable_plan_reuse(&mut self, quantization: f64) -> Result<(), OnlineError> {
-        if !quantization.is_finite() || quantization <= 0.0 {
-            return Err(OnlineError::InvalidConfig(
-                "plan reuse quantization must be finite and > 0",
-            ));
-        }
-        self.plan_reuse = Some(quantization);
-        Ok(())
-    }
-
-    /// Disarm plan reuse and drop the memoized round: after this call no
-    /// cached plan is reachable, by construction.
-    pub fn disable_plan_reuse(&mut self) {
-        self.plan_reuse = None;
-        self.plan_cache = None;
-    }
-
-    /// The armed plan-reuse tolerance, if any.
-    pub fn plan_reuse(&self) -> Option<f64> {
-        self.plan_reuse
-    }
-
     /// Ingest one arrival timestamp.
     pub fn ingest(&mut self, arrival: f64) {
         if self.ring.observe(arrival) {
@@ -362,11 +296,10 @@ impl OnlineScaler {
     /// Install an externally fitted model (warm start from persisted state,
     /// or synthetic models in benches) without consuming ring history.
     pub fn install_model(&mut self, model: NhppModel, now: f64) -> Result<(), OnlineError> {
-        let print = fingerprint64(&model);
         if self.tracing {
             self.trace_events.push(ScalerEvent::Install {
                 at: now,
-                fingerprint: format!("{print:016x}"),
+                fingerprint: model_fingerprint(&model),
                 model: model.clone(),
             });
         }
@@ -382,7 +315,6 @@ impl OnlineScaler {
         self.cached_forecast = None;
         self.cached_from = None;
         self.cached_until = f64::NEG_INFINITY;
-        self.invalidate_plan_cache(print);
         self.last_refit_at = now;
         Ok(())
     }
@@ -416,12 +348,11 @@ impl OnlineScaler {
         self.ring.advance_to(now);
         let snapshot = self.ring.series_complete(now)?;
         let trained = self.pipeline.train_on_counts(snapshot)?;
-        let print = fingerprint64(&trained.model);
         if self.tracing {
             self.trace_events.push(ScalerEvent::Refit {
                 at: now,
                 trigger,
-                fingerprint: format!("{print:016x}"),
+                fingerprint: model_fingerprint(&trained.model),
             });
         }
         match &mut self.forecaster {
@@ -431,18 +362,9 @@ impl OnlineScaler {
         self.cached_forecast = None;
         self.cached_from = None;
         self.cached_until = f64::NEG_INFINITY;
-        self.invalidate_plan_cache(print);
         self.last_refit_at = now;
         self.stats.refits += 1;
         Ok(())
-    }
-
-    /// Model changed (refit, drift refit, install, restore): the memoized
-    /// plan is stale by definition — drop it and pin the new model
-    /// fingerprint future keys are built from.
-    fn invalidate_plan_cache(&mut self, print: u64) {
-        self.plan_cache = None;
-        self.model_print = Some(print);
     }
 
     /// Refit if due: first fit once enough complete buckets exist, then on
@@ -596,10 +518,8 @@ impl OnlineScaler {
     /// the next planning window. `covered` is the number of upcoming
     /// arrivals already covered by scheduled/pending/ready instances.
     ///
-    /// The cheap sufficiency check can skip planning, and with plan reuse
-    /// armed an unchanged plan-cache key serves the memoized plan
-    /// time-shifted to `now`; otherwise the round plans exactly against the
-    /// tenant's own forecast.
+    /// The cheap sufficiency check can skip planning; otherwise the round
+    /// plans exactly against the tenant's own forecast.
     pub fn plan_round(&mut self, now: f64, covered: usize) -> Result<PlanningRound, OnlineError> {
         self.maybe_refit(now)?;
         self.refresh_forecast(now)?;
@@ -615,52 +535,11 @@ impl OnlineScaler {
                 expected_arrivals_in_window: forecast.integrated(now, window_end),
             });
         }
-        // Plan reuse: when the content key of this round's inputs
-        // matches the memoized round's, serve the cached plan time-shifted
-        // to `now` without planning. A miss caches the round planned
-        // below under the key.
-        let key = self
-            .plan_reuse
-            .and_then(|quantization| self.plan_cache_key(now, covered, quantization));
-        if let Some(entry) = self.plan_cache.as_ref().filter(|e| Some(e.key) == key) {
-            let window_end = now + self.config.pipeline.planning_interval;
-            let round = entry
-                .round
-                .shifted_by(now - entry.now, forecast.integrated(now, window_end));
-            self.stats.plan_cache_hits += 1;
-            return Ok(round);
-        }
         let round = self
             .planner
             .plan_window(forecast, now, PlannerState { covered });
         self.stats.planning_rounds += 1;
-        if let Some(key) = key {
-            self.plan_cache = Some(PlanCacheEntry {
-                key,
-                now,
-                round: round.clone(),
-            });
-        }
         Ok(round)
-    }
-
-    /// The plan-cache content key of a round's planning inputs; `None` when no
-    /// forecast/model is live or the probe geometry degenerates (the round
-    /// then plans normally and caches nothing).
-    fn plan_cache_key(&self, now: f64, covered: usize, quantization: f64) -> Option<PlanCacheKey> {
-        let forecast = self.cached_forecast.as_ref()?;
-        let model = self.model_print?;
-        let planner = self.planner.config();
-        PlanCacheKey::from_forecast(
-            forecast,
-            model,
-            now,
-            self.config.pipeline.planning_interval,
-            &planner.rule,
-            &planner.pending,
-            covered,
-            quantization,
-        )
     }
 
     /// Capture the scaler's full serving state as a serializable,
@@ -678,7 +557,6 @@ impl OnlineScaler {
             stats: self.stats,
             last_refit_at: self.last_refit_at.is_finite().then_some(self.last_refit_at),
             cached_forecast_from: self.cached_from,
-            plan_cache: self.plan_cache.clone(),
         }
     }
 
@@ -686,7 +564,7 @@ impl OnlineScaler {
     /// configuration.
     ///
     /// The snapshot carries all per-tenant mutable state — ring, model,
-    /// counters, refit deadline, forecast-cache anchor, plan cache — while
+    /// counters, refit deadline, forecast-cache anchor — while
     /// `config` carries everything reconstructable: pipeline and planner
     /// are rebuilt from it. The snapshot's grid must match
     /// the configuration (bucket width, window capacity); a mismatch is
@@ -735,25 +613,8 @@ impl OnlineScaler {
             scaler.cached_until = from + scaler.config.pipeline.forecast_horizon;
             scaler.cached_forecast = Some(forecast);
         }
-        // The model fingerprint is recomputed rather than persisted: the
-        // restored model is bit-identical to the snapshotted one (the
-        // persistence proptests pin this), so its serialization — and hence
-        // the fingerprint every future plan-cache key embeds — matches what
-        // the uninterrupted scaler would use. The memoized round itself is
-        // restored verbatim; it stays unreachable until the driver re-arms
-        // plan reuse.
-        scaler.model_print = scaler.forecaster.as_ref().map(|f| fingerprint64(f.model()));
-        scaler.plan_cache = snapshot.plan_cache;
         Ok(scaler)
     }
-}
-
-/// FNV-1a 64 over a model's JSON: the key field [`PlanCacheKey`] embeds,
-/// and, as lowercase hex, the trace fingerprint
-/// ([`crate::replay::model_fingerprint`]).
-pub(crate) fn fingerprint64(model: &NhppModel) -> u64 {
-    let json = serde_json::to_string(model).expect("an NhppModel always serializes");
-    crate::checkpoint::fnv1a64(json.as_bytes())
 }
 
 #[cfg(test)]
@@ -1007,117 +868,6 @@ pub(crate) mod tests {
         let mut other = config;
         other.window_buckets = config.window_buckets + 1;
         assert!(OnlineScaler::restore(snap, other).is_err());
-    }
-
-    fn flat_model(rate: f64) -> NhppModel {
-        NhppModel::from_log_rates(0.0, 10.0, vec![rate.ln(); 60], None).unwrap()
-    }
-
-    #[test]
-    fn plan_cache_hits_shift_plans_in_steady_state() {
-        let config = fast_config();
-        let mut reuse = OnlineScaler::new(config, 0.0).unwrap();
-        reuse.install_model(flat_model(0.5), 600.0).unwrap();
-        reuse.enable_plan_reuse(0.05).unwrap();
-        let first = reuse.plan_round(600.0, 0).unwrap();
-        assert!(!first.decisions.is_empty());
-        assert_eq!(reuse.stats().planning_rounds, 1);
-        assert_eq!(reuse.stats().plan_cache_hits, 0);
-        // Steady state: same model, same covered count, flat forecast — the
-        // next rounds hit and are the first plan translated by the spacing.
-        for i in 1..4u64 {
-            let dt = 20.0 * i as f64;
-            let round = reuse.plan_round(600.0 + dt, 0).unwrap();
-            assert_eq!(reuse.stats().planning_rounds, 1, "round {i} must hit");
-            assert_eq!(reuse.stats().plan_cache_hits, i);
-            assert_eq!(round.decisions.len(), first.decisions.len());
-            for (a, b) in first.decisions.iter().zip(&round.decisions) {
-                assert_eq!(b.arrival_index, a.arrival_index);
-                assert_eq!(b.creation_time.to_bits(), (a.creation_time + dt).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn plan_cache_misses_on_covered_change_and_invalidates_on_model_change() {
-        let config = fast_config();
-        let mut scaler = OnlineScaler::new(config, 0.0).unwrap();
-        scaler.install_model(flat_model(0.5), 600.0).unwrap();
-        scaler.enable_plan_reuse(0.05).unwrap();
-        scaler.plan_round(600.0, 0).unwrap();
-        assert_eq!(scaler.stats().planning_rounds, 1);
-        // A different covered count is a different key: full replan.
-        scaler.plan_round(620.0, 2).unwrap();
-        assert_eq!(scaler.stats().planning_rounds, 2);
-        assert_eq!(scaler.stats().plan_cache_hits, 0);
-        // Steady state again...
-        scaler.plan_round(640.0, 2).unwrap();
-        assert_eq!(scaler.stats().plan_cache_hits, 1);
-        // ...until the model changes: install clears the memoized round and
-        // repins the fingerprint, so the next round replans even though the
-        // new model forecasts identically.
-        scaler.install_model(flat_model(0.5), 650.0).unwrap();
-        scaler.plan_round(660.0, 2).unwrap();
-        assert_eq!(scaler.stats().planning_rounds, 3);
-        assert_eq!(scaler.stats().plan_cache_hits, 1);
-        // Disarming drops the cache: re-arming does not resurrect it.
-        scaler.plan_round(680.0, 2).unwrap();
-        assert_eq!(scaler.stats().plan_cache_hits, 2);
-        scaler.disable_plan_reuse();
-        scaler.enable_plan_reuse(0.05).unwrap();
-        scaler.plan_round(700.0, 2).unwrap();
-        assert_eq!(scaler.stats().plan_cache_hits, 2);
-        assert_eq!(scaler.stats().planning_rounds, 4);
-    }
-
-    #[test]
-    fn refit_invalidates_the_plan_cache() {
-        let mut config = fast_config();
-        config.refit_interval = 1e9; // only explicit refits
-        let mut scaler = OnlineScaler::new(config, 0.0).unwrap();
-        scaler.ingest_batch(&uniform_arrivals(900.0, 5.0));
-        // Coarse tolerance: the fitted forecast is only near-flat, and this
-        // test is about invalidation, not about the band's width.
-        scaler.enable_plan_reuse(0.5).unwrap();
-        scaler.plan_round(900.0, 0).unwrap(); // first fit + plan
-        scaler.plan_round(920.0, 0).unwrap();
-        let hits = scaler.stats().plan_cache_hits;
-        assert!(hits >= 1, "steady state must hit, got {hits}");
-        scaler.refit_now(930.0).unwrap();
-        // The refit dropped the memoized round: the next round replans.
-        let planned_before = scaler.stats().planning_rounds;
-        scaler.plan_round(940.0, 0).unwrap();
-        assert_eq!(scaler.stats().planning_rounds, planned_before + 1);
-        assert_eq!(scaler.stats().plan_cache_hits, hits);
-    }
-
-    #[test]
-    fn plan_cache_survives_snapshot_restore_and_rearm() {
-        let config = fast_config();
-        let mut live = OnlineScaler::new(config, 0.0).unwrap();
-        live.install_model(flat_model(0.5), 600.0).unwrap();
-        live.enable_plan_reuse(0.05).unwrap();
-        live.plan_round(600.0, 0).unwrap(); // populates the cache
-        let json = serde_json::to_string(&live.snapshot()).unwrap();
-        let snap: ScalerSnapshot = serde_json::from_str(&json).unwrap();
-        assert!(snap.plan_cache.is_some());
-        let mut restored = OnlineScaler::restore(snap, config).unwrap();
-        // Reuse is runtime wiring: off after restore, cache intact.
-        assert!(restored.plan_reuse().is_none());
-        restored.enable_plan_reuse(0.05).unwrap();
-        // Both continue bit-identically — including the restored scaler
-        // *hitting* where the uninterrupted one hits (an emptied cache
-        // would replan and diverge).
-        for i in 1..5 {
-            let now = 600.0 + 20.0 * i as f64;
-            assert_eq!(
-                live.plan_round(now, 0).unwrap(),
-                restored.plan_round(now, 0).unwrap(),
-                "round {i}"
-            );
-        }
-        assert_eq!(live.stats(), restored.stats());
-        assert!(live.stats().plan_cache_hits >= 4);
     }
 
     #[test]

@@ -81,35 +81,6 @@ pub struct PlanningRound {
     pub expected_arrivals_in_window: f64,
 }
 
-impl PlanningRound {
-    /// Re-anchor this round at a planning time `dt` seconds later.
-    ///
-    /// Plan reuse (round-over-round memoization) applies this to a cached
-    /// round whose *inputs* — forecast model, decision rule, pending model,
-    /// covered count — are unchanged: under a time-invariant forecast
-    /// segment the optimal creation times simply translate with the
-    /// planning instant, so every decision's creation times shift by `dt`
-    /// while arrival indices and clamping flags are preserved.
-    /// `expected_arrivals_in_window` cannot be shifted (the window moved);
-    /// the caller recomputes it against the forecast over the new window
-    /// and passes it in.
-    pub fn shifted_by(&self, dt: f64, expected_arrivals_in_window: f64) -> PlanningRound {
-        PlanningRound {
-            decisions: self
-                .decisions
-                .iter()
-                .map(|d| ScalingDecision {
-                    arrival_index: d.arrival_index,
-                    unconstrained_creation_time: d.unconstrained_creation_time + dt,
-                    creation_time: d.creation_time + dt,
-                    clamped: d.clamped,
-                })
-                .collect(),
-            expected_arrivals_in_window,
-        }
-    }
-}
-
 /// The sequential planner.
 #[derive(Debug, Clone)]
 pub struct SequentialPlanner {
@@ -348,28 +319,6 @@ mod tests {
                     d.arrival_index
                 );
             }
-        }
-    }
-
-    #[test]
-    fn shifted_rounds_translate_creation_times_and_keep_indices() {
-        let mut planner = planner(DecisionRule::HittingProbability { alpha: 0.1 }, 10.0);
-        let round = planner.plan_window(&flat_intensity(2.0), 100.0, PlannerState { covered: 0 });
-        assert!(!round.decisions.is_empty());
-        let shifted = round.shifted_by(10.0, 21.5);
-        assert_eq!(shifted.decisions.len(), round.decisions.len());
-        assert_eq!(shifted.expected_arrivals_in_window, 21.5);
-        for (a, b) in round.decisions.iter().zip(&shifted.decisions) {
-            assert_eq!(b.arrival_index, a.arrival_index);
-            assert_eq!(b.clamped, a.clamped);
-            assert_eq!(
-                b.creation_time.to_bits(),
-                (a.creation_time + 10.0).to_bits()
-            );
-            assert_eq!(
-                b.unconstrained_creation_time.to_bits(),
-                (a.unconstrained_creation_time + 10.0).to_bits()
-            );
         }
     }
 

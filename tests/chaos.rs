@@ -127,7 +127,7 @@ proptest! {
         let tenants = 3usize;
         let config = chaos_config();
         let run = |faults: Option<FaultPlan>, workers: usize| {
-            let mut fleet = TenantFleet::new(&config, 0.0, tenants, seed).unwrap();
+            let mut fleet = TenantFleet::new(&config, 0.0, tenants).unwrap();
             fleet.set_workers(workers);
             fleet.attach_bus(small_bus()).unwrap();
             if let Some(plan) = faults {
@@ -188,7 +188,7 @@ proptest! {
     ) {
         let config = chaos_config();
         let dir = scratch("ckpt");
-        let mut fleet = TenantFleet::new(&config, 0.0, 4, seed).unwrap();
+        let mut fleet = TenantFleet::new(&config, 0.0, 4).unwrap();
         for index in 0..4 {
             let gap = 4.0 + index as f64;
             for k in 0..(400.0 / gap) as usize {
@@ -252,7 +252,7 @@ fn chaos_runs_are_bit_deterministic() {
         max_backoff: 4,
     };
     let run = || {
-        let mut fleet = TenantFleet::new(&config, 0.0, 4, 9).unwrap();
+        let mut fleet = TenantFleet::new(&config, 0.0, 4).unwrap();
         fleet.attach_bus(small_bus()).unwrap();
         fleet.set_supervisor(supervisor);
         fleet.set_faults(plan);
@@ -305,8 +305,7 @@ fn recorded_chaos_session_survives_crash_restore_and_replays() {
         probe_backoff: 1,
         max_backoff: 2,
     };
-    let base_seed = 21u64;
-    let mut fleet = TenantFleet::new(&config, 0.0, 3, base_seed).unwrap();
+    let mut fleet = TenantFleet::new(&config, 0.0, 3).unwrap();
     fleet.attach_bus(small_bus()).unwrap();
     fleet.set_supervisor(supervisor);
     fleet.set_faults(plan);
@@ -386,8 +385,8 @@ fn recorded_chaos_session_survives_crash_restore_and_replays() {
 /// tenant `warm` accepts gets a model installed up front, so it plans at
 /// once although its ring is too short to refit. Supervision quarantines
 /// after one failure and probes with backoff 1, 2, 4, … rounds.
-fn probed_fleet(seed: u64, warm: impl Fn(usize) -> bool) -> TenantFleet {
-    let mut fleet = TenantFleet::new(&chaos_config(), 0.0, 3, seed).unwrap();
+fn probed_fleet(warm: impl Fn(usize) -> bool) -> TenantFleet {
+    let mut fleet = TenantFleet::new(&chaos_config(), 0.0, 3).unwrap();
     fleet.attach_bus(small_bus()).unwrap();
     for index in (0..fleet.len()).filter(|&index| warm(index)) {
         let rate = 1.0 / (4.0 + index as f64);
@@ -444,7 +443,7 @@ fn failed_probe_still_drains_its_queue_and_replays() {
     std::fs::create_dir_all(&trace_dir).unwrap();
     let trace_path = trace_dir.join("probe.jsonl");
 
-    let mut fleet = probed_fleet(31, |index| index != 0);
+    let mut fleet = probed_fleet(|index| index != 0);
     fleet.set_faults(FaultPlan {
         seed: 3,
         plan_error: 1.0,
@@ -508,7 +507,7 @@ fn quarantined_warm_tenant_recovers_from_its_installed_model() {
     std::fs::create_dir_all(&trace_dir).unwrap();
     let trace_path = trace_dir.join("probe.jsonl");
 
-    let mut fleet = probed_fleet(37, |_| true);
+    let mut fleet = probed_fleet(|_| true);
     fleet.set_faults(faults);
     let header = fleet.trace_header();
     fleet
@@ -602,7 +601,7 @@ fn drive_residency(
 fn faulty_wake_never_perturbs_healthy_neighbors() {
     let config = chaos_config();
     let build = || {
-        let mut fleet = TenantFleet::new(&config, 0.0, 5, 17).unwrap();
+        let mut fleet = TenantFleet::new(&config, 0.0, 5).unwrap();
         fleet.enable_residency(residency_config()).unwrap();
         fleet.attach_bus(small_bus()).unwrap();
         fleet
@@ -656,7 +655,7 @@ fn faulty_wake_never_perturbs_healthy_neighbors() {
 fn page_out_io_failure_keeps_tenant_resident_and_bit_identical() {
     let config = chaos_config();
     let reference_rounds = {
-        let mut fleet = TenantFleet::new(&config, 0.0, 5, 23).unwrap();
+        let mut fleet = TenantFleet::new(&config, 0.0, 5).unwrap();
         fleet.enable_residency(residency_config()).unwrap();
         fleet.attach_bus(small_bus()).unwrap();
         drive_residency(&mut fleet, 9)

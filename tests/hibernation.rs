@@ -16,15 +16,15 @@
 //!   disk, bit-identically;
 //! - **recording** — a cold-started session records residency
 //!   transitions in its trace and replays strictly;
-//! - **restore wiring** — `restore` re-arms the supervisor, fault plan
-//!   and sharing policy from the manifest; `restore_with` also
+//! - **restore wiring** — `restore` re-arms the supervisor and fault
+//!   plan from the manifest; `restore_with` also
 //!   re-attaches the page store.
 
 use proptest::prelude::*;
 use robustscaler::core::{RobustScalerConfig, RobustScalerVariant};
 use robustscaler::online::{
     replay_path, BusConfig, FaultPlan, OnlineConfig, PolicyBands, ReplayMode, ResidencyConfig,
-    RestoreOptions, SharingConfig, SupervisorConfig, TenantFleet, TraceRecorder,
+    RestoreOptions, SupervisorConfig, TenantFleet, TraceRecorder,
 };
 use std::path::PathBuf;
 
@@ -135,9 +135,9 @@ fn paging_fleet(seed: u64, dir: &PathBuf) -> TenantFleet {
 
 /// Build the reference fleet: everything resident, same residency
 /// policy, no page store.
-fn reference_fleet(seed: u64) -> TenantFleet {
+fn reference_fleet() -> TenantFleet {
     let config = online_config();
-    let mut fleet = TenantFleet::new(&config, 0.0, TENANTS, seed).unwrap();
+    let mut fleet = TenantFleet::new(&config, 0.0, TENANTS).unwrap();
     fleet.enable_residency(residency_config()).unwrap();
     fleet.attach_bus(bus_config()).unwrap();
     fleet
@@ -149,7 +149,7 @@ fn reference_fleet(seed: u64) -> TenantFleet {
 fn paging_fleet_matches_resident_fleet_bit_for_bit() {
     let dir = scratch("equivalence");
     let mut paged = paging_fleet(7, &dir);
-    let mut resident = reference_fleet(7);
+    let mut resident = reference_fleet();
 
     let (paged_rounds, paged_events) = drive(&mut paged, 11);
     let (resident_rounds, resident_events) = drive(&mut resident, 11);
@@ -195,7 +195,7 @@ proptest! {
     #[test]
     fn paging_is_transparent_for_any_worker_count(seed in 0u64..1_000) {
         let reference = {
-            let mut fleet = reference_fleet(seed);
+            let mut fleet = reference_fleet();
             fleet.set_workers(1);
             drive(&mut fleet, 10)
         };
@@ -299,56 +299,51 @@ fn recorded_hibernating_session_replays_strictly() {
 /// Checkpointing a fleet with mixed residency (hot, resident-cold,
 /// paged virgin, paged on-disk) restores to a bit-identical
 /// continuation — and the checkpoint alone suffices: the restored
-/// fleet needs no page directory to keep planning. With sharing and the
-/// plan cache on, the restored fleet plans under the checkpointed policy
-/// without being re-armed by hand.
+/// fleet needs no page directory to keep planning.
 #[test]
 fn mixed_residency_checkpoint_restores_bit_identically() {
-    for sharing in [SharingConfig::default(), SharingConfig::on()] {
-        let pages = scratch("mixed-pages");
-        let checkpoint = scratch("mixed-checkpoint");
-        let mut live = paging_fleet(29, &pages);
-        live.set_sharing(sharing).unwrap();
-        drive(&mut live, 9);
-        live.checkpoint_sharded(&checkpoint, 2).unwrap();
+    let pages = scratch("mixed-pages");
+    let checkpoint = scratch("mixed-checkpoint");
+    let mut live = paging_fleet(29, &pages);
+    drive(&mut live, 9);
+    live.checkpoint_sharded(&checkpoint, 2).unwrap();
 
-        let continue_run = |fleet: &mut TenantFleet| {
-            let mut rounds = Vec::new();
-            for round in 9..12u64 {
-                enqueue_window(fleet, round);
-                rounds.push(fleet.run_round_uniform(round_now(round), 0).unwrap());
-            }
-            rounds
-        };
-        let live_rounds = continue_run(&mut live);
-
-        for workers in [1usize, 3, 8] {
-            let config = online_config();
-            let (mut restored, notes) = TenantFleet::restore_with(
-                &checkpoint,
-                &config,
-                RestoreOptions {
-                    hibernation_dir: Some(pages.clone()),
-                    ..RestoreOptions::default()
-                },
-            )
-            .unwrap();
-            assert!(notes.is_empty(), "{notes:?}");
-            restored.set_workers(workers);
-            let restored_rounds = continue_run(&mut restored);
-            assert_eq!(
-                live_rounds, restored_rounds,
-                "restored fleet diverged at {workers} workers with {sharing:?}"
-            );
+    let continue_run = |fleet: &mut TenantFleet| {
+        let mut rounds = Vec::new();
+        for round in 9..12u64 {
+            enqueue_window(fleet, round);
+            rounds.push(fleet.run_round_uniform(round_now(round), 0).unwrap());
         }
+        rounds
+    };
+    let live_rounds = continue_run(&mut live);
 
-        let _ = std::fs::remove_dir_all(&pages);
-        let _ = std::fs::remove_dir_all(&checkpoint);
+    for workers in [1usize, 3, 8] {
+        let config = online_config();
+        let (mut restored, notes) = TenantFleet::restore_with(
+            &checkpoint,
+            &config,
+            RestoreOptions {
+                hibernation_dir: Some(pages.clone()),
+                ..RestoreOptions::default()
+            },
+        )
+        .unwrap();
+        assert!(notes.is_empty(), "{notes:?}");
+        restored.set_workers(workers);
+        let restored_rounds = continue_run(&mut restored);
+        assert_eq!(
+            live_rounds, restored_rounds,
+            "restored fleet diverged at {workers} workers"
+        );
     }
+
+    let _ = std::fs::remove_dir_all(&pages);
+    let _ = std::fs::remove_dir_all(&checkpoint);
 }
 
 /// The restore-wiring contract: a plain `restore` comes back with the
-/// supervisor policy, fault plan and sharing policy the session ran with
+/// supervisor policy and fault plan the session ran with
 /// (the manifest carries them); the page store is a deployment setting
 /// and comes from `restore_with`'s options.
 #[test]
@@ -366,15 +361,9 @@ fn plain_restore_rearms_the_checkpointed_wiring() {
         ..FaultPlan::default()
     };
 
-    let sharing = SharingConfig {
-        quantization: 0.1,
-        ..SharingConfig::on()
-    };
-
     let mut live = paging_fleet(31, &pages);
     live.set_supervisor(supervisor);
     live.set_faults(faults);
-    live.set_sharing(sharing).unwrap();
     drive(&mut live, 5);
     live.checkpoint_sharded(&checkpoint, 2).unwrap();
 
@@ -383,7 +372,6 @@ fn plain_restore_rearms_the_checkpointed_wiring() {
     let bare = TenantFleet::restore(&checkpoint, &config).unwrap();
     assert_eq!(bare.supervisor(), supervisor);
     assert_eq!(bare.fault_plan(), Some(faults));
-    assert_eq!(bare.sharing(), sharing);
     assert_eq!(bare.residency(), live.residency());
     assert_eq!(bare.hibernation_dir(), None);
 
@@ -399,7 +387,6 @@ fn plain_restore_rearms_the_checkpointed_wiring() {
     .unwrap();
     assert_eq!(with_pages.supervisor(), supervisor);
     assert_eq!(with_pages.fault_plan(), Some(faults));
-    assert_eq!(with_pages.sharing(), sharing);
     assert_eq!(with_pages.hibernation_dir(), Some(pages.as_path()));
 
     let _ = std::fs::remove_dir_all(&pages);

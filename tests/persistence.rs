@@ -14,9 +14,8 @@
 use proptest::prelude::*;
 use robustscaler::core::{RobustScalerConfig, RobustScalerVariant};
 use robustscaler::online::{
-    BusConfig, CheckpointStorage, CheckpointStore, Manifest, OnlineConfig, OnlineError,
-    OnlineScaler, OsStorage, ResidencyConfig, RestoreOptions, ScalerSnapshot, SharingConfig,
-    TenantFleet,
+    BusConfig, CheckpointStorage, CheckpointStore, OnlineConfig, OnlineError, OnlineScaler,
+    OsStorage, ResidencyConfig, RestoreOptions, ScalerSnapshot, TenantFleet,
 };
 use robustscaler::timeseries::{CountRing, RingSnapshot};
 use std::io;
@@ -186,7 +185,7 @@ fn fleet_kill_and_restore_is_bit_identical_for_any_worker_count() {
     let tenant_count = 7;
 
     // The uninterrupted fleet: ingest, run three rounds, keep going.
-    let mut live = TenantFleet::new(&config, 0.0, tenant_count, 99).unwrap();
+    let mut live = TenantFleet::new(&config, 0.0, tenant_count).unwrap();
     ingest_fleet(&mut live, 400.0);
     for round in 0..3 {
         live.run_round_uniform(400.0 + 20.0 * round as f64, round)
@@ -237,7 +236,6 @@ proptest! {
     /// fleet that never stopped, for 1, 3 and 8 workers.
     #[test]
     fn restore_with_queued_arrivals_replays_bit_identically(
-        base_seed in 0u64..1_000,
         burst_len in 1usize..25,
         burst_gap in 0.5_f64..4.0,
         post_rounds in 1usize..4,
@@ -245,7 +243,7 @@ proptest! {
         let dir = temp_dir("fleet-mid-burst");
         let config = online_config();
         let tenant_count = 5;
-        let mut live = TenantFleet::new(&config, 0.0, tenant_count, base_seed).unwrap();
+        let mut live = TenantFleet::new(&config, 0.0, tenant_count).unwrap();
         live.attach_bus(BusConfig {
             capacity_per_tenant: 2_048,
             tenants_per_group: 2,
@@ -313,7 +311,7 @@ fn later_generations_restore_identically_to_a_fresh_directory() {
     let dir = temp_dir("fleet-later");
     let fresh_dir = temp_dir("fleet-later-fresh");
     let config = online_config();
-    let mut fleet = TenantFleet::new(&config, 0.0, 6, 17).unwrap();
+    let mut fleet = TenantFleet::new(&config, 0.0, 6).unwrap();
     fleet
         .attach_bus(BusConfig {
             capacity_per_tenant: 1_024,
@@ -362,7 +360,7 @@ fn later_generations_restore_identically_to_a_fresh_directory() {
 fn regrouped_checkpoints_restore_the_right_tenants() {
     let dir = temp_dir("fleet-regroup");
     let config = online_config();
-    let mut fleet = TenantFleet::new(&config, 0.0, 6, 21).unwrap();
+    let mut fleet = TenantFleet::new(&config, 0.0, 6).unwrap();
     ingest_fleet(&mut fleet, 400.0);
     fleet.run_round_uniform(400.0, 0).unwrap();
 
@@ -396,7 +394,7 @@ fn regrouped_checkpoints_restore_the_right_tenants() {
 fn corrupted_shard_fails_with_a_named_checksum_error_others_loadable() {
     let dir = temp_dir("fleet-corruption");
     let config = online_config();
-    let mut fleet = TenantFleet::new(&config, 0.0, 6, 7).unwrap();
+    let mut fleet = TenantFleet::new(&config, 0.0, 6).unwrap();
     ingest_fleet(&mut fleet, 400.0);
     fleet.run_round_uniform(400.0, 0).unwrap();
     let manifest = fleet.checkpoint_sharded(&dir, 2).unwrap();
@@ -446,7 +444,7 @@ fn corrupted_shard_fails_with_a_named_checksum_error_others_loadable() {
 fn retention_guard_never_sweeps_past_the_newest_restorable_generation() {
     let dir = temp_dir("retention-guard");
     let config = online_config();
-    let mut fleet = TenantFleet::new(&config, 0.0, 6, 61).unwrap();
+    let mut fleet = TenantFleet::new(&config, 0.0, 6).unwrap();
     ingest_fleet(&mut fleet, 400.0);
     fleet.run_round_uniform(400.0, 0).unwrap();
     let gen1 = fleet.checkpoint_sharded(&dir, 2).unwrap();
@@ -512,7 +510,7 @@ fn retention_guard_never_sweeps_past_the_newest_restorable_generation() {
 fn fleet_self_heals_with_a_full_rewrite_after_a_blocked_sweep() {
     let dir = temp_dir("retention-self-heal");
     let config = online_config();
-    let mut fleet = TenantFleet::new(&config, 0.0, 6, 67).unwrap();
+    let mut fleet = TenantFleet::new(&config, 0.0, 6).unwrap();
     ingest_fleet(&mut fleet, 400.0);
     fleet.run_round_uniform(400.0, 0).unwrap();
     fleet.checkpoint_sharded(&dir, 2).unwrap();
@@ -589,7 +587,7 @@ fn non_os_storage_sees_its_previous_generation() {
     let root = temp_dir("rebased");
     let storage = Arc::new(RebasedStorage(root.clone()));
     let config = online_config();
-    let mut fleet = TenantFleet::new(&config, 0.0, 4, 17).unwrap();
+    let mut fleet = TenantFleet::new(&config, 0.0, 4).unwrap();
     ingest_fleet(&mut fleet, 400.0);
     fleet.run_round_uniform(400.0, 0).unwrap();
     fleet.set_checkpoint_storage(storage.clone());
@@ -617,29 +615,21 @@ fn non_os_storage_sees_its_previous_generation() {
 }
 
 /// Restore validates the policies a manifest carries the way their
-/// setters do: a hand-edited manifest with an invalid residency or
-/// sharing policy fails with `InvalidConfig` instead of arming it.
+/// setters do: a hand-edited manifest with an invalid residency policy
+/// fails with `InvalidConfig` instead of arming it.
 #[test]
 fn hand_edited_manifest_policies_fail_restore_validation() {
     let dir = temp_dir("invalid-manifest");
     let config = online_config();
-    let mut fleet = TenantFleet::new(&config, 0.0, 3, 5).unwrap();
+    let mut fleet = TenantFleet::new(&config, 0.0, 3).unwrap();
     fleet.enable_residency(ResidencyConfig::default()).unwrap();
-    fleet.set_sharing(SharingConfig::on()).unwrap();
-    let written = fleet.checkpoint(&dir).unwrap();
-    let edits: [fn(&mut Manifest); 2] = [
-        |m| m.residency.as_mut().unwrap().cold_after = 0,
-        |m| m.sharing.quantization = 0.0,
-    ];
-    for edit in edits {
-        let mut manifest = written.clone();
-        edit(&mut manifest);
-        let text = serde_json::to_string(&manifest).unwrap();
-        std::fs::write(dir.join("manifest.json"), text).unwrap();
-        assert!(matches!(
-            TenantFleet::restore(&dir, &config),
-            Err(OnlineError::InvalidConfig(_))
-        ));
-    }
+    let mut manifest = fleet.checkpoint(&dir).unwrap();
+    manifest.residency.as_mut().unwrap().cold_after = 0;
+    let text = serde_json::to_string(&manifest).unwrap();
+    std::fs::write(dir.join("manifest.json"), text).unwrap();
+    assert!(matches!(
+        TenantFleet::restore(&dir, &config),
+        Err(OnlineError::InvalidConfig(_))
+    ));
     let _ = std::fs::remove_dir_all(&dir);
 }

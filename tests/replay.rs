@@ -4,11 +4,10 @@
 //! session from the trace header regenerates every plan and refit
 //! bit-for-bit (strict mode), and any injected divergence is caught with a
 //! pointed diff naming the round, tenant and field. The golden corpus
-//! under `tests/traces/` pins five scenario shapes (diurnal, flash-crowd,
-//! drift-triggering, kill-and-restore-mid-burst, and a fleet with the plan
-//! cache on); CI replays them strictly, so any behavioural change
-//! to ingestion, training, planning or plan reuse shows up as a
-//! divergence, not a silent drift. Regenerate the
+//! under `tests/traces/` pins four scenario shapes (diurnal, flash-crowd,
+//! drift-triggering and kill-and-restore-mid-burst); CI replays them
+//! strictly, so any behavioural change to ingestion, training or planning
+//! shows up as a divergence, not a silent drift. Regenerate the
 //! goldens intentionally with `REGEN_GOLDEN_TRACES=1 cargo test --test
 //! replay`. On top of the goldens, the format itself must fail loudly:
 //! truncated, corrupted, version-unknown or self-inconsistent traces are
@@ -18,8 +17,8 @@ use proptest::prelude::*;
 use robustscaler::core::{RobustScalerConfig, RobustScalerVariant};
 use robustscaler::online::{
     replay_trace, BusConfig, CheckpointStore, MemorySink, OnlineConfig, OnlineError, PolicyBands,
-    RecordedTrace, RefitTrigger, ReplayMode, SharingConfig, TenantFleet, TraceRecord,
-    TraceRecorder, TRACE_FORMAT_VERSION,
+    RecordedTrace, RefitTrigger, ReplayMode, TenantFleet, TraceRecord, TraceRecorder,
+    TRACE_FORMAT_VERSION,
 };
 use std::path::{Path, PathBuf};
 
@@ -88,21 +87,18 @@ fn enqueue_window(fleet: &TenantFleet, round: usize, gap_for: &dyn Fn(usize, usi
     }
 }
 
-/// Record a fresh 3-tenant fleet session under `sharing`: `rounds` bus-fed
+/// Record a fresh 3-tenant fleet session: `rounds` bus-fed
 /// rounds with the given per-(tenant, round) arrival gaps, each round
 /// planned with `covered_for(round)` instances already covered, returned as
 /// the trace text.
 fn record_fleet(
     config: &OnlineConfig,
-    sharing: SharingConfig,
-    seed: u64,
     rounds: usize,
     gap_for: &dyn Fn(usize, usize) -> f64,
     covered_for: &dyn Fn(usize) -> usize,
 ) -> String {
-    let mut fleet = TenantFleet::new(config, 0.0, 3, seed).unwrap();
+    let mut fleet = TenantFleet::new(config, 0.0, 3).unwrap();
     fleet.attach_bus(bus_config()).unwrap();
-    fleet.set_sharing(sharing).unwrap();
     let sink = MemorySink::new();
     let lines = sink.lines();
     let recorder = TraceRecorder::new(Box::new(sink), &fleet.trace_header()).unwrap();
@@ -123,14 +119,10 @@ fn record_fleet(
 /// then a *restored* fleet re-attaches the same recorder and serves two
 /// more rounds — one continuous trace spanning the process boundary.
 /// `edit_checkpoint` may rewrite the checkpoint directory before restore.
-fn record_kill_restore(
-    config: &OnlineConfig,
-    seed: u64,
-    edit_checkpoint: &dyn Fn(&Path),
-) -> String {
+fn record_kill_restore(config: &OnlineConfig, edit_checkpoint: &dyn Fn(&Path)) -> String {
     let dir = temp_dir("kill-restore-golden");
     let gap_for = |tenant: usize, _round: usize| 4.0 + tenant as f64;
-    let mut fleet = TenantFleet::new(config, 0.0, 3, seed).unwrap();
+    let mut fleet = TenantFleet::new(config, 0.0, 3).unwrap();
     fleet.attach_bus(bus_config()).unwrap();
     let sink = MemorySink::new();
     let lines = sink.lines();
@@ -175,8 +167,6 @@ fn record_scenario(name: &str) -> String {
         // tenant's base rate.
         "diurnal" => record_fleet(
             &config,
-            SharingConfig::default(),
-            101,
             6,
             &|tenant, round| {
                 3.0 + tenant as f64 + 2.0 * (round as f64 * std::f64::consts::TAU / 6.0).sin()
@@ -186,8 +176,6 @@ fn record_scenario(name: &str) -> String {
         // Quiet traffic with a 12x surge in round 3's window.
         "flash_crowd" => record_fleet(
             &config,
-            SharingConfig::default(),
-            202,
             6,
             &|tenant, round| {
                 if round == 3 {
@@ -205,8 +193,6 @@ fn record_scenario(name: &str) -> String {
             config.drift_window = 200.0;
             record_fleet(
                 &config,
-                SharingConfig::default(),
-                303,
                 8,
                 &|_, round| {
                     if round >= 3 {
@@ -218,18 +204,7 @@ fn record_scenario(name: &str) -> String {
                 &|round| round,
             )
         }
-        "kill_restore" => record_kill_restore(&config, 404, &|_| {}),
-        // The plan cache on: tenants 0 and 1 see identical traffic, tenant 2
-        // a slower stream of its own. Steady traffic and a covered count held
-        // for two rounds let the plan cache hit.
-        "sharing" => record_fleet(
-            &config,
-            SharingConfig::on(),
-            505,
-            8,
-            &|tenant, _| if tenant < 2 { 4.0 } else { 7.0 },
-            &|round| round / 2,
-        ),
+        "kill_restore" => record_kill_restore(&config, &|_| {}),
         other => panic!("unknown golden scenario `{other}`"),
     }
 }
@@ -300,32 +275,12 @@ fn golden_kill_restore_replays_strictly() {
     assert_eq!(rounds, 4);
 }
 
-#[test]
-fn golden_sharing_replays_strictly() {
-    let trace = replay_golden("sharing");
-    assert!(
-        trace.header.sharing.is_some(),
-        "the sharing golden must record its policy"
-    );
-    let stats = trace
-        .records
-        .iter()
-        .find_map(|(_, record)| match record {
-            TraceRecord::Qos(qos) => Some(qos.stats),
-            _ => None,
-        })
-        .expect("a complete trace ends with its QoS record");
-    assert!(stats.plan_cache_hits > 0, "{stats:?}");
-}
-
 /// Acceptance criterion: a single mutated plan field is caught, and the
 /// diff names the round, the tenant and the field.
 #[test]
 fn injected_plan_mutation_is_caught_with_a_pointed_diff() {
     let text = record_fleet(
         &base_config(),
-        SharingConfig::default(),
-        55,
         3,
         &|tenant, _| 4.0 + tenant as f64,
         &|round| round,
@@ -367,8 +322,6 @@ fn injected_plan_mutation_is_caught_with_a_pointed_diff() {
 fn truncated_trailing_record_fails_naming_the_line() {
     let text = record_fleet(
         &base_config(),
-        SharingConfig::default(),
-        56,
         2,
         &|tenant, _| 4.0 + tenant as f64,
         &|round| round,
@@ -394,8 +347,6 @@ fn truncated_trailing_record_fails_naming_the_line() {
 fn unknown_future_version_fails_naming_line_one() {
     let text = record_fleet(
         &base_config(),
-        SharingConfig::default(),
-        57,
         2,
         &|tenant, _| 4.0 + tenant as f64,
         &|round| round,
@@ -417,8 +368,6 @@ fn unknown_future_version_fails_naming_line_one() {
 fn corrupted_event_line_fails_naming_the_line() {
     let text = record_fleet(
         &base_config(),
-        SharingConfig::default(),
-        58,
         2,
         &|tenant, _| 4.0 + tenant as f64,
         &|round| round,
@@ -434,8 +383,6 @@ fn corrupted_event_line_fails_naming_the_line() {
 fn header_inconsistent_with_its_own_session_fails_naming_line_one() {
     let text = record_fleet(
         &base_config(),
-        SharingConfig::default(),
-        59,
         2,
         &|tenant, _| 4.0 + tenant as f64,
         &|round| round,
@@ -501,11 +448,7 @@ fn retired_bus_and_queue_keys_still_restore_and_replay() {
         assert!(text.contains("\"max_drain_per_round\":0"));
         std::fs::write(dir.join("manifest.json"), text).unwrap();
     };
-    let text = with_retired_bus_keys(&record_kill_restore(
-        &base_config(),
-        505,
-        &rewrite_checkpoint,
-    ));
+    let text = with_retired_bus_keys(&record_kill_restore(&base_config(), &rewrite_checkpoint));
     let header = text.lines().next().unwrap();
     assert!(header.contains("\"max_capacity_per_tenant\":0"), "{header}");
     assert!(text.contains("\"spilled\":0"));
@@ -523,7 +466,6 @@ proptest! {
     /// the recorded bytes are identical for 1, 3 and 8 workers.
     #[test]
     fn record_then_replay_round_trips_for_any_stream_and_worker_count(
-        base_seed in 0u64..1_000,
         tenant_count in 2usize..5,
         gaps in prop::collection::vec(3.0f64..12.0, 2..5),
         rounds in 2usize..5,
@@ -533,7 +475,7 @@ proptest! {
             .iter()
             .map(|&workers| {
                 let mut fleet =
-                    TenantFleet::new(&config, 0.0, tenant_count, base_seed).unwrap();
+                    TenantFleet::new(&config, 0.0, tenant_count).unwrap();
                 fleet.attach_bus(bus_config()).unwrap();
                 fleet.set_workers(workers);
                 let sink = MemorySink::new();
