@@ -2,12 +2,13 @@
 //! axis). The exact engine that planning runs — one decision and one full
 //! planning window per rule — beside the paper's Monte Carlo reference: the
 //! sort-and-search Algorithm 3 and the quantile rule of eq. (3) as a
-//! function of the sample count R.
+//! function of the sample count R. Also the NHPP forecast every serving
+//! round reads: the drift check's window and a planning horizon.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use robustscaler_nhpp::PiecewiseConstantIntensity;
+use robustscaler_nhpp::{ForecastConfig, Forecaster, NhppModel, PiecewiseConstantIntensity};
 use robustscaler_scaling::{
     decide_exact, solve_waiting_root, ArrivalSampler, DecisionConfig, DecisionRule,
     PendingTimeModel, PlannerConfig, PlannerState, SequentialPlanner,
@@ -104,11 +105,32 @@ fn bench_exact_plan_window(c: &mut Criterion) {
     group.finish();
 }
 
+/// One forecast from a one-day periodic model (period 1,440 of 60 s
+/// buckets, the shape of a fleet template model), starting mid-bucket at
+/// noon: the drift check's 600 s window and a 3,600 s planning horizon.
+/// Both emit fewer buckets than the period, so only their phases are
+/// computed.
+fn bench_forecast(c: &mut Criterion) {
+    let mut group = c.benchmark_group("forecast");
+    let log_rates = (0..1_440)
+        .map(|b| (1.0 + 0.8 * (b as f64 * std::f64::consts::TAU / 1_440.0).sin()).ln())
+        .collect();
+    let model = NhppModel::from_log_rates(0.0, 60.0, log_rates, Some(1_440)).unwrap();
+    let forecaster = Forecaster::new(model, ForecastConfig::default()).unwrap();
+    for (name, horizon) in [("drift_window", 600.0), ("horizon", 3_600.0)] {
+        group.bench_function(name, |b| {
+            b.iter(|| forecaster.forecast(43_230.0, horizon).unwrap());
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_sort_and_search,
     bench_single_decision,
     bench_exact_decision,
-    bench_exact_plan_window
+    bench_exact_plan_window,
+    bench_forecast
 );
 criterion_main!(benches);

@@ -6,11 +6,17 @@
 //! the workload is aperiodic, the forecast carries the recent local level
 //! forward — the same "local intensity" the paper recommends for computing
 //! the κ threshold.
+//!
+//! A forecast computes only the buckets it emits: one median over at most
+//! `lookback_periods` values per emitted phase, or the `recent_window` mean
+//! when aperiodic. A call costs O(min(buckets, period) · lookback), not
+//! O(training length), so the per-round drift check stays cheap on models
+//! with long periods.
 
 use crate::error::NhppError;
 use crate::intensity::PiecewiseConstantIntensity;
 use crate::model::NhppModel;
-use robustscaler_stats::median;
+use robustscaler_stats::empirical_quantile_unstable;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the intensity forecaster.
@@ -122,6 +128,13 @@ impl Forecaster {
     ///
     /// `from` is usually the end of the training window ("now"); forecasts
     /// starting later are supported and simply shift the periodic phase.
+    ///
+    /// Only the emitted buckets are computed. A periodic forecast takes the
+    /// median of each phase it emits over the last `lookback_periods`
+    /// periods, so one call costs O(min(buckets, period) · lookback); the
+    /// full per-phase pattern is built only when the horizon spans more than
+    /// one period. An aperiodic forecast exponentiates only the
+    /// `recent_window` tail. Nothing is cached between calls.
     pub fn forecast(
         &self,
         from: f64,
@@ -138,47 +151,41 @@ impl Forecaster {
             });
         }
         let dt = self.model.bucket_width();
-        let rates = self.model.rates();
-        let t = rates.len();
+        let log_rates = self.model.log_rates();
+        let t = log_rates.len();
         let buckets = (horizon / dt).ceil() as usize;
         let buckets = buckets.max(1);
 
         let predicted: Vec<f64> = match self.model.period() {
             Some(period) if period >= 1 && t >= period => {
-                // Per-phase robust pattern over the last `lookback_periods`.
+                // Robust per-phase rate: the median over the last
+                // `lookback_periods` periods. `lookback <= t / period`, so
+                // every index below is in range.
                 let lookback = self.config.lookback_periods.min(t / period).max(1);
-                let pattern: Vec<f64> = (0..period)
-                    .map(|phase| {
-                        let mut values = Vec::with_capacity(lookback);
-                        for k in 1..=lookback {
-                            let idx = t as i64 - (k * period) as i64 + phase as i64;
-                            if idx >= 0 {
-                                values.push(rates[idx as usize]);
-                            }
-                        }
-                        if values.is_empty() {
-                            rates[t - 1]
-                        } else {
-                            median(&values).expect("non-empty")
-                        }
-                    })
-                    .collect();
+                let mut values = Vec::with_capacity(lookback);
+                let mut phase_rate = |phase: usize| {
+                    values.clear();
+                    values.extend((1..=lookback).map(|k| log_rates[t - k * period + phase].exp()));
+                    empirical_quantile_unstable(&mut values, 0.5).expect("non-empty")
+                };
                 // Phase of the first forecast bucket relative to the training
                 // start, so the pattern lines up with wall-clock time.
                 let first_bucket_index = ((from - self.model.start()) / dt).round() as i64;
-                (0..buckets)
-                    .map(|i| {
-                        let phase =
-                            ((first_bucket_index + i as i64).rem_euclid(period as i64)) as usize;
-                        pattern[phase]
-                    })
-                    .collect()
+                let phase_of =
+                    |i: usize| ((first_bucket_index + i as i64).rem_euclid(period as i64)) as usize;
+                if buckets <= period {
+                    // Each emitted bucket is a distinct phase.
+                    (0..buckets).map(|i| phase_rate(phase_of(i))).collect()
+                } else {
+                    let pattern: Vec<f64> = (0..period).map(phase_rate).collect();
+                    (0..buckets).map(|i| pattern[phase_of(i)]).collect()
+                }
             }
             _ => {
                 // Aperiodic: carry the recent local level forward.
                 let window = self.config.recent_window.min(t).max(1);
-                let recent = &rates[t - window..];
-                let level = recent.iter().sum::<f64>() / window as f64;
+                let level =
+                    log_rates[t - window..].iter().map(|r| r.exp()).sum::<f64>() / window as f64;
                 vec![level; buckets]
             }
         };
@@ -200,6 +207,8 @@ impl Forecaster {
 mod tests {
     use super::*;
     use crate::intensity::Intensity;
+    use proptest::prelude::*;
+    use robustscaler_stats::median;
 
     fn periodic_model(buckets: usize, period: usize) -> NhppModel {
         // rate alternates by phase: λ(phase) = 0.1·(phase+1)
@@ -355,5 +364,105 @@ mod tests {
             expected_mass
         );
         assert!((forecast.integrated(m.end(), m.end() + 240.0) - 0.25 * 240.0).abs() < 1e-9);
+    }
+
+    /// The full-pattern forecast `Forecaster::forecast` replaced: every
+    /// rate exponentiated and the median of every phase computed, whatever
+    /// the horizon. Kept as the bit-identity oracle.
+    fn full_pattern_forecast(
+        model: &NhppModel,
+        config: &ForecastConfig,
+        from: f64,
+        horizon: f64,
+    ) -> Vec<f64> {
+        let dt = model.bucket_width();
+        let rates = model.rates();
+        let t = rates.len();
+        let buckets = ((horizon / dt).ceil() as usize).max(1);
+        match model.period() {
+            Some(period) if period >= 1 && t >= period => {
+                let lookback = config.lookback_periods.min(t / period).max(1);
+                let pattern: Vec<f64> = (0..period)
+                    .map(|phase| {
+                        let mut values = Vec::with_capacity(lookback);
+                        for k in 1..=lookback {
+                            let idx = t as i64 - (k * period) as i64 + phase as i64;
+                            if idx >= 0 {
+                                values.push(rates[idx as usize]);
+                            }
+                        }
+                        if values.is_empty() {
+                            rates[t - 1]
+                        } else {
+                            median(&values).expect("non-empty")
+                        }
+                    })
+                    .collect();
+                let first_bucket_index = ((from - model.start()) / dt).round() as i64;
+                (0..buckets)
+                    .map(|i| {
+                        let phase =
+                            ((first_bucket_index + i as i64).rem_euclid(period as i64)) as usize;
+                        pattern[phase]
+                    })
+                    .collect()
+            }
+            _ => {
+                let window = config.recent_window.min(t).max(1);
+                let recent = &rates[t - window..];
+                let level = recent.iter().sum::<f64>() / window as f64;
+                vec![level; buckets]
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The emitted-phases forecast is bit-identical to the full-pattern
+        /// one: periodic models whose length is and is not a multiple of the
+        /// period, lookback 1–4, aperiodic models, horizons shorter and
+        /// longer than the period, and starts on, between and past the
+        /// bucket edges of the training end.
+        #[test]
+        fn forecast_matches_the_full_pattern_oracle(
+            shape in (1usize..16, 1usize..6, 0usize..16, prop::bool::ANY, 1usize..5),
+            log_rates in prop::collection::vec(-4.0_f64..3.0, 120..121),
+            start in (-500.0_f64..500.0, 1.0_f64..120.0, 1usize..15),
+            query in (-10i64..40, 0.0_f64..1.0, prop::bool::ANY, 0.05_f64..3.0),
+        ) {
+            let (period, periods, extra, periodic, lookback) = shape;
+            let (origin, dt, recent_window) = start;
+            let (offset, frac, on_edge, horizon_periods) = query;
+            let t = (period * periods + extra % period).min(log_rates.len());
+            // Round half the rates to one decimal, so phases see ties.
+            let log_rates: Vec<f64> = log_rates[..t]
+                .iter()
+                .enumerate()
+                .map(|(i, &r)| if i % 2 == 0 { (r * 10.0).round() / 10.0 } else { r })
+                .collect();
+            let model = NhppModel::from_log_rates(
+                origin,
+                dt,
+                log_rates,
+                periodic.then_some(period),
+            )
+            .unwrap();
+            let config = ForecastConfig {
+                lookback_periods: lookback,
+                recent_window,
+            };
+            let f = Forecaster::new(model.clone(), config).unwrap();
+            let frac = if on_edge { 0.0 } else { frac };
+            let from = (model.end() + (offset as f64 + frac) * dt).max(model.start());
+            let horizon = horizon_periods * period as f64 * dt;
+            let got = f.forecast(from, horizon).unwrap();
+            let want = full_pattern_forecast(&model, &config, from, horizon);
+            prop_assert_eq!(got.start().to_bits(), from.to_bits());
+            prop_assert_eq!(got.rates().len(), want.len());
+            for (g, w) in got.rates().iter().zip(&want) {
+                prop_assert_eq!(g.to_bits(), w.to_bits(), "{} vs {}", g, w);
+            }
+        }
     }
 }

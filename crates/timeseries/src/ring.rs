@@ -354,16 +354,24 @@ impl CountRing {
 
     /// Total count across the retained buckets wholly contained in
     /// `[from, to)` — the drift detector's observed-arrivals query.
+    ///
+    /// Only the buckets near `[from, to)` are visited: the candidate indices
+    /// come from the bucket arithmetic with one bucket of slack on each side
+    /// for rounding, and the exact edge test decides each candidate.
     pub fn count_between(&self, from: f64, to: f64) -> f64 {
         let start = self.start();
+        let width = self.bucket_width;
+        // `max(0.0)` also maps NaN to 0; the casts saturate at the top.
+        let end = ((((to - start) / width).ceil() + 1.0).max(0.0) as usize).min(self.counts.len());
+        let begin = ((((from - start) / width).floor() - 1.0).max(0.0) as usize).min(end);
         self.counts
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| {
-                let left = start + *i as f64 * self.bucket_width;
-                left >= from && left + self.bucket_width <= to
+            .range(begin..end)
+            .zip(begin..)
+            .filter(|(_, i)| {
+                let left = start + *i as f64 * width;
+                left >= from && left + width <= to
             })
-            .map(|(_, &c)| c)
+            .map(|(&c, _)| c)
             .sum()
     }
 
@@ -414,6 +422,7 @@ impl CountRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn constructor_validates() {
@@ -506,6 +515,55 @@ mod tests {
         assert_eq!(ring.count_between(5.0, 30.0), 4.0);
         assert_eq!(ring.count_between(10.0, 25.0), 1.0);
         assert_eq!(ring.count_between(40.0, 50.0), 0.0);
+        // Unbounded and NaN bounds.
+        assert_eq!(ring.count_between(f64::NEG_INFINITY, f64::INFINITY), 6.0);
+        assert_eq!(ring.count_between(f64::NAN, 30.0), 0.0);
+        assert_eq!(ring.count_between(0.0, f64::NAN), 0.0);
+    }
+
+    /// The pre-windowing implementation: the edge test on every retained
+    /// bucket.
+    fn count_between_full_scan(ring: &CountRing, from: f64, to: f64) -> f64 {
+        let start = ring.start();
+        ring.counts
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| {
+                let left = start + *i as f64 * ring.bucket_width;
+                left >= from && left + ring.bucket_width <= to
+            })
+            .map(|(_, &c)| c)
+            .sum()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The windowed scan sums the same buckets in the same order as the
+        /// full scan, bit for bit, for bounds on, between and beyond the
+        /// ring's bucket edges.
+        #[test]
+        fn count_between_matches_the_full_scan(
+            ring_shape in (-1000.0_f64..1000.0, 0.5_f64..90.0, 1usize..80),
+            arrivals in prop::collection::vec(0.0_f64..1.0, 0..200),
+            bounds in (-20i64..120, 0i64..60, 0.0_f64..1.0, 0.0_f64..1.0, prop::bool::ANY),
+        ) {
+            let (origin, width, capacity) = ring_shape;
+            let (from_bucket, span, from_frac, to_frac, on_edges) = bounds;
+            let mut ring = CountRing::new(origin, width, capacity).unwrap();
+            // Spread the arrivals over up to 100 buckets, so some rings wrap.
+            for &u in &arrivals {
+                ring.observe(origin + u * 100.0 * width);
+            }
+            let (from_frac, to_frac) = if on_edges { (0.0, 0.0) } else { (from_frac, to_frac) };
+            let from = ring.start() + (from_bucket as f64 + from_frac) * width;
+            let to = from + (span as f64 + to_frac) * width;
+            for (lo, hi) in [(from, to), (to, from), (from, f64::INFINITY), (f64::NEG_INFINITY, to)] {
+                let windowed = ring.count_between(lo, hi);
+                let full = count_between_full_scan(&ring, lo, hi);
+                prop_assert_eq!(windowed.to_bits(), full.to_bits(), "[{}, {})", lo, hi);
+            }
+        }
     }
 
     #[test]
