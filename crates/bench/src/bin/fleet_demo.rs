@@ -2,7 +2,7 @@
 //! event-driven ingestion runtime, plus durable checkpoint/restore.
 //!
 //! Builds a [`TenantFleet`] of N independent tenants (each with its own
-//! model, ring and RNG) with an [`ArrivalBus`] attached, and runs a
+//! model, ring and RNG) fed through its [`ArrivalBus`], and runs a
 //! stretch of planning rounds the way production would: a producer thread
 //! enqueues the *next* window's arrivals **while the current round
 //! plans**, the producer joins at the round boundary, and the next
@@ -42,7 +42,7 @@
 use robustscaler_core::{RobustScalerConfig, RobustScalerVariant};
 use robustscaler_nhpp::NhppModel;
 use robustscaler_online::{
-    ArrivalBus, BusConfig, CheckpointIoStats, FaultPlan, FaultyStorage, OnlineConfig, QueueStats,
+    ArrivalBus, CheckpointIoStats, FaultPlan, FaultyStorage, OnlineConfig, QueueStats,
     SupervisionStats, TenantFleet, TraceRecorder, TraceSummary,
 };
 use robustscaler_parallel::available_threads;
@@ -147,7 +147,7 @@ struct DemoReport {
     /// previous round's planning (the drain-at-round-boundary contract).
     ingest_overlapped: bool,
     runs: Vec<RunReport>,
-    queue: Option<QueueReport>,
+    queue: QueueReport,
     determinism_across_workers: bool,
     checkpoint: Option<CheckpointReport>,
     /// Recorded-session trace (`--record`): path plus record/round counts.
@@ -164,18 +164,16 @@ struct DemoReport {
 
 /// Degradation warnings surfaced in the report and on stdout.
 fn collect_warnings(
-    queue: Option<&QueueReport>,
+    queue: &QueueReport,
     supervision: Option<&SupervisionStats>,
     io: &CheckpointIoStats,
 ) -> Vec<String> {
     let mut warnings = Vec::new();
-    if let Some(queue) = queue {
-        if queue.dropped_full > 0 {
-            warnings.push(format!(
-                "arrival queue dropped {} batch(es) on the floor (queue full)",
-                queue.dropped_full
-            ));
-        }
+    if queue.dropped_full > 0 {
+        warnings.push(format!(
+            "arrival queue dropped {} batch(es) on the floor (queue full)",
+            queue.dropped_full
+        ));
     }
     if let Some(sup) = supervision {
         if sup.failures > 0 {
@@ -216,11 +214,10 @@ fn fleet_config() -> OnlineConfig {
 
 /// A fleet whose tenants are warm-started with a diurnal-ish model so every
 /// round exercises the full forecast → plan path without paying ADMM
-/// training inside the timed loop, with the arrival bus attached.
+/// training inside the timed loop.
 fn build_fleet(tenants: usize) -> TenantFleet {
     let config = fleet_config();
     let mut fleet = TenantFleet::new(&config, 0.0, tenants).expect("valid fleet");
-    fleet.attach_bus(BusConfig::default()).expect("fresh bus");
     for index in 0..tenants {
         // Tenant traffic levels spread over [0.5, 2.5] QPS with a mild
         // sinusoidal daily profile — ~50 arrivals per 10 s window at the
@@ -279,7 +276,7 @@ fn run_rounds_with(
     let interval = 10.0;
     let tenants = fleet.len();
     let chaos = fleet.fault_plan().is_some();
-    let bus = fleet.bus().cloned();
+    let bus = Arc::clone(fleet.bus().expect("every fleet owns its bus"));
     let mut decisions = 0usize;
     let mut plans = Vec::with_capacity(rounds);
     let started = Instant::now();
@@ -289,9 +286,7 @@ fn run_rounds_with(
     // from the checkpoint), so enqueueing again would double-ingest the
     // boundary window.
     if first_round == 0 {
-        if let Some(bus) = &bus {
-            enqueue_window(bus, tenants, 0);
-        }
+        enqueue_window(&bus, tenants, 0);
     }
     for round in first_round..first_round + rounds {
         let now = 86_400.0 + interval * round as f64;
@@ -302,10 +297,10 @@ fn run_rounds_with(
         let producer = if synchronous {
             None
         } else {
-            bus.as_ref().map(|bus| {
-                let bus = Arc::clone(bus);
-                std::thread::spawn(move || enqueue_window(&bus, tenants, round + 1))
-            })
+            let bus = Arc::clone(&bus);
+            Some(std::thread::spawn(move || {
+                enqueue_window(&bus, tenants, round + 1)
+            }))
         };
         // Chaos mode plans through the supervised path: injected failures
         // quarantine their tenant and serve the sticky fallback instead of
@@ -327,10 +322,9 @@ fn run_rounds_with(
                 .map(|plan| Some(plan.expect("warm-started tenant plans")))
                 .collect()
         };
-        if let Some(producer) = producer {
-            producer.join().expect("producer thread panicked");
-        } else if let Some(bus) = &bus {
-            enqueue_window(bus, tenants, round + 1);
+        match producer {
+            Some(producer) => producer.join().expect("producer thread panicked"),
+            None => enqueue_window(&bus, tenants, round + 1),
         }
         decisions += round_plans
             .iter()
@@ -532,16 +526,12 @@ fn main() {
         if identical { "IDENTICAL" } else { "MISMATCH" }
     );
 
-    let queue = parallel_fleet
-        .queue_stats()
-        .map(|stats| QueueReport::from_stats(stats, rounds));
-    if let Some(queue) = &queue {
-        println!(
-            "queue health: {} enqueued, {} dropped (full), peak {} queued, \
-             {:.1} drained/round",
-            queue.enqueued, queue.dropped_full, queue.queued_peak, queue.drained_per_round
-        );
-    }
+    let queue = QueueReport::from_stats(parallel_fleet.queue_stats(), rounds);
+    println!(
+        "queue health: {} enqueued, {} dropped (full), peak {} queued, \
+         {:.1} drained/round",
+        queue.enqueued, queue.dropped_full, queue.queued_peak, queue.drained_per_round
+    );
 
     let supervision = chaos.then(|| parallel_fleet.supervision_stats());
     if let Some(sup) = &supervision {
@@ -590,7 +580,7 @@ fn main() {
         .is_none_or(|c| c.identical_after_restore);
 
     let warnings = collect_warnings(
-        queue.as_ref(),
+        &queue,
         supervision.as_ref(),
         &parallel_fleet.checkpoint_io_stats(),
     );
@@ -603,7 +593,7 @@ fn main() {
             tenants,
             rounds,
             restored_from_checkpoint: restore,
-            ingest_overlapped: queue.is_some(),
+            ingest_overlapped: record_path.is_none(),
             queue,
             runs: vec![
                 RunReport {

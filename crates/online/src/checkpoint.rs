@@ -66,10 +66,10 @@ use std::time::Duration;
 /// A [`Manifest`] records the fleet's round counter and its wiring
 /// ([`FleetWiring`]: arrival bus, residency, supervisor and fault plan)
 /// beside the shard list. Each shard holds a
-/// `Vec<TenantSnapshot>`: the scaler snapshot plus, where the fleet runs
-/// them, the tenant's undrained queue, its supervision state and its
+/// `Vec<TenantSnapshot>`: the scaler snapshot, the tenant's undrained
+/// queue and, where the fleet runs them, its supervision state and its
 /// residency state. Unknown keys are ignored on load.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 8;
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 9;
 
 /// How many times a shard/manifest write is attempted before the
 /// checkpoint fails (first try + retries).
@@ -90,10 +90,10 @@ pub struct TenantSnapshot {
     /// The tenant's full serving state.
     pub scaler: ScalerSnapshot,
     /// Arrivals enqueued but not yet drained at checkpoint time, in
-    /// enqueue order (`None` for fleets without a bus).
-    pub queued: Option<Vec<f64>>,
+    /// enqueue order.
+    pub queued: Vec<f64>,
     /// The tenant queue's back-pressure accounting at checkpoint time.
-    pub queue: Option<QueueStats>,
+    pub queue: QueueStats,
     /// The fleet's supervision state for this tenant (`None` for
     /// single-tenant harness snapshots).
     pub supervision: Option<SupervisionSnapshot>,
@@ -103,14 +103,14 @@ pub struct TenantSnapshot {
 }
 
 impl TenantSnapshot {
-    /// A snapshot with no queue state (fleets without a bus, single-tenant
-    /// harness checkpoints).
+    /// A snapshot with an empty queue and no fleet state (single-tenant
+    /// harness checkpoints; the fleet fills the rest in).
     pub fn new(id: u64, scaler: ScalerSnapshot) -> Self {
         Self {
             id,
             scaler,
-            queued: None,
-            queue: None,
+            queued: Vec::new(),
+            queue: QueueStats::default(),
             supervision: None,
             residency: None,
         }
@@ -199,8 +199,8 @@ pub struct Manifest {
     /// The shard files of this generation, in tenant order.
     pub shards: Vec<ShardEntry>,
     /// The arrival-bus configuration of the checkpointed fleet, needed to
-    /// rebuild the queues on restore; `None` when the fleet had no bus.
-    pub bus: Option<BusConfig>,
+    /// rebuild the queues on restore.
+    pub bus: BusConfig,
     /// The fleet's round counter at checkpoint time (0 for a bare tenant
     /// set).
     pub round: u64,
@@ -218,8 +218,8 @@ pub struct Manifest {
 /// manifest field of the same name.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FleetWiring {
-    /// The arrival-bus configuration (fleets with a bus).
-    pub bus: Option<BusConfig>,
+    /// The arrival-bus configuration.
+    pub bus: BusConfig,
     /// The fleet round counter.
     pub round: u64,
     /// The residency policy (fleets with residency tiering).

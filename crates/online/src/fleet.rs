@@ -14,15 +14,16 @@
 //!
 //! ## Ingestion runtime
 //!
-//! With an [`ArrivalBus`] attached ([`TenantFleet::attach_bus`]),
-//! producers enqueue arrivals from any thread — including while a round
-//! is planning — and each round worker *drains its tenants' queues first,
-//! then plans*, making drain + plan one parallel pass over the shard.
-//! Arrivals enqueued during round `N` are picked up by round `N + 1`'s
-//! drain: the round boundary is the only synchronization point, so a
-//! producer that finishes enqueueing window `N + 1` before round `N + 1`
-//! starts gets bit-identical plans to fully synchronous ingestion
-//! (pinned in `tests/online_props.rs`).
+//! Every fleet owns an [`ArrivalBus`] (reshaped with
+//! [`TenantFleet::attach_bus`]): producers enqueue arrivals from any
+//! thread — including while a round is planning — and each round worker
+//! *drains its tenants' queues first, then plans*, making drain + plan one
+//! parallel pass over the shard. Arrivals enqueued during round `N` are
+//! picked up by round `N + 1`'s drain: the round boundary is the only
+//! synchronization point, so a producer that finishes enqueueing window
+//! `N + 1` before round `N + 1` starts gets bit-identical plans to
+//! standalone scalers ingesting every arrival synchronously (pinned in
+//! `tests/online_props.rs`).
 //!
 //! ## Supervision
 //!
@@ -61,7 +62,7 @@ use crate::checkpoint::{
 };
 use crate::error::OnlineError;
 use crate::faults::{FaultInjector, FaultPlan, PlanFault};
-use crate::ingest::{ArrivalBus, BusConfig, QueueCheckpoint, QueueStats};
+use crate::ingest::{ArrivalBus, BusConfig, QueueStats};
 use crate::replay::{
     model_fingerprint, QosRecord, ResidencyEvent, ScalerEvent, SessionKind, TraceHeader,
     TraceRecord, TraceRecorder, TraceSummary, WakeReason, TRACE_FORMAT_VERSION,
@@ -389,7 +390,7 @@ fn tenant_round(
     round: u64,
     now: f64,
     covered: usize,
-    bus: Option<&ArrivalBus>,
+    bus: &ArrivalBus,
     faults: Option<&FaultInjector>,
     action: &TenantAction,
     buf: &mut Vec<f64>,
@@ -399,17 +400,11 @@ fn tenant_round(
         TenantAction::Probe => tenant.scaler.probe_refit(now),
         _ => Ok(()),
     };
-    if let Some(bus) = bus {
-        match bus.drain_into(index, buf) {
-            Ok(0) => {}
-            Ok(_) => {
-                if let Some(injector) = faults {
-                    injector.corrupt_arrivals(round, id, buf);
-                }
-                tenant.scaler.ingest_batch(buf);
-            }
-            Err(e) => return Err(e),
+    if bus.drain_into(index, buf)? > 0 {
+        if let Some(injector) = faults {
+            injector.corrupt_arrivals(round, id, buf);
         }
+        tenant.scaler.ingest_batch(buf);
     }
     probe?;
     if let TenantAction::Skip { until_round } = action {
@@ -453,8 +448,8 @@ pub struct TenantFleet {
     workers: usize,
     /// Persistent round workers, parked between rounds.
     pool: Arc<WorkerPool>,
-    /// The ingestion runtime, when attached.
-    bus: Option<Arc<ArrivalBus>>,
+    /// The ingestion runtime: one arrival queue per tenant.
+    bus: Arc<ArrivalBus>,
     /// The session recorder, while a trace recording is active.
     recorder: Option<TraceRecorder>,
     /// Round sequence number: increments once per planning round
@@ -484,8 +479,8 @@ pub struct TenantFleet {
     /// Whether trace-event capture is on (applied to tenants as they
     /// materialize, so a paged tenant woken mid-recording traces too).
     tracing: bool,
-    /// Per-tenant: touched through `tenant_mut`/`ingest` since the last
-    /// round (direct driver activity blocks cold entry that round).
+    /// Per-tenant: touched through `tenant_mut` since the last round
+    /// (direct driver activity blocks cold entry that round).
     saw_direct: Vec<bool>,
     /// Access-wake events accumulated between rounds, emitted (and
     /// recorded) with the next round's residency events.
@@ -548,23 +543,18 @@ fn page_in_scaler(
 
 impl Clone for TenantFleet {
     /// Deep clone: tenants copy; the worker pool is shared (it holds no
-    /// per-fleet state); the bus — if any — is rebuilt with identical
-    /// queue contents and stats, so the clone drains the same arrivals
-    /// but has its own producer endpoint. A recording is *not* cloned — a
-    /// trace has exactly one writer — so the clone starts with tracing
-    /// off.
+    /// per-fleet state); the bus is rebuilt with identical queue contents
+    /// and stats, so the clone drains the same arrivals but has its own
+    /// producer endpoint. A recording is *not* cloned — a trace has
+    /// exactly one writer — so the clone starts with tracing off.
     fn clone(&self) -> Self {
         let tenant_count = self.tenants.len();
-        let bus = self.bus.as_ref().map(|bus| {
-            let fresh =
-                ArrivalBus::new(tenant_count, bus.config()).expect("existing bus config is valid");
-            for (tenant, cp) in bus.checkpoint_queues().into_iter().enumerate() {
-                fresh
-                    .restore_tenant(tenant, cp.queued, cp.stats)
-                    .expect("existing queue fits its own capacity");
-            }
-            Arc::new(fresh)
-        });
+        let bus =
+            ArrivalBus::new(tenant_count, self.bus.config()).expect("existing bus config is valid");
+        for (tenant, cp) in self.bus.checkpoint_queues().into_iter().enumerate() {
+            bus.restore_tenant(tenant, cp.queued, cp.stats)
+                .expect("existing queue fits its own capacity");
+        }
         let mut tenants = self.tenants.clone();
         for slot in &mut tenants {
             if let TenantSlot::Resident(tenant) = slot {
@@ -578,7 +568,7 @@ impl Clone for TenantFleet {
             tenants,
             workers: self.workers,
             pool: Arc::clone(&self.pool),
-            bus,
+            bus: Arc::new(bus),
             recorder: None,
             round_counter: self.round_counter,
             supervisor: self.supervisor,
@@ -604,7 +594,8 @@ impl Clone for TenantFleet {
 impl TenantFleet {
     /// Build a fleet of `tenant_count` tenants sharing one configuration.
     ///
-    /// Every tenant gets its own ring anchored at `origin`. The worker
+    /// Every tenant gets its own ring anchored at `origin` and its own
+    /// queue on an arrival bus of [`BusConfig::default`] shape. The worker
     /// budget defaults to the machine's available parallelism.
     pub fn new(
         config: &OnlineConfig,
@@ -624,13 +615,13 @@ impl TenantFleet {
                 })))
             })
             .collect::<Result<Vec<_>, OnlineError>>()?;
-        Ok(Self::assemble(
+        Self::assemble(
             *config,
             origin,
             tenants,
             available_threads(),
-            None,
-        ))
+            BusConfig::default(),
+        )
     }
 
     /// Build a fleet of `tenant_count` tenants with **no scaler in
@@ -678,7 +669,13 @@ impl TenantFleet {
                 })
             })
             .collect();
-        let mut fleet = Self::assemble(*config, origin, tenants, available_threads(), None);
+        let mut fleet = Self::assemble(
+            *config,
+            origin,
+            tenants,
+            available_threads(),
+            BusConfig::default(),
+        )?;
         fleet.enable_residency(ResidencyConfig {
             start_cold: true,
             ..residency
@@ -686,22 +683,23 @@ impl TenantFleet {
         Ok(fleet)
     }
 
-    /// Wire up the non-tenant state around a tenant-slot vector.
+    /// Wire up the non-tenant state around a tenant-slot vector, with an
+    /// empty arrival bus of shape `bus`.
     fn assemble(
         config: OnlineConfig,
         origin: f64,
         tenants: Vec<TenantSlot>,
         workers: usize,
-        bus: Option<Arc<ArrivalBus>>,
-    ) -> Self {
+        bus: BusConfig,
+    ) -> Result<Self, OnlineError> {
         let tenant_count = tenants.len();
-        Self {
+        Ok(Self {
             config,
             origin,
             tenants,
             workers,
             pool: Arc::new(WorkerPool::new(workers)),
-            bus,
+            bus: Arc::new(ArrivalBus::new(tenant_count, bus)?),
             recorder: None,
             round_counter: 0,
             supervisor: SupervisorConfig::default(),
@@ -717,7 +715,7 @@ impl TenantFleet {
             saw_direct: vec![false; tenant_count],
             pending_wakes: Vec::new(),
             residency_events: Vec::new(),
-        }
+        })
     }
 
     /// Enable activity tiering: tenants idle for
@@ -897,42 +895,49 @@ impl TenantFleet {
         0
     }
 
-    /// Attach the event-driven ingestion runtime: one bounded arrival
-    /// queue per tenant, drained at the start of every round.
+    /// Reshape the fleet's arrival bus: replace it with a fresh, empty bus
+    /// of shape `config` (queue bound and lock sharding), whose counters
+    /// start at zero.
     ///
-    /// Returns the producer endpoint — a cheaply clonable handle that any
-    /// thread can [`ArrivalBus::push`] into, concurrently with planning.
-    /// Fails if a bus is already attached (swapping one out mid-serving
-    /// would silently discard queued arrivals).
+    /// Returns the new producer endpoint — a cheaply clonable handle that
+    /// any thread can [`ArrivalBus::push`] into, concurrently with
+    /// planning; endpoints of the replaced bus are no longer drained.
+    /// Fails with [`OnlineError::InvalidConfig`], leaving the current bus
+    /// intact, while any arrival is queued (replacing it would discard
+    /// them) or a recording is active (its header names the current
+    /// shape).
     pub fn attach_bus(&mut self, config: BusConfig) -> Result<Arc<ArrivalBus>, OnlineError> {
-        if self.bus.is_some() {
+        if !self.bus.is_empty() {
             return Err(OnlineError::InvalidConfig(
-                "an arrival bus is already attached to this fleet",
+                "cannot replace an arrival bus with arrivals queued",
             ));
         }
-        let bus = Arc::new(ArrivalBus::new(self.tenants.len(), config)?);
-        self.bus = Some(Arc::clone(&bus));
-        Ok(bus)
+        if self.recorder.is_some() {
+            return Err(OnlineError::InvalidConfig(
+                "cannot replace the arrival bus while recording",
+            ));
+        }
+        self.bus = Arc::new(ArrivalBus::new(self.tenants.len(), config)?);
+        Ok(Arc::clone(&self.bus))
     }
 
-    /// The attached arrival bus, if any.
+    /// The fleet's arrival bus. Always `Some`: the `Option` stays only
+    /// because `perfbench/` unwraps it, and goes with the next benchmark
+    /// change (ROADMAP item 2.1).
     pub fn bus(&self) -> Option<&Arc<ArrivalBus>> {
-        self.bus.as_ref()
+        Some(&self.bus)
     }
 
-    /// Enqueue one arrival for tenant `index` on the attached bus (the
-    /// round-boundary drain will ingest it). Returns whether it was
-    /// queued (`false` = shed by back-pressure).
+    /// Enqueue one arrival for tenant `index` (the next round-boundary
+    /// drain will ingest it). Returns whether it was queued (`false` =
+    /// shed by back-pressure).
     pub fn enqueue(&self, index: usize, arrival: f64) -> Result<bool, OnlineError> {
-        let bus = self.bus.as_ref().ok_or(OnlineError::InvalidConfig(
-            "no arrival bus attached; use attach_bus or ingest",
-        ))?;
-        bus.push(index, arrival)
+        self.bus.push(index, arrival)
     }
 
-    /// Aggregate queue health across the attached bus's tenants.
-    pub fn queue_stats(&self) -> Option<QueueStats> {
-        self.bus.as_ref().map(|bus| bus.stats())
+    /// Aggregate queue health across the fleet's tenants.
+    pub fn queue_stats(&self) -> QueueStats {
+        self.bus.stats()
     }
 
     /// Borrow a tenant by index. `None` for out-of-range indices *and*
@@ -945,9 +950,9 @@ impl TenantFleet {
         }
     }
 
-    /// Mutably borrow a tenant by index (ingestion routed by the caller,
-    /// warm-starting models, ...). A cold tenant is woken (paged in if
-    /// needed) first — `None` if that page-in fails.
+    /// Mutably borrow a tenant by index (warm-starting models, explicit
+    /// refits, ...). A cold tenant is woken (paged in if needed) first —
+    /// `None` if that page-in fails.
     pub fn tenant_mut(&mut self, index: usize) -> Option<&mut Tenant> {
         if index >= self.tenants.len() || self.wake_for_access(index).is_err() {
             return None;
@@ -959,33 +964,11 @@ impl TenantFleet {
         }
     }
 
-    /// Ingest one arrival for tenant `index`, synchronously on the calling
-    /// thread (the pre-bus path; kept for callers that already hold the
-    /// arrival ordered and in hand). A cold tenant is woken first.
-    pub fn ingest(&mut self, index: usize, arrival: f64) -> Result<(), OnlineError> {
-        if index >= self.tenants.len() {
-            return Err(OnlineError::InvalidConfig("tenant index out of range"));
-        }
-        self.wake_for_access(index)?;
-        let TenantSlot::Resident(tenant) = &mut self.tenants[index] else {
-            return Err(OnlineError::Hibernated {
-                tenant: index as u64,
-            });
-        };
-        tenant.scaler.ingest(arrival);
-        self.saw_direct[index] = true;
-        if let Some(recorder) = &mut self.recorder {
-            recorder.pend_direct(index, arrival);
-        }
-        Ok(())
-    }
-
     /// Run one planning round for every tenant at time `now`, on the
     /// persistent worker pool.
     ///
-    /// With a bus attached, each worker first drains its tenants' arrival
-    /// queues (batched, in timestamp order, through the ring's bulk
-    /// append) and then plans — drain + plan is one parallel pass, so
+    /// Each worker first drains its tenants' arrival queues (batched, in
+    /// timestamp order, through the ring's bulk append) and then plans — drain + plan is one parallel pass, so
     /// ingestion work is off the caller's thread and amortized across the
     /// round workers.
     ///
@@ -1021,10 +1004,8 @@ impl TenantFleet {
             .map(|i| {
                 if residency_on {
                     if let Residency::Cold { wake_at, .. } = self.residency_state[i] {
-                        let arrival = self.bus.as_ref().is_some_and(|bus| {
-                            bus.pending_hint(i).unwrap_or(true)
-                                && bus.queued(i).map(|n| n > 0).unwrap_or(true)
-                        });
+                        let arrival = self.bus.pending_hint(i).unwrap_or(true)
+                            && self.bus.queued(i).map(|n| n > 0).unwrap_or(true);
                         return if arrival {
                             TenantAction::Wake {
                                 reason: WakeReason::Arrival,
@@ -1078,26 +1059,26 @@ impl TenantFleet {
         // mutates it — the between-round scaler events (installs, explicit
         // refits) and the queued arrivals the round is about to drain
         // (stored in drain order so the replayed drain sees them
-        // identically). Recording a bus-fed round assumes producers have
-        // quiesced at the round boundary, per the ingestion contract.
+        // identically). Recording a round assumes producers have quiesced
+        // at the round boundary, per the ingestion contract.
         let (pre_events, bus_arrivals) = if self.recorder.is_some() {
             let pre = self.harvest_trace_events();
-            let arrivals = self.bus.as_ref().map(|bus| {
-                bus.checkpoint_queues()
-                    .into_iter()
-                    .map(|cp| {
-                        let mut queued = cp.queued;
-                        queued.sort_by(|a, b| a.total_cmp(b));
-                        queued
-                    })
-                    .collect::<Vec<Vec<f64>>>()
-            });
+            let arrivals = self
+                .bus
+                .checkpoint_queues()
+                .into_iter()
+                .map(|cp| {
+                    let mut queued = cp.queued;
+                    queued.sort_by(|a, b| a.total_cmp(b));
+                    queued
+                })
+                .collect();
             (pre, arrivals)
         } else {
-            (Vec::new(), None)
+            (Vec::new(), Vec::new())
         };
         let workers = self.workers;
-        let bus = self.bus.clone();
+        let bus: &ArrivalBus = &self.bus;
         let faults = self.faults;
         let actions_ref = &actions;
         let config = self.config;
@@ -1158,7 +1139,7 @@ impl TenantFleet {
                             round,
                             now,
                             covered[index],
-                            bus.as_deref(),
+                            bus,
                             faults.as_ref(),
                             &actions_ref[index],
                             &mut buf,
@@ -1209,7 +1190,7 @@ impl TenantFleet {
         // tenants mutably), then re-attach before propagating any error.
         if let Some(mut recorder) = self.recorder.take() {
             let post_events = self.harvest_trace_events();
-            let queue = self.bus.as_ref().map(|bus| bus.stats());
+            let queue = self.bus.stats();
             let outcome = recorder.record_round(
                 now,
                 covered,
@@ -1576,11 +1557,9 @@ impl TenantFleet {
     /// Drain every tenant's arrival queue into its ring *without*
     /// planning — a parallel ingestion-only pass (flushing before a
     /// checkpoint, and the `ingest_throughput` bench). Returns the total
-    /// arrivals drained. A no-op without a bus.
+    /// arrivals drained.
     pub fn drain_bus(&mut self) -> Result<u64, OnlineError> {
-        let Some(bus) = self.bus.clone() else {
-            return Ok(0);
-        };
+        let bus: &ArrivalBus = &self.bus;
         let workers = self.workers;
         let residency_on = self.residency.is_some();
         let residency_state: &[Residency] = &self.residency_state;
@@ -1655,8 +1634,7 @@ impl TenantFleet {
         // us (`&mut self`), so the checkpoint is a consistent cut at the
         // capture instant — arrivals pushed after it belong to the next
         // generation and stay live on the bus.
-        let queues: Option<Vec<QueueCheckpoint>> =
-            self.bus.as_ref().map(|bus| bus.checkpoint_queues());
+        let queues = self.bus.checkpoint_queues();
         let indexed: Vec<(usize, &TenantSlot)> = self.tenants.iter().enumerate().collect();
         let supervision = &self.supervision;
         let residency_on = self.residency.is_some();
@@ -1681,11 +1659,8 @@ impl TenantFleet {
                     },
                 };
                 let mut snapshot = TenantSnapshot::new(slot.id(), scaler_snapshot);
-                if let Some(queues) = &queues {
-                    let queue = &queues[index];
-                    snapshot.queued = Some(queue.queued.clone());
-                    snapshot.queue = Some(queue.stats);
-                }
+                snapshot.queued = queues[index].queued.clone();
+                snapshot.queue = queues[index].stats;
                 let sup = &supervision[index];
                 snapshot.supervision = Some(SupervisionSnapshot {
                     consecutive_failures: sup.consecutive_failures,
@@ -1730,7 +1705,7 @@ impl TenantFleet {
                 workers: self.workers,
                 pool: Some(&self.pool),
                 fleet: FleetWiring {
-                    bus: self.bus.as_ref().map(|bus| bus.config()),
+                    bus: self.bus.config(),
                     round: self.round_counter,
                     residency: self.residency,
                     supervisor: self.supervisor,
@@ -1819,20 +1794,13 @@ impl TenantFleet {
                 "a fleet needs at least one tenant",
             ));
         }
-        let bus = match manifest.bus {
-            Some(bus_config) => Some(Arc::new(ArrivalBus::new(snapshots.len(), bus_config)?)),
-            None => None,
-        };
-        if let Some(bus) = &bus {
-            for (index, snapshot) in snapshots.iter_mut().enumerate() {
-                let queued = snapshot.queued.take().unwrap_or_default();
-                let stats = snapshot.queue.take().unwrap_or_default();
-                bus.restore_tenant(index, queued, stats)?;
-            }
-        }
-        // Supervision and residency state travel with the tenants: pull
-        // them out before the snapshots are consumed by the scaler rebuild
-        // below.
+        // Queue, supervision and residency state travel with the tenants:
+        // pull them out before the snapshots are consumed by the scaler
+        // rebuild below.
+        let queues: Vec<(Vec<f64>, QueueStats)> = snapshots
+            .iter_mut()
+            .map(|snapshot| (std::mem::take(&mut snapshot.queued), snapshot.queue))
+            .collect();
         let supervision: Vec<Option<SupervisionSnapshot>> = snapshots
             .iter_mut()
             .map(|snapshot| snapshot.supervision.take())
@@ -1865,7 +1833,10 @@ impl TenantFleet {
             TenantSlot::Resident(tenant) => tenant.scaler.ring().origin(),
             TenantSlot::Paged(_) => unreachable!("restore materializes every tenant"),
         };
-        let mut fleet = Self::assemble(*config, origin, tenants, workers, bus);
+        let mut fleet = Self::assemble(*config, origin, tenants, workers, manifest.bus)?;
+        for (index, (queued, stats)) in queues.into_iter().enumerate() {
+            fleet.bus.restore_tenant(index, queued, stats)?;
+        }
         fleet.round_counter = manifest.round;
         for (i, snapshot) in supervision.into_iter().enumerate() {
             let Some(snapshot) = snapshot else { continue };
@@ -1939,7 +1910,7 @@ impl TenantFleet {
             tenants: self.tenants.len(),
             origin: self.origin,
             online: self.config,
-            bus: self.bus.as_ref().map(|bus| bus.config()),
+            bus: self.bus.config(),
             faults: self.fault_plan(),
             supervisor: Some(self.supervisor),
             residency: self.residency,
@@ -1947,8 +1918,8 @@ impl TenantFleet {
     }
 
     /// Attach a [`TraceRecorder`] and start (or resume) recording this
-    /// session: every subsequent `ingest`, round, refit and install is
-    /// serialized to the trace.
+    /// session: every subsequent round (with the arrivals it drains),
+    /// refit and install is serialized to the trace.
     ///
     /// A recorder that has recorded nothing yet gets warm-start
     /// [`TraceRecord::Install`] records for every tenant that already has
@@ -2000,7 +1971,7 @@ impl TenantFleet {
     }
 
     /// Detach the active recorder without finalizing the trace: buffered
-    /// events and direct arrivals are flushed, tracing is disabled, and
+    /// scaler events are flushed, tracing is disabled, and
     /// the recorder is returned so a successor fleet (a restore of this
     /// one) can [`TenantFleet::start_recording`] it and continue the same
     /// trace. `None` when no recording is active.
@@ -2038,18 +2009,10 @@ impl TenantFleet {
     pub fn aggregate_stats(&self) -> OnlineStats {
         let mut total = OnlineStats::default();
         for slot in &self.tenants {
-            let s = match slot {
+            total.merge(match slot {
                 TenantSlot::Resident(tenant) => tenant.scaler.stats(),
                 TenantSlot::Paged(paged) => &paged.stats,
-            };
-            total.arrivals_ingested += s.arrivals_ingested;
-            total.arrivals_dropped += s.arrivals_dropped;
-            total.refits += s.refits;
-            total.drift_refits += s.drift_refits;
-            total.planning_rounds += s.planning_rounds;
-            total.skipped_rounds += s.skipped_rounds;
-            total.failed_rounds += s.failed_rounds;
-            total.shared_planning_rounds += s.shared_planning_rounds;
+            });
         }
         total
     }
@@ -2084,24 +2047,17 @@ mod tests {
         }
     }
 
-    /// Tenant `i` sees one arrival every `4 + i` seconds.
-    fn ingest_uniform(fleet: &mut TenantFleet, duration: f64) {
-        for index in 0..fleet.len() {
-            let gap = 4.0 + index as f64;
-            let n = (duration / gap) as usize;
-            for k in 0..n {
-                fleet.ingest(index, k as f64 * gap).unwrap();
-            }
-        }
+    /// Tenant `i`'s traffic: one arrival every `4 + i` seconds.
+    fn uniform_arrivals(index: usize, duration: f64) -> impl Iterator<Item = f64> {
+        let gap = 4.0 + index as f64;
+        (0..(duration / gap) as usize).map(move |k| k as f64 * gap)
     }
 
-    /// Same traffic, enqueued on the bus instead of ingested directly.
+    /// Enqueue every tenant's uniform traffic on the fleet's bus.
     fn enqueue_uniform(fleet: &TenantFleet, duration: f64) {
         for index in 0..fleet.len() {
-            let gap = 4.0 + index as f64;
-            let n = (duration / gap) as usize;
-            for k in 0..n {
-                assert!(fleet.enqueue(index, k as f64 * gap).unwrap());
+            for t in uniform_arrivals(index, duration) {
+                assert!(fleet.enqueue(index, t).unwrap());
             }
         }
     }
@@ -2110,17 +2066,59 @@ mod tests {
     fn rejects_empty_fleets_and_bad_indices() {
         assert!(TenantFleet::new(&fleet_config(), 0.0, 0).is_err());
         let mut fleet = TenantFleet::new(&fleet_config(), 0.0, 2).unwrap();
-        assert!(fleet.ingest(2, 1.0).is_err());
+        assert!(fleet.enqueue(2, 1.0).is_err());
         assert!(fleet.run_round(400.0, &[0]).is_err());
-        // No bus attached: enqueue is a configuration error.
-        assert!(fleet.enqueue(0, 1.0).is_err());
-        assert!(fleet.queue_stats().is_none());
+    }
+
+    #[test]
+    fn every_fleet_owns_its_bus() {
+        let dir =
+            std::env::temp_dir().join(format!("robustscaler-fleet-own-bus-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = fleet_config();
+        // No attach_bus: the fleet's own bus takes arrivals.
+        let mut fleet = TenantFleet::new(&config, 0.0, 3).unwrap();
+        assert_eq!(fleet.bus().unwrap().config(), BusConfig::default());
+        enqueue_uniform(&fleet, 400.0);
+        fleet.run_round_uniform(400.0, 0).unwrap();
+        // Checkpoint with arrivals still queued; the restore plans the
+        // same from there on.
+        for index in 0..3 {
+            fleet.enqueue(index, 405.0 + index as f64).unwrap();
+        }
+        fleet.checkpoint_sharded(&dir, 2).unwrap();
+        let mut restored = TenantFleet::restore(&dir, &config).unwrap();
+        assert_eq!(restored.queue_stats(), fleet.queue_stats());
+        for round in 1..4 {
+            let now = 400.0 + 20.0 * round as f64;
+            assert_eq!(
+                fleet.run_round_uniform(now, round).unwrap(),
+                restored.run_round_uniform(now, round).unwrap()
+            );
+        }
+        assert_eq!(fleet.aggregate_stats(), restored.aggregate_stats());
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // Reshaping an empty bus succeeds; with an arrival queued it is
+        // refused and the arrival still drains at the next round.
+        let mut fleet = TenantFleet::new(&config, 0.0, 2).unwrap();
+        let bus = fleet.attach_bus(small_bus_config()).unwrap();
+        assert_eq!(bus.config(), small_bus_config());
+        assert!(bus.push(1, 3.0).unwrap());
+        assert!(matches!(
+            fleet.attach_bus(BusConfig::default()),
+            Err(OnlineError::InvalidConfig(_))
+        ));
+        assert_eq!(fleet.bus().unwrap().config(), small_bus_config());
+        fleet.run_round_uniform(20.0, 0).unwrap();
+        assert_eq!(fleet.tenant(1).unwrap().scaler.stats().arrivals_ingested, 1);
+        assert_eq!(fleet.queue_stats().drained, 1);
     }
 
     #[test]
     fn tenants_plan_independently() {
         let mut fleet = TenantFleet::new(&fleet_config(), 0.0, 3).unwrap();
-        ingest_uniform(&mut fleet, 400.0);
+        enqueue_uniform(&fleet, 400.0);
         let rounds: Vec<_> = fleet
             .run_round_uniform(400.0, 0)
             .unwrap()
@@ -2141,7 +2139,7 @@ mod tests {
         // train — its slot errors, the others still plan.
         for index in [0usize, 2] {
             for k in 0..100 {
-                fleet.ingest(index, k as f64 * 4.0).unwrap();
+                fleet.enqueue(index, k as f64 * 4.0).unwrap();
             }
         }
         let rounds = fleet.run_round_uniform(400.0, 0).unwrap();
@@ -2154,20 +2152,32 @@ mod tests {
     #[test]
     fn bus_fed_rounds_match_direct_ingestion() {
         let config = fleet_config();
-        let mut direct = TenantFleet::new(&config, 0.0, 4).unwrap();
-        ingest_uniform(&mut direct, 400.0);
-        let direct_rounds = direct.run_round_uniform(400.0, 0).unwrap();
+        // Reference: one standalone scaler per tenant, fed per arrival.
+        let mut direct_rounds = Vec::new();
+        let mut direct_stats = OnlineStats::default();
+        for index in 0..4 {
+            let mut scaler = OnlineScaler::new(config, 0.0).unwrap();
+            for t in uniform_arrivals(index, 400.0) {
+                scaler.ingest(t);
+            }
+            direct_rounds.push(scaler.plan_round(400.0, 0));
+            direct_stats.merge(scaler.stats());
+        }
 
         let mut bused = TenantFleet::new(&config, 0.0, 4).unwrap();
         bused.attach_bus(small_bus_config()).unwrap();
-        assert!(bused.attach_bus(small_bus_config()).is_err());
         enqueue_uniform(&bused, 400.0);
+        // With arrivals queued the bus can no longer be replaced.
+        assert!(matches!(
+            bused.attach_bus(small_bus_config()),
+            Err(OnlineError::InvalidConfig(_))
+        ));
         // Queued, not yet ingested.
         assert_eq!(bused.aggregate_stats().arrivals_ingested, 0);
         let bused_rounds = bused.run_round_uniform(400.0, 0).unwrap();
         assert_eq!(direct_rounds, bused_rounds);
-        assert_eq!(direct.aggregate_stats(), bused.aggregate_stats());
-        let queue = bused.queue_stats().unwrap();
+        assert_eq!(direct_stats, bused.aggregate_stats());
+        let queue = bused.queue_stats();
         assert_eq!(queue.drained, queue.enqueued);
         assert_eq!(queue.dropped_full, 0);
         assert!(queue.queued_peak > 0);
@@ -2176,10 +2186,10 @@ mod tests {
     #[test]
     fn drain_bus_flushes_queues_without_planning() {
         let mut fleet = TenantFleet::new(&fleet_config(), 0.0, 3).unwrap();
-        assert_eq!(fleet.drain_bus().unwrap(), 0); // no bus: no-op
+        assert_eq!(fleet.drain_bus().unwrap(), 0); // nothing queued: no-op
         fleet.attach_bus(small_bus_config()).unwrap();
         enqueue_uniform(&fleet, 200.0);
-        let queued = fleet.queue_stats().unwrap().enqueued;
+        let queued = fleet.queue_stats().enqueued;
         assert_eq!(fleet.drain_bus().unwrap(), queued);
         let stats = fleet.aggregate_stats();
         assert_eq!(stats.arrivals_ingested, queued);
@@ -2194,7 +2204,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let config = fleet_config();
         let mut fleet = TenantFleet::new(&config, 0.0, 5).unwrap();
-        ingest_uniform(&mut fleet, 400.0);
+        enqueue_uniform(&fleet, 400.0);
         fleet.run_round_uniform(400.0, 0).unwrap();
         let manifest = fleet.checkpoint_sharded(&dir, 2).unwrap();
         assert_eq!(manifest.tenant_count, 5);
@@ -2232,12 +2242,9 @@ mod tests {
             }
         }
         let manifest = fleet.checkpoint_sharded(&dir, 2).unwrap();
-        assert!(manifest.bus.is_some());
+        assert_eq!(manifest.bus, small_bus_config());
         let mut restored = TenantFleet::restore(&dir, &config).unwrap();
-        assert_eq!(
-            restored.queue_stats().unwrap(),
-            fleet.queue_stats().unwrap()
-        );
+        assert_eq!(restored.queue_stats(), fleet.queue_stats());
         // Both drain the same queued arrivals at the next round and stay
         // bit-identical through further enqueue + round cycles.
         for round in 1..4 {
@@ -2265,14 +2272,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let config = fleet_config();
         let mut fleet = TenantFleet::new(&config, 0.0, 4).unwrap();
-        ingest_uniform(&mut fleet, 400.0);
+        enqueue_uniform(&fleet, 400.0);
         fleet.run_round_uniform(400.0, 0).unwrap();
         fleet.checkpoint_sharded(&dir, 2).unwrap();
 
         // A *different* fleet writes the next generation into the same
         // directory.
         let mut foreign = TenantFleet::new(&config, 0.0, 4).unwrap();
-        ingest_uniform(&mut foreign, 200.0);
+        enqueue_uniform(&foreign, 200.0);
         foreign.checkpoint_sharded(&dir, 2).unwrap();
 
         // Our next checkpoint restores OUR state, not the foreign one.
@@ -2288,11 +2295,11 @@ mod tests {
         fleet.attach_bus(small_bus_config()).unwrap();
         fleet.enqueue(0, 1.0).unwrap();
         let clone = fleet.clone();
-        assert_eq!(clone.queue_stats().unwrap(), fleet.queue_stats().unwrap());
+        assert_eq!(clone.queue_stats(), fleet.queue_stats());
         // Pushes to the clone do not show up in the original.
         clone.enqueue(0, 2.0).unwrap();
-        assert_eq!(fleet.queue_stats().unwrap().enqueued, 1);
-        assert_eq!(clone.queue_stats().unwrap().enqueued, 2);
+        assert_eq!(fleet.queue_stats().enqueued, 1);
+        assert_eq!(clone.queue_stats().enqueued, 2);
     }
 
     /// Silence the default panic hook's stderr spew for *injected*
@@ -2322,7 +2329,7 @@ mod tests {
         silence_injected_panics();
         let config = fleet_config();
         let mut clean = TenantFleet::new(&config, 0.0, 3).unwrap();
-        ingest_uniform(&mut clean, 400.0);
+        enqueue_uniform(&clean, 400.0);
         let clean_rounds = clean.run_round_uniform(400.0, 0).unwrap();
 
         let mut faulted = TenantFleet::new(&config, 0.0, 3).unwrap();
@@ -2332,7 +2339,7 @@ mod tests {
             target_tenant: Some(1),
             ..FaultPlan::default()
         });
-        ingest_uniform(&mut faulted, 400.0);
+        enqueue_uniform(&faulted, 400.0);
         let rounds = faulted.run_round_uniform(400.0, 0).unwrap();
         match &rounds[1] {
             Err(OnlineError::TenantPanicked { tenant: 1, message }) => {
@@ -2353,7 +2360,7 @@ mod tests {
     fn injected_worker_panic_aborts_the_round_but_not_the_fleet() {
         silence_injected_panics();
         let mut fleet = TenantFleet::new(&fleet_config(), 0.0, 3).unwrap();
-        ingest_uniform(&mut fleet, 400.0);
+        enqueue_uniform(&fleet, 400.0);
         fleet.set_faults(FaultPlan {
             seed: 4,
             worker_panic: 1.0,
@@ -2379,7 +2386,7 @@ mod tests {
             probe_backoff: 2,
             max_backoff: 8,
         });
-        ingest_uniform(&mut fleet, 400.0);
+        enqueue_uniform(&fleet, 400.0);
         // Round 0: clean — captures tenant 0's last good plan.
         let round0 = fleet.run_round_supervised(400.0, &[0, 0]).unwrap();
         assert!(round0
@@ -2467,7 +2474,7 @@ mod tests {
             probe_backoff: 4,
             ..SupervisorConfig::default()
         });
-        ingest_uniform(&mut fleet, 400.0);
+        enqueue_uniform(&fleet, 400.0);
         fleet.run_round_uniform(400.0, 0).unwrap();
         fleet.set_faults(FaultPlan {
             seed: 3,
@@ -2515,7 +2522,7 @@ mod tests {
         let run = |workers: usize| {
             let mut fleet = TenantFleet::new(&fleet_config(), 0.0, 8).unwrap();
             fleet.set_workers(workers);
-            ingest_uniform(&mut fleet, 400.0);
+            enqueue_uniform(&fleet, 400.0);
             let mut all = Vec::new();
             for round in 0..3 {
                 let now = 400.0 + 20.0 * round as f64;

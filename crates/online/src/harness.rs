@@ -200,11 +200,11 @@ impl Autoscaler for OnlinePolicy {
                 state.now,
                 &[state.covered()],
                 pre_events,
-                Some(vec![buf.clone()]),
+                vec![buf.clone()],
                 std::slice::from_ref(&result),
                 post_events,
                 &[],
-                Some(self.bus.stats()),
+                self.bus.stats(),
             );
             if let Err(e) = outcome {
                 self.record_error.get_or_insert(e);
@@ -270,10 +270,12 @@ pub struct HarnessReport {
     /// Serving-loop counters accumulated across warm-up and replay.
     pub stats: OnlineStats,
     /// Arrival-queue health over the live replay: enqueued / dropped-full
-    /// / high-water mark / drained totals (`None` when parsed from a
-    /// pre-ingestion-runtime report).
+    /// / high-water mark / drained totals. Always `Some`: the `Option`
+    /// stays only because `perfbench/` builds this struct as a literal,
+    /// and goes with the next benchmark change (ROADMAP item 2.1).
     pub queue: Option<QueueStats>,
     /// Average arrivals drained per planning tick over the live replay.
+    /// Always `Some`, for the same reason as [`HarnessReport::queue`].
     pub drained_per_round: Option<f64>,
 }
 
@@ -363,10 +365,10 @@ fn run_closed_loop_inner(
                     tenants: 1,
                     origin: trace.start(),
                     online: config.online,
-                    bus: Some(BusConfig {
+                    bus: BusConfig {
                         capacity_per_tenant: crate::ingest::DEFAULT_QUEUE_CAPACITY,
                         tenants_per_group: 1,
-                    }),
+                    },
                     faults: config.faults.filter(FaultPlan::enabled),
                     supervisor: None,
                     residency: None,
@@ -466,7 +468,7 @@ fn run_closed_loop_inner(
     let summary = match policy.recorder.take() {
         Some(recorder) => Some(recorder.finish(QosRecord {
             stats: report.stats,
-            queue: report.queue,
+            queue,
             hit_rate: Some(report.hit_rate),
             rt_avg: Some(report.rt_avg),
             relative_cost: Some(report.relative_cost),

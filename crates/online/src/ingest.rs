@@ -1,11 +1,10 @@
 //! The event-driven ingestion runtime: bounded per-tenant arrival queues
 //! drained at round boundaries.
 //!
-//! The PR 3 serving layer made the *caller* route every arrival through
-//! `TenantFleet::ingest(index, arrival)` on the planning thread, so
-//! ingestion and planning serialized: while a round ran, arrivals had
-//! nowhere to go, and between rounds the planning thread burned its time
-//! on per-arrival ring bookkeeping. [`ArrivalBus`] decouples the two:
+//! Ingesting each arrival on the planning thread would serialize
+//! ingestion and planning: while a round ran, arrivals would have nowhere
+//! to go, and between rounds the planning thread would burn its time on
+//! per-arrival ring bookkeeping. [`ArrivalBus`] decouples the two:
 //!
 //! * **Producers** (request routers, the simulation harness, load
 //!   generators) call [`ArrivalBus::push`]/[`ArrivalBus::push_batch`] from
@@ -252,6 +251,14 @@ impl ArrivalBus {
     pub fn pending_hint(&self, tenant: usize) -> Result<bool, OnlineError> {
         let (group, _) = self.locate(tenant)?;
         Ok(self.pending[group].load(Ordering::Acquire) > 0)
+    }
+
+    /// Whether no arrival is queued for any tenant (read from the
+    /// per-group counters, without locking).
+    pub fn is_empty(&self) -> bool {
+        self.pending
+            .iter()
+            .all(|queued| queued.load(Ordering::Acquire) == 0)
     }
 
     /// Currently queued arrivals for `tenant`.

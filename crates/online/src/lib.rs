@@ -50,7 +50,8 @@
 //! installed model, its covered count and the planning instant, and
 //! tenants own all of that state. Only fault injection is seeded (the [`FaultPlan`] seed).
 //! Bus-fed ingestion (enqueue + round-boundary drain) is bit-identical to
-//! routing every arrival synchronously through `ingest`; producers that
+//! a standalone scaler ingesting every arrival synchronously
+//! ([`OnlineScaler::ingest`]); producers that
 //! quiesce at round boundaries therefore keep the whole pipeline
 //! deterministic while overlapping enqueue with planning.
 

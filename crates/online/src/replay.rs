@@ -21,9 +21,10 @@
 //! * [`TraceRecord::Install`] — an externally fitted model installed into
 //!   a tenant (warm starts). Replay *executes* it.
 //! * [`TraceRecord::Arrivals`] — one tenant's arrivals visible to a round:
-//!   `direct: true` batches were ingested synchronously (replay ingests
-//!   them), `direct: false` batches were drained from the arrival bus at
-//!   the round boundary (replay enqueues them and lets the round drain).
+//!   `direct: false` batches were drained from the arrival bus at the
+//!   round boundary (replay enqueues them and lets the round drain);
+//!   `direct: true` batches were ingested synchronously — only the
+//!   closed-loop harness's warm-up window (replay ingests them).
 //! * [`TraceRecord::Round`] — a planning round boundary (round index,
 //!   wall-clock `now`, per-tenant `covered` counts). Replay runs the round.
 //! * [`TraceRecord::Refit`] — a refit that ran. [`RefitTrigger::Explicit`]
@@ -54,15 +55,6 @@
 //! divergence into the [`ReplayReport`] and reports band violations
 //! instead of failing, for auditing sessions recorded by *older* builds
 //! whose bit-level behavior has intentionally changed.
-//!
-//! ## Recording order caveat
-//!
-//! Within one round gap, the recorder serializes scaler events (installs,
-//! explicit refits) *before* directly ingested arrivals. Drivers that
-//! interleave `ingest` with `refit_now` between two rounds and depend on
-//! that order should route arrivals through the bus (bus batches are
-//! drained at the boundary, after all between-round events, exactly as
-//! recorded).
 
 use crate::error::OnlineError;
 use crate::fleet::TenantFleet;
@@ -81,7 +73,7 @@ use std::sync::{Arc, Mutex};
 /// [`RecordedTrace::parse`] reads; bump on any record layout change. The
 /// layout is the one the module docs describe; unknown keys are ignored
 /// on load.
-pub const TRACE_FORMAT_VERSION: u32 = 6;
+pub const TRACE_FORMAT_VERSION: u32 = 7;
 
 /// What kind of session a trace records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -141,7 +133,7 @@ pub enum WakeReason {
     Arrival,
     /// Its scheduled wake time (from the quiescence forecast) passed.
     Due,
-    /// The driver touched it directly (`tenant_mut` / `ingest`).
+    /// The driver touched it directly (`tenant_mut`).
     Access,
 }
 
@@ -171,8 +163,8 @@ pub struct TraceHeader {
     pub origin: f64,
     /// The full serving configuration.
     pub online: OnlineConfig,
-    /// The arrival-bus configuration, when a bus was attached.
-    pub bus: Option<BusConfig>,
+    /// The arrival-bus configuration.
+    pub bus: BusConfig,
     /// The fault plan active while recording, when chaos was enabled —
     /// replay re-applies it so every injected fault (and therefore every
     /// quarantine and probe) reproduces. Absent in fault-free sessions.
@@ -226,7 +218,7 @@ pub struct QosRecord {
     /// Aggregate serving counters (validated field by field on replay).
     pub stats: OnlineStats,
     /// Aggregate queue stats (`drained`/`drains` validated).
-    pub queue: Option<QueueStats>,
+    pub queue: QueueStats,
     /// Harness sessions: fraction of queries that hit a ready instance.
     pub hit_rate: Option<f64>,
     /// Harness sessions: average response time (seconds).
@@ -427,8 +419,7 @@ pub struct TraceSummary {
 }
 
 /// Serializes session events into a [`TraceSink`], one JSONL line per
-/// record, with the round counter and per-tenant direct-arrival buffers
-/// the fleet/harness hooks need.
+/// record, with the round counter the fleet/harness hooks need.
 ///
 /// A recorder is detachable: [`TenantFleet::take_recorder`] hands it back
 /// (e.g. across a kill + restore) and [`TenantFleet::start_recording`]
@@ -437,10 +428,8 @@ pub struct TraceSummary {
 pub struct TraceRecorder {
     sink: Box<dyn TraceSink>,
     path: String,
-    tenant_count: usize,
     round: u64,
     records: u64,
-    pending_direct: Vec<Vec<f64>>,
 }
 
 impl fmt::Debug for TraceRecorder {
@@ -460,10 +449,8 @@ impl TraceRecorder {
         Ok(Self {
             sink,
             path: "<memory>".to_string(),
-            tenant_count: header.tenants,
             round: 0,
             records: 0,
-            pending_direct: vec![Vec::new(); header.tenants],
         })
     }
 
@@ -505,12 +492,6 @@ impl TraceRecorder {
         Ok(())
     }
 
-    /// Buffer one directly ingested arrival; flushed as an
-    /// [`TraceRecord::Arrivals`] batch at the next round (or on finish).
-    pub(crate) fn pend_direct(&mut self, tenant: usize, arrival: f64) {
-        self.pending_direct[tenant].push(arrival);
-    }
-
     fn record_scaler_event(&mut self, tenant: u64, event: ScalerEvent) -> Result<(), OnlineError> {
         let round = self.round;
         match event {
@@ -539,8 +520,8 @@ impl TraceRecorder {
         }
     }
 
-    /// Flush buffered direct arrivals and harvested between-round scaler
-    /// events without running a round (detach, finish).
+    /// Record harvested between-round scaler events without running a
+    /// round (detach, finish).
     pub(crate) fn flush_pending(
         &mut self,
         pre_events: Vec<Vec<ScalerEvent>>,
@@ -550,23 +531,11 @@ impl TraceRecorder {
                 self.record_scaler_event(tenant as u64, event)?;
             }
         }
-        let pending = std::mem::take(&mut self.pending_direct);
-        self.pending_direct = vec![Vec::new(); self.tenant_count];
-        for (tenant, times) in pending.into_iter().enumerate() {
-            if !times.is_empty() {
-                self.record(&TraceRecord::Arrivals {
-                    round: self.round,
-                    tenant: tenant as u64,
-                    direct: true,
-                    times,
-                })?;
-            }
-        }
         Ok(())
     }
 
-    /// Record one completed round: between-round scaler events and direct
-    /// arrivals first, then the bus batches the round drained, the round
+    /// Record one completed round: between-round scaler events first, then
+    /// the bus batches the round drained, the round
     /// stamp itself, the round's residency transitions, the refits the
     /// round triggered, every tenant's plan, and the aggregate queue
     /// stats.
@@ -576,30 +545,28 @@ impl TraceRecorder {
         now: f64,
         covered: &[usize],
         pre_events: Vec<Vec<ScalerEvent>>,
-        bus_arrivals: Option<Vec<Vec<f64>>>,
+        bus_arrivals: Vec<Vec<f64>>,
         results: &[Result<PlanningRound, OnlineError>],
         post_events: Vec<Vec<ScalerEvent>>,
         residency_events: &[(u64, ResidencyEvent)],
-        queue: Option<QueueStats>,
+        queue: QueueStats,
     ) -> Result<(), OnlineError> {
         self.flush_pending(pre_events)?;
         let round = self.round;
-        if let Some(per_tenant) = bus_arrivals {
-            for (tenant, times) in per_tenant.into_iter().enumerate() {
-                if !times.is_empty() {
-                    self.record(&TraceRecord::Arrivals {
-                        round,
-                        tenant: tenant as u64,
-                        direct: false,
-                        times,
-                    })?;
-                }
+        for (tenant, times) in bus_arrivals.into_iter().enumerate() {
+            if !times.is_empty() {
+                self.record(&TraceRecord::Arrivals {
+                    round,
+                    tenant: tenant as u64,
+                    direct: false,
+                    times,
+                })?;
             }
         }
         // Access wakes are driver-initiated and happened *before* this
         // round ran (they are why a cold tenant planned this round), so
         // they go before the Round record; the replayer re-applies them
-        // like direct arrivals. Arrival/Due wakes and hibernations are
+        // before running the round. Arrival/Due wakes and hibernations are
         // round outcomes and follow the Round record for validation.
         for &(tenant, event) in residency_events {
             if let ResidencyEvent::Wake {
@@ -655,9 +622,10 @@ impl TraceRecorder {
             };
             self.record(&TraceRecord::Plan(plan))?;
         }
-        if let Some(stats) = queue {
-            self.record(&TraceRecord::Queue { round, stats })?;
-        }
+        self.record(&TraceRecord::Queue {
+            round,
+            stats: queue,
+        })?;
         self.round += 1;
         Ok(())
     }
@@ -757,14 +725,6 @@ impl RecordedTrace {
                             "tenant {tenant} out of range (header declares {} tenants)",
                             header.tenants
                         ),
-                    ));
-                }
-            }
-            if let TraceRecord::Arrivals { direct: false, .. } = &record {
-                if header.bus.is_none() {
-                    return Err(trace_err(
-                        line,
-                        "bus arrivals recorded but the header declares no bus",
                     ));
                 }
             }
@@ -895,9 +855,7 @@ impl Replayer {
         let session = match header.session {
             SessionKind::Fleet => {
                 let mut fleet = TenantFleet::new(&header.online, header.origin, header.tenants)?;
-                if let Some(bus) = header.bus {
-                    fleet.attach_bus(bus)?;
-                }
+                fleet.attach_bus(header.bus)?;
                 // Chaos sessions: replay under the recorded fault plan and
                 // supervision policy, so injected faults, quarantines and
                 // probe refits all reproduce bit-for-bit.
@@ -920,7 +878,7 @@ impl Replayer {
             SessionKind::Single => {
                 let mut scaler = OnlineScaler::new(header.online, header.origin)?;
                 scaler.set_tracing(true);
-                let bus = ArrivalBus::new(1, header.bus.unwrap_or_default())?;
+                let bus = ArrivalBus::new(1, header.bus)?;
                 ReplaySession::Single {
                     scaler: Box::new(scaler),
                     bus,
@@ -1112,7 +1070,7 @@ impl Replayer {
                 (
                     vec![result],
                     vec![scaler.take_trace_events()],
-                    Some(bus.stats()),
+                    bus.stats(),
                     Vec::new(),
                 )
             }
@@ -1123,7 +1081,7 @@ impl Replayer {
         for (tenant, tenant_events) in events.into_iter().enumerate() {
             self.pending_events[tenant].extend(tenant_events);
         }
-        self.pending_queue = queue;
+        self.pending_queue = Some(queue);
         self.pending_residency.extend(residency);
         self.next_round = round + 1;
         self.report.rounds += 1;
@@ -1210,15 +1168,13 @@ impl Replayer {
                 if *direct {
                     self.scaler_mut(*tenant).ingest_batch(times);
                 } else {
-                    let accepted = match &self.session {
-                        ReplaySession::Fleet(fleet) => fleet
-                            .bus()
-                            .ok_or(trace_err(line, "bus arrivals but no bus in session"))?
-                            .push_batch(*tenant as usize, times)?,
-                        ReplaySession::Single { bus, .. } => {
-                            bus.push_batch(*tenant as usize, times)?
+                    let bus = match &self.session {
+                        ReplaySession::Fleet(fleet) => {
+                            fleet.bus().expect("every fleet owns its bus")
                         }
+                        ReplaySession::Single { bus, .. } => bus,
                     };
+                    let accepted = bus.push_batch(*tenant as usize, times)?;
                     self.check_u64(
                         *round,
                         *tenant,
@@ -1280,9 +1236,9 @@ impl Replayer {
                     reason: WakeReason::Access,
                 } = event
                 {
-                    // Driver-initiated, like a direct arrival: re-apply
-                    // the access (waking the cold tenant), then validate
-                    // the wake it regenerated below.
+                    // Driver-initiated: re-apply the access (waking the
+                    // cold tenant), then validate the wake it regenerated
+                    // below.
                     match &mut self.session {
                         ReplaySession::Fleet(fleet) => {
                             let _ = fleet.tenant_mut(*tenant as usize);
@@ -1325,7 +1281,7 @@ impl Replayer {
                         0,
                         "queue.missing",
                         "regenerated queue stats".to_string(),
-                        "none (Queue record without a bus round?)".to_string(),
+                        "none (Queue record without a preceding round?)".to_string(),
                     );
                 };
                 self.check_u64(*round, 0, "queue.drained", stats.drained, got.drained)?;
@@ -1451,28 +1407,24 @@ impl Replayer {
         ] {
             self.check_u64(round, 0, field, w, g)?;
         }
-        if let Some(want_queue) = qos.queue {
-            let got_queue = match &self.session {
-                ReplaySession::Fleet(fleet) => fleet.queue_stats(),
-                ReplaySession::Single { bus, .. } => Some(bus.stats()),
-            };
-            if let Some(got_queue) = got_queue {
-                self.check_u64(
-                    round,
-                    0,
-                    "qos.queue.drained",
-                    want_queue.drained,
-                    got_queue.drained,
-                )?;
-                self.check_u64(
-                    round,
-                    0,
-                    "qos.queue.drains",
-                    want_queue.drains,
-                    got_queue.drains,
-                )?;
-            }
-        }
+        let got_queue = match &self.session {
+            ReplaySession::Fleet(fleet) => fleet.queue_stats(),
+            ReplaySession::Single { bus, .. } => bus.stats(),
+        };
+        self.check_u64(
+            round,
+            0,
+            "qos.queue.drained",
+            qos.queue.drained,
+            got_queue.drained,
+        )?;
+        self.check_u64(
+            round,
+            0,
+            "qos.queue.drains",
+            qos.queue.drains,
+            got_queue.drains,
+        )?;
         // Policy bands judge the *recorded* QoS scalars (harness sessions).
         if let (Some(min), Some(hit)) = (self.bands.min_hit_rate, qos.hit_rate) {
             if hit < min {
@@ -1621,7 +1573,7 @@ mod tests {
     }
 
     #[test]
-    fn direct_ingestion_and_installs_record_and_replay() {
+    fn warm_start_installs_and_bus_arrivals_record_and_replay() {
         let config = fast_config();
         let mut fleet = TenantFleet::new(&config, 0.0, 2).unwrap();
         let model = NhppModel::from_log_rates(0.0, 10.0, vec![(0.4_f64).ln(); 60], None).unwrap();
@@ -1639,9 +1591,9 @@ mod tests {
         fleet.start_recording(recorder).unwrap();
         for index in 0..2 {
             for k in 0..120 {
-                fleet
-                    .ingest(index, k as f64 * (3.0 + index as f64))
-                    .unwrap();
+                assert!(fleet
+                    .enqueue(index, k as f64 * (3.0 + index as f64))
+                    .unwrap());
             }
         }
         fleet.run_round_uniform(400.0, 0).unwrap();

@@ -124,6 +124,22 @@ pub struct OnlineStats {
     pub plan_cache_hits: u64,
 }
 
+impl OnlineStats {
+    /// Fold another tenant's counters into an aggregate: every counter
+    /// sums.
+    pub fn merge(&mut self, other: &OnlineStats) {
+        self.arrivals_ingested += other.arrivals_ingested;
+        self.arrivals_dropped += other.arrivals_dropped;
+        self.refits += other.refits;
+        self.drift_refits += other.drift_refits;
+        self.planning_rounds += other.planning_rounds;
+        self.skipped_rounds += other.skipped_rounds;
+        self.failed_rounds += other.failed_rounds;
+        self.shared_planning_rounds += other.shared_planning_rounds;
+        self.plan_cache_hits += other.plan_cache_hits;
+    }
+}
+
 /// Format version written by [`OnlineScaler::snapshot`], the only one
 /// [`OnlineScaler::restore`] reads; bump on any layout change.
 pub const SCALER_SNAPSHOT_VERSION: u32 = 3;

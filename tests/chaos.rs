@@ -192,7 +192,7 @@ proptest! {
         for index in 0..4 {
             let gap = 4.0 + index as f64;
             for k in 0..(400.0 / gap) as usize {
-                fleet.ingest(index, k as f64 * gap).unwrap();
+                assert!(fleet.enqueue(index, k as f64 * gap).unwrap());
             }
         }
         fleet.run_round_uniform(400.0, 0).unwrap();
@@ -207,7 +207,7 @@ proptest! {
         })));
         for round in 1..4u64 {
             let now = round_now(round);
-            fleet.ingest(0, now - 1.0).unwrap();
+            assert!(fleet.enqueue(0, now - 1.0).unwrap());
             fleet.run_round_uniform(now, 0).unwrap();
             if fleet.checkpoint_sharded(&dir, 2).is_ok() {
                 good_states.push(fleet.aggregate_stats());

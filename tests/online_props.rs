@@ -1,12 +1,14 @@
 //! Property-based tests of the online serving layer: incremental ingestion
-//! must be indistinguishable from batch processing, bus-fed ingestion
-//! (enqueue + round-boundary drain) must be indistinguishable from direct
-//! synchronous ingestion, and fleet output must not depend on the
-//! worker-thread count.
+//! must be indistinguishable from batch processing, bus-fed fleet
+//! ingestion (enqueue + round-boundary drain) must be indistinguishable
+//! from standalone scalers ingesting synchronously, and fleet output must
+//! not depend on the worker-thread count.
 
 use proptest::prelude::*;
 use robustscaler::core::{RobustScalerConfig, RobustScalerVariant};
-use robustscaler::online::{BusConfig, OnlineConfig, OnlineScaler, SharingConfig, TenantFleet};
+use robustscaler::online::{
+    BusConfig, OnlineConfig, OnlineScaler, OnlineStats, SharingConfig, TenantFleet,
+};
 use robustscaler::timeseries::{CountRing, TimeSeries};
 
 fn online_config(bucket_width: f64) -> OnlineConfig {
@@ -171,8 +173,9 @@ proptest! {
     /// The acceptance contract of the ingestion runtime: enqueueing
     /// arrivals on the bus and draining them at round boundaries yields
     /// bit-identical fleet plans, serving counters and drift decisions to
-    /// routing every arrival synchronously through `ingest` — for 1, 3
-    /// and 8 workers.
+    /// one standalone scaler per tenant ingesting every arrival
+    /// synchronously through `OnlineScaler::ingest` — for 1, 3 and 8
+    /// workers.
     #[test]
     fn bus_fed_fleet_equals_direct_ingestion_for_any_worker_count(
         tenant_count in 2usize..5,
@@ -196,20 +199,27 @@ proptest! {
                 .collect()
         };
 
-        let run_direct = |workers: usize| {
-            let mut fleet = TenantFleet::new(&config, 0.0, tenant_count).unwrap();
-            fleet.set_workers(workers);
+        let run_direct = || {
+            let mut scalers: Vec<OnlineScaler> = (0..tenant_count)
+                .map(|_| OnlineScaler::new(config, 0.0).unwrap())
+                .collect();
             let mut all = Vec::new();
             for round in 0..rounds {
-                for index in 0..tenant_count {
-                    for t in window(index, round) {
-                        fleet.ingest(index, t).unwrap();
-                    }
-                }
                 let now = 400.0 + 20.0 * round as f64;
-                all.push(fleet.run_round_uniform(now, round).unwrap());
+                let mut plans = Vec::new();
+                for (index, scaler) in scalers.iter_mut().enumerate() {
+                    for t in window(index, round) {
+                        scaler.ingest(t);
+                    }
+                    plans.push(scaler.plan_round(now, round));
+                }
+                all.push(plans);
             }
-            (all, fleet.aggregate_stats())
+            let mut stats = OnlineStats::default();
+            for scaler in &scalers {
+                stats.merge(scaler.stats());
+            }
+            (all, stats)
         };
         let run_bus = |workers: usize| {
             let mut fleet = TenantFleet::new(&config, 0.0, tenant_count).unwrap();
@@ -234,7 +244,7 @@ proptest! {
             (all, fleet.aggregate_stats())
         };
 
-        let direct = run_direct(1);
+        let direct = run_direct();
         for workers in [1usize, 3, 8] {
             let bused = run_bus(workers);
             prop_assert_eq!(&direct.0, &bused.0, "plans diverged at {} workers", workers);
@@ -261,7 +271,7 @@ proptest! {
                 let gap = gaps[index % gaps.len()];
                 let n = (400.0 / gap) as usize;
                 for k in 0..n {
-                    fleet.ingest(index, k as f64 * gap).unwrap();
+                    assert!(fleet.enqueue(index, k as f64 * gap).unwrap());
                 }
             }
             let mut all = Vec::new();
@@ -301,7 +311,7 @@ proptest! {
                 let gap = gaps[index % gaps.len()];
                 let n = (400.0 / gap) as usize;
                 for k in 0..n {
-                    fleet.ingest(index, k as f64 * gap).unwrap();
+                    assert!(fleet.enqueue(index, k as f64 * gap).unwrap());
                 }
             }
             let mut all = Vec::new();
@@ -340,7 +350,7 @@ proptest! {
                 let gap = gaps[index % gaps.len()];
                 let n = (400.0 / gap) as usize;
                 for k in 0..n {
-                    fleet.ingest(index, k as f64 * gap).unwrap();
+                    assert!(fleet.enqueue(index, k as f64 * gap).unwrap());
                 }
             }
             let mut all = Vec::new();

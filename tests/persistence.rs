@@ -163,14 +163,14 @@ proptest! {
     }
 }
 
-/// Ingest per-tenant traffic with distinct rates (tenant `i` gets one
-/// arrival every `3 + i` seconds).
-fn ingest_fleet(fleet: &mut TenantFleet, duration: f64) {
+/// Enqueue per-tenant traffic with distinct rates (tenant `i` gets one
+/// arrival every `3 + i` seconds); the next round drains it.
+fn enqueue_fleet(fleet: &TenantFleet, duration: f64) {
     for index in 0..fleet.len() {
         let gap = 3.0 + index as f64;
         let n = (duration / gap) as usize;
         for k in 0..n {
-            fleet.ingest(index, k as f64 * gap).unwrap();
+            assert!(fleet.enqueue(index, k as f64 * gap).unwrap());
         }
     }
 }
@@ -184,9 +184,9 @@ fn fleet_kill_and_restore_is_bit_identical_for_any_worker_count() {
     let config = online_config();
     let tenant_count = 7;
 
-    // The uninterrupted fleet: ingest, run three rounds, keep going.
+    // The uninterrupted fleet: enqueue, run three rounds, keep going.
     let mut live = TenantFleet::new(&config, 0.0, tenant_count).unwrap();
-    ingest_fleet(&mut live, 400.0);
+    enqueue_fleet(&live, 400.0);
     for round in 0..3 {
         live.run_round_uniform(400.0 + 20.0 * round as f64, round)
             .unwrap();
@@ -200,7 +200,7 @@ fn fleet_kill_and_restore_is_bit_identical_for_any_worker_count() {
     let continue_run = |fleet: &mut TenantFleet| {
         for index in 0..fleet.len() {
             for k in 0..20 {
-                fleet.ingest(index, 460.0 + k as f64 * 2.0).unwrap();
+                assert!(fleet.enqueue(index, 460.0 + k as f64 * 2.0).unwrap());
             }
         }
         (0..3)
@@ -264,7 +264,7 @@ proptest! {
             }
         }
         let manifest = live.checkpoint_sharded(&dir, 2).unwrap();
-        prop_assert!(manifest.bus.is_some());
+        prop_assert_eq!(manifest.bus.capacity_per_tenant, 2_048);
         prop_assert_eq!(manifest.tenant_count, tenant_count);
 
         // Continue the live fleet: the next rounds drain the burst.
@@ -294,10 +294,7 @@ proptest! {
                 workers
             );
             prop_assert_eq!(live.aggregate_stats(), restored.aggregate_stats());
-            prop_assert_eq!(
-                live.queue_stats().unwrap(),
-                restored.queue_stats().unwrap()
-            );
+            prop_assert_eq!(live.queue_stats(), restored.queue_stats());
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -318,12 +315,13 @@ fn later_generations_restore_identically_to_a_fresh_directory() {
             tenants_per_group: 2,
         })
         .unwrap();
-    ingest_fleet(&mut fleet, 400.0);
+    enqueue_fleet(&fleet, 400.0);
     fleet.run_round_uniform(400.0, 0).unwrap();
     fleet.checkpoint_sharded(&dir, 2).unwrap();
 
     // Touch one tenant's scaler and another's queue; checkpoint again.
-    fleet.ingest(1, 405.0).unwrap();
+    fleet.enqueue(1, 405.0).unwrap();
+    assert_eq!(fleet.drain_bus().unwrap(), 1);
     fleet.enqueue(4, 406.0).unwrap();
     let later = fleet.checkpoint_sharded(&dir, 2).unwrap();
     assert_eq!(later.generation, 2);
@@ -337,10 +335,7 @@ fn later_generations_restore_identically_to_a_fresh_directory() {
     let mut from_later = TenantFleet::restore(&dir, &config).unwrap();
     let mut from_fresh = TenantFleet::restore(&fresh_dir, &config).unwrap();
     assert_eq!(from_later.aggregate_stats(), from_fresh.aggregate_stats());
-    assert_eq!(
-        from_later.queue_stats().unwrap(),
-        from_fresh.queue_stats().unwrap()
-    );
+    assert_eq!(from_later.queue_stats(), from_fresh.queue_stats());
     for round in 1..3 {
         let now = 400.0 + 20.0 * round as f64;
         assert_eq!(
@@ -361,7 +356,7 @@ fn regrouped_checkpoints_restore_the_right_tenants() {
     let dir = temp_dir("fleet-regroup");
     let config = online_config();
     let mut fleet = TenantFleet::new(&config, 0.0, 6).unwrap();
-    ingest_fleet(&mut fleet, 400.0);
+    enqueue_fleet(&fleet, 400.0);
     fleet.run_round_uniform(400.0, 0).unwrap();
 
     let first = fleet.checkpoint_sharded(&dir, 2).unwrap();
@@ -395,7 +390,7 @@ fn corrupted_shard_fails_with_a_named_checksum_error_others_loadable() {
     let dir = temp_dir("fleet-corruption");
     let config = online_config();
     let mut fleet = TenantFleet::new(&config, 0.0, 6).unwrap();
-    ingest_fleet(&mut fleet, 400.0);
+    enqueue_fleet(&fleet, 400.0);
     fleet.run_round_uniform(400.0, 0).unwrap();
     let manifest = fleet.checkpoint_sharded(&dir, 2).unwrap();
     assert_eq!(manifest.shards.len(), 3);
@@ -445,7 +440,7 @@ fn retention_guard_never_sweeps_past_the_newest_restorable_generation() {
     let dir = temp_dir("retention-guard");
     let config = online_config();
     let mut fleet = TenantFleet::new(&config, 0.0, 6).unwrap();
-    ingest_fleet(&mut fleet, 400.0);
+    enqueue_fleet(&fleet, 400.0);
     fleet.run_round_uniform(400.0, 0).unwrap();
     let gen1 = fleet.checkpoint_sharded(&dir, 2).unwrap();
     assert_eq!(gen1.generation, 1);
@@ -511,7 +506,7 @@ fn fleet_self_heals_with_a_full_rewrite_after_a_blocked_sweep() {
     let dir = temp_dir("retention-self-heal");
     let config = online_config();
     let mut fleet = TenantFleet::new(&config, 0.0, 6).unwrap();
-    ingest_fleet(&mut fleet, 400.0);
+    enqueue_fleet(&fleet, 400.0);
     fleet.run_round_uniform(400.0, 0).unwrap();
     fleet.checkpoint_sharded(&dir, 2).unwrap();
     fleet.run_round_uniform(420.0, 1).unwrap();
@@ -588,7 +583,7 @@ fn non_os_storage_sees_its_previous_generation() {
     let storage = Arc::new(RebasedStorage(root.clone()));
     let config = online_config();
     let mut fleet = TenantFleet::new(&config, 0.0, 4).unwrap();
-    ingest_fleet(&mut fleet, 400.0);
+    enqueue_fleet(&fleet, 400.0);
     fleet.run_round_uniform(400.0, 0).unwrap();
     fleet.set_checkpoint_storage(storage.clone());
     let dir = Path::new("rebased-checkpoint");

@@ -453,7 +453,7 @@ fn retired_bus_and_queue_keys_still_restore_and_replay() {
     assert!(header.contains("\"max_capacity_per_tenant\":0"), "{header}");
     assert!(text.contains("\"spilled\":0"));
     let trace = RecordedTrace::parse(&text).unwrap();
-    assert_eq!(trace.header.bus, Some(bus_config()));
+    assert_eq!(trace.header.bus, bus_config());
     let report = replay_trace(&trace, ReplayMode::Strict, &PolicyBands::default()).unwrap();
     assert!(report.passed(), "{:?}", report.divergences);
     assert!(report.plans_checked > 0);
