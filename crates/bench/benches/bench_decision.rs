@@ -56,7 +56,6 @@ fn bench_single_decision(c: &mut Criterion) {
                     &DecisionConfig {
                         rule: DecisionRule::HittingProbability { alpha: 0.1 },
                         pending: PendingTimeModel::Deterministic(13.0),
-                        monte_carlo_samples: r,
                     },
                 )
                 .unwrap()

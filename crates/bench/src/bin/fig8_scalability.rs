@@ -48,7 +48,6 @@ fn time_monte_carlo(
     let config = DecisionConfig {
         rule,
         pending: PENDING,
-        monte_carlo_samples: replications,
     };
     let mut rng = StdRng::seed_from_u64(seed);
     let started = Instant::now();

@@ -75,11 +75,7 @@ fn decision_gaps(
             let mut rng = StdRng::seed_from_u64(1_000 * minute + k as u64);
             let sampler = ArrivalSampler::new(&forecast, now, count, replications, &mut rng)
                 .expect("valid sampler");
-            let config = DecisionConfig {
-                rule,
-                pending,
-                monte_carlo_samples: replications,
-            };
+            let config = DecisionConfig { rule, pending };
             let monte_carlo = decide_batch(&sampler, 1, count, &config).expect("decisions");
             for (mc, exact) in monte_carlo.iter().zip(&exact) {
                 if exact.is_finite() {

@@ -84,22 +84,13 @@ pub struct DecisionConfig {
     pub rule: DecisionRule,
     /// Pending (startup) time model of new instances.
     pub pending: PendingTimeModel,
-    /// Number of Monte Carlo replications `R` the arrival sampler is built
-    /// with.
-    pub monte_carlo_samples: usize,
 }
 
 impl DecisionConfig {
     /// Validate the configuration.
     pub fn validate(&self) -> Result<(), ScalingError> {
         self.rule.validate()?;
-        self.pending.validate()?;
-        if self.monte_carlo_samples == 0 {
-            return Err(ScalingError::InvalidParameter(
-                "monte_carlo_samples must be >= 1",
-            ));
-        }
-        Ok(())
+        self.pending.validate()
     }
 }
 
@@ -242,7 +233,6 @@ mod tests {
         DecisionConfig {
             rule,
             pending: PendingTimeModel::Deterministic(13.0),
-            monte_carlo_samples: 1000,
         }
     }
 
@@ -263,7 +253,7 @@ mod tests {
             .validate()
             .is_err());
         let mut c = config(DecisionRule::HittingProbability { alpha: 0.1 });
-        c.monte_carlo_samples = 0;
+        c.pending = PendingTimeModel::Deterministic(-1.0);
         assert!(c.validate().is_err());
     }
 

@@ -163,7 +163,7 @@ proptest! {
             1 => DecisionRule::ResponseTime { target_waiting: 2.5 },
             _ => DecisionRule::CostBudget { target_idle: 7.0 },
         };
-        let config = DecisionConfig { rule, pending, monte_carlo_samples: replications };
+        let config = DecisionConfig { rule, pending };
         config.validate().unwrap();
 
         let mut scratch = DecisionScratch::new();
@@ -252,7 +252,6 @@ impl OracleCase {
         let config = DecisionConfig {
             rule,
             pending: PendingTimeModel::Deterministic(TAU),
-            monte_carlo_samples: ORACLE_REPLICATIONS,
         };
         let monte_carlo = decide(&self.sampler, self.index, &config).unwrap();
         (
