@@ -9,10 +9,11 @@
 //!
 //! # Engine layout
 //!
-//! This is the hottest data structure of the whole system (Fig. 8 plots the
-//! planner's runtime against QPS, and every planning round rebuilds or
-//! extends a sampler), so its representation is chosen for the access
-//! pattern of the decision rules:
+//! Serving plans with the exact engine and draws no samples; the sampler
+//! is the Monte Carlo engine (Algorithm 3) behind Table I, Fig. 8's Monte
+//! Carlo curve and the oracle proptests in `tests/decision_engine.rs`,
+//! which all run many replications. Its representation is chosen for the
+//! access pattern of the decision rules:
 //!
 //! * **Flat, arrival-major storage.** All `R × horizon` samples live in one
 //!   contiguous matrix with the samples of one arrival index stored
