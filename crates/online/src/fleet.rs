@@ -968,9 +968,9 @@ impl TenantFleet {
     /// persistent worker pool.
     ///
     /// Each worker first drains its tenants' arrival queues (batched, in
-    /// timestamp order, through the ring's bulk append) and then plans — drain + plan is one parallel pass, so
-    /// ingestion work is off the caller's thread and amortized across the
-    /// round workers.
+    /// timestamp order, through the ring's bulk append) and then plans —
+    /// drain + plan is one parallel pass, so ingestion work is off the
+    /// caller's thread and amortized across the round workers.
     ///
     /// `covered[i]` is tenant `i`'s count of upcoming arrivals already
     /// covered by scheduled/pending/ready instances. The output vector is

@@ -498,14 +498,17 @@ mod tests {
         assert!(!bus.pending_hint(0).unwrap());
         assert!(!bus.pending_hint(2).unwrap());
         assert!(bus.pending_hint(9).is_err());
+        assert!(bus.is_empty());
         bus.push(1, 5.0).unwrap();
         // The hint is group-granular: tenant 0 shares tenant 1's group.
         assert!(bus.pending_hint(0).unwrap());
         assert!(bus.pending_hint(1).unwrap());
         assert!(!bus.pending_hint(3).unwrap());
+        assert!(!bus.is_empty());
         let mut buf = Vec::new();
         bus.drain_into(1, &mut buf).unwrap();
         assert!(!bus.pending_hint(0).unwrap());
+        assert!(bus.is_empty());
         // Rejected pushes never count as pending.
         for k in 0..9 {
             bus.push(2, k as f64).unwrap();
