@@ -22,6 +22,9 @@
 //!   `--restore`);
 //! * `--restore` — start from the checkpoint in `--checkpoint-dir` instead
 //!   of building a warm fleet;
+//! * `--page-dir <dir>` — page tenant 0 of the parallel fleet out to a
+//!   hibernation page in `<dir>` (`tenant-00000000.bin`, kept on disk for
+//!   `dump`) and verify the page reads back to the same snapshot;
 //! * `--record <path>` — record the parallel fleet's timed stretch (model
 //!   installs, every round's arrivals/plans/refits, queue drains, final
 //!   QoS) as a replayable JSONL trace; recording enqueues synchronously
@@ -36,14 +39,18 @@
 //!   the supervised round path (quarantine, backoff probes, sticky
 //!   fallbacks) instead of failing outright (see `--help`).
 //!
+//! `fleet_demo dump <file>` instead prints one binary tenant payload — a
+//! checkpoint shard (`gen-*/shard-*.bin`) or a hibernation page
+//! (`tenant-*.bin`) — as JSON, and exits.
+//!
 //! Environment knobs: `FLEET_TENANTS` (default 250) and `FLEET_ROUNDS`
 //! (default 20).
 
 use robustscaler_core::{RobustScalerConfig, RobustScalerVariant};
 use robustscaler_nhpp::NhppModel;
 use robustscaler_online::{
-    ArrivalBus, CheckpointIoStats, FaultPlan, FaultyStorage, OnlineConfig, QueueStats,
-    SupervisionStats, TenantFleet, TraceRecorder, TraceSummary,
+    codec, ArrivalBus, CheckpointIoStats, FaultPlan, FaultyStorage, HibernationStore, OnlineConfig,
+    QueueStats, SupervisionStats, TenantFleet, TraceRecorder, TraceSummary,
 };
 use robustscaler_parallel::available_threads;
 use serde::Serialize;
@@ -55,9 +62,11 @@ Multi-tenant fleet serving demo: rounds/sec at fleet scale through the
 event-driven ingestion runtime, plus durable checkpoint/restore.
 
 USAGE: fleet_demo [FLAGS]
+       fleet_demo dump <file>  print a checkpoint shard or page file as JSON
 
   --checkpoint-dir <dir>  checkpoint mid-run, restore, verify bit-identity
   --restore               start from the checkpoint in --checkpoint-dir
+  --page-dir <dir>        page tenant 0 out to <dir>, verify it reads back
   --record <path>         record the parallel stretch as a JSONL trace
   --json <path>           dump the run report (with warnings) as JSON
   --help                  print this help
@@ -111,6 +120,37 @@ struct CheckpointReport {
     identical_after_restore: bool,
 }
 
+/// One tenant paged out to a hibernation page and read back.
+#[derive(Debug, Clone, Serialize)]
+struct PageReport {
+    dir: String,
+    tenant: u64,
+    bytes: u64,
+    identical_after_page_in: bool,
+}
+
+/// Page tenant 0 of `fleet` out to a page store in `dir` and read it back.
+fn page_and_verify(fleet: &TenantFleet, dir: &str) -> PageReport {
+    let store = HibernationStore::new(dir);
+    let tenant = fleet.tenant(0).expect("tenant 0 is resident");
+    let snapshot = tenant.scaler.snapshot();
+    let receipt = store
+        .page_out(tenant.id, snapshot.clone())
+        .expect("page written");
+    let back = store.page_in(tenant.id, receipt).expect("page read back");
+    let bytes = std::fs::read_dir(dir)
+        .expect("page dir listed")
+        .filter_map(|entry| entry.ok()?.metadata().ok())
+        .map(|meta| meta.len())
+        .sum();
+    PageReport {
+        dir: dir.to_string(),
+        tenant: tenant.id,
+        bytes,
+        identical_after_page_in: back == snapshot,
+    }
+}
+
 /// Arrival-queue health of one timed stretch.
 #[derive(Debug, Clone, Serialize)]
 struct QueueReport {
@@ -150,6 +190,8 @@ struct DemoReport {
     queue: QueueReport,
     determinism_across_workers: bool,
     checkpoint: Option<CheckpointReport>,
+    /// The page round trip (`--page-dir`).
+    page: Option<PageReport>,
     /// Recorded-session trace (`--record`): path plus record/round counts.
     trace: Option<TraceSummary>,
     /// The fault schedule when chaos mode is active (`--fault-*`).
@@ -385,12 +427,39 @@ fn checkpoint_and_verify(
     }
 }
 
+/// `fleet_demo dump <file>`: render a binary shard or page as JSON on
+/// standard output (non-finite floats print as `null`).
+fn dump(path: Option<String>) -> ! {
+    let Some(path) = path else {
+        eprintln!("dump needs a shard or page file");
+        std::process::exit(2);
+    };
+    let bytes = std::fs::read(&path).unwrap_or_else(|e| {
+        eprintln!("cannot read {path}: {e}");
+        std::process::exit(1);
+    });
+    match codec::decode_value(&bytes) {
+        Ok(value) => {
+            println!("{}", serde_json::value_to_string(&value));
+            std::process::exit(0);
+        }
+        Err(e) => {
+            eprintln!("{path}: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 fn main() {
+    if std::env::args().nth(1).as_deref() == Some("dump") {
+        dump(std::env::args().nth(2));
+    }
     let tenants = env_usize("FLEET_TENANTS", 250);
     let rounds = env_usize("FLEET_ROUNDS", 20);
     let cores = available_threads();
 
     let mut checkpoint_dir: Option<String> = None;
+    let mut page_dir: Option<String> = None;
     let mut restore = false;
     let mut json_path: Option<String> = None;
     let mut record_path: Option<String> = None;
@@ -415,6 +484,7 @@ fn main() {
                 checkpoint_dir = Some(args.next().expect("--checkpoint-dir needs a path"));
             }
             "--restore" => restore = true,
+            "--page-dir" => page_dir = Some(args.next().expect("--page-dir needs a path")),
             "--record" => record_path = Some(args.next().expect("--record needs a path")),
             "--json" => json_path = Some(args.next().expect("--json needs a path")),
             "--fault-seed" => faults.seed = arg_f64(&arg, args.next()) as u64,
@@ -578,6 +648,21 @@ fn main() {
     let checkpoint_ok = checkpoint
         .as_ref()
         .is_none_or(|c| c.identical_after_restore);
+    let page = page_dir.as_deref().map(|dir| {
+        let report = page_and_verify(&parallel_fleet, dir);
+        println!(
+            "page: tenant {} paged out to {dir} ({} bytes) — page-in {}",
+            report.tenant,
+            report.bytes,
+            if report.identical_after_page_in {
+                "IDENTICAL"
+            } else {
+                "MISMATCH"
+            }
+        );
+        report
+    });
+    let page_ok = page.as_ref().is_none_or(|p| p.identical_after_page_in);
 
     let warnings = collect_warnings(
         &queue,
@@ -611,6 +696,7 @@ fn main() {
             ],
             determinism_across_workers: identical,
             checkpoint,
+            page,
             trace,
             faults: chaos.then_some(faults),
             supervision,
@@ -621,7 +707,7 @@ fn main() {
         println!("report written to {path}");
     }
 
-    if !identical || !checkpoint_ok {
+    if !identical || !checkpoint_ok || !page_ok {
         std::process::exit(1);
     }
 }

@@ -159,13 +159,18 @@ impl Forecaster {
         let predicted: Vec<f64> = match self.model.period() {
             Some(period) if period >= 1 && t >= period => {
                 // Robust per-phase rate: the median over the last
-                // `lookback_periods` periods. `lookback <= t / period`, so
-                // every index below is in range.
+                // `lookback_periods` periods. Phases count from the model
+                // start, so within the period that starts at `t − k·period`
+                // phase `p` sits `(p − t) mod period` buckets in.
+                // `lookback <= t / period`, so every index below is in
+                // range.
                 let lookback = self.config.lookback_periods.min(t / period).max(1);
+                let shift = period - t % period;
                 let mut values = Vec::with_capacity(lookback);
                 let mut phase_rate = |phase: usize| {
+                    let offset = (phase + shift) % period;
                     values.clear();
-                    values.extend((1..=lookback).map(|k| log_rates[t - k * period + phase].exp()));
+                    values.extend((1..=lookback).map(|k| log_rates[t - k * period + offset].exp()));
                     empirical_quantile_unstable(&mut values, 0.5).expect("non-empty")
                 };
                 // Phase of the first forecast bucket relative to the training
@@ -269,6 +274,24 @@ mod tests {
         for (i, &rate) in forecast.rates().iter().enumerate() {
             let expected = 0.1 * (expected_phases[i] as f64 + 1.0);
             assert!((rate - expected).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn forecast_keeps_the_wall_clock_phase_when_training_ends_mid_period() {
+        // 49 and 51 buckets: 12 periods plus 1 or 3 buckets, so training
+        // ends mid-period. Phases stay aligned with the model start.
+        for buckets in [49, 51] {
+            let m = periodic_model(buckets, 4);
+            let f = Forecaster::new(m.clone(), ForecastConfig::default()).unwrap();
+            let forecast = f.forecast(m.end(), 8.0 * 60.0).unwrap();
+            for (i, &rate) in forecast.rates().iter().enumerate() {
+                let expected = 0.1 * (((buckets + i) % 4) as f64 + 1.0);
+                assert!(
+                    (rate - expected).abs() < 1e-9,
+                    "{buckets} buckets, bucket {i}: {rate} vs {expected}"
+                );
+            }
         }
     }
 
@@ -386,7 +409,8 @@ mod tests {
                     .map(|phase| {
                         let mut values = Vec::with_capacity(lookback);
                         for k in 1..=lookback {
-                            let idx = t as i64 - (k * period) as i64 + phase as i64;
+                            let offset = (phase + period - t % period) % period;
+                            let idx = t as i64 - (k * period) as i64 + offset as i64;
                             if idx >= 0 {
                                 values.push(rates[idx as usize]);
                             }

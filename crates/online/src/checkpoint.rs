@@ -24,12 +24,16 @@
 //!
 //! ```text
 //! manifest.json               # swap point: {version, generation, shards, fleet wiring}
-//! gen-000003/shard-0000.json  # Vec<TenantSnapshot> for tenant group 0
-//! gen-000003/shard-0001.json  # ...
+//! gen-000003/manifest.json    # the same manifest, kept with its generation
+//! gen-000003/shard-0000.bin   # Vec<TenantSnapshot> for tenant group 0
+//! gen-000003/shard-0001.bin   # ...
 //! ```
 //!
-//! Every generation serializes every shard, so each generation directory
-//! is self-contained and restores on its own.
+//! Manifests are JSON. Shards, like the hibernation store's page files
+//! (`tenant-{id:08}.bin`), are binary payloads of the [`crate::codec`]
+//! format: the serde event stream in little-endian binary, floats as raw
+//! bits. Every generation serializes every shard, so each generation
+//! directory is self-contained and restores on its own.
 //!
 //! Durability is self-healing. Every filesystem touch goes through the
 //! small [`CheckpointStorage`] trait (default: [`OsStorage`]), so chaos
@@ -43,6 +47,7 @@
 //!
 //! The layout is described at [`CHECKPOINT_FORMAT_VERSION`].
 
+use crate::codec;
 use crate::error::OnlineError;
 use crate::faults::FaultPlan;
 use crate::fleet::{ResidencyConfig, SupervisorConfig};
@@ -63,13 +68,14 @@ use std::time::Duration;
 /// write into that directory, with [`OnlineError::UnsupportedSnapshotVersion`].
 /// Bump it on any change to the manifest or shard layout.
 ///
-/// A [`Manifest`] records the fleet's round counter and its wiring
+/// A [`Manifest`] (JSON) records the fleet's round counter and its wiring
 /// ([`FleetWiring`]: arrival bus, residency, supervisor and fault plan)
-/// beside the shard list. Each shard holds a
+/// beside the shard list. Each shard (`shard-NNNN.bin`, a binary
+/// [`crate::codec`] payload since version 10) holds a
 /// `Vec<TenantSnapshot>`: the scaler snapshot, the tenant's undrained
 /// queue and, where the fleet runs them, its supervision state and its
 /// residency state. Unknown keys are ignored on load.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 9;
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 10;
 
 /// How many times a shard/manifest write is attempted before the
 /// checkpoint fails (first try + retries).
@@ -128,7 +134,7 @@ pub struct ResidencySnapshot {
     /// Consecutive idle rounds observed while hot (cold-entry countdown).
     pub idle_streak: u64,
     /// The scheduled wake time of a cold tenant; `None` encodes "never
-    /// without external input" (`f64::INFINITY` does not round-trip JSON).
+    /// without external input" (the in-memory `f64::INFINITY`).
     pub wake_at: Option<f64>,
     /// The fleet round the tenant went cold in (0 while hot).
     pub since_round: u64,
@@ -610,14 +616,10 @@ impl CheckpointStore {
         let groups: Vec<(usize, &[TenantSnapshot])> =
             snapshots.chunks(tenants_per_shard).enumerate().collect();
         let write_shard = |&(group, chunk): &(usize, &[TenantSnapshot])| {
-            let file = format!("{gen_name}/shard-{group:04}.json");
-            let json = serde_json::to_string(chunk).map_err(|e| OnlineError::Checkpoint {
-                shard: Some(file.clone()),
-                message: format!("serialize failure: {e}"),
-            })?;
-            let bytes = json.as_bytes();
-            let checksum = format!("{:016x}", fnv1a64(bytes));
-            self.write_atomic(&self.dir.join(&file), bytes)?;
+            let file = format!("{gen_name}/shard-{group:04}.bin");
+            let bytes = codec::encode(chunk);
+            let checksum = format!("{:016x}", fnv1a64(&bytes));
+            self.write_atomic(&self.dir.join(&file), &bytes)?;
             Ok(ShardEntry {
                 file,
                 tenants: chunk.len(),
@@ -707,10 +709,8 @@ impl CheckpointStore {
                 entry.checksum
             )));
         }
-        let text =
-            std::str::from_utf8(&bytes).map_err(|e| shard_err(format!("invalid UTF-8: {e}")))?;
         let snapshots: Vec<TenantSnapshot> =
-            serde_json::from_str(text).map_err(|e| shard_err(format!("parse failure: {e}")))?;
+            codec::decode(&bytes).map_err(|e| shard_err(format!("decode failure: {e}")))?;
         if snapshots.len() != entry.tenants {
             return Err(shard_err(format!(
                 "shard holds {} tenants, manifest says {}",
@@ -831,8 +831,9 @@ impl CheckpointStore {
     }
 }
 
-/// Format version of hibernation page files.
-pub const HIBERNATION_FORMAT_VERSION: u32 = 3;
+/// Format version of hibernation page files (binary [`crate::codec`]
+/// payloads since version 4).
+pub const HIBERNATION_FORMAT_VERSION: u32 = 4;
 
 /// On-disk envelope of one hibernated tenant's page file.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -855,7 +856,7 @@ pub struct PageReceipt {
 ///
 /// Unlike generation checkpoints — whole-fleet, round-boundary,
 /// crash-recovery artifacts — pages are *per-tenant* and written exactly
-/// when a tenant goes cold: `tenant-{id:08}.json`, one atomic temp+rename
+/// when a tenant goes cold: `tenant-{id:08}.bin`, one atomic temp+rename
 /// write each, overwritten in place on the next hibernation and never
 /// deleted (a stale page is unreachable without its receipt). Page-in
 /// verifies the receipt checksum before parsing, so a torn or tampered
@@ -898,7 +899,7 @@ impl HibernationStore {
     }
 
     fn page_path(&self, tenant: u64) -> PathBuf {
-        self.dir.join(format!("tenant-{tenant:08}.json"))
+        self.dir.join(format!("tenant-{tenant:08}.bin"))
     }
 
     /// Write `tenant`'s scaler snapshot to its page file (atomic
@@ -917,14 +918,11 @@ impl HibernationStore {
             tenant,
             scaler,
         };
-        let json = serde_json::to_string(&envelope).map_err(|e| OnlineError::Checkpoint {
-            shard: None,
-            message: format!("page serialize failure (tenant {tenant}): {e}"),
-        })?;
+        let bytes = codec::encode(&envelope);
         let path = self.page_path(tenant);
-        write_atomic(&*self.storage, &path, json.as_bytes(), &self.retries)?;
+        write_atomic(&*self.storage, &path, &bytes, &self.retries)?;
         Ok(PageReceipt {
-            checksum: fnv1a64(json.as_bytes()),
+            checksum: fnv1a64(&bytes),
         })
     }
 
@@ -952,10 +950,8 @@ impl HibernationStore {
                 receipt.checksum
             )));
         }
-        let text =
-            std::str::from_utf8(&bytes).map_err(|e| page_err(format!("invalid UTF-8: {e}")))?;
         let envelope: HibernatedTenant =
-            serde_json::from_str(text).map_err(|e| page_err(format!("parse failure: {e}")))?;
+            codec::decode(&bytes).map_err(|e| page_err(format!("decode failure: {e}")))?;
         if envelope.version != HIBERNATION_FORMAT_VERSION {
             return Err(OnlineError::UnsupportedSnapshotVersion {
                 found: envelope.version,

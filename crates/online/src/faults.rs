@@ -26,11 +26,11 @@
 //!   injected [`std::io::ErrorKind`]s, exercising the retry loop and
 //!   the scan-back-to-restorable-generation restore path;
 //! * **workers** — [`FaultInjector::worker_panics`] kills a pool
-//!   worker at a chunk boundary, outside any tenant, exercising the
-//!   fleet-level round abort. Worker-panic faults hash the chunk
-//!   start offset and are therefore the one fault class that *is*
-//!   worker-count-dependent; they are excluded from the worker-count
-//!   determinism contract and from recorded traces.
+//!   worker at the start of a round block, outside any tenant,
+//!   exercising the fleet-level round abort. Blocks have a fixed size,
+//!   so the fault keys on the block's first tenant index and is
+//!   worker-count-independent like every other class; it is excluded
+//!   from recorded traces, which cannot replay an aborted round.
 //!
 //! One fault decision never consumes randomness another decision
 //! depends on — each site mixes its own constant — so enabling one
@@ -73,8 +73,8 @@ pub struct FaultPlan {
     /// restorability tests can fault writes without faulting the
     /// restore they are trying to prove.
     pub restore_io: f64,
-    /// Per chunk-dispatch probability that a worker thread panics at
-    /// the chunk boundary (outside any tenant).
+    /// Per round-block probability that a worker thread panics at the
+    /// start of the block (outside any tenant).
     pub worker_panic: f64,
     /// When set, tenant-scoped faults (plan errors/panics, arrival
     /// corruption) fire only for this tenant — the knob isolation
@@ -230,12 +230,12 @@ impl FaultInjector {
         changed
     }
 
-    /// Does the worker chunk starting at `chunk_start` panic in
-    /// `round`? Worker-count-dependent by construction (see module
-    /// docs); never recorded in traces.
-    pub fn worker_panics(&self, round: u64, chunk_start: usize) -> bool {
+    /// Does the round block starting at tenant `block_start` panic in
+    /// `round`? Blocks are fixed-size, so the answer does not depend on
+    /// the worker count; never recorded in traces.
+    pub fn worker_panics(&self, round: u64, block_start: usize) -> bool {
         self.plan.worker_panic > 0.0
-            && self.roll(SITE_WORKER, round, chunk_start as u64) < self.plan.worker_panic
+            && self.roll(SITE_WORKER, round, block_start as u64) < self.plan.worker_panic
     }
 
     /// Does the `nth` call of `op` on the file tagged `tag` fail, and

@@ -1,16 +1,32 @@
 //! Multi-tenant fleet planning: hundreds of independent [`OnlineScaler`]s
-//! sharded across a persistent worker pool, fed by an event-driven
-//! arrival bus.
+//! planned in one parallel pass per round on a persistent worker pool,
+//! fed by an event-driven arrival bus.
 //!
 //! Each tenant owns its scaler — ring buffer, model and planner — so
 //! tenants never share mutable state. Planning is exact and draws no random
 //! numbers, so a round's output is a pure function of (ingestion history,
-//! round sequence) per tenant. The fleet shards the tenant vector into
-//! contiguous chunks on a [`WorkerPool`] whose threads park between rounds
-//! (no spawn/join on the round's critical path); because chunking depends
-//! only on the worker budget and chunk outputs are collected in chunk
-//! order, the result is **identical for any worker count** by
-//! construction, which the online proptests pin.
+//! round sequence) per tenant.
+//!
+//! ## The round pass
+//!
+//! Everything the fleet keeps about a tenant — its slot (resident scaler
+//! or page receipt), supervision state, residency tier and direct-access
+//! flag — lives in one per-tenant entry. A round splits the entries into
+//! fixed blocks of `BLOCK_TENANTS` tenants, and the threads of a
+//! [`WorkerPool`] (parked between rounds, so no spawn/join on the
+//! critical path) pull blocks from the pool's queue as they free up, so
+//! one slow block does not leave the other threads idle. A block takes
+//! each of its tenants, in order, through the whole round: the supervision
+//! or wake action, drain and ingest, the plan, the supervision update,
+//! and the residency update — idle test, cold entry and the page-out of
+//! a cold resident. Each tenant's result is written in place into the
+//! round's output vector; the calling thread only merges the blocks'
+//! residency counters and events in tenant order. What a block holds is
+//! fixed by the tenant count alone and every decision reads only the
+//! tenant's own state, so the result — plans, supervision, residency
+//! events and pages — is **identical for any worker count** by
+//! construction, which the online proptests pin. `drain_bus` uses the
+//! same blocks.
 //!
 //! ## Ingestion runtime
 //!
@@ -46,14 +62,14 @@
 //! on (the default) or off.
 //!
 //! Deterministic chaos — injected planning errors/panics, arrival
-//! corruption, checkpoint I/O faults — plugs in via
+//! corruption, checkpoint I/O faults, worker-thread panics — plugs in via
 //! [`TenantFleet::set_faults`]; every fault decision and every probe is
 //! a pure function of the [`FaultPlan`] seed and the round
-//! coordinates, pinned by `tests/chaos.rs`. The one exception is
-//! worker-thread panics, which key on chunk offsets and are therefore
-//! worker-count-dependent by construction; they abort the whole round
-//! ([`RoundPanicked`](OnlineError::RoundPanicked)) and must not be
-//! combined with trace recording.
+//! coordinates, pinned by `tests/chaos.rs`. A worker panic keys on the
+//! start of a block and fires before the block touches a tenant; it
+//! aborts the round ([`RoundPanicked`](OnlineError::RoundPanicked)) while
+//! every other block completes, and must not be combined with trace
+//! recording.
 
 use crate::checkpoint::{
     CheckpointIoStats, CheckpointStorage, CheckpointStore, FleetWiring, HibernationStore, Manifest,
@@ -71,6 +87,7 @@ use crate::scaler::{OnlineConfig, OnlineScaler, OnlineStats, ScalerSnapshot};
 use robustscaler_parallel::{available_threads, map_chunks_mut, WorkerPool};
 use robustscaler_scaling::PlanningRound;
 use serde::{Deserialize, Serialize};
+use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
@@ -165,6 +182,15 @@ impl TenantSlot {
             TenantSlot::Paged(paged) => paged.id,
         }
     }
+
+    /// Serving counters: live for a resident tenant, frozen at page-out
+    /// for a paged one.
+    fn stats(&self) -> &OnlineStats {
+        match self {
+            TenantSlot::Resident(tenant) => tenant.scaler.stats(),
+            TenantSlot::Paged(paged) => &paged.stats,
+        }
+    }
 }
 
 /// Everything the fleet remembers about a paged-out tenant: enough to
@@ -225,6 +251,18 @@ pub struct ResidencyStats {
     pub page_out_failures: u64,
     /// Failed page-ins (the tenant stayed paged; retried).
     pub page_in_failures: u64,
+}
+
+impl ResidencyStats {
+    /// Add `other`'s transition counters (not its occupancy) to these.
+    fn add_transitions(&mut self, other: &ResidencyStats) {
+        self.hibernated_total += other.hibernated_total;
+        self.woken_total += other.woken_total;
+        self.page_outs += other.page_outs;
+        self.page_ins += other.page_ins;
+        self.page_out_failures += other.page_out_failures;
+        self.page_in_failures += other.page_in_failures;
+    }
 }
 
 /// Supervision policy for a [`TenantFleet`]. The default is active but
@@ -342,9 +380,9 @@ struct Supervision {
     served_sticky: bool,
 }
 
-/// What the supervisor decided for one tenant *before* the parallel
-/// section — decisions are taken serially so they are deterministic and
-/// identical for any worker count.
+/// What the supervisor or the residency tier decided for one tenant at
+/// the start of its round, from the tenant's own state and the round
+/// coordinates only — so the decision is the same for any worker count.
 enum TenantAction {
     /// Plan normally.
     Normal,
@@ -356,6 +394,391 @@ enum TenantAction {
     Dormant,
     /// Hibernated but triggered: wake (page in if needed), then plan.
     Wake { reason: WakeReason },
+}
+
+/// Tenants per block of the round pass. Blocks are what the pool's
+/// threads pull from its queue: small enough that a slow block (a burst
+/// of refits) leaves no thread idle for long and that a 250-tenant fleet
+/// still spans two blocks, large enough that queueing one costs nothing
+/// next to running it (a 20k-tenant round queues 157). A constant, so what
+/// a block holds never depends on the worker count.
+const BLOCK_TENANTS: usize = 128;
+
+/// One tenant's fleet state, kept together so a round block owns it
+/// outright.
+#[derive(Debug, Clone)]
+struct TenantEntry {
+    /// The scaler, resident or paged out.
+    slot: TenantSlot,
+    /// Supervision state.
+    supervision: Supervision,
+    /// Residency tier (always hot while residency is disabled; only ever
+    /// cold with residency enabled).
+    residency: Residency,
+    /// Touched through `tenant_mut` since the last round (direct access
+    /// blocks cold entry that round).
+    saw_direct: bool,
+}
+
+/// What every block of one round reads: the round's coordinates and the
+/// fleet's settings.
+struct RoundContext<'a> {
+    round: u64,
+    now: f64,
+    covered: &'a [usize],
+    bus: &'a ArrivalBus,
+    faults: Option<FaultInjector>,
+    supervisor: SupervisorConfig,
+    residency: Option<ResidencyConfig>,
+    hibernation: Option<&'a HibernationStore>,
+    config: OnlineConfig,
+    origin: f64,
+    tracing: bool,
+}
+
+/// What one block of a round reports to the caller, which merges the
+/// blocks in tenant order.
+#[derive(Debug, Default)]
+struct BlockOutcome {
+    /// Residency transition counters (the occupancy fields stay 0).
+    counters: ResidencyStats,
+    /// Wakes, in tenant order.
+    wakes: Vec<(u64, ResidencyEvent)>,
+    /// Hibernations, in tenant order.
+    hibernations: Vec<(u64, ResidencyEvent)>,
+    /// Set once every tenant of the block has its result written (a
+    /// worker panic leaves it unset).
+    done: bool,
+}
+
+/// One block of a round: its tenants one by one, in order, each through
+/// [`tenant_step`], each result written to its slot of the round's output.
+/// An injected worker panic fires here, before any tenant is touched.
+fn run_block(
+    ctx: &RoundContext<'_>,
+    start: usize,
+    entries: &mut [TenantEntry],
+    results: &mut [MaybeUninit<Result<PlanningRound, OnlineError>>],
+    outcome: &mut BlockOutcome,
+) {
+    if let Some(injector) = &ctx.faults {
+        if injector.worker_panics(ctx.round, start) {
+            panic!("injected worker panic (round {}, block {start})", ctx.round);
+        }
+    }
+    // One drain buffer per block, reused across its tenants.
+    let mut buf = Vec::new();
+    for (i, (entry, result)) in entries.iter_mut().zip(results).enumerate() {
+        result.write(tenant_step(ctx, start + i, entry, &mut buf, outcome));
+    }
+    outcome.done = true;
+}
+
+/// One tenant's whole round: pick its action, run its round (page-in,
+/// drain, plan), then fold the result into its supervision state and,
+/// with residency on, its residency state — supervision first, because
+/// the idle test reads the health it sets.
+fn tenant_step(
+    ctx: &RoundContext<'_>,
+    index: usize,
+    entry: &mut TenantEntry,
+    buf: &mut Vec<f64>,
+    outcome: &mut BlockOutcome,
+) -> Result<PlanningRound, OnlineError> {
+    let action = entry.action(ctx, index);
+    // The idle test is "the round ingested nothing": capture the counter
+    // before the round moves it.
+    let pre_ingested = entry.slot.stats().arrivals_ingested;
+    let paged_wake =
+        matches!(action, TenantAction::Wake { .. }) && matches!(entry.slot, TenantSlot::Paged(_));
+    let result = entry.run(ctx, index, &action, buf);
+    if paged_wake {
+        // A wake whose slot is resident now paged in; one still paged
+        // failed (and retries next round).
+        match entry.slot {
+            TenantSlot::Resident(_) => outcome.counters.page_ins += 1,
+            TenantSlot::Paged(_) => outcome.counters.page_in_failures += 1,
+        }
+    }
+    entry.supervise(ctx.round, ctx.supervisor, &action, &result);
+    if let Some(rc) = ctx.residency {
+        entry.update_residency(ctx, rc, &action, &result, pre_ingested, outcome);
+    }
+    entry.saw_direct = false;
+    result
+}
+
+impl TenantEntry {
+    fn new(slot: TenantSlot) -> Self {
+        Self {
+            slot,
+            supervision: Supervision::default(),
+            residency: Residency::Hot { idle_streak: 0 },
+            saw_direct: false,
+        }
+    }
+
+    /// The supervision or wake action for this round. A cold tenant wakes
+    /// on a queued arrival or a passed wake time and is otherwise dormant:
+    /// invariantly healthy and unquarantined, so the supervision match
+    /// never applies to it.
+    fn action(&self, ctx: &RoundContext<'_>, index: usize) -> TenantAction {
+        if let Residency::Cold { wake_at, .. } = self.residency {
+            let arrival = ctx.bus.pending_hint(index).unwrap_or(true)
+                && ctx.bus.queued(index).map(|n| n > 0).unwrap_or(true);
+            return if arrival {
+                TenantAction::Wake {
+                    reason: WakeReason::Arrival,
+                }
+            } else if ctx.now >= wake_at {
+                TenantAction::Wake {
+                    reason: WakeReason::Due,
+                }
+            } else {
+                TenantAction::Dormant
+            };
+        }
+        match &self.supervision.quarantine {
+            Some(q) if ctx.round < q.next_probe => TenantAction::Skip {
+                until_round: q.next_probe,
+            },
+            Some(_) => TenantAction::Probe,
+            None => TenantAction::Normal,
+        }
+    }
+
+    /// Run the tenant's round under `action`: dormant tenants are not
+    /// touched at all, a waking paged tenant is paged in first, and the
+    /// rest goes through [`tenant_round`] inside the tenant boundary.
+    fn run(
+        &mut self,
+        ctx: &RoundContext<'_>,
+        index: usize,
+        action: &TenantAction,
+        buf: &mut Vec<f64>,
+    ) -> Result<PlanningRound, OnlineError> {
+        let id = self.slot.id();
+        match action {
+            TenantAction::Dormant => return Err(OnlineError::Hibernated { tenant: id }),
+            TenantAction::Wake { .. } => {
+                if let TenantSlot::Paged(paged) = &self.slot {
+                    // A failed page-in leaves the tenant paged; the wake
+                    // trigger persists, so next round retries.
+                    let scaler = page_in_scaler(
+                        paged,
+                        ctx.config,
+                        ctx.origin,
+                        ctx.hibernation,
+                        ctx.tracing,
+                    )?;
+                    self.slot = TenantSlot::Resident(Box::new(Tenant { id, scaler }));
+                }
+            }
+            _ => {}
+        }
+        let TenantSlot::Resident(tenant) = &mut self.slot else {
+            return Err(OnlineError::Hibernated { tenant: id });
+        };
+        // The tenant boundary: a panicking tenant (injected or real)
+        // poisons only its own slot.
+        catch_unwind(AssertUnwindSafe(|| {
+            tenant_round(
+                tenant,
+                index,
+                ctx.round,
+                ctx.now,
+                ctx.covered[index],
+                ctx.bus,
+                ctx.faults.as_ref(),
+                action,
+                buf,
+            )
+        }))
+        .unwrap_or_else(|payload| {
+            Err(OnlineError::TenantPanicked {
+                tenant: id,
+                message: panic_message(payload),
+            })
+        })
+    }
+
+    /// Fold the round's result into the supervision state: failure
+    /// counting, quarantine entry/exit, probe backoff doubling, last-good
+    /// plan capture.
+    fn supervise(
+        &mut self,
+        round: u64,
+        config: SupervisorConfig,
+        action: &TenantAction,
+        result: &Result<PlanningRound, OnlineError>,
+    ) {
+        let probing = matches!(action, TenantAction::Probe);
+        let skipped = matches!(action, TenantAction::Skip { .. });
+        let sup = &mut self.supervision;
+        sup.served_sticky = false;
+        if probing {
+            sup.probes += 1;
+        }
+        match result {
+            Ok(plan) => {
+                sup.consecutive_failures = 0;
+                if probing {
+                    sup.quarantine = None;
+                    sup.recoveries += 1;
+                    sup.health = TenantHealth::Recovered;
+                } else {
+                    sup.health = TenantHealth::Healthy;
+                }
+                sup.last_good_plan = Some(plan.clone());
+            }
+            // Cold start is not a failure: a tenant still accumulating
+            // its first training window must never be quarantined for
+            // it (and a healthy fleet must behave identically with
+            // supervision on or off).
+            Err(OnlineError::NotTrained) => {
+                sup.health = if probing {
+                    TenantHealth::Probing
+                } else {
+                    TenantHealth::Healthy
+                };
+            }
+            // Hibernation is not a failure: a dormant tenant skipped
+            // its round *because it is healthy and idle* — counting
+            // it toward quarantine would punish quiescence.
+            Err(OnlineError::Hibernated { .. }) => {
+                sup.health = TenantHealth::Hibernated;
+            }
+            // A page-in I/O failure under a wake action is
+            // infrastructure trouble, not the tenant's: it stays
+            // hibernated (and paged), the wake trigger persists, and
+            // next round retries without burning failure budget.
+            Err(OnlineError::Checkpoint { .. }) if matches!(action, TenantAction::Wake { .. }) => {
+                sup.health = TenantHealth::Hibernated;
+            }
+            Err(OnlineError::Quarantined { .. }) if skipped => {
+                sup.health = TenantHealth::Quarantined;
+                if sup.last_good_plan.is_some() {
+                    sup.degraded_rounds += 1;
+                    sup.served_sticky = true;
+                }
+            }
+            Err(e) => {
+                sup.failures += 1;
+                if matches!(e, OnlineError::TenantPanicked { .. }) {
+                    sup.panics += 1;
+                }
+                sup.consecutive_failures += 1;
+                if let Some(mut q) = sup.quarantine {
+                    // A failed probe doubles the backoff, capped.
+                    q.backoff = q.backoff.saturating_mul(2).min(config.max_backoff.max(1));
+                    q.next_probe = round + q.backoff;
+                    sup.quarantine = Some(q);
+                    sup.health = TenantHealth::Probing;
+                } else if sup.consecutive_failures >= config.quarantine_after.max(1) {
+                    let backoff = config.probe_backoff.clamp(1, config.max_backoff.max(1));
+                    sup.quarantine = Some(QuarantineState {
+                        since_round: round,
+                        backoff,
+                        next_probe: round + backoff,
+                    });
+                    sup.health = TenantHealth::Quarantined;
+                } else {
+                    sup.health = TenantHealth::Failing;
+                }
+                if sup.last_good_plan.is_some() {
+                    sup.degraded_rounds += 1;
+                    sup.served_sticky = true;
+                }
+            }
+        }
+    }
+
+    /// Fold the round into the residency state: wake bookkeeping,
+    /// idle-streak counting, cold entry (gated on the forecast via
+    /// [`OnlineScaler::quiescence_horizon`]) and the page-out of a cold
+    /// resident.
+    fn update_residency(
+        &mut self,
+        ctx: &RoundContext<'_>,
+        rc: ResidencyConfig,
+        action: &TenantAction,
+        result: &Result<PlanningRound, OnlineError>,
+        pre_ingested: u64,
+        outcome: &mut BlockOutcome,
+    ) {
+        let id = self.slot.id();
+        // A wake action whose slot is resident now woke this round; one
+        // still paged failed its page-in and stays cold (the trigger
+        // persists, so next round retries).
+        if let TenantAction::Wake { reason } = action {
+            if matches!(self.slot, TenantSlot::Resident(_)) {
+                self.residency = Residency::Hot { idle_streak: 0 };
+                outcome.counters.woken_total += 1;
+                outcome
+                    .wakes
+                    .push((id, ResidencyEvent::Wake { reason: *reason }));
+            }
+        }
+        // Cold entry: a healthy resident tenant that did nothing this
+        // round — ingested no arrivals, was not touched directly, and had
+        // nothing to plan — extends its idle streak; a long enough streak
+        // plus a forecast that expects no work hibernates it. The wake
+        // time comes from the forecast (next active window or refit
+        // deadline), so a hibernated tenant can never sleep through work
+        // its own model predicted.
+        if let (TenantSlot::Resident(tenant), Residency::Hot { idle_streak }) =
+            (&self.slot, self.residency)
+        {
+            let idle = self.supervision.health == TenantHealth::Healthy
+                && matches!(action, TenantAction::Normal)
+                && tenant.scaler.stats().arrivals_ingested == pre_ingested
+                && !self.saw_direct
+                && match result {
+                    Ok(plan) => plan.decisions.is_empty(),
+                    Err(OnlineError::NotTrained) => true,
+                    Err(_) => false,
+                };
+            let streak = if idle { idle_streak + 1 } else { 0 };
+            self.residency = Residency::Hot {
+                idle_streak: streak,
+            };
+            if idle && streak >= rc.cold_after {
+                if let Some(wake_at) = tenant.scaler.quiescence_horizon(ctx.now, rc.idle_epsilon) {
+                    self.residency = Residency::Cold {
+                        wake_at,
+                        since_round: ctx.round,
+                    };
+                    outcome.counters.hibernated_total += 1;
+                    outcome.hibernations.push((id, ResidencyEvent::Hibernate));
+                }
+            }
+        }
+        // Page-out: a cold resident (fresh hibernation, restored cold, or
+        // a previous page-out failure) leaves memory. A failed page-out
+        // keeps the tenant resident — cold but safe — and retries next
+        // round.
+        let Some(store) = ctx.hibernation else {
+            return;
+        };
+        let (TenantSlot::Resident(tenant), Residency::Cold { .. }) = (&self.slot, self.residency)
+        else {
+            return;
+        };
+        let stats = *tenant.scaler.stats();
+        match store.page_out(id, tenant.scaler.snapshot()) {
+            Ok(receipt) => {
+                self.slot = TenantSlot::Paged(PagedTenant {
+                    id,
+                    kind: PageKind::OnDisk {
+                        checksum: receipt.checksum,
+                    },
+                    stats,
+                });
+                outcome.counters.page_outs += 1;
+            }
+            Err(_) => outcome.counters.page_out_failures += 1,
+        }
+    }
 }
 
 /// Render a caught panic payload for error reporting.
@@ -444,9 +867,11 @@ pub struct TenantFleet {
     config: OnlineConfig,
     /// The shared ring origin (every tenant's ring is anchored at it).
     origin: f64,
-    tenants: Vec<TenantSlot>,
+    /// Per-tenant state, indexed by tenant.
+    tenants: Vec<TenantEntry>,
     workers: usize,
-    /// Persistent round workers, parked between rounds.
+    /// Persistent round workers, parked between rounds; as many threads
+    /// as the worker budget.
     pool: Arc<WorkerPool>,
     /// The ingestion runtime: one arrival queue per tenant.
     bus: Arc<ArrivalBus>,
@@ -460,8 +885,6 @@ pub struct TenantFleet {
     supervisor: SupervisorConfig,
     /// The active fault injector, when chaos is enabled.
     faults: Option<FaultInjector>,
-    /// Per-tenant supervision state.
-    supervision: Vec<Supervision>,
     /// Checkpoint I/O counters accumulated across this fleet's checkpoint
     /// and page writes and its restore (retries, generation fallbacks).
     checkpoint_io: CheckpointIoStats,
@@ -470,8 +893,6 @@ pub struct TenantFleet {
     checkpoint_storage: Option<Arc<dyn CheckpointStorage>>,
     /// The residency policy, when activity tiering is enabled.
     residency: Option<ResidencyConfig>,
-    /// Per-tenant residency state (all hot while residency is disabled).
-    residency_state: Vec<Residency>,
     /// The per-tenant page store, when paging is enabled.
     hibernation: Option<HibernationStore>,
     /// Lifetime residency transition counters.
@@ -479,9 +900,6 @@ pub struct TenantFleet {
     /// Whether trace-event capture is on (applied to tenants as they
     /// materialize, so a paged tenant woken mid-recording traces too).
     tracing: bool,
-    /// Per-tenant: touched through `tenant_mut` since the last round
-    /// (direct driver activity blocks cold entry that round).
-    saw_direct: Vec<bool>,
     /// Access-wake events accumulated between rounds, emitted (and
     /// recorded) with the next round's residency events.
     pending_wakes: Vec<(u64, ResidencyEvent)>,
@@ -556,8 +974,9 @@ impl Clone for TenantFleet {
                 .expect("existing queue fits its own capacity");
         }
         let mut tenants = self.tenants.clone();
-        for slot in &mut tenants {
-            if let TenantSlot::Resident(tenant) = slot {
+        for entry in &mut tenants {
+            entry.saw_direct = false;
+            if let TenantSlot::Resident(tenant) = &mut entry.slot {
                 tenant.scaler.set_tracing(false);
                 let _ = tenant.scaler.take_trace_events();
             }
@@ -573,18 +992,15 @@ impl Clone for TenantFleet {
             round_counter: self.round_counter,
             supervisor: self.supervisor,
             faults: self.faults,
-            supervision: self.supervision.clone(),
             checkpoint_io: self.checkpoint_io,
             checkpoint_storage: self.checkpoint_storage.clone(),
             residency: self.residency,
             // The clone shares the hibernation store: its paged tenants'
             // page files live there. Clones that will diverge should be
             // re-pointed with `set_hibernation_dir` after `wake_all`.
-            residency_state: self.residency_state.clone(),
             hibernation: self.hibernation.clone(),
             residency_counters: self.residency_counters,
             tracing: false,
-            saw_direct: vec![false; tenant_count],
             pending_wakes: Vec::new(),
             residency_events: Vec::new(),
         }
@@ -696,7 +1112,7 @@ impl TenantFleet {
         Ok(Self {
             config,
             origin,
-            tenants,
+            tenants: tenants.into_iter().map(TenantEntry::new).collect(),
             workers,
             pool: Arc::new(WorkerPool::new(workers)),
             bus: Arc::new(ArrivalBus::new(tenant_count, bus)?),
@@ -704,15 +1120,12 @@ impl TenantFleet {
             round_counter: 0,
             supervisor: SupervisorConfig::default(),
             faults: None,
-            supervision: (0..tenant_count).map(|_| Supervision::default()).collect(),
             checkpoint_io: CheckpointIoStats::default(),
             checkpoint_storage: None,
             residency: None,
-            residency_state: vec![Residency::Hot { idle_streak: 0 }; tenant_count],
             hibernation: None,
             residency_counters: ResidencyStats::default(),
             tracing: false,
-            saw_direct: vec![false; tenant_count],
             pending_wakes: Vec::new(),
             residency_events: Vec::new(),
         })
@@ -729,8 +1142,8 @@ impl TenantFleet {
         config.validate()?;
         self.residency = Some(config);
         if config.start_cold {
-            for state in &mut self.residency_state {
-                *state = Residency::Cold {
+            for entry in &mut self.tenants {
+                entry.residency = Residency::Cold {
                     wake_at: f64::INFINITY,
                     since_round: 0,
                 };
@@ -773,7 +1186,7 @@ impl TenantFleet {
     /// virgin tenant is built from `(config, origin)`, an on-disk
     /// one is paged in and verified against its receipt.
     fn materialize(&mut self, index: usize) -> Result<(), OnlineError> {
-        let TenantSlot::Paged(paged) = &self.tenants[index] else {
+        let TenantSlot::Paged(paged) = &self.tenants[index].slot else {
             return Ok(());
         };
         let id = paged.id;
@@ -786,7 +1199,7 @@ impl TenantFleet {
         );
         match scaler {
             Ok(scaler) => {
-                self.tenants[index] = TenantSlot::Resident(Box::new(Tenant { id, scaler }));
+                self.tenants[index].slot = TenantSlot::Resident(Box::new(Tenant { id, scaler }));
                 self.residency_counters.page_ins += 1;
                 Ok(())
             }
@@ -801,15 +1214,14 @@ impl TenantFleet {
     /// wake is buffered ([`pending_wakes`](Self::pending_wakes)) and
     /// emitted with the next round's residency events.
     fn wake_for_access(&mut self, index: usize) -> Result<(), OnlineError> {
-        if self.residency.is_none() || matches!(self.residency_state[index], Residency::Hot { .. })
-        {
+        if matches!(self.tenants[index].residency, Residency::Hot { .. }) {
             return Ok(());
         }
         self.materialize(index)?;
-        self.residency_state[index] = Residency::Hot { idle_streak: 0 };
+        self.tenants[index].residency = Residency::Hot { idle_streak: 0 };
         self.residency_counters.woken_total += 1;
         self.pending_wakes.push((
-            self.tenants[index].id(),
+            self.tenants[index].slot.id(),
             ResidencyEvent::Wake {
                 reason: WakeReason::Access,
             },
@@ -825,7 +1237,7 @@ impl TenantFleet {
     pub fn wake_all(&mut self) -> Result<(), OnlineError> {
         for index in 0..self.tenants.len() {
             self.materialize(index)?;
-            self.residency_state[index] = Residency::Hot { idle_streak: 0 };
+            self.tenants[index].residency = Residency::Hot { idle_streak: 0 };
         }
         Ok(())
     }
@@ -833,12 +1245,12 @@ impl TenantFleet {
     /// Residency tier occupancy and lifetime transition counters.
     pub fn residency_stats(&self) -> ResidencyStats {
         let mut stats = self.residency_counters;
-        for (slot, state) in self.tenants.iter().zip(&self.residency_state) {
-            match state {
+        for entry in &self.tenants {
+            match entry.residency {
                 Residency::Hot { .. } => stats.hot += 1,
                 Residency::Cold { .. } => stats.cold += 1,
             }
-            if matches!(slot, TenantSlot::Paged(_)) {
+            if matches!(entry.slot, TenantSlot::Paged(_)) {
                 stats.paged += 1;
             }
         }
@@ -873,12 +1285,14 @@ impl TenantFleet {
         self.workers
     }
 
-    /// Set the worker-thread budget (≥ 1). Plans do not depend on it: it
-    /// only controls how the tenant vector is chunked and how many pool
-    /// threads may execute the chunks.
+    /// Set the worker-thread budget (≥ 1): how many pool threads run a
+    /// round's blocks (and a checkpoint's shards). Plans do not depend on
+    /// it. A budget the pool does not have gets a pool of its own size.
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
-        self.pool.ensure_threads(self.workers);
+        if self.pool.threads() != self.workers {
+            self.pool = Arc::new(WorkerPool::new(self.workers));
+        }
     }
 
     /// Unused; kept only because `perfbench/` calls it; removed by the
@@ -944,7 +1358,7 @@ impl TenantFleet {
     /// for paged-out tenants (reading cannot page one in — use
     /// [`TenantFleet::tenant_mut`] to wake it first).
     pub fn tenant(&self, index: usize) -> Option<&Tenant> {
-        match self.tenants.get(index)? {
+        match &self.tenants.get(index)?.slot {
             TenantSlot::Resident(tenant) => Some(tenant),
             TenantSlot::Paged(_) => None,
         }
@@ -957,8 +1371,9 @@ impl TenantFleet {
         if index >= self.tenants.len() || self.wake_for_access(index).is_err() {
             return None;
         }
-        self.saw_direct[index] = true;
-        match &mut self.tenants[index] {
+        let entry = &mut self.tenants[index];
+        entry.saw_direct = true;
+        match &mut entry.slot {
             TenantSlot::Resident(tenant) => Some(tenant),
             TenantSlot::Paged(_) => None,
         }
@@ -967,10 +1382,10 @@ impl TenantFleet {
     /// Run one planning round for every tenant at time `now`, on the
     /// persistent worker pool.
     ///
-    /// Each worker first drains its tenants' arrival queues (batched, in
-    /// timestamp order, through the ring's bulk append) and then plans —
-    /// drain + plan is one parallel pass, so ingestion work is off the
-    /// caller's thread and amortized across the round workers.
+    /// One parallel pass over fixed tenant blocks (see the module docs):
+    /// each tenant is drained (batched, in timestamp order, through the
+    /// ring's bulk append), planned, supervised and — when residency is on
+    /// — tiered and paged, all off the caller's thread.
     ///
     /// `covered[i]` is tenant `i`'s count of upcoming arrivals already
     /// covered by scheduled/pending/ready instances. The output vector is
@@ -980,81 +1395,20 @@ impl TenantFleet {
     /// warming up, failed refit, ...) yields `Err` *in its own slot* while
     /// every other tenant's plan is returned normally — one bad tenant must
     /// never take down a round for the hundreds sharing the process. The
-    /// outer `Err` is reserved for caller mistakes (wrong `covered` length).
+    /// outer `Err` is reserved for caller mistakes (wrong `covered` length)
+    /// and aborted rounds ([`OnlineError::RoundPanicked`]).
     #[allow(clippy::type_complexity)]
     pub fn run_round(
         &mut self,
         now: f64,
         covered: &[usize],
     ) -> Result<Vec<Result<PlanningRound, OnlineError>>, OnlineError> {
-        if covered.len() != self.tenants.len() {
+        let n = self.tenants.len();
+        if covered.len() != n {
             return Err(OnlineError::InvalidConfig(
                 "covered must have one entry per tenant",
             ));
         }
-        let round = self.round_counter;
-        let residency_on = self.residency.is_some();
-        // Supervision and residency decisions are taken serially, before
-        // the parallel section, so they are a pure function of (round,
-        // per-tenant state) — identical for any worker count. A cold
-        // tenant wakes on a queued arrival or a passed wake time and is
-        // otherwise dormant: invariantly healthy and unquarantined, so
-        // the supervision match below never applies to it.
-        let actions: Vec<TenantAction> = (0..self.tenants.len())
-            .map(|i| {
-                if residency_on {
-                    if let Residency::Cold { wake_at, .. } = self.residency_state[i] {
-                        let arrival = self.bus.pending_hint(i).unwrap_or(true)
-                            && self.bus.queued(i).map(|n| n > 0).unwrap_or(true);
-                        return if arrival {
-                            TenantAction::Wake {
-                                reason: WakeReason::Arrival,
-                            }
-                        } else if now >= wake_at {
-                            TenantAction::Wake {
-                                reason: WakeReason::Due,
-                            }
-                        } else {
-                            TenantAction::Dormant
-                        };
-                    }
-                }
-                match &self.supervision[i].quarantine {
-                    Some(q) if round < q.next_probe => TenantAction::Skip {
-                        until_round: q.next_probe,
-                    },
-                    Some(_) => TenantAction::Probe,
-                    None => TenantAction::Normal,
-                }
-            })
-            .collect();
-        // Residency bookkeeping inputs, captured before the round mutates
-        // anything: each tenant's ingested-arrivals counter (the idle
-        // test is "the round ingested nothing") and which wakes must page
-        // in (to attribute page-in successes/failures afterwards).
-        let (pre_ingested, wake_from_page): (Vec<u64>, Vec<usize>) = if residency_on {
-            let pre = self
-                .tenants
-                .iter()
-                .map(|slot| match slot {
-                    TenantSlot::Resident(tenant) => tenant.scaler.stats().arrivals_ingested,
-                    TenantSlot::Paged(paged) => paged.stats.arrivals_ingested,
-                })
-                .collect();
-            let wakes = self
-                .tenants
-                .iter()
-                .enumerate()
-                .filter(|(i, slot)| {
-                    matches!(actions[*i], TenantAction::Wake { .. })
-                        && matches!(slot, TenantSlot::Paged(_))
-                })
-                .map(|(i, _)| i)
-                .collect();
-            (pre, wakes)
-        } else {
-            (Vec::new(), Vec::new())
-        };
         // Recording: capture everything a replay needs *before* the round
         // mutates it — the between-round scaler events (installs, explicit
         // refits) and the queued arrivals the round is about to drain
@@ -1077,115 +1431,80 @@ impl TenantFleet {
         } else {
             (Vec::new(), Vec::new())
         };
-        let workers = self.workers;
-        let bus: &ArrivalBus = &self.bus;
-        let faults = self.faults;
-        let actions_ref = &actions;
-        let config = self.config;
-        let origin = self.origin;
-        let tracing = self.tracing;
-        let hibernation = self.hibernation.as_ref();
-        // One parallel pass: each worker takes its tenants one by one
-        // through probe refit → drain → ingest → refit → sufficiency
-        // check → exact plan.
-        let round_work = |start: usize, chunk: &mut [TenantSlot]| {
-            // Injected worker-thread death: fires at the chunk boundary,
-            // outside any tenant, so the whole round aborts (see the
-            // module docs — this fault class is worker-count-dependent).
-            if let Some(injector) = &faults {
-                if injector.worker_panics(round, start) {
-                    panic!("injected worker panic (round {round}, chunk {start})");
+        let ctx = RoundContext {
+            round: self.round_counter,
+            now,
+            covered,
+            bus: &self.bus,
+            faults: self.faults,
+            supervisor: self.supervisor,
+            residency: self.residency,
+            hibernation: self.hibernation.as_ref(),
+            config: self.config,
+            origin: self.origin,
+            tracing: self.tracing,
+        };
+        let mut results = Vec::with_capacity(n);
+        let mut blocks: Vec<BlockOutcome> = (0..n.div_ceil(BLOCK_TENANTS))
+            .map(|_| BlockOutcome::default())
+            .collect();
+        // Results are written in place, block by block, into the output's
+        // uninitialized capacity.
+        let pass = catch_unwind(AssertUnwindSafe(|| {
+            self.pool.for_each(
+                self.tenants
+                    .chunks_mut(BLOCK_TENANTS)
+                    .zip(results.spare_capacity_mut()[..n].chunks_mut(BLOCK_TENANTS))
+                    .zip(blocks.iter_mut()),
+                |block, ((entries, slots), outcome)| {
+                    run_block(&ctx, block * BLOCK_TENANTS, entries, slots, outcome)
+                },
+            )
+        }));
+        self.round_counter += 1;
+        // Merge the blocks in tenant order: buffered access wakes first,
+        // then the round's wakes, then its hibernations.
+        let mut residency_events = std::mem::take(&mut self.pending_wakes);
+        for block in &mut blocks {
+            self.residency_counters.add_transitions(&block.counters);
+            residency_events.append(&mut block.wakes);
+        }
+        for block in &mut blocks {
+            residency_events.append(&mut block.hibernations);
+        }
+        // Page write retries count with the checkpoint writes' in the
+        // fleet's I/O stats.
+        if let Some(store) = &self.hibernation {
+            self.checkpoint_io.retries += store.take_retries();
+        }
+        if let Err(payload) = pass {
+            // A panic escaped the tenant boundary (injected worker fault
+            // or pool bug): the round is aborted. Every other block ran
+            // to completion and its tenants' state advanced — their
+            // residency transitions are kept above — but the round
+            // returns no results; the round counter still advanced so
+            // fault schedules and probes stay on time.
+            for (slots, block) in results.spare_capacity_mut()[..n]
+                .chunks_mut(BLOCK_TENANTS)
+                .zip(&blocks)
+            {
+                if block.done {
+                    for slot in slots {
+                        // SAFETY: `done` is set only after the block wrote
+                        // every one of its slots.
+                        unsafe { slot.assume_init_drop() };
+                    }
                 }
             }
-            // One drain buffer per worker chunk, reused across its tenants.
-            let mut buf = Vec::new();
-            chunk
-                .iter_mut()
-                .enumerate()
-                .map(|(i, slot)| {
-                    let index = start + i;
-                    let id = slot.id();
-                    match &actions_ref[index] {
-                        // Dormant tenants are not touched at all — that
-                        // is the whole round-latency win.
-                        TenantAction::Dormant => {
-                            return Err(OnlineError::Hibernated { tenant: id });
-                        }
-                        TenantAction::Wake { .. } => {
-                            if let TenantSlot::Paged(paged) = slot {
-                                match page_in_scaler(paged, config, origin, hibernation, tracing) {
-                                    Ok(scaler) => {
-                                        *slot =
-                                            TenantSlot::Resident(Box::new(Tenant { id, scaler }));
-                                    }
-                                    // A failed page-in leaves the tenant
-                                    // paged; the wake trigger persists,
-                                    // so next round retries.
-                                    Err(e) => return Err(e),
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                    let TenantSlot::Resident(tenant) = slot else {
-                        return Err(OnlineError::Hibernated { tenant: id });
-                    };
-                    // The tenant boundary: a panicking tenant (injected or
-                    // real) poisons only its own slot.
-                    catch_unwind(AssertUnwindSafe(|| {
-                        tenant_round(
-                            tenant,
-                            index,
-                            round,
-                            now,
-                            covered[index],
-                            bus,
-                            faults.as_ref(),
-                            &actions_ref[index],
-                            &mut buf,
-                        )
-                    }))
-                    .unwrap_or_else(|payload| {
-                        Err(OnlineError::TenantPanicked {
-                            tenant: id,
-                            message: panic_message(payload),
-                        })
-                    })
-                })
-                .collect::<Vec<Result<PlanningRound, OnlineError>>>()
-        };
-        let round_outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.pool
-                .map_chunks_mut(&mut self.tenants, workers, round_work)
-        }));
-        let results: Vec<Result<PlanningRound, OnlineError>> = match round_outcome {
-            Ok(per_chunk) => per_chunk.into_iter().flatten().collect(),
-            Err(payload) => {
-                // A panic escaped the tenant boundary (injected worker
-                // fault or pool bug): the round is aborted whole. Tenant
-                // state may be partially advanced — skip residency
-                // bookkeeping and let the caller checkpoint/restore or
-                // retry; the round counter still advances so fault
-                // schedules and probes stay on time.
-                self.round_counter += 1;
-                return Err(OnlineError::RoundPanicked {
-                    message: panic_message(payload),
-                });
-            }
-        };
-        // Attribute the page-ins the parallel section performed: a wake
-        // whose slot is resident now paged in successfully; one still
-        // paged failed (and will retry next round).
-        for &i in &wake_from_page {
-            match &self.tenants[i] {
-                TenantSlot::Resident(_) => self.residency_counters.page_ins += 1,
-                TenantSlot::Paged(_) => self.residency_counters.page_in_failures += 1,
-            }
+            self.residency_events.extend(residency_events);
+            return Err(OnlineError::RoundPanicked {
+                message: panic_message(payload),
+            });
         }
-        self.update_supervision(round, &actions, &results);
-        let residency_events = self.update_residency(round, now, &actions, &results, &pre_ingested);
-        self.saw_direct.fill(false);
-        self.round_counter += 1;
+        // SAFETY: `results` has capacity `n`, and no block panicked, so
+        // every block ran to completion and wrote each of its slots; the
+        // blocks cover `0..n`.
+        unsafe { results.set_len(n) };
         // Detach the recorder while harvesting (the harvest borrows the
         // tenants mutably), then re-attach before propagating any error.
         if let Some(mut recorder) = self.recorder.take() {
@@ -1208,219 +1527,17 @@ impl TenantFleet {
         Ok(results)
     }
 
-    /// Fold one round's actions and results into the residency state:
-    /// wake bookkeeping, idle-streak counting, cold entry (gated on the
-    /// forecast via [`OnlineScaler::quiescence_horizon`]) and the
-    /// page-out sweep. Serial and deterministic; returns the round's
-    /// residency events in emission order (buffered access wakes first,
-    /// then wakes and hibernations in tenant order).
-    fn update_residency(
-        &mut self,
-        round: u64,
-        now: f64,
-        actions: &[TenantAction],
-        results: &[Result<PlanningRound, OnlineError>],
-        pre_ingested: &[u64],
-    ) -> Vec<(u64, ResidencyEvent)> {
-        let Some(rc) = self.residency else {
-            return Vec::new();
-        };
-        let mut events = std::mem::take(&mut self.pending_wakes);
-        // Wake bookkeeping: a wake action whose slot is resident now woke
-        // this round; one still paged failed its page-in and stays cold
-        // (the trigger persists, so next round retries).
-        for (i, action) in actions.iter().enumerate() {
-            if let TenantAction::Wake { reason } = action {
-                if matches!(self.tenants[i], TenantSlot::Resident(_)) {
-                    self.residency_state[i] = Residency::Hot { idle_streak: 0 };
-                    self.residency_counters.woken_total += 1;
-                    events.push((
-                        self.tenants[i].id(),
-                        ResidencyEvent::Wake { reason: *reason },
-                    ));
-                }
-            }
-        }
-        // Cold entry: a healthy resident tenant that did nothing this
-        // round — ingested no arrivals, was not touched directly, and had
-        // nothing to plan — extends its idle streak; a long enough streak
-        // plus a forecast that expects no work hibernates it. The wake
-        // time comes from the forecast (next active window or refit
-        // deadline), so a hibernated tenant can never sleep through work
-        // its own model predicted.
-        for (i, slot) in self.tenants.iter().enumerate() {
-            let TenantSlot::Resident(tenant) = slot else {
-                continue;
-            };
-            let Residency::Hot { idle_streak } = self.residency_state[i] else {
-                continue;
-            };
-            let idle = self.supervision[i].health == TenantHealth::Healthy
-                && matches!(actions[i], TenantAction::Normal)
-                && tenant.scaler.stats().arrivals_ingested == pre_ingested[i]
-                && !self.saw_direct[i]
-                && match &results[i] {
-                    Ok(plan) => plan.decisions.is_empty(),
-                    Err(OnlineError::NotTrained) => true,
-                    Err(_) => false,
-                };
-            let streak = if idle { idle_streak + 1 } else { 0 };
-            self.residency_state[i] = Residency::Hot {
-                idle_streak: streak,
-            };
-            if idle && streak >= rc.cold_after {
-                if let Some(wake_at) = tenant.scaler.quiescence_horizon(now, rc.idle_epsilon) {
-                    self.residency_state[i] = Residency::Cold {
-                        wake_at,
-                        since_round: round,
-                    };
-                    self.residency_counters.hibernated_total += 1;
-                    events.push((tenant.id, ResidencyEvent::Hibernate));
-                }
-            }
-        }
-        // Page-out sweep: every cold resident (fresh hibernations,
-        // restored-cold tenants, previous page-out failures) leaves
-        // memory. A failed page-out keeps the tenant resident — cold but
-        // safe — and retries here next round. Page write retries count
-        // with the checkpoint writes' in the fleet's I/O stats.
-        // (Cloned out of `self` so the loop below can mutate tenant
-        // slots; the store is a path + shared storage handle.)
-        if let Some(store) = self.hibernation.clone() {
-            for i in 0..self.tenants.len() {
-                if !matches!(self.residency_state[i], Residency::Cold { .. }) {
-                    continue;
-                }
-                let TenantSlot::Resident(tenant) = &self.tenants[i] else {
-                    continue;
-                };
-                let id = tenant.id;
-                let stats = *tenant.scaler.stats();
-                match store.page_out(id, tenant.scaler.snapshot()) {
-                    Ok(receipt) => {
-                        self.tenants[i] = TenantSlot::Paged(PagedTenant {
-                            id,
-                            kind: PageKind::OnDisk {
-                                checksum: receipt.checksum,
-                            },
-                            stats,
-                        });
-                        self.residency_counters.page_outs += 1;
-                    }
-                    Err(_) => self.residency_counters.page_out_failures += 1,
-                }
-            }
-            self.checkpoint_io.retries += store.take_retries();
-        }
-        events
-    }
-
     /// Take every resident tenant's buffered trace events (paged tenants
     /// have none, structurally) *without* waking anyone — the replayer's
     /// harvest path, which must not perturb residency.
     pub(crate) fn harvest_trace_events(&mut self) -> Vec<Vec<ScalerEvent>> {
         self.tenants
             .iter_mut()
-            .map(|slot| match slot {
+            .map(|entry| match &mut entry.slot {
                 TenantSlot::Resident(tenant) => tenant.scaler.take_trace_events(),
                 TenantSlot::Paged(_) => Vec::new(),
             })
             .collect()
-    }
-
-    /// Fold one round's results into the per-tenant supervision state:
-    /// failure counting, quarantine entry/exit, probe backoff doubling,
-    /// last-good plan capture. Serial and deterministic.
-    fn update_supervision(
-        &mut self,
-        round: u64,
-        actions: &[TenantAction],
-        results: &[Result<PlanningRound, OnlineError>],
-    ) {
-        let config = self.supervisor;
-        for (i, result) in results.iter().enumerate() {
-            let probing = matches!(actions[i], TenantAction::Probe);
-            let skipped = matches!(actions[i], TenantAction::Skip { .. });
-            let sup = &mut self.supervision[i];
-            sup.served_sticky = false;
-            if probing {
-                sup.probes += 1;
-            }
-            match result {
-                Ok(plan) => {
-                    sup.consecutive_failures = 0;
-                    if probing {
-                        sup.quarantine = None;
-                        sup.recoveries += 1;
-                        sup.health = TenantHealth::Recovered;
-                    } else {
-                        sup.health = TenantHealth::Healthy;
-                    }
-                    sup.last_good_plan = Some(plan.clone());
-                }
-                // Cold start is not a failure: a tenant still accumulating
-                // its first training window must never be quarantined for
-                // it (and a healthy fleet must behave identically with
-                // supervision on or off).
-                Err(OnlineError::NotTrained) => {
-                    sup.health = if probing {
-                        TenantHealth::Probing
-                    } else {
-                        TenantHealth::Healthy
-                    };
-                }
-                // Hibernation is not a failure: a dormant tenant skipped
-                // its round *because it is healthy and idle* — counting
-                // it toward quarantine would punish quiescence.
-                Err(OnlineError::Hibernated { .. }) => {
-                    sup.health = TenantHealth::Hibernated;
-                }
-                // A page-in I/O failure under a wake action is
-                // infrastructure trouble, not the tenant's: it stays
-                // hibernated (and paged), the wake trigger persists, and
-                // next round retries without burning failure budget.
-                Err(OnlineError::Checkpoint { .. })
-                    if matches!(actions[i], TenantAction::Wake { .. }) =>
-                {
-                    sup.health = TenantHealth::Hibernated;
-                }
-                Err(OnlineError::Quarantined { .. }) if skipped => {
-                    sup.health = TenantHealth::Quarantined;
-                    if sup.last_good_plan.is_some() {
-                        sup.degraded_rounds += 1;
-                        sup.served_sticky = true;
-                    }
-                }
-                Err(e) => {
-                    sup.failures += 1;
-                    if matches!(e, OnlineError::TenantPanicked { .. }) {
-                        sup.panics += 1;
-                    }
-                    sup.consecutive_failures += 1;
-                    if let Some(mut q) = sup.quarantine {
-                        // A failed probe doubles the backoff, capped.
-                        q.backoff = q.backoff.saturating_mul(2).min(config.max_backoff.max(1));
-                        q.next_probe = round + q.backoff;
-                        sup.quarantine = Some(q);
-                        sup.health = TenantHealth::Probing;
-                    } else if sup.consecutive_failures >= config.quarantine_after.max(1) {
-                        let backoff = config.probe_backoff.clamp(1, config.max_backoff.max(1));
-                        sup.quarantine = Some(QuarantineState {
-                            since_round: round,
-                            backoff,
-                            next_probe: round + backoff,
-                        });
-                        sup.health = TenantHealth::Quarantined;
-                    } else {
-                        sup.health = TenantHealth::Failing;
-                    }
-                    if sup.last_good_plan.is_some() {
-                        sup.degraded_rounds += 1;
-                        sup.served_sticky = true;
-                    }
-                }
-            }
-        }
     }
 
     /// One supervised planning round: [`TenantFleet::run_round`] plus the
@@ -1441,8 +1558,8 @@ impl TenantFleet {
         let mut quarantined = 0;
         let mut recovered = 0;
         let mut hibernated = 0;
-        for (i, result) in results.into_iter().enumerate() {
-            let sup = &self.supervision[i];
+        for (entry, result) in self.tenants.iter().zip(results) {
+            let sup = &entry.supervision;
             match sup.health {
                 TenantHealth::Quarantined | TenantHealth::Probing => quarantined += 1,
                 TenantHealth::Recovered => recovered += 1,
@@ -1458,7 +1575,7 @@ impl TenantFleet {
                 Err(e) => (None, false, Some(e)),
             };
             outcomes.push(TenantOutcome {
-                tenant: self.tenants[i].id(),
+                tenant: entry.slot.id(),
                 plan,
                 sticky,
                 error,
@@ -1510,13 +1627,15 @@ impl TenantFleet {
 
     /// A tenant's health as of the last round.
     pub fn tenant_health(&self, index: usize) -> Option<TenantHealth> {
-        self.supervision.get(index).map(|sup| sup.health)
+        self.tenants
+            .get(index)
+            .map(|entry| entry.supervision.health)
     }
 
     /// Fleet-wide supervision counters.
     pub fn supervision_stats(&self) -> SupervisionStats {
         let mut total = SupervisionStats::default();
-        for sup in &self.supervision {
+        for sup in self.tenants.iter().map(|entry| &entry.supervision) {
             total.failures += sup.failures;
             total.panics += sup.panics;
             total.probes += sup.probes;
@@ -1555,50 +1674,44 @@ impl TenantFleet {
     }
 
     /// Drain every tenant's arrival queue into its ring *without*
-    /// planning — a parallel ingestion-only pass (flushing before a
-    /// checkpoint, and the `ingest_throughput` bench). Returns the total
-    /// arrivals drained.
+    /// planning — a parallel ingestion-only pass over the round's tenant
+    /// blocks (flushing before a checkpoint, and the `ingest_throughput`
+    /// bench). Returns the total arrivals drained.
     pub fn drain_bus(&mut self) -> Result<u64, OnlineError> {
         let bus: &ArrivalBus = &self.bus;
-        let workers = self.workers;
-        let residency_on = self.residency.is_some();
-        let residency_state: &[Residency] = &self.residency_state;
-        let per_chunk: Vec<Result<Vec<u64>, OnlineError>> =
-            self.pool
-                .map_chunks_mut(&mut self.tenants, workers, |start, chunk| {
-                    let mut buf = Vec::new();
-                    chunk
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(i, slot)| {
-                            let index = start + i;
-                            // Cold tenants keep their arrivals queued: the
-                            // queue *is* their wake trigger, and draining it
-                            // here would need a paged-out scaler anyway. A
-                            // checkpoint still captures queued arrivals, so
-                            // nothing is lost.
-                            if residency_on
-                                && matches!(residency_state[index], Residency::Cold { .. })
-                            {
-                                return Ok(0u64);
-                            }
-                            let TenantSlot::Resident(tenant) = slot else {
-                                return Ok(0u64);
-                            };
-                            let n = bus.drain_into(index, &mut buf)?;
-                            if n > 0 {
-                                tenant.scaler.ingest_batch(&buf);
-                            }
-                            Ok(n as u64)
-                        })
-                        .collect()
-                });
-        Ok(per_chunk
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .flatten()
-            .sum())
+        let mut drained: Vec<Result<u64, OnlineError>> =
+            (0..self.tenants.len().div_ceil(BLOCK_TENANTS))
+                .map(|_| Ok(0))
+                .collect();
+        self.pool.for_each(
+            self.tenants
+                .chunks_mut(BLOCK_TENANTS)
+                .zip(drained.iter_mut()),
+            |block, (entries, total)| {
+                let mut buf = Vec::new();
+                *total = entries
+                    .iter_mut()
+                    .enumerate()
+                    .try_fold(0, |sum, (i, entry)| {
+                        // Cold tenants keep their arrivals queued: the
+                        // queue *is* their wake trigger, and draining it
+                        // here would need a paged-out scaler anyway. A
+                        // checkpoint still captures queued arrivals, so
+                        // nothing is lost.
+                        let (TenantSlot::Resident(tenant), Residency::Hot { .. }) =
+                            (&mut entry.slot, entry.residency)
+                        else {
+                            return Ok(sum);
+                        };
+                        let n = bus.drain_into(block * BLOCK_TENANTS + i, &mut buf)?;
+                        if n > 0 {
+                            tenant.scaler.ingest_batch(&buf);
+                        }
+                        Ok(sum + n as u64)
+                    });
+            },
+        );
+        drained.into_iter().sum()
     }
 
     /// Checkpoint the whole fleet to `dir` with the default shard size
@@ -1635,21 +1748,19 @@ impl TenantFleet {
         // capture instant — arrivals pushed after it belong to the next
         // generation and stay live on the bus.
         let queues = self.bus.checkpoint_queues();
-        let indexed: Vec<(usize, &TenantSlot)> = self.tenants.iter().enumerate().collect();
-        let supervision = &self.supervision;
+        let indexed: Vec<(usize, &TenantEntry)> = self.tenants.iter().enumerate().collect();
         let residency_on = self.residency.is_some();
-        let residency_state: &[Residency] = &self.residency_state;
         let config = self.config;
         let origin = self.origin;
         let hibernation = self.hibernation.as_ref();
         let snapshots: Vec<TenantSnapshot> = self
             .pool
-            .parallel_map(&indexed, self.workers, |&(index, slot)| {
+            .parallel_map(&indexed, self.workers, |&(index, entry)| {
                 // A paged tenant's snapshot comes from its page (or, for a
                 // virgin one, from materializing a fresh scaler): the
                 // checkpoint stays self-contained — restorable without the
                 // hibernation directory.
-                let scaler_snapshot = match slot {
+                let scaler_snapshot = match &entry.slot {
                     TenantSlot::Resident(tenant) => tenant.scaler.snapshot(),
                     TenantSlot::Paged(paged) => match paged.kind {
                         PageKind::Virgin => OnlineScaler::new(config, origin)?.snapshot(),
@@ -1658,10 +1769,10 @@ impl TenantFleet {
                         }
                     },
                 };
-                let mut snapshot = TenantSnapshot::new(slot.id(), scaler_snapshot);
+                let mut snapshot = TenantSnapshot::new(entry.slot.id(), scaler_snapshot);
                 snapshot.queued = queues[index].queued.clone();
                 snapshot.queue = queues[index].stats;
-                let sup = &supervision[index];
+                let sup = &entry.supervision;
                 snapshot.supervision = Some(SupervisionSnapshot {
                     consecutive_failures: sup.consecutive_failures,
                     quarantine: sup.quarantine,
@@ -1673,7 +1784,7 @@ impl TenantFleet {
                     last_good_plan: sup.last_good_plan.clone(),
                 });
                 if residency_on {
-                    snapshot.residency = Some(match residency_state[index] {
+                    snapshot.residency = Some(match entry.residency {
                         Residency::Hot { idle_streak } => ResidencySnapshot {
                             cold: false,
                             idle_streak,
@@ -1686,8 +1797,7 @@ impl TenantFleet {
                         } => ResidencySnapshot {
                             cold: true,
                             idle_streak: 0,
-                            // `None` encodes the unreachable INFINITY wake
-                            // (JSON has no infinities).
+                            // `None` encodes the unreachable INFINITY wake.
                             wake_at: wake_at.is_finite().then_some(wake_at),
                             since_round,
                         },
@@ -1840,7 +1950,7 @@ impl TenantFleet {
         fleet.round_counter = manifest.round;
         for (i, snapshot) in supervision.into_iter().enumerate() {
             let Some(snapshot) = snapshot else { continue };
-            fleet.supervision[i] = Supervision {
+            fleet.tenants[i].supervision = Supervision {
                 consecutive_failures: snapshot.consecutive_failures,
                 quarantine: snapshot.quarantine,
                 health: if snapshot.quarantine.is_some() {
@@ -1866,7 +1976,7 @@ impl TenantFleet {
             fleet.residency = Some(residency);
             for (i, snapshot) in residency_snapshots.into_iter().enumerate() {
                 let Some(snapshot) = snapshot else { continue };
-                fleet.residency_state[i] = if snapshot.cold {
+                fleet.tenants[i].residency = if snapshot.cold {
                     Residency::Cold {
                         wake_at: snapshot.wake_at.unwrap_or(f64::INFINITY),
                         since_round: snapshot.since_round,
@@ -1894,8 +2004,8 @@ impl TenantFleet {
     /// The setting sticks: a paged tenant materialized later inherits it.
     pub fn set_tracing(&mut self, on: bool) {
         self.tracing = on;
-        for slot in &mut self.tenants {
-            if let TenantSlot::Resident(tenant) = slot {
+        for entry in &mut self.tenants {
+            if let TenantSlot::Resident(tenant) = &mut entry.slot {
                 tenant.scaler.set_tracing(on);
             }
         }
@@ -1937,9 +2047,9 @@ impl TenantFleet {
             // paged-out tenant's lives on disk. (A tenant that pages out
             // *during* the recording is fine — residency events capture
             // the transition and replay reproduces it.)
-            if self.tenants.iter().any(|slot| {
+            if self.tenants.iter().any(|entry| {
                 matches!(
-                    slot,
+                    entry.slot,
                     TenantSlot::Paged(PagedTenant {
                         kind: PageKind::OnDisk { .. },
                         ..
@@ -1950,8 +2060,8 @@ impl TenantFleet {
                     "cannot start recording with paged-out tenants; wake the fleet first (wake_all)",
                 ));
             }
-            for (index, slot) in self.tenants.iter().enumerate() {
-                let TenantSlot::Resident(tenant) = slot else {
+            for (index, entry) in self.tenants.iter().enumerate() {
+                let TenantSlot::Resident(tenant) = &entry.slot else {
                     continue;
                 };
                 if let Some(model) = tenant.scaler.model() {
@@ -2008,11 +2118,8 @@ impl TenantFleet {
     /// their counters as frozen at page-out — no page-in needed.
     pub fn aggregate_stats(&self) -> OnlineStats {
         let mut total = OnlineStats::default();
-        for slot in &self.tenants {
-            total.merge(match slot {
-                TenantSlot::Resident(tenant) => tenant.scaler.stats(),
-                TenantSlot::Paged(paged) => &paged.stats,
-            });
+        for entry in &self.tenants {
+            total.merge(entry.slot.stats());
         }
         total
     }

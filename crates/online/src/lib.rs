@@ -16,11 +16,12 @@
 //!   per-arrival path), drift detection against the live forecast,
 //!   rolling NHPP refits through `RobustScalerPipeline::train_on_counts`,
 //!   and per-round plans from the exact planner (`plan_window`);
-//! * [`fleet::TenantFleet`] — hundreds of independent tenants sharded
-//!   across a persistent `robustscaler_parallel::WorkerPool` (threads
-//!   parked between rounds); each round worker drains its tenants'
-//!   queues and then plans, one parallel pass; planning draws no random
-//!   numbers, so fleet output is identical for any worker count; every
+//! * [`fleet::TenantFleet`] — hundreds of independent tenants split into
+//!   fixed-size blocks that the threads of a persistent
+//!   `robustscaler_parallel::WorkerPool` pull as they free up; a block
+//!   drains, plans, supervises and pages its tenants in one parallel
+//!   pass; planning draws no random numbers and blocks do not depend on
+//!   the thread count, so fleet output is identical for any worker count; every
 //!   round that is not skipped plans exactly against the tenant's own
 //!   forecast, with no plan reuse across rounds or tenants;
 //! * [`harness`] — the closed-loop validation harness: replay a trace
@@ -30,7 +31,8 @@
 //!   checkpoint equivalence;
 //! * [`checkpoint`] — durable fleet state: versioned scaler snapshots —
 //!   including each tenant's *undrained arrival queue* — persisted as
-//!   sharded, checksummed, atomically swapped checkpoint files, so a
+//!   sharded, checksummed, atomically swapped checkpoint files in the
+//!   binary payload format of [`codec`], so a
 //!   fleet process can restart mid-burst without losing any tenant's
 //!   training window or queued arrivals — and resume planning
 //!   bit-identically;
@@ -59,6 +61,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod checkpoint;
+pub mod codec;
 pub mod error;
 pub mod faults;
 pub mod fleet;

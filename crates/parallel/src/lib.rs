@@ -11,10 +11,12 @@
 //!   slice plus the chunk's start offset, collecting one output per chunk in
 //!   chunk order (used by the Monte Carlo arrival sampler, where each chunk
 //!   is a block of replication paths with per-path RNG state);
-//! * [`WorkerPool`] — the same two shapes executed on a **persistent** set
-//!   of worker threads that park between calls, for serving loops that fan
-//!   out every round and cannot afford a spawn/join per round (the online
-//!   fleet's drain + plan pass and its checkpoint sharding).
+//! * [`WorkerPool`] — a **persistent** set of worker threads that park
+//!   between calls, for serving loops that fan out every round and cannot
+//!   afford a spawn/join per round: [`WorkerPool::parallel_map`] (the
+//!   online fleet's checkpoint sharding) and [`WorkerPool::for_each`], one
+//!   queued job per item that idle threads pull as they free up (the
+//!   fleet's round pass over fixed-size tenant blocks).
 //!
 //! All helpers run inline (no threads involved) when a single worker would
 //! do, so callers can use them unconditionally. None changes results
@@ -33,7 +35,6 @@
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 thread_local! {
@@ -173,12 +174,18 @@ struct BatchSync {
     done: Condvar,
 }
 
+/// A caught panic payload.
+type Panic = Box<dyn std::any::Any + Send>;
+
 struct BatchState {
     remaining: usize,
-    /// The first panicking job's payload, kept verbatim so the submitting
-    /// call re-raises the *original* panic (message included) instead of a
-    /// generic marker — supervisors above the pool match on the payload.
-    panic: Option<Box<dyn std::any::Any + Send>>,
+    /// The panic of the lowest-indexed panicking job, with that index,
+    /// kept verbatim so the submitting call re-raises the *original* panic
+    /// (message included) instead of a generic marker — supervisors above
+    /// the pool match on the payload. Keyed on the job index rather than
+    /// on completion order, so which panic surfaces does not depend on
+    /// thread timing.
+    panic: Option<(usize, Panic)>,
 }
 
 impl BatchSync {
@@ -192,11 +199,11 @@ impl BatchSync {
         }
     }
 
-    fn complete(&self, panicked: Option<Box<dyn std::any::Any + Send>>) {
+    fn complete(&self, index: usize, panicked: Option<Panic>) {
         let mut state = self.state.lock().expect("pool batch lock poisoned");
         state.remaining -= 1;
         if let Some(payload) = panicked {
-            state.panic.get_or_insert(payload);
+            keep_lowest(&mut state.panic, index, payload);
         }
         if state.remaining == 0 {
             self.done.notify_all();
@@ -204,16 +211,23 @@ impl BatchSync {
     }
 
     /// Block until every job of the batch has run; then propagate the
-    /// first panic (original payload) to the submitter.
+    /// lowest-indexed job's panic (original payload) to the submitter.
     fn wait(&self) {
         let mut state = self.state.lock().expect("pool batch lock poisoned");
         while state.remaining > 0 {
             state = self.done.wait(state).expect("pool batch lock poisoned");
         }
-        if let Some(payload) = state.panic.take() {
+        if let Some((_, payload)) = state.panic.take() {
             drop(state);
             std::panic::resume_unwind(payload);
         }
+    }
+}
+
+/// Keep the panic of the lower-indexed job in `slot`.
+fn keep_lowest(slot: &mut Option<(usize, Panic)>, index: usize, payload: Panic) {
+    if slot.as_ref().is_none_or(|(kept, _)| index < *kept) {
+        *slot = Some((index, payload));
     }
 }
 
@@ -252,26 +266,26 @@ impl<U> Slot<U> {
 /// every call — fine for one-shot sweeps, but a serving loop that fans out
 /// every round pays the spawn/teardown on its critical path each time. A
 /// `WorkerPool` keeps its threads alive and **parked** (condvar wait)
-/// between calls; a round submits its chunk jobs, the workers wake, run
-/// them, and park again.
+/// between calls; a round submits its jobs, the workers wake, run them,
+/// and park again.
 ///
-/// Guarantees, mirroring the free functions exactly:
+/// Guarantees:
 ///
-/// * **Bit-identical outputs.** [`WorkerPool::map_chunks_mut`] and
-///   [`WorkerPool::parallel_map`] use the *same chunking* as the free
-///   functions for a given `(worker budget, item count)` — the number of
-///   pool threads only changes which OS thread runs a chunk, never what the
-///   chunks are or the order outputs are collected in.
+/// * **Bit-identical outputs.** [`WorkerPool::parallel_map`] uses the
+///   *same chunking* as the free function for a given `(worker budget,
+///   item count)`, and [`WorkerPool::for_each`] runs exactly the items it
+///   is given — the number of pool threads only changes which OS thread
+///   runs a job, never what the jobs are or where outputs land.
 /// * **Inline degradation.** A budget of 1 (or nested use inside any of
 ///   this crate's workers) runs inline on the caller, exactly like the free
 ///   functions; a pool built with `threads <= 1` never spawns at all.
 /// * **No oversubscription.** Pool threads mark themselves as workers, so
 ///   nested fan-outs inside a job collapse to inline execution.
-/// * **Panic propagation.** A panicking job poisons only its batch: the
-///   submitting call re-raises the first job's *original* panic payload
-///   after all of the batch's jobs have finished, and the pool stays
-///   usable. Supervisors above the pool (the fleet's round boundary) rely
-///   on the payload surviving verbatim to report what actually died.
+/// * **Panic propagation.** A panicking job poisons only its batch: every
+///   other job of the batch still runs, then the submitting call re-raises
+///   the lowest-indexed panicking job's *original* payload, and the pool
+///   stays usable. Supervisors above the pool (the fleet's round boundary)
+///   rely on the payload surviving verbatim to report what actually died.
 ///
 /// Threads are spawned lazily on first use and joined on [`Drop`]. The pool
 /// is `Sync`: submissions from multiple threads are safe (each batch tracks
@@ -279,15 +293,15 @@ impl<U> Slot<U> {
 /// pool.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
-    /// Desired thread count; threads are spawned lazily up to this target.
-    target: AtomicUsize,
+    /// Thread count; threads are spawned lazily up to it.
+    threads: usize,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
-            .field("target_threads", &self.target.load(Ordering::Relaxed))
+            .field("threads", &self.threads)
             .field(
                 "spawned_threads",
                 &self.handles.lock().map(|h| h.len()).unwrap_or(0),
@@ -309,7 +323,7 @@ impl WorkerPool {
                 }),
                 job_ready: Condvar::new(),
             }),
-            target: AtomicUsize::new(threads),
+            threads,
             handles: Mutex::new(Vec::new()),
         }
     }
@@ -319,27 +333,18 @@ impl WorkerPool {
         Self::new(available_threads())
     }
 
-    /// The pool's thread target (the cap on concurrently executing jobs).
+    /// The pool's thread count (the cap on concurrently executing jobs).
     pub fn threads(&self) -> usize {
-        self.target.load(Ordering::Relaxed)
+        self.threads
     }
 
-    /// Raise the thread target to `threads` (never shrinks — parked
-    /// threads are cheap, and shrinking mid-flight would complicate the
-    /// queue for no caller that exists). Extra threads spawn lazily on the
-    /// next submission.
-    pub fn ensure_threads(&self, threads: usize) {
-        self.target.fetch_max(threads, Ordering::Relaxed);
-    }
-
-    /// Spawn workers up to the current target; returns how many exist.
+    /// Spawn the workers not yet spawned; returns how many exist.
     fn ensure_spawned(&self) -> usize {
-        let target = self.target.load(Ordering::Relaxed);
-        if target <= 1 {
+        if self.threads <= 1 {
             return 0;
         }
         let mut handles = self.handles.lock().expect("pool handle lock poisoned");
-        while handles.len() < target {
+        while handles.len() < self.threads {
             let shared = Arc::clone(&self.shared);
             let index = handles.len();
             let handle = std::thread::Builder::new()
@@ -379,26 +384,34 @@ impl WorkerPool {
 
     /// Run `jobs` to completion, on pool threads when any exist, inline
     /// otherwise. Blocks until every job has finished — this barrier is
-    /// what makes the lifetime erasure of the jobs' borrows sound.
+    /// what makes the lifetime erasure of the jobs' borrows sound. Every
+    /// job runs even when an earlier one panics, in both flavours; the
+    /// lowest-indexed job's panic is then re-raised.
     fn run_batch<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
         if jobs.is_empty() {
             return;
         }
         if self.ensure_spawned() == 0 {
             // Inline flavour: same jobs, same order, caller's thread.
-            for job in jobs {
-                job();
+            let mut panic = None;
+            for (index, job) in jobs.into_iter().enumerate() {
+                if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)) {
+                    keep_lowest(&mut panic, index, payload);
+                }
+            }
+            if let Some((_, payload)) = panic {
+                std::panic::resume_unwind(payload);
             }
             return;
         }
         let batch = Arc::new(BatchSync::new(jobs.len()));
         {
             let mut queue = self.shared.queue.lock().expect("pool queue lock poisoned");
-            for job in jobs {
+            for (index, job) in jobs.into_iter().enumerate() {
                 let batch = Arc::clone(&batch);
                 let wrapped: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).err();
-                    batch.complete(outcome);
+                    batch.complete(index, outcome);
                 });
                 // SAFETY: `wait()` below blocks until every job of this
                 // batch has completed, so all borrows captured in `wrapped`
@@ -413,35 +426,30 @@ impl WorkerPool {
         batch.wait();
     }
 
-    /// [`map_chunks_mut`] on the pool's persistent threads: split `items`
-    /// into at most `max_workers` contiguous chunks, apply
-    /// `f(chunk_start, chunk)` to each, and return the per-chunk outputs in
-    /// chunk order. Chunking — and therefore output — is bit-identical to
-    /// the free function for the same budget and items.
-    pub fn map_chunks_mut<T, U, F>(&self, items: &mut [T], max_workers: usize, f: F) -> Vec<U>
+    /// Run `f(index, item)` for every item of `items`, one job per item
+    /// on the pool's queue, and block until all have run.
+    ///
+    /// Idle pool threads pull the next queued item as soon as they finish
+    /// one, so uneven items balance across the threads instead of leaving
+    /// one idle behind a slow static chunk; a pool of one thread runs the
+    /// items inline, in order. What an item is — and therefore what the
+    /// output is — never depends on the thread count: callers hand in
+    /// fixed-size blocks of their data (with any per-block output slots
+    /// zipped in) and write results in place. Every item runs even when
+    /// another panics; the lowest-indexed item's panic is then re-raised.
+    pub fn for_each<I, F>(&self, items: I, f: F)
     where
-        T: Send,
-        U: Send,
-        F: Fn(usize, &mut [T]) -> U + Sync,
+        I: IntoIterator,
+        I::Item: Send,
+        F: Fn(usize, I::Item) + Sync,
     {
-        let workers = worker_budget(max_workers, items.len());
-        if workers == 1 {
-            return vec![f(0, items)];
-        }
-        let chunk_len = items.len().div_ceil(workers);
-        let chunk_count = items.len().div_ceil(chunk_len);
-        let slots: Vec<Slot<U>> = (0..chunk_count).map(|_| Slot::new()).collect();
         let f = &f;
         let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = items
-            .chunks_mut(chunk_len)
-            .zip(slots.iter())
+            .into_iter()
             .enumerate()
-            .map(|(i, (chunk, slot))| {
-                Box::new(move || slot.put(f(i * chunk_len, chunk))) as Box<dyn FnOnce() + Send + '_>
-            })
+            .map(|(index, item)| Box::new(move || f(index, item)) as Box<dyn FnOnce() + Send + '_>)
             .collect();
         self.run_batch(jobs);
-        slots.into_iter().map(Slot::take).collect()
     }
 
     /// [`parallel_map`] on the pool's persistent threads: apply `f` to
@@ -579,19 +587,6 @@ mod tests {
             let expected = parallel_map(&items, budget, |&x| x * 3 + 1);
             let pooled = pool.parallel_map(&items, budget, |&x| x * 3 + 1);
             assert_eq!(pooled, expected, "budget = {budget}");
-
-            let mut a: Vec<usize> = vec![0; 257];
-            let mut b: Vec<usize> = vec![0; 257];
-            let fill = |start: usize, chunk: &mut [usize]| {
-                for (i, v) in chunk.iter_mut().enumerate() {
-                    *v = start + i;
-                }
-                chunk.len()
-            };
-            let expected = map_chunks_mut(&mut a, budget, fill);
-            let pooled = pool.map_chunks_mut(&mut b, budget, fill);
-            assert_eq!(a, b, "budget = {budget}");
-            assert_eq!(pooled, expected, "budget = {budget}");
         }
     }
 
@@ -600,7 +595,7 @@ mod tests {
         let pool = WorkerPool::new(3);
         let mut items: Vec<u64> = (0..100).collect();
         for round in 0..50u64 {
-            pool.map_chunks_mut(&mut items, 3, |_, chunk| {
+            pool.for_each(items.chunks_mut(7), |_, chunk| {
                 for v in chunk.iter_mut() {
                     *v += 1;
                 }
@@ -659,11 +654,46 @@ mod tests {
     }
 
     #[test]
-    fn ensure_threads_grows_but_never_shrinks() {
-        let pool = WorkerPool::new(2);
-        pool.ensure_threads(4);
-        assert_eq!(pool.threads(), 4);
-        pool.ensure_threads(1);
-        assert_eq!(pool.threads(), 4);
+    fn for_each_visits_every_block_once_for_any_thread_count() {
+        for threads in [1usize, 2, 3, 8] {
+            let pool = WorkerPool::new(threads);
+            let mut items: Vec<usize> = vec![0; 1_000];
+            let mut sums = vec![0usize; 1_000usize.div_ceil(64)];
+            pool.for_each(
+                items.chunks_mut(64).zip(sums.iter_mut()),
+                |block, (chunk, sum)| {
+                    for (i, v) in chunk.iter_mut().enumerate() {
+                        *v = block * 64 + i;
+                    }
+                    *sum = chunk.iter().sum();
+                },
+            );
+            assert!(items.iter().enumerate().all(|(i, &v)| v == i));
+            assert_eq!(sums.iter().sum::<usize>(), (0..1_000).sum::<usize>());
+        }
+    }
+
+    #[test]
+    fn for_each_runs_every_item_and_raises_the_lowest_panic() {
+        // Items 2 and 5 panic: every other item still runs, and the panic
+        // that surfaces is item 2's whatever the thread count.
+        for threads in [1usize, 2, 4] {
+            let pool = WorkerPool::new(threads);
+            let mut done = vec![false; 8];
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.for_each(done.iter_mut(), |index, flag| {
+                    assert!(index != 2 && index != 5, "item {index}");
+                    *flag = true;
+                })
+            }));
+            let payload = result.unwrap_err();
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .expect("panic payload is a string");
+            assert!(message.contains("item 2"), "{message}");
+            let expected: Vec<bool> = (0..8).map(|i| i != 2 && i != 5).collect();
+            assert_eq!(done, expected, "threads = {threads}");
+        }
     }
 }

@@ -19,18 +19,17 @@
 //!   contiguous matrix with the samples of one arrival index stored
 //!   consecutively, so [`ArrivalSampler::arrival_samples`] is a zero-copy
 //!   `&[f64]` slice — the decision rules iterate it without any per-call
-//!   allocation, and growing the horizon appends whole columns in place.
+//!   allocation.
 //! * **Per-path RNG streams.** Each replication path draws its exponential
 //!   increments from its own deterministic stream, split off the caller's
 //!   RNG via a single SplitMix64 jump per path. Sampling is therefore
 //!   embarrassingly parallel *and* byte-identical no matter how many worker
-//!   threads run, and a horizon extension continues exactly the stream a
-//!   full-horizon sampler would have used — `new(h₂)` equals
-//!   `new(h₁)` + [`ArrivalSampler::extend_horizon`]`(h₂)` sample for sample.
+//!   threads run.
 //! * **Monotone inverse cursors.** The cumulative mass within a path never
-//!   decreases, so each path keeps a resumable bucket hint and inverts via
-//!   [`Intensity::inverse_integrated_hinted`] — an O(1) amortized forward
-//!   scan instead of a per-arrival binary search over the intensity buckets.
+//!   decreases, so each path carries a bucket hint while it is sampled and
+//!   inverts via [`Intensity::inverse_integrated_hinted`] — an O(1)
+//!   amortized forward scan instead of a per-arrival binary search over the
+//!   intensity buckets.
 
 use crate::error::ScalingError;
 use rand::rngs::StdRng;
@@ -48,8 +47,7 @@ const SEED_STREAM_INCREMENT: u64 = 0x9E37_79B9_7F4A_7C15;
 /// ~10 ns of RNG plus a log and an inversion step).
 const MIN_SAMPLES_PER_THREAD: usize = 8_192;
 
-/// Per-replication generator state, retained so the horizon can be extended
-/// by continuing each path instead of resampling from scratch.
+/// One replication path's generator state while the sampler is built.
 #[derive(Debug, Clone)]
 struct PathState {
     /// The path's private RNG stream.
@@ -71,7 +69,6 @@ pub struct ArrivalSampler {
     replications: usize,
     horizon: usize,
     now: f64,
-    paths: Vec<PathState>,
 }
 
 impl ArrivalSampler {
@@ -80,7 +77,7 @@ impl ArrivalSampler {
     ///
     /// Only one `u64` is drawn from `rng`: it seeds the per-path streams, so
     /// the samples are fully determined by that draw regardless of thread
-    /// count or later horizon extensions.
+    /// count.
     pub fn new<I, R>(
         intensity: &I,
         now: f64,
@@ -110,7 +107,7 @@ impl ArrivalSampler {
         // the slow path exactly as it would have.
         let mut template_hint = InverseHint::default();
         intensity.inverse_integrated_hinted(now, f64::MIN_POSITIVE, &mut template_hint);
-        let paths = (0..replications)
+        let mut paths: Vec<PathState> = (0..replications)
             .map(|r| PathState {
                 rng: StdRng::seed_from_u64(
                     base_seed.wrapping_add((r as u64).wrapping_mul(SEED_STREAM_INCREMENT)),
@@ -120,100 +117,12 @@ impl ArrivalSampler {
                 hint: template_hint,
             })
             .collect();
-        let mut sampler = Self {
-            data: Vec::new(),
+        Ok(Self {
+            data: sample_matrix(intensity, now, horizon_arrivals, &mut paths),
             replications,
-            horizon: 0,
+            horizon: horizon_arrivals,
             now,
-            paths,
-        };
-        sampler.fill_columns(intensity, horizon_arrivals);
-        Ok(sampler)
-    }
-
-    /// Continue every path up to `new_horizon` upcoming arrivals, reusing
-    /// all previously sampled arrivals (a no-op when the horizon already
-    /// covers `new_horizon`).
-    ///
-    /// `intensity` must be the same forecast the sampler was built from:
-    /// the retained per-path state (cumulative mass, inverse cursors) is
-    /// only meaningful under it. The extension draws nothing from the
-    /// caller's RNG — each path continues its own stream, so
-    /// `new(h₁)` + `extend_horizon(h₂)` produces exactly the samples of a
-    /// direct `new(h₂)` with the same seed.
-    pub fn extend_horizon<I>(&mut self, intensity: &I, new_horizon: usize)
-    where
-        I: Intensity + Sync,
-    {
-        if new_horizon > self.horizon {
-            self.fill_columns(intensity, new_horizon);
-        }
-    }
-
-    /// Sample columns `self.horizon..new_horizon` and append them to the
-    /// matrix, advancing every path's retained state.
-    fn fill_columns<I>(&mut self, intensity: &I, new_horizon: usize)
-    where
-        I: Intensity + Sync + ?Sized,
-    {
-        let first = self.horizon;
-        let count = new_horizon - first;
-        let replications = self.replications;
-        let now = self.now;
-        self.data.resize(new_horizon * replications, 0.0);
-
-        let threads = available_threads_for(replications * count);
-        if threads == 1 {
-            // Serial: write straight into the arrival-major matrix. The
-            // strided stores stay cache-resident because consecutive paths
-            // share each column cacheline and one path touches only
-            // `count` lines (≤ a few KB for realistic horizons).
-            let data = &mut self.data;
-            for (r, path) in self.paths.iter_mut().enumerate() {
-                let mut slot = first * replications + r;
-                sample_row(intensity, now, count, path, |_, t| {
-                    data[slot] = t;
-                    slot += replications;
-                });
-            }
-        } else {
-            // Parallel: workers generate into row-major per-chunk buffers
-            // (each path's new arrivals contiguous) so the expensive part —
-            // RNG, log, inversion — parallelizes without sharing the matrix;
-            // the transpose into arrival-major storage happens on the
-            // calling thread. Per-path RNG streams keep the output identical
-            // for any worker count.
-            let chunks =
-                robustscaler_parallel::map_chunks_mut(&mut self.paths, threads, |_, chunk| {
-                    let mut rows = vec![0.0_f64; chunk.len() * count];
-                    for (i, path) in chunk.iter_mut().enumerate() {
-                        let row = &mut rows[i * count..(i + 1) * count];
-                        sample_row(intensity, now, count, path, |k, t| row[k] = t);
-                    }
-                    rows
-                });
-
-            // Transpose the row-major worker buffers into the arrival-major
-            // matrix in path tiles: within one tile the source rows stay
-            // resident in L1 across all columns, instead of every read
-            // touching a cold cacheline.
-            const TILE_PATHS: usize = 16;
-            let mut r0 = 0;
-            for rows in chunks {
-                let chunk_paths = rows.len() / count;
-                for i0 in (0..chunk_paths).step_by(TILE_PATHS) {
-                    let i1 = (i0 + TILE_PATHS).min(chunk_paths);
-                    for k in 0..count {
-                        let column = &mut self.data[(first + k) * replications..][..replications];
-                        for i in i0..i1 {
-                            column[r0 + i] = rows[i * count + k];
-                        }
-                    }
-                }
-                r0 += chunk_paths;
-            }
-        }
-        self.horizon = new_horizon;
+        })
     }
 
     /// The planning time `t₀`.
@@ -250,13 +159,69 @@ impl ArrivalSampler {
     }
 }
 
+/// Sample `horizon` arrivals on every path into the arrival-major matrix.
+fn sample_matrix<I>(intensity: &I, now: f64, horizon: usize, paths: &mut [PathState]) -> Vec<f64>
+where
+    I: Intensity + Sync + ?Sized,
+{
+    let replications = paths.len();
+    let mut data = vec![0.0; horizon * replications];
+    let threads = available_threads_for(replications * horizon);
+    if threads == 1 {
+        // Serial: write straight into the arrival-major matrix. The
+        // strided stores stay cache-resident because consecutive paths
+        // share each column cacheline and one path touches only
+        // `horizon` lines (≤ a few KB for realistic horizons).
+        for (r, path) in paths.iter_mut().enumerate() {
+            let mut slot = r;
+            sample_row(intensity, now, horizon, path, |_, t| {
+                data[slot] = t;
+                slot += replications;
+            });
+        }
+        return data;
+    }
+    // Parallel: workers generate into row-major per-chunk buffers (each
+    // path's arrivals contiguous) so the expensive part — RNG, log,
+    // inversion — parallelizes without sharing the matrix; the transpose
+    // into arrival-major storage happens on the calling thread. Per-path
+    // RNG streams keep the output identical for any worker count.
+    let chunks = robustscaler_parallel::map_chunks_mut(paths, threads, |_, chunk| {
+        let mut rows = vec![0.0_f64; chunk.len() * horizon];
+        for (i, path) in chunk.iter_mut().enumerate() {
+            let row = &mut rows[i * horizon..(i + 1) * horizon];
+            sample_row(intensity, now, horizon, path, |k, t| row[k] = t);
+        }
+        rows
+    });
+    // Transpose the row-major worker buffers into the arrival-major matrix
+    // in path tiles: within one tile the source rows stay resident in L1
+    // across all columns, instead of every read touching a cold cacheline.
+    const TILE_PATHS: usize = 16;
+    let mut r0 = 0;
+    for rows in chunks {
+        let chunk_paths = rows.len() / horizon;
+        for i0 in (0..chunk_paths).step_by(TILE_PATHS) {
+            let i1 = (i0 + TILE_PATHS).min(chunk_paths);
+            for k in 0..horizon {
+                let column = &mut data[k * replications..][..replications];
+                for i in i0..i1 {
+                    column[r0 + i] = rows[i * horizon + k];
+                }
+            }
+        }
+        r0 += chunk_paths;
+    }
+    data
+}
+
 /// How many worker threads to use for generating `samples` samples.
 fn available_threads_for(samples: usize) -> usize {
     (samples / MIN_SAMPLES_PER_THREAD).clamp(1, robustscaler_parallel::available_threads())
 }
 
-/// Sample one path's next `count` arrivals, continuing its retained state
-/// and handing each `(column, arrival_time)` to `emit`.
+/// Sample one path's next `count` arrivals, advancing its state and
+/// handing each `(column, arrival_time)` to `emit`.
 #[inline]
 fn sample_row<I: Intensity + ?Sized>(
     intensity: &I,
@@ -382,40 +347,6 @@ mod tests {
         let sampler = ArrivalSampler::new(&intensity, 0.0, 50, 50, &mut rng).unwrap();
         let far = sampler.mean_arrival(50).unwrap();
         assert!(far > 1e6);
-    }
-
-    #[test]
-    fn extend_horizon_matches_a_fresh_full_horizon_sampler_exactly() {
-        let intensity =
-            PiecewiseConstantIntensity::new(0.0, 25.0, vec![0.4, 1.5, 0.0, 0.9]).unwrap();
-        let mut rng_a = StdRng::seed_from_u64(7);
-        let mut rng_b = StdRng::seed_from_u64(7);
-        let mut grown = ArrivalSampler::new(&intensity, 5.0, 4, 300, &mut rng_a).unwrap();
-        grown.extend_horizon(&intensity, 11);
-        grown.extend_horizon(&intensity, 30);
-        let fresh = ArrivalSampler::new(&intensity, 5.0, 30, 300, &mut rng_b).unwrap();
-        assert_eq!(grown.horizon_arrivals(), 30);
-        for i in 1..=30 {
-            assert_eq!(
-                grown.arrival_samples(i).unwrap(),
-                fresh.arrival_samples(i).unwrap(),
-                "arrival index {i}"
-            );
-        }
-        // Both samplers drew exactly one u64 from their caller RNGs.
-        assert_eq!(rng_a, rng_b);
-    }
-
-    #[test]
-    fn extend_horizon_to_a_smaller_or_equal_horizon_is_a_no_op() {
-        let intensity = constant_intensity(1.0);
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut sampler = ArrivalSampler::new(&intensity, 0.0, 6, 40, &mut rng).unwrap();
-        let before: Vec<f64> = sampler.arrival_samples(6).unwrap().to_vec();
-        sampler.extend_horizon(&intensity, 6);
-        sampler.extend_horizon(&intensity, 2);
-        assert_eq!(sampler.horizon_arrivals(), 6);
-        assert_eq!(sampler.arrival_samples(6).unwrap(), &before[..]);
     }
 
     #[test]

@@ -21,11 +21,15 @@ use proptest::prelude::*;
 use robustscaler::core::{RobustScalerConfig, RobustScalerVariant};
 use robustscaler::nhpp::NhppModel;
 use robustscaler::online::{
-    replay_path, BusConfig, FaultInjector, FaultPlan, FaultyStorage, FleetRound, OnlineConfig,
-    OnlineError, OsStorage, PolicyBands, ReplayMode, SupervisorConfig, TenantFleet, TenantHealth,
-    TraceRecorder,
+    replay_path, BusConfig, CheckpointStorage, FaultInjector, FaultPlan, FaultyStorage, FleetRound,
+    OnlineConfig, OnlineError, OsStorage, PolicyBands, ReplayMode, ResidencyConfig, ResidencyEvent,
+    ResidencyStats, SupervisionStats, SupervisorConfig, TenantFleet, TenantHealth, TraceRecorder,
 };
-use std::sync::Arc;
+use robustscaler::scaling::PlanningRound;
+use std::collections::{BTreeMap, BTreeSet};
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 fn chaos_config() -> OnlineConfig {
     let mut pipeline =
@@ -767,4 +771,207 @@ fn crash_restore_with_mixed_residency_and_faults_is_bit_identical() {
 
     let _ = std::fs::remove_dir_all(&pages);
     let _ = std::fs::remove_dir_all(&ckpt);
+}
+
+/// Files by path, and the directories that exist.
+type MemTree = (BTreeMap<PathBuf, Vec<u8>>, BTreeSet<PathBuf>);
+
+/// An in-memory [`CheckpointStorage`]: every file a fleet writes — pages
+/// and checkpoints — as bytes under its path.
+#[derive(Debug, Default)]
+struct MemStorage {
+    tree: Mutex<MemTree>,
+}
+
+impl MemStorage {
+    fn files(&self) -> BTreeMap<PathBuf, Vec<u8>> {
+        self.tree.lock().unwrap().0.clone()
+    }
+}
+
+fn missing(path: &Path) -> io::Error {
+    io::Error::new(io::ErrorKind::NotFound, path.display().to_string())
+}
+
+impl CheckpointStorage for MemStorage {
+    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+        let dirs = &mut self.tree.lock().unwrap().1;
+        dirs.extend(path.ancestors().map(Path::to_path_buf));
+        Ok(())
+    }
+
+    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        let files = &mut self.tree.lock().unwrap().0;
+        files.insert(path.to_path_buf(), bytes.to_vec());
+        Ok(())
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        let files = &mut self.tree.lock().unwrap().0;
+        let bytes = files.remove(from).ok_or_else(|| missing(from))?;
+        files.insert(to.to_path_buf(), bytes);
+        Ok(())
+    }
+
+    fn remove_dir_all(&self, path: &Path) -> io::Result<()> {
+        let (files, dirs) = &mut *self.tree.lock().unwrap();
+        files.retain(|file, _| !file.starts_with(path));
+        dirs.retain(|dir| !dir.starts_with(path));
+        Ok(())
+    }
+
+    fn sync_dir(&self, _path: &Path) -> io::Result<()> {
+        Ok(())
+    }
+
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        let files = &self.tree.lock().unwrap().0;
+        files.get(path).cloned().ok_or_else(|| missing(path))
+    }
+
+    fn read_dir_names(&self, path: &Path) -> io::Result<Vec<String>> {
+        let (files, dirs) = &*self.tree.lock().unwrap();
+        if !dirs.contains(path) {
+            return Err(missing(path));
+        }
+        let children = files.keys().chain(dirs.iter());
+        Ok(children
+            .filter(|child| child.parent() == Some(path))
+            .filter_map(|child| Some(child.file_name()?.to_str()?.to_string()))
+            .collect())
+    }
+}
+
+/// Everything one worker-count run of [`block_pass_scenario`] observes.
+#[derive(PartialEq)]
+struct BlockPassRun {
+    #[allow(clippy::type_complexity)]
+    rounds: Vec<Result<Vec<Result<PlanningRound, OnlineError>>, OnlineError>>,
+    residency_events: Vec<Vec<(u64, ResidencyEvent)>>,
+    supervision: Vec<SupervisionStats>,
+    residency: Vec<ResidencyStats>,
+    /// Page files and the final checkpoint's files, by path.
+    files: BTreeMap<PathBuf, Vec<u8>>,
+}
+
+/// A cold-registered fleet spanning three round blocks: every 37th
+/// tenant sees steady bus traffic; every 53rd (offset 1) stays dark but
+/// is touched directly in rounds 3 and 12, so it wakes virgin, hibernates
+/// and pages out, then wakes from its page. Planning errors and panics
+/// hit tenants, worker panics hit whole blocks. Ends with a checkpoint
+/// into the same in-memory storage as the pages.
+fn block_pass_scenario(workers: usize) -> BlockPassRun {
+    const TENANTS: usize = 600;
+    let active = |index: usize| index.is_multiple_of(37);
+    let poked = |index: usize| index % 53 == 1;
+    let storage = Arc::new(MemStorage::default());
+    let mut fleet = TenantFleet::new_cold(
+        &chaos_config(),
+        0.0,
+        TENANTS,
+        0,
+        ResidencyConfig {
+            cold_after: 2,
+            idle_epsilon: 1e-9,
+            start_cold: true,
+        },
+    )
+    .unwrap();
+    fleet.attach_bus(small_bus()).unwrap();
+    fleet.set_workers(workers);
+    fleet.set_checkpoint_storage(Arc::clone(&storage) as Arc<dyn CheckpointStorage>);
+    fleet.set_hibernation_dir("/pages").unwrap();
+    fleet.set_supervisor(SupervisorConfig {
+        quarantine_after: 2,
+        probe_backoff: 1,
+        max_backoff: 4,
+    });
+    fleet.set_faults(FaultPlan {
+        seed: 17,
+        plan_error: 0.08,
+        plan_panic: 0.04,
+        worker_panic: 0.1,
+        ..FaultPlan::default()
+    });
+    let mut run = BlockPassRun {
+        rounds: Vec::new(),
+        residency_events: Vec::new(),
+        supervision: Vec::new(),
+        residency: Vec::new(),
+        files: BTreeMap::new(),
+    };
+    for round in 0..20u64 {
+        if round == 3 || round == 12 {
+            for index in (0..TENANTS).filter(|&i| poked(i)) {
+                assert!(fleet.tenant_mut(index).is_some(), "tenant {index} wakes");
+            }
+        }
+        let (lo, hi) = if round == 0 {
+            (0.0, 400.0)
+        } else {
+            (round_now(round - 1), round_now(round))
+        };
+        for index in (0..TENANTS).filter(|&i| active(i)) {
+            let gap = 4.0 + (index % 7) as f64;
+            let first = (lo / gap).ceil() as usize;
+            for t in (first..).map(|k| k as f64 * gap).take_while(|t| *t < hi) {
+                assert!(fleet.enqueue(index, t).unwrap(), "queue overflow");
+            }
+        }
+        run.rounds
+            .push(fleet.run_round_uniform(round_now(round), 0));
+        run.residency_events.push(fleet.take_residency_events());
+        run.supervision.push(fleet.supervision_stats());
+        run.residency.push(fleet.residency_stats());
+    }
+    fleet.checkpoint("/ckpt").unwrap();
+    run.files = storage.files();
+    run
+}
+
+/// The round pass is one job per fixed block of tenants, so nothing about
+/// a round depends on the worker count — faults included: per-round
+/// results, residency events, supervision and residency counters, page
+/// bytes and the final checkpoint's bytes are identical at 1, 2, 3 and 8
+/// workers, with plan faults and block-keyed worker panics firing.
+#[test]
+fn block_pass_is_identical_for_any_worker_count_with_faults_and_paging() {
+    silence_injected_panics();
+    let reference = block_pass_scenario(1);
+    // The scenario exercises what it claims to.
+    let aborted = reference.rounds.iter().filter(|r| r.is_err()).count();
+    assert!(
+        aborted > 0 && aborted < reference.rounds.len(),
+        "{aborted} aborted rounds"
+    );
+    let last = reference.residency.last().unwrap();
+    assert!(last.page_outs > 0 && last.page_ins > 0, "{last:?}");
+    assert!(reference.supervision.last().unwrap().failures > 0);
+    assert!(reference.files.keys().any(|p| p.starts_with("/pages")));
+    assert!(reference.files.keys().any(|p| p.starts_with("/ckpt")));
+    // `assert!` rather than `assert_eq!`: the values' debug text names
+    // injected panics, which the silenced hook would swallow.
+    for workers in [2usize, 3, 8] {
+        let run = block_pass_scenario(workers);
+        assert!(
+            run.rounds == reference.rounds,
+            "results at {workers} workers"
+        );
+        assert!(
+            run.residency_events == reference.residency_events,
+            "residency events at {workers} workers"
+        );
+        assert!(
+            run.supervision == reference.supervision,
+            "supervision at {workers} workers"
+        );
+        assert!(
+            run.residency == reference.residency,
+            "residency at {workers} workers"
+        );
+        assert!(
+            run.files == reference.files,
+            "page or checkpoint bytes at {workers} workers"
+        );
+    }
 }

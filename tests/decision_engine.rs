@@ -1,10 +1,8 @@
 //! Property tests for the decision engines.
 //!
-//! * The Monte Carlo engine's fast paths — the flat-matrix arrival sampler
-//!   with incremental horizon extension, and the monotone inverse cursor
-//!   over piecewise-constant intensities — must be *exactly* equivalent to
-//!   their straightforward counterparts: same seed, same samples, bit for
-//!   bit.
+//! * The Monte Carlo engine's fast path — the monotone inverse cursor over
+//!   piecewise-constant intensities — must be *exactly* equivalent to its
+//!   straightforward counterpart, bit for bit.
 //! * The exact engine planning runs is checked against Monte Carlo as an
 //!   oracle, one property per rule: over random piecewise intensities
 //!   (zero-rate buckets, zero tail rates), indices, targets and planning
@@ -60,49 +58,6 @@ fn intensity_strategy() -> impl Strategy<Value = PiecewiseConstantIntensity> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Growing a sampler's horizon continues the per-path RNG streams, so
-    /// `new(h1)` + `extend_horizon(h2)` equals a fresh `new(h2)` exactly —
-    /// in particular the first h1 arrival columns (the "identical prefix")
-    /// are untouched by the extension.
-    #[test]
-    fn extended_sampler_equals_fresh_full_horizon_sampler(
-        intensity in intensity_strategy(),
-        seed in 0u64..1_000,
-        h1 in 1usize..12,
-        extra in 1usize..12,
-        replications in 1usize..80,
-        now_offset in -5.0_f64..5.0,
-    ) {
-        let now = intensity.start() + now_offset;
-        let h2 = h1 + extra;
-        let mut rng_grown = StdRng::seed_from_u64(seed);
-        let mut grown =
-            ArrivalSampler::new(&intensity, now, h1, replications, &mut rng_grown).unwrap();
-        let prefix: Vec<Vec<f64>> = (1..=h1)
-            .map(|i| grown.arrival_samples(i).unwrap().to_vec())
-            .collect();
-        grown.extend_horizon(&intensity, h2);
-
-        let mut rng_fresh = StdRng::seed_from_u64(seed);
-        let fresh =
-            ArrivalSampler::new(&intensity, now, h2, replications, &mut rng_fresh).unwrap();
-
-        prop_assert_eq!(grown.horizon_arrivals(), h2);
-        for i in 1..=h2 {
-            prop_assert_eq!(
-                grown.arrival_samples(i).unwrap(),
-                fresh.arrival_samples(i).unwrap(),
-                "arrival column {} differs", i
-            );
-        }
-        // The extension did not disturb the previously sampled prefix.
-        for (i, column) in prefix.iter().enumerate() {
-            prop_assert_eq!(grown.arrival_samples(i + 1).unwrap(), &column[..]);
-        }
-        // Both consumed the same single draw from the caller's RNG.
-        prop_assert_eq!(rng_grown, rng_fresh);
-    }
 
     /// The monotone inverse cursor returns exactly what the stateless
     /// `inverse_integrated` returns, over random intensities with zero-rate

@@ -16,10 +16,11 @@
 use proptest::prelude::*;
 use robustscaler::core::{RobustScalerConfig, RobustScalerVariant};
 use robustscaler::online::{
-    replay_trace, BusConfig, CheckpointStore, MemorySink, OnlineConfig, OnlineError, PolicyBands,
-    RecordedTrace, RefitTrigger, ReplayMode, TenantFleet, TraceRecord, TraceRecorder,
+    codec, replay_trace, BusConfig, CheckpointStore, MemorySink, OnlineConfig, OnlineError,
+    PolicyBands, RecordedTrace, RefitTrigger, ReplayMode, TenantFleet, TraceRecord, TraceRecorder,
     TRACE_FORMAT_VERSION,
 };
+use serde::Value;
 use std::path::{Path, PathBuf};
 
 /// Fresh per-test temp directory (no tempfile crate in the offline build),
@@ -421,6 +422,27 @@ fn with_retired_bus_keys(text: &str) -> String {
     insert_after(&text, "\"drains\":", ",\"spilled\":0")
 }
 
+/// [`with_retired_bus_keys`] for a binary shard's value tree: every
+/// object holding `tenants_per_group` or `drains` gains the retired keys
+/// after its last member.
+fn add_retired_bus_keys(value: &mut Value) {
+    match value {
+        Value::Arr(items) => items.iter_mut().for_each(add_retired_bus_keys),
+        Value::Obj(pairs) => {
+            pairs.iter_mut().for_each(|(_, v)| add_retired_bus_keys(v));
+            if pairs.iter().any(|(k, _)| k == "tenants_per_group") {
+                for key in ["max_capacity_per_tenant", "max_drain_per_round"] {
+                    pairs.push((key.to_string(), Value::UInt(0)));
+                }
+            }
+            if pairs.iter().any(|(k, _)| k == "drains") {
+                pairs.push(("spilled".to_string(), Value::UInt(0)));
+            }
+        }
+        _ => {}
+    }
+}
+
 /// FNV-1a 64, the shard checksum a manifest records.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
@@ -438,11 +460,14 @@ fn retired_bus_and_queue_keys_still_restore_and_replay() {
         let mut manifest = CheckpointStore::new(dir).read_manifest().unwrap();
         for shard in &mut manifest.shards {
             let path = dir.join(&shard.file);
-            let text = with_retired_bus_keys(&std::fs::read_to_string(&path).unwrap());
+            let mut value = codec::decode_value(&std::fs::read(&path).unwrap()).unwrap();
+            add_retired_bus_keys(&mut value);
+            let text = serde_json::value_to_string(&value);
             assert!(text.contains("\"spilled\":0"), "shard {}", shard.file);
-            std::fs::write(&path, &text).unwrap();
-            shard.checksum = format!("{:016x}", fnv1a64(text.as_bytes()));
-            shard.bytes = text.len() as u64;
+            let bytes = codec::encode(&value);
+            std::fs::write(&path, &bytes).unwrap();
+            shard.checksum = format!("{:016x}", fnv1a64(&bytes));
+            shard.bytes = bytes.len() as u64;
         }
         let text = with_retired_bus_keys(&serde_json::to_string(&manifest).unwrap());
         assert!(text.contains("\"max_drain_per_round\":0"));
