@@ -1,6 +1,6 @@
 //! Criterion bench: ADMM training cost as a function of the series length T
 //! and the period length L, plus the banded-Cholesky vs conjugate-gradient
-//! ablation for the r-subproblem (DESIGN.md ablation list).
+//! ablation for the r-subproblem.
 //!
 //! Backs the complexity discussion of paper §V (O(T·L²) per iteration) and
 //! the training-time numbers of §VII-B2.

@@ -8,10 +8,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use robustscaler_bench::montecarlo::{decide, solve_waiting_root, ArrivalSampler, DecisionConfig};
 use robustscaler_nhpp::{ForecastConfig, Forecaster, NhppModel, PiecewiseConstantIntensity};
 use robustscaler_scaling::{
-    decide_exact, solve_waiting_root, ArrivalSampler, DecisionConfig, DecisionRule,
-    PendingTimeModel, PlannerConfig, PlannerState, SequentialPlanner,
+    decide_exact, DecisionRule, PendingTimeModel, PlannerConfig, PlannerState, SequentialPlanner,
 };
 
 /// The three rules at the paper's targets (α = 0.1, 1 s waiting, 2 s idle).
@@ -50,7 +50,7 @@ fn bench_single_decision(c: &mut Criterion) {
             let mut rng = StdRng::seed_from_u64(9);
             b.iter(|| {
                 let sampler = ArrivalSampler::new(&intensity, 0.0, 5, r, &mut rng).unwrap();
-                robustscaler_scaling::decisions::decide(
+                decide(
                     &sampler,
                     3,
                     &DecisionConfig {

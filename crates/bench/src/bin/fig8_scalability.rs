@@ -12,11 +12,11 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use robustscaler_bench::montecarlo::{decide_batch, ArrivalSampler, DecisionConfig};
 use robustscaler_bench::workloads::scale_from_env;
 use robustscaler_nhpp::PiecewiseConstantIntensity;
 use robustscaler_scaling::{
-    decide_batch, ArrivalSampler, DecisionConfig, DecisionRule, PendingTimeModel, PlannerConfig,
-    PlannerState, SequentialPlanner,
+    DecisionRule, PendingTimeModel, PlannerConfig, PlannerState, SequentialPlanner,
 };
 use std::time::Instant;
 

@@ -16,14 +16,14 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use robustscaler_bench::montecarlo::{decide_batch, ArrivalSampler, DecisionConfig};
 use robustscaler_bench::workloads::scale_from_env;
 use robustscaler_core::{
     evaluate_policy, RobustScalerConfig, RobustScalerPipeline, RobustScalerVariant,
 };
 use robustscaler_nhpp::Forecaster;
 use robustscaler_scaling::{
-    decide_batch, decide_exact, ArrivalSampler, DecisionConfig, DecisionRule, PendingTimeModel,
-    PlannerConfig, PlannerState, SequentialPlanner,
+    decide_exact, DecisionRule, PendingTimeModel, PlannerConfig, PlannerState, SequentialPlanner,
 };
 use robustscaler_simulator::{PendingTimeDistribution, SimulationConfig};
 use robustscaler_traces::{simulated_high_qps, ProcessingTimeModel};

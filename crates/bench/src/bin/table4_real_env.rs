@@ -1,10 +1,11 @@
 //! Table IV: RobustScaler-HP in a simulated versus "real" environment.
 //!
-//! The paper deploys on an Alibaba Serverless Kubernetes cluster; per the
-//! substitution documented in DESIGN.md, the "real" environment here is the
-//! same event simulator but with the measured wall-clock latency of every
-//! planning round charged against the schedule (decisions only take effect
-//! after they have been computed). If the two rows are close, the decision
+//! The paper deploys on an Alibaba Serverless Kubernetes cluster, which a
+//! reproduction cannot (see the substitution note of the README's paper →
+//! code index). The "real" environment here is the same event simulator
+//! but with the measured wall-clock latency of every planning round
+//! charged against the schedule (decisions only take effect after they
+//! have been computed). If the two rows are close, the decision
 //! computation is fast enough not to disturb the scaling process — the
 //! paper's conclusion.
 

@@ -1,10 +1,12 @@
 //! Experiment harness reproducing the paper's tables and figures.
 //!
-//! Each table/figure has a dedicated binary in `src/bin/` (see `DESIGN.md`
-//! for the experiment index); this library provides the shared pieces:
-//! scaled-down versions of the three evaluation workloads, Pareto sweep
-//! helpers, and plain-text table printing. The synthetic workloads are
-//! smaller than the originals (see the substitution table in `DESIGN.md`) so
+//! Each table/figure has a dedicated binary in `src/bin/` (indexed by the
+//! README's "Paper artifact" table); this library provides the shared
+//! pieces: scaled-down versions of the three evaluation workloads, Pareto
+//! sweep helpers, plain-text table printing, and the paper's Monte Carlo
+//! decision engine ([`montecarlo`], Algorithm 3) that Table I, Fig. 8 and
+//! the exact engine's oracle tests run. The synthetic workloads are smaller
+//! than the originals (see the substitution note above that table) so
 //! that every experiment runs in minutes on a laptop, while preserving the
 //! qualitative structure — periodicity, noise, spikes and bursts — that the
 //! paper's comparisons rely on.
@@ -12,6 +14,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod montecarlo;
 pub mod sweep;
 pub mod workloads;
 

@@ -31,10 +31,10 @@
 //!   amortized forward scan instead of a per-arrival binary search over the
 //!   intensity buckets.
 
-use crate::error::ScalingError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use robustscaler_nhpp::{Intensity, InverseHint};
+use robustscaler_scaling::ScalingError;
 
 /// Fixed increment of the SplitMix64 sequence; adding multiples of it to the
 /// base seed before the generator's own SplitMix64 expansion hands each path

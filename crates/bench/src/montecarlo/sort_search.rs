@@ -15,7 +15,7 @@
 //! Both roots are found by sorting the breakpoints once and sweeping the
 //! linear pieces, i.e. `O(R log R)` — exactly Algorithm 3's complexity.
 
-use crate::error::ScalingError;
+use robustscaler_scaling::ScalingError;
 
 /// Internal view of the `(ξ_r, τ_r)` Monte Carlo samples. The root solvers
 /// are generic over the storage so the decision path can feed a flat

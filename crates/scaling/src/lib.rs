@@ -16,37 +16,27 @@
 //! The paper solves each rule by Monte Carlo over R sampled arrival paths
 //! (Algorithm 3). Under its NHPP, `Λ(now, ξ_i) ~ Gamma(i, 1)`, so with a
 //! deterministic pending time each rule also has an exact solution, and
-//! planning uses that: [`exact`] computes the three decisions without
-//! sampling, and [`planner`] walks them round by round. The Monte Carlo
-//! engine stays for the paper's accuracy and scalability experiments and as
-//! the exact engine's test oracle: [`arrivals`] samples the i-th upcoming
-//! arrival time from a forecast intensity, [`decisions`] implements the
-//! three rules on those samples and [`sort_search`] implements Algorithm 3.
-//! [`qos`] defines the metrics and [`kappa`] the threshold.
+//! this crate implements only that: [`decisions`] defines the rules and the
+//! decision they produce, [`exact`] computes the three decisions without
+//! sampling, and [`planner`] walks them round by round. [`qos`] defines the
+//! metrics and [`kappa`] the threshold. The Monte Carlo engine lives in the
+//! experiment harness (`robustscaler_bench::montecarlo`), which runs the
+//! paper's accuracy and scalability experiments and serves as the exact
+//! engine's test oracle.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod arrivals;
 pub mod decisions;
 pub mod error;
 pub mod exact;
 pub mod kappa;
 pub mod planner;
 pub mod qos;
-pub mod sort_search;
 
-pub use arrivals::ArrivalSampler;
-pub use decisions::{
-    decide, decide_batch, decide_with, DecisionConfig, DecisionRule, DecisionScratch,
-    ScalingDecision,
-};
+pub use decisions::{DecisionRule, ScalingDecision};
 pub use error::ScalingError;
 pub use exact::{decide_exact, ArrivalLaw};
 pub use kappa::kappa_deterministic_pending;
 pub use planner::{PlannerConfig, PlannerState, PlanningRound, SequentialPlanner};
 pub use qos::{cost, hit, response_time, PendingTimeModel, QosOutcome};
-pub use sort_search::{
-    solve_idle_cost_root, solve_idle_cost_root_flat, solve_idle_cost_root_with, solve_waiting_root,
-    solve_waiting_root_flat, solve_waiting_root_with,
-};

@@ -5,10 +5,9 @@
 //! * special functions (`ln Γ`, regularized incomplete gamma, `erf`) used by
 //!   the Gamma quantiles of Algorithm 4's κ threshold (paper eq. 8),
 //! * parametric distributions (exponential, gamma, Poisson, normal,
-//!   log-normal, Weibull, uniform) with sampling, CDFs and quantiles,
+//!   log-normal, Weibull, uniform) with sampling, CDFs and quantiles, and
 //! * empirical statistics (quantiles, ECDF, descriptive summaries,
-//!   autocorrelation) used by the evaluation harness, and
-//! * small Monte Carlo helpers used by the decision optimizer.
+//!   autocorrelation) used by the evaluation harness.
 //!
 //! Everything is deterministic given an RNG seed so that experiments are
 //! reproducible.
@@ -20,7 +19,6 @@ pub mod descriptive;
 pub mod distributions;
 pub mod ecdf;
 pub mod error;
-pub mod montecarlo;
 pub mod quantile;
 pub mod special;
 
@@ -31,7 +29,6 @@ pub use distributions::{
 };
 pub use ecdf::Ecdf;
 pub use error::StatsError;
-pub use montecarlo::{monte_carlo_mean, MonteCarloEstimate};
 pub use quantile::{
     empirical_quantile, empirical_quantile_sorted, empirical_quantile_unstable, quantiles,
 };

@@ -3,11 +3,12 @@
 //! The paper evaluates on three real-world traces (the proprietary CRS
 //! container-registry trace, the Google cluster trace 2019 and the Alibaba
 //! cluster trace 2018) that cannot be redistributed. Following the
-//! substitution policy documented in `DESIGN.md`, this crate generates
-//! synthetic traces that reproduce the statistical characteristics the
-//! paper's algorithms actually depend on — traffic level, periodic
-//! structure, noise, spikes, bursts and heavy-tailed processing times —
-//! using the NHPP samplers of `robustscaler-nhpp`:
+//! substitution note of the README's paper → code index (above its "Paper
+//! artifact" table), this crate generates synthetic traces that reproduce
+//! the statistical characteristics the paper's algorithms actually depend
+//! on — traffic level, periodic structure, noise, spikes, bursts and
+//! heavy-tailed processing times — using the NHPP samplers of
+//! `robustscaler-nhpp`:
 //!
 //! * [`generators::crs_like`] — 4 weeks, weekly+daily pattern, very low and
 //!   noisy traffic, long processing times (container image builds),
@@ -21,14 +22,12 @@
 //!   of the periodicity-regularization study (Table III).
 //!
 //! [`perturb`] implements the perturbations of §VII-B1/B3 (periodic
-//! delete/add windows, whole-day removal, burst erasure), and [`io`]
-//! serializes traces to JSON for reuse across experiments.
+//! delete/add windows, whole-day removal, burst erasure).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod generators;
-pub mod io;
 pub mod perturb;
 
 pub use generators::{

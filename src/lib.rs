@@ -10,12 +10,12 @@
 //!
 //! | Crate | What it provides |
 //! |---|---|
-//! | [`stats`] | distributions, quantiles, special functions, Monte Carlo |
+//! | [`stats`] | distributions, quantiles, special functions |
 //! | [`linalg`] | banded matrices, banded Cholesky, conjugate gradient, difference operators |
 //! | [`timeseries`] | QPS series, robust filtering, periodicity detection, decomposition |
 //! | [`nhpp`] | the regularized NHPP model, ADMM trainer, forecasting, exact samplers |
 //! | [`parallel`] | std-only scoped-thread chunked parallel map (no crates.io, so no rayon) |
-//! | [`scaling`] | HP/RT/cost-constrained decisions, sort-and-search, κ threshold, sequential planner |
+//! | [`scaling`] | exact HP/RT/cost-constrained decisions, κ threshold, sequential planner |
 //! | [`simulator`] | scaling-per-query event simulator, Backup Pool / AdapBP baselines, metrics |
 //! | [`traces`] | synthetic CRS/Google/Alibaba-like traces and perturbation injectors |
 //! | [`core`] | the end-to-end pipeline and the RobustScaler-HP/-RT/-cost policies |

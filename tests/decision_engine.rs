@@ -16,11 +16,11 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use robustscaler::nhpp::{Intensity, InverseCursor, PiecewiseConstantIntensity};
-use robustscaler::scaling::{
-    decide, decide_exact, decide_with, ArrivalLaw, ArrivalSampler, DecisionConfig, DecisionRule,
-    DecisionScratch, PendingTimeModel,
-};
+use robustscaler::scaling::{decide_exact, ArrivalLaw, DecisionRule, PendingTimeModel};
 use robustscaler::stats::special::gamma_q;
+use robustscaler_bench::montecarlo::{
+    decide, decide_with, ArrivalSampler, DecisionConfig, DecisionScratch,
+};
 
 /// Monte Carlo replications of the oracle.
 const ORACLE_REPLICATIONS: usize = 20_000;

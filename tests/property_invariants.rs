@@ -2,10 +2,11 @@
 //! hold for arbitrary workloads, policies and decision parameters.
 
 use proptest::prelude::*;
-use robustscaler::scaling::{cost, hit, response_time, solve_idle_cost_root, solve_waiting_root};
+use robustscaler::scaling::{cost, hit, response_time};
 use robustscaler::simulator::{
     BackupPool, PendingTimeDistribution, Query, Reactive, SimulationConfig, Simulator, Trace,
 };
+use robustscaler_bench::montecarlo::{solve_idle_cost_root, solve_waiting_root};
 
 /// Strategy: a small random trace with positive inter-arrival gaps.
 fn trace_strategy() -> impl Strategy<Value = Trace> {
