@@ -77,5 +77,42 @@ fn bench_solver_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_series_length, bench_solver_ablation);
+/// The lane kernel against `fit` on the fleet's refit shape: T = 360
+/// buckets, no period, 40 iterations. Every iteration fits the same four
+/// series — `fit` one by one, or `fit_lanes` in groups of 1, 2 or 4 — so
+/// the ids compare directly and a quarter of the time is the cost per fit.
+fn bench_fit_lanes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("admm_fit_lanes");
+    group.sample_size(20);
+    let config = AdmmConfig {
+        max_iterations: 40,
+        ..AdmmConfig::default()
+    };
+    let solvers: Vec<AdmmSolver> = (0..4)
+        .map(|seed| {
+            AdmmSolver::new(synthetic_counts(360, 97, 10 + seed), 60.0, None, config).unwrap()
+        })
+        .collect();
+    group.bench_function("fit", |b| {
+        b.iter(|| solvers.iter().map(|s| s.fit().unwrap()).collect::<Vec<_>>())
+    });
+    for lanes in [1usize, 2, 4] {
+        group.bench_with_input(BenchmarkId::from_parameter(lanes), &lanes, |b, &lanes| {
+            b.iter(|| {
+                solvers
+                    .chunks(lanes)
+                    .flat_map(AdmmSolver::fit_lanes)
+                    .collect::<Vec<_>>()
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_series_length,
+    bench_solver_ablation,
+    bench_fit_lanes
+);
 criterion_main!(benches);

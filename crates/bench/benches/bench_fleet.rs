@@ -6,7 +6,9 @@
 //! serving layer is ≥ 100 tenant-rounds/sec on one core, i.e. ≤ 2.5 s per
 //! round at 250 tenants serially.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use robustscaler_core::{RobustScalerConfig, RobustScalerVariant};
 use robustscaler_nhpp::NhppModel;
 use robustscaler_online::{BusConfig, OnlineConfig, TenantFleet};
@@ -63,9 +65,13 @@ fn bench_fleet_round(c: &mut Criterion) {
     group.finish();
 }
 
+/// The warm fleet's round on every available thread. Each round is timed
+/// on its own and the median reported: a round that refreshes every
+/// tenant's forecast is an outlier the mean would absorb, and 41 rounds
+/// put the median's spread well inside a 30% change.
 fn bench_fleet_round_parallel(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet_round_parallel");
-    group.sample_size(10);
+    group.sample_size(41);
     let workers = available_threads();
     for &tenants in &[250usize, 1_000] {
         group.bench_with_input(
@@ -74,14 +80,103 @@ fn bench_fleet_round_parallel(c: &mut Criterion) {
             |b, &tenants| {
                 let mut fleet = build_fleet(tenants);
                 fleet.set_workers(workers);
-                let mut round = 0u64;
-                b.iter(|| {
-                    let now = 86_400.0 + 10.0 * round as f64;
-                    round += 1;
-                    fleet.run_round_uniform(now, 0).expect("round succeeds")
-                });
+                // One untimed warm-up round, as in `fleet_round_vs_tenants`.
+                fleet.run_round_uniform(86_400.0, 0).expect("warm-up round");
+                let mut round = 1u64;
+                b.iter_batched(
+                    || {
+                        round += 1;
+                        86_400.0 + 10.0 * (round - 1) as f64
+                    },
+                    |now| fleet.run_round_uniform(now, 0).expect("round succeeds"),
+                    BatchSize::SmallInput,
+                );
             },
         );
+    }
+    group.finish();
+}
+
+/// A 1,000-tenant warm fleet with six hours of traffic in every ring
+/// (360 buckets of 60 s, the refit window), in which `due` tenants,
+/// spread across the fleet, are due a scheduled refit in the timed round.
+/// Every tenant's installed model matches its traffic, so no drift refit
+/// fires; the round at `REFIT_ROUND_AT` refits exactly the due tenants.
+fn build_refit_fleet(due: usize) -> TenantFleet {
+    const TENANTS: usize = 1_000;
+    let mut pipeline =
+        RobustScalerConfig::for_variant(RobustScalerVariant::HittingProbability { target: 0.9 });
+    pipeline.planning_interval = 10.0;
+    pipeline.mean_processing = 20.0;
+    pipeline.admm.max_iterations = 40;
+    let mut config = OnlineConfig::new(pipeline);
+    config.window_buckets = 360;
+    config.min_training_buckets = 60;
+    let mut fleet = TenantFleet::new(&config, 0.0, TENANTS).expect("valid fleet");
+    fleet.set_workers(available_threads());
+    let mut rng = StdRng::seed_from_u64(29);
+    let stride = TENANTS / due.max(1);
+    for index in 0..TENANTS {
+        let rate = 0.05 + 0.45 * (index % 17) as f64 / 16.0;
+        let mut arrivals = Vec::new();
+        let mut t = 0.0;
+        loop {
+            t += -(1.0 - rng.gen::<f64>()).ln() / rate;
+            if t >= REFIT_ROUND_AT {
+                break;
+            }
+            arrivals.push(t);
+        }
+        let model =
+            NhppModel::from_log_rates(0.0, 60.0, vec![rate.ln(); 360], None).expect("model");
+        let is_due = due > 0 && index % stride == 0 && index / stride < due;
+        let installed_at = if is_due {
+            REFIT_ROUND_AT - config.refit_interval
+        } else {
+            REFIT_ROUND_AT - 60.0
+        };
+        let scaler = &mut fleet.tenant_mut(index).expect("index in range").scaler;
+        scaler.ingest_batch(&arrivals);
+        scaler.install_model(model, installed_at).expect("install");
+    }
+    // One untimed warm-up round fills the forecast caches and planners;
+    // nobody is due yet.
+    fleet
+        .run_round_uniform(REFIT_ROUND_AT - 10.0, 0)
+        .expect("warm-up round");
+    fleet
+}
+
+/// When `build_refit_fleet`'s due tenants are due.
+const REFIT_ROUND_AT: f64 = 21_600.0;
+
+/// The fleet round with 0, 8 or 64 scheduled refits among 1,000 warm
+/// tenants: the refit pass's cost on top of a plain round. Each timed
+/// round runs on a fresh clone of the prepared fleet (the clone is not
+/// timed), so every sample refits the same tenants.
+fn bench_fleet_round_refits(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fleet_round_refits");
+    group.sample_size(21);
+    for &due in &[0usize, 8, 64] {
+        let fleet = build_refit_fleet(due);
+        let mut probe = fleet.clone();
+        let before = probe.aggregate_stats().refits;
+        probe
+            .run_round_uniform(REFIT_ROUND_AT, 0)
+            .expect("round succeeds");
+        assert_eq!(probe.aggregate_stats().refits - before, due as u64);
+        drop(probe);
+        group.bench_with_input(BenchmarkId::from_parameter(due), &due, |b, _| {
+            b.iter_batched(
+                || fleet.clone(),
+                // The fleet is handed back so that dropping it is not timed.
+                |mut fleet| {
+                    let round = fleet.run_round_uniform(REFIT_ROUND_AT, 0);
+                    (round.expect("round succeeds"), fleet)
+                },
+                BatchSize::LargeInput,
+            );
+        });
     }
     group.finish();
 }
@@ -261,6 +356,7 @@ criterion_group!(
     benches,
     bench_fleet_round,
     bench_fleet_round_parallel,
+    bench_fleet_round_refits,
     bench_ingest_throughput,
     bench_fleet_checkpoint,
     bench_fleet_hibernation

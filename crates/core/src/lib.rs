@@ -30,6 +30,6 @@ pub mod variants;
 pub use config::RobustScalerConfig;
 pub use error::CoreError;
 pub use evaluation::{evaluate_policy, relative_cost, EvaluationResult};
-pub use pipeline::{RobustScalerPipeline, TrainedModel};
+pub use pipeline::{RobustScalerPipeline, TrainedModel, TrainingInput};
 pub use policy::RobustScalerPolicy;
 pub use variants::{cost_target_idle, hp_alpha, rt_target_waiting, rule_kind, RobustScalerVariant};

@@ -27,6 +27,41 @@ impl TrainedModel {
     }
 }
 
+/// A validated count series with its detected periodicity: what module 2
+/// fits ([`RobustScalerPipeline::detect`] builds it).
+#[derive(Debug, Clone)]
+pub struct TrainingInput {
+    counts: TimeSeries,
+    periodicity: Option<PeriodicityResult>,
+    usable_period: Option<usize>,
+}
+
+impl TrainingInput {
+    /// Number of buckets the fit covers.
+    pub fn len(&self) -> usize {
+        self.counts.len()
+    }
+
+    /// Whether the series is empty (never true once detected).
+    pub fn is_empty(&self) -> bool {
+        self.counts.is_empty()
+    }
+
+    /// The period the fit regularizes with: detected, and observed for at
+    /// least two full cycles.
+    pub fn usable_period(&self) -> Option<usize> {
+        self.usable_period
+    }
+
+    fn trained(self, model: NhppModel) -> TrainedModel {
+        TrainedModel {
+            model,
+            periodicity: self.periodicity,
+            counts: self.counts,
+        }
+    }
+}
+
 /// The RobustScaler training pipeline.
 #[derive(Debug, Clone)]
 pub struct RobustScalerPipeline {
@@ -79,7 +114,19 @@ impl RobustScalerPipeline {
     /// series' bucket width must match the configured `bucket_width`.
     /// Takes the series by value — it is moved into the returned
     /// [`TrainedModel`] without a copy.
+    ///
+    /// The two halves are public for callers that fit many series at
+    /// once: [`RobustScalerPipeline::detect`] (validation and module 1)
+    /// and [`RobustScalerPipeline::fit`] or
+    /// [`RobustScalerPipeline::fit_lanes`] (module 2).
     pub fn train_on_counts(&self, counts: TimeSeries) -> Result<TrainedModel, CoreError> {
+        let input = self.detect(counts)?;
+        self.fit(input)
+    }
+
+    /// Validate a count series and detect its periodicity (module 1): the
+    /// first half of [`RobustScalerPipeline::train_on_counts`].
+    pub fn detect(&self, counts: TimeSeries) -> Result<TrainingInput, CoreError> {
         if (counts.bucket_width() - self.config.bucket_width).abs() > 1e-9 {
             return Err(CoreError::InvalidTrainingData(
                 "count series bucket width differs from the configured bucket_width",
@@ -119,14 +166,34 @@ impl RobustScalerPipeline {
             .map(|r| r.period)
             .filter(|&p| p >= 2 && counts.len() >= 2 * p);
 
-        // Module 2: fit the regularized NHPP with ADMM.
-        let model = NhppModel::fit(&counts, usable_period, self.config.admm)?;
-
-        Ok(TrainedModel {
-            model,
-            periodicity,
+        Ok(TrainingInput {
             counts,
+            periodicity,
+            usable_period,
         })
+    }
+
+    /// Fit the regularized NHPP with ADMM (module 2): the second half of
+    /// [`RobustScalerPipeline::train_on_counts`].
+    pub fn fit(&self, input: TrainingInput) -> Result<TrainedModel, CoreError> {
+        let model = NhppModel::fit(&input.counts, input.usable_period, self.config.admm)?;
+        Ok(input.trained(model))
+    }
+
+    /// [`RobustScalerPipeline::fit`] for every input, in order, each
+    /// result identical to `fit`'s; fits of one period and similar length
+    /// share the ADMM lane kernel ([`NhppModel::fit_lanes`]).
+    pub fn fit_lanes(&self, inputs: Vec<TrainingInput>) -> Vec<Result<TrainedModel, CoreError>> {
+        let series: Vec<(&TimeSeries, Option<usize>)> = inputs
+            .iter()
+            .map(|input| (&input.counts, input.usable_period))
+            .collect();
+        let models = NhppModel::fit_lanes(&series, self.config.admm);
+        inputs
+            .into_iter()
+            .zip(models)
+            .map(|(input, model)| Ok(input.trained(model?)))
+            .collect()
     }
 
     /// Train and wrap the result into a simulator-ready policy

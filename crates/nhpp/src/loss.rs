@@ -2,9 +2,8 @@
 //!
 //! `loss(r) = −Qᵀr + Δt·1ᵀeʳ + β₁‖D₂r‖₁ + (β₂/2)‖D_L r‖₂²`
 //!
-//! The loss value and (sub)gradient are exposed so tests can verify the ADMM
-//! solution's optimality and so the ablation benches can compare against a
-//! plain proximal-gradient baseline.
+//! The loss value is exposed so the ADMM trainer can report it and tests
+//! can verify the solution's optimality.
 
 use crate::error::NhppError;
 use robustscaler_linalg::{DifferenceOperator, ForwardDifference, SecondDifference};
@@ -135,42 +134,6 @@ impl RegularizedLoss {
     pub fn value(&self, r: &[f64]) -> f64 {
         self.smooth_value(r) + self.l1_value(r)
     }
-
-    /// Gradient of the smooth part.
-    pub fn smooth_gradient(&self, r: &[f64]) -> Vec<f64> {
-        let dt = self.config.bucket_width;
-        let mut grad: Vec<f64> = self
-            .counts
-            .iter()
-            .zip(r.iter())
-            .map(|(q, &ri)| -q + dt * ri.exp())
-            .collect();
-        if let Some(dl) = &self.dl {
-            let z = dl.apply(r).expect("dimension fixed at construction");
-            let back = dl
-                .apply_transpose(&z)
-                .expect("dimension fixed at construction");
-            for (g, b) in grad.iter_mut().zip(back.iter()) {
-                *g += self.config.beta2 * b;
-            }
-        }
-        grad
-    }
-
-    /// A subgradient of the full loss (using `sign(0) = 0` for the ℓ1 term).
-    pub fn subgradient(&self, r: &[f64]) -> Vec<f64> {
-        let mut grad = self.smooth_gradient(r);
-        let y = self.d2.apply(r).expect("dimension fixed at construction");
-        let signs: Vec<f64> = y.iter().map(|v| v.signum()).collect();
-        let back = self
-            .d2
-            .apply_transpose(&signs)
-            .expect("dimension fixed at construction");
-        for (g, b) in grad.iter_mut().zip(back.iter()) {
-            *g += self.config.beta1 * b;
-        }
-        grad
-    }
 }
 
 #[cfg(test)]
@@ -216,10 +179,6 @@ mod tests {
         let counts = vec![4.0, 10.0, 1.0];
         let loss = RegularizedLoss::new(counts.clone(), config(0.0, 0.0, None)).unwrap();
         let optimum: Vec<f64> = counts.iter().map(|q| (q / 2.0).ln()).collect();
-        let grad = loss.smooth_gradient(&optimum);
-        for g in grad {
-            assert!(g.abs() < 1e-10);
-        }
         // Perturbations increase the loss.
         let base = loss.value(&optimum);
         for i in 0..counts.len() {
@@ -228,50 +187,6 @@ mod tests {
             assert!(loss.value(&r) > base);
             r[i] -= 0.2;
             assert!(loss.value(&r) > base);
-        }
-    }
-
-    #[test]
-    fn gradient_matches_finite_differences() {
-        let counts = vec![3.0, 0.0, 5.0, 2.0, 8.0, 1.0];
-        let loss = RegularizedLoss::new(counts, config(0.0, 0.7, Some(2))).unwrap();
-        let r: Vec<f64> = (0..6).map(|i| 0.3 * (i as f64) - 1.0).collect();
-        let grad = loss.smooth_gradient(&r);
-        let eps = 1e-6;
-        for i in 0..r.len() {
-            let mut plus = r.clone();
-            plus[i] += eps;
-            let mut minus = r.clone();
-            minus[i] -= eps;
-            let fd = (loss.smooth_value(&plus) - loss.smooth_value(&minus)) / (2.0 * eps);
-            assert!(
-                (grad[i] - fd).abs() < 1e-5,
-                "i={i}: analytic {} vs fd {fd}",
-                grad[i]
-            );
-        }
-    }
-
-    #[test]
-    fn subgradient_matches_finite_differences_away_from_kinks() {
-        let counts = vec![3.0, 1.0, 5.0, 2.0, 8.0, 1.0, 4.0];
-        let loss = RegularizedLoss::new(counts, config(0.5, 0.3, Some(3))).unwrap();
-        // A strictly convex-position r whose second differences are nonzero,
-        // so the ℓ1 term is differentiable there.
-        let r: Vec<f64> = (0..7).map(|i| ((i * i) as f64) * 0.05).collect();
-        let grad = loss.subgradient(&r);
-        let eps = 1e-6;
-        for i in 0..r.len() {
-            let mut plus = r.clone();
-            plus[i] += eps;
-            let mut minus = r.clone();
-            minus[i] -= eps;
-            let fd = (loss.value(&plus) - loss.value(&minus)) / (2.0 * eps);
-            assert!(
-                (grad[i] - fd).abs() < 1e-4,
-                "i={i}: analytic {} vs fd {fd}",
-                grad[i]
-            );
         }
     }
 

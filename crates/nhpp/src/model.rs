@@ -36,16 +36,61 @@ impl NhppModel {
         period: Option<usize>,
         config: AdmmConfig,
     ) -> Result<Self, NhppError> {
-        let values = counts.values_filled(0.0);
-        let solver = AdmmSolver::new(values, counts.bucket_width(), period, config)?;
+        let solver = Self::solver(counts, period, config)?;
         let (log_rates, report) = solver.fit()?;
-        Ok(Self {
+        Ok(Self::fitted(counts, period, log_rates, report))
+    }
+
+    /// Fit one model per `(counts, period)` pair, in order, each identical
+    /// to [`NhppModel::fit`] on the same input; compatible fits share the
+    /// ADMM lane kernel ([`AdmmSolver::fit_lanes`]).
+    pub fn fit_lanes(
+        series: &[(&TimeSeries, Option<usize>)],
+        config: AdmmConfig,
+    ) -> Vec<Result<Self, NhppError>> {
+        let mut ready = Vec::with_capacity(series.len());
+        let built: Vec<Result<(), NhppError>> = series
+            .iter()
+            .map(|&(counts, period)| Self::solver(counts, period, config).map(|s| ready.push(s)))
+            .collect();
+        let mut fitted = AdmmSolver::fit_lanes(&ready).into_iter();
+        series
+            .iter()
+            .zip(built)
+            .map(|(&(counts, period), built)| {
+                built?;
+                let (log_rates, report) = fitted.next().expect("one fit per solver")?;
+                Ok(Self::fitted(counts, period, log_rates, report))
+            })
+            .collect()
+    }
+
+    fn solver(
+        counts: &TimeSeries,
+        period: Option<usize>,
+        config: AdmmConfig,
+    ) -> Result<AdmmSolver, NhppError> {
+        AdmmSolver::new(
+            counts.values_filled(0.0),
+            counts.bucket_width(),
+            period,
+            config,
+        )
+    }
+
+    fn fitted(
+        counts: &TimeSeries,
+        period: Option<usize>,
+        log_rates: Vec<f64>,
+        report: AdmmReport,
+    ) -> Self {
+        Self {
             start: counts.start(),
             bucket_width: counts.bucket_width(),
             log_rates,
             period,
             report,
-        })
+        }
     }
 
     /// Construct a model directly from known log-intensities (used by tests

@@ -28,6 +28,24 @@
 //! construction, which the online proptests pin. `drain_bus` uses the
 //! same blocks.
 //!
+//! ## The refit pass
+//!
+//! A tenant whose refit fires stops in the block pass after the refit
+//! decision and its periodicity detection, and waits for a second pool
+//! pass. That pass groups the waiting tenants in tenant order, up to
+//! [`MAX_LANES`] per group, each joining the first open group whose fits
+//! share its period and are within an eighth of its length (fits off the
+//! banded path, periods over 96 buckets, get a group of their own), and
+//! fits each group's models together in the ADMM lane kernel
+//! ([`robustscaler_nhpp::AdmmSolver::fit_lanes`]).
+//! Then it finishes each tenant's round in its usual order: model install,
+//! forecast refresh and plan inside the tenant boundary, then supervision
+//! and residency. Every lane is bit-identical to a lone fit, so the
+//! grouping — which spreads the refits over at least as many groups as
+//! there are workers — changes no result, only how many fits share a
+//! latency chain. `OnlineScaler::plan_round` outside a fleet refits
+//! alone, through `AdmmSolver::fit`.
+//!
 //! ## Ingestion runtime
 //!
 //! Every fleet owns an [`ArrivalBus`] (reshaped with
@@ -80,10 +98,12 @@ use crate::error::OnlineError;
 use crate::faults::{FaultInjector, FaultPlan, PlanFault};
 use crate::ingest::{ArrivalBus, BusConfig, QueueStats};
 use crate::replay::{
-    model_fingerprint, QosRecord, ResidencyEvent, ScalerEvent, SessionKind, TraceHeader,
-    TraceRecord, TraceRecorder, TraceSummary, WakeReason, TRACE_FORMAT_VERSION,
+    model_fingerprint, QosRecord, RefitTrigger, ResidencyEvent, ScalerEvent, SessionKind,
+    TraceHeader, TraceRecord, TraceRecorder, TraceSummary, WakeReason, TRACE_FORMAT_VERSION,
 };
 use crate::scaler::{OnlineConfig, OnlineScaler, OnlineStats, ScalerSnapshot};
+use robustscaler_core::{TrainedModel, TrainingInput};
+use robustscaler_nhpp::admm::MAX_LANES;
 use robustscaler_parallel::{available_threads, map_chunks_mut, WorkerPool};
 use robustscaler_scaling::PlanningRound;
 use serde::{Deserialize, Serialize};
@@ -436,19 +456,44 @@ struct RoundContext<'a> {
     tracing: bool,
 }
 
-/// What one block of a round reports to the caller, which merges the
-/// blocks in tenant order.
-#[derive(Debug, Default)]
+/// What one block of a round, or one group of its refit pass, reports to
+/// the caller, which merges them in tenant order.
+#[derive(Default)]
 struct BlockOutcome {
     /// Residency transition counters (the occupancy fields stay 0).
     counters: ResidencyStats,
-    /// Wakes, in tenant order.
-    wakes: Vec<(u64, ResidencyEvent)>,
-    /// Hibernations, in tenant order.
-    hibernations: Vec<(u64, ResidencyEvent)>,
+    /// Wakes, with their tenant index, in tenant order.
+    wakes: Vec<(usize, u64, ResidencyEvent)>,
+    /// Hibernations, with their tenant index, in tenant order.
+    hibernations: Vec<(usize, u64, ResidencyEvent)>,
+    /// Tenants whose round waits on a refit, in tenant order (block pass).
+    deferred: Vec<DeferredRefit>,
+    /// Finished rounds of refitted tenants, by tenant index (refit pass).
+    refitted: Vec<(usize, Result<PlanningRound, OnlineError>)>,
     /// Set once every tenant of the block has its result written (a
     /// worker panic leaves it unset).
     done: bool,
+}
+
+/// How far a tenant's round got in the block pass.
+enum Step {
+    /// The round planned.
+    Planned(PlanningRound),
+    /// A refit is due; the round resumes in the refit pass.
+    Refit {
+        trigger: RefitTrigger,
+        input: TrainingInput,
+    },
+}
+
+/// A round the block pass stopped at its refit: the refit's trigger and
+/// training input, plus what finishing the round needs.
+struct DeferredRefit {
+    index: usize,
+    action: TenantAction,
+    pre_ingested: u64,
+    trigger: RefitTrigger,
+    input: TrainingInput,
 }
 
 /// One block of a round: its tenants one by one, in order, each through
@@ -474,10 +519,10 @@ fn run_block(
     outcome.done = true;
 }
 
-/// One tenant's whole round: pick its action, run its round (page-in,
-/// drain, plan), then fold the result into its supervision state and,
-/// with residency on, its residency state — supervision first, because
-/// the idle test reads the health it sets.
+/// One tenant's round in the block pass: pick its action, run its round
+/// (page-in, drain, plan), then close it ([`TenantEntry::finish_round`]).
+/// A round that reaches a due refit is deferred to the refit pass instead,
+/// with a placeholder result.
 fn tenant_step(
     ctx: &RoundContext<'_>,
     index: usize,
@@ -491,7 +536,7 @@ fn tenant_step(
     let pre_ingested = entry.slot.stats().arrivals_ingested;
     let paged_wake =
         matches!(action, TenantAction::Wake { .. }) && matches!(entry.slot, TenantSlot::Paged(_));
-    let result = entry.run(ctx, index, &action, buf);
+    let step = entry.run(ctx, index, &action, buf);
     if paged_wake {
         // A wake whose slot is resident now paged in; one still paged
         // failed (and retries next round).
@@ -500,12 +545,147 @@ fn tenant_step(
             TenantSlot::Paged(_) => outcome.counters.page_in_failures += 1,
         }
     }
-    entry.supervise(ctx.round, ctx.supervisor, &action, &result);
-    if let Some(rc) = ctx.residency {
-        entry.update_residency(ctx, rc, &action, &result, pre_ingested, outcome);
-    }
-    entry.saw_direct = false;
+    let result = match step {
+        Ok(Step::Planned(plan)) => Ok(plan),
+        Ok(Step::Refit { trigger, input }) => {
+            outcome.deferred.push(DeferredRefit {
+                index,
+                action,
+                pre_ingested,
+                trigger,
+                input,
+            });
+            // A placeholder: the refit pass writes the round's result.
+            return Err(OnlineError::NotTrained);
+        }
+        Err(e) => Err(e),
+    };
+    entry.finish_round(ctx, index, &action, &result, pre_ingested, outcome);
     result
+}
+
+/// Refits the refit pass runs in one lockstep group: up to
+/// [`MAX_LANES`], but spread over at least as many groups as there are
+/// workers when there are refits enough.
+fn lanes_per_group(refits: usize, workers: usize) -> usize {
+    let groups = refits.div_ceil(MAX_LANES).max(workers.min(refits)).max(1);
+    refits.div_ceil(groups).clamp(1, MAX_LANES)
+}
+
+/// The refit pass: fit the deferred tenants' models in lockstep groups on
+/// the pool, then finish each tenant's round. Groups take tenants in
+/// tenant order, each joining the first open group whose first fit's
+/// shape shares lanes with its own
+/// ([`robustscaler_nhpp::AdmmConfig::shares_lanes`]: same
+/// period, lengths within an eighth; a fit off the banded path gets a
+/// group of its own). Each lane is bit-identical to a lone fit, so neither
+/// the grouping nor the worker count changes any result.
+fn refit_pass(
+    ctx: &RoundContext<'_>,
+    pool: &WorkerPool,
+    workers: usize,
+    tenants: &mut [TenantEntry],
+    deferred: Vec<DeferredRefit>,
+) -> Vec<BlockOutcome> {
+    let lanes = lanes_per_group(deferred.len(), workers);
+    let admm = ctx.config.pipeline.admm;
+    // Each group with its first member's fit shape (length, period).
+    type Group<'e> = (
+        (usize, Option<usize>),
+        Vec<(&'e mut TenantEntry, DeferredRefit)>,
+    );
+    let mut groups: Vec<Group<'_>> = Vec::new();
+    let mut rest = tenants;
+    let mut offset = 0;
+    for refit in deferred {
+        let (entry, tail) = std::mem::take(&mut rest)[refit.index - offset..]
+            .split_first_mut()
+            .expect("deferred tenants are in range, in order");
+        rest = tail;
+        offset = refit.index + 1;
+        let shape = (refit.input.len(), refit.input.usable_period());
+        match groups
+            .iter_mut()
+            .find(|(first, g)| g.len() < lanes && admm.shares_lanes(*first, shape))
+        {
+            Some((_, group)) => group.push((entry, refit)),
+            None => groups.push((shape, vec![(entry, refit)])),
+        }
+    }
+    let mut outcomes: Vec<BlockOutcome> = groups.iter().map(|_| BlockOutcome::default()).collect();
+    pool.for_each(
+        groups.into_iter().zip(outcomes.iter_mut()),
+        |_, ((_, group), outcome)| refit_group(ctx, group, outcome),
+    );
+    outcomes
+}
+
+/// One group of the refit pass: fit the group's models together, then
+/// finish each tenant's round in tenant order — install, forecast
+/// refresh and plan inside the tenant boundary, then supervision and
+/// residency. A panic in the group fit fails every tenant of the group.
+fn refit_group(
+    ctx: &RoundContext<'_>,
+    group: Vec<(&mut TenantEntry, DeferredRefit)>,
+    outcome: &mut BlockOutcome,
+) {
+    let (members, inputs): (Vec<_>, Vec<_>) = group
+        .into_iter()
+        .map(|(entry, refit)| {
+            (
+                (
+                    entry,
+                    refit.index,
+                    refit.action,
+                    refit.pre_ingested,
+                    refit.trigger,
+                ),
+                refit.input,
+            )
+        })
+        .unzip();
+    let pipeline = match &members[0].0.slot {
+        TenantSlot::Resident(tenant) => tenant.scaler.pipeline(),
+        TenantSlot::Paged(_) => unreachable!("a deferred tenant is resident"),
+    };
+    let fitted = catch_unwind(AssertUnwindSafe(|| pipeline.fit_lanes(inputs)));
+    let fitted: Vec<Result<TrainedModel, OnlineError>> = match fitted {
+        Ok(models) => models
+            .into_iter()
+            .map(|m| m.map_err(OnlineError::from))
+            .collect(),
+        Err(payload) => {
+            let message = panic_message(payload);
+            members
+                .iter()
+                .map(|(entry, ..)| {
+                    Err(OnlineError::TenantPanicked {
+                        tenant: entry.slot.id(),
+                        message: message.clone(),
+                    })
+                })
+                .collect()
+        }
+    };
+    for ((entry, index, action, pre_ingested, trigger), trained) in members.into_iter().zip(fitted)
+    {
+        let TenantSlot::Resident(tenant) = &mut entry.slot else {
+            unreachable!("a deferred tenant is resident");
+        };
+        let id = tenant.id;
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            tenant.scaler.install_refit(ctx.now, trigger, trained?)?;
+            tenant.scaler.plan_fitted(ctx.now, ctx.covered[index])
+        }))
+        .unwrap_or_else(|payload| {
+            Err(OnlineError::TenantPanicked {
+                tenant: id,
+                message: panic_message(payload),
+            })
+        });
+        entry.finish_round(ctx, index, &action, &result, pre_ingested, outcome);
+        outcome.refitted.push((index, result));
+    }
 }
 
 impl TenantEntry {
@@ -556,7 +736,7 @@ impl TenantEntry {
         index: usize,
         action: &TenantAction,
         buf: &mut Vec<f64>,
-    ) -> Result<PlanningRound, OnlineError> {
+    ) -> Result<Step, OnlineError> {
         let id = self.slot.id();
         match action {
             TenantAction::Dormant => return Err(OnlineError::Hibernated { tenant: id }),
@@ -600,6 +780,25 @@ impl TenantEntry {
                 message: panic_message(payload),
             })
         })
+    }
+
+    /// Close the tenant's round: fold the result into its supervision
+    /// state and, with residency on, its residency state — supervision
+    /// first, because the idle test reads the health it sets.
+    fn finish_round(
+        &mut self,
+        ctx: &RoundContext<'_>,
+        index: usize,
+        action: &TenantAction,
+        result: &Result<PlanningRound, OnlineError>,
+        pre_ingested: u64,
+        outcome: &mut BlockOutcome,
+    ) {
+        self.supervise(ctx.round, ctx.supervisor, action, result);
+        if let Some(rc) = ctx.residency {
+            self.update_residency(ctx, index, rc, action, result, pre_ingested, outcome);
+        }
+        self.saw_direct = false;
     }
 
     /// Fold the round's result into the supervision state: failure
@@ -697,9 +896,11 @@ impl TenantEntry {
     /// idle-streak counting, cold entry (gated on the forecast via
     /// [`OnlineScaler::quiescence_horizon`]) and the page-out of a cold
     /// resident.
+    #[allow(clippy::too_many_arguments)]
     fn update_residency(
         &mut self,
         ctx: &RoundContext<'_>,
+        index: usize,
         rc: ResidencyConfig,
         action: &TenantAction,
         result: &Result<PlanningRound, OnlineError>,
@@ -716,7 +917,7 @@ impl TenantEntry {
                 outcome.counters.woken_total += 1;
                 outcome
                     .wakes
-                    .push((id, ResidencyEvent::Wake { reason: *reason }));
+                    .push((index, id, ResidencyEvent::Wake { reason: *reason }));
             }
         }
         // Cold entry: a healthy resident tenant that did nothing this
@@ -749,7 +950,9 @@ impl TenantEntry {
                         since_round: ctx.round,
                     };
                     outcome.counters.hibernated_total += 1;
-                    outcome.hibernations.push((id, ResidencyEvent::Hibernate));
+                    outcome
+                        .hibernations
+                        .push((index, id, ResidencyEvent::Hibernate));
                 }
             }
         }
@@ -803,9 +1006,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// applies to the drained batch *after* the recorder captured the queue,
 /// so a replayed drain re-derives the identical corruption; only then is
 /// a failed probe reported, and the tenant planned through
-/// [`OnlineScaler::plan_round`] (refit, forecast refresh, sufficiency
-/// check, exact plan against its own forecast) or
-/// refused, for quarantined tenants.
+/// [`OnlineScaler::plan_round`]'s steps (refit, forecast refresh,
+/// sufficiency check, exact plan against its own forecast) or refused,
+/// for quarantined tenants. A due refit stops the round after its
+/// periodicity detection: the refit pass fits the model and finishes the
+/// round.
 #[allow(clippy::too_many_arguments)]
 fn tenant_round(
     tenant: &mut Tenant,
@@ -817,7 +1022,7 @@ fn tenant_round(
     faults: Option<&FaultInjector>,
     action: &TenantAction,
     buf: &mut Vec<f64>,
-) -> Result<PlanningRound, OnlineError> {
+) -> Result<Step, OnlineError> {
     let id = tenant.id;
     let probe = match action {
         TenantAction::Probe => tenant.scaler.probe_refit(now),
@@ -843,7 +1048,13 @@ fn tenant_round(
             None => {}
         }
     }
-    tenant.scaler.plan_round(now, covered)
+    match tenant.scaler.refit_due(now) {
+        Some(trigger) => Ok(Step::Refit {
+            trigger,
+            input: tenant.scaler.refit_input(now)?,
+        }),
+        None => tenant.scaler.plan_fitted(now, covered).map(Step::Planned),
+    }
 }
 
 /// The deployment settings of a restore (see [`TenantFleet::restore_with`]):
@@ -1450,7 +1661,7 @@ impl TenantFleet {
             .collect();
         // Results are written in place, block by block, into the output's
         // uninitialized capacity.
-        let pass = catch_unwind(AssertUnwindSafe(|| {
+        let mut pass = catch_unwind(AssertUnwindSafe(|| {
             self.pool.for_each(
                 self.tenants
                     .chunks_mut(BLOCK_TENANTS)
@@ -1462,16 +1673,40 @@ impl TenantFleet {
             )
         }));
         self.round_counter += 1;
-        // Merge the blocks in tenant order: buffered access wakes first,
-        // then the round's wakes, then its hibernations.
-        let mut residency_events = std::mem::take(&mut self.pending_wakes);
+        // The refit pass, also after an aborted block pass: the deferred
+        // tenants' state advances as if their blocks had finished them. A
+        // panic escaping it aborts the round like one escaping a block.
+        let deferred: Vec<DeferredRefit> = blocks
+            .iter_mut()
+            .flat_map(|block| std::mem::take(&mut block.deferred))
+            .collect();
+        if !deferred.is_empty() {
+            let refits = catch_unwind(AssertUnwindSafe(|| {
+                refit_pass(&ctx, &self.pool, self.workers, &mut self.tenants, deferred)
+            }));
+            match refits {
+                Ok(groups) => blocks.extend(groups),
+                Err(payload) => pass = pass.and(Err(payload)),
+            }
+        }
+        // Merge blocks and refit groups in tenant order: buffered access
+        // wakes first, then the round's wakes, then its hibernations.
+        let mut wakes = Vec::new();
+        let mut hibernations = Vec::new();
         for block in &mut blocks {
             self.residency_counters.add_transitions(&block.counters);
-            residency_events.append(&mut block.wakes);
+            wakes.append(&mut block.wakes);
+            hibernations.append(&mut block.hibernations);
         }
-        for block in &mut blocks {
-            residency_events.append(&mut block.hibernations);
-        }
+        wakes.sort_by_key(|&(index, ..)| index);
+        hibernations.sort_by_key(|&(index, ..)| index);
+        let mut residency_events = std::mem::take(&mut self.pending_wakes);
+        residency_events.extend(
+            wakes
+                .into_iter()
+                .chain(hibernations)
+                .map(|(_, id, event)| (id, event)),
+        );
         // Page write retries count with the checkpoint writes' in the
         // fleet's I/O stats.
         if let Some(store) = &self.hibernation {
@@ -1505,6 +1740,11 @@ impl TenantFleet {
         // every block ran to completion and wrote each of its slots; the
         // blocks cover `0..n`.
         unsafe { results.set_len(n) };
+        for block in &mut blocks {
+            for (index, result) in block.refitted.drain(..) {
+                results[index] = result;
+            }
+        }
         // Detach the recorder while harvesting (the harvest borrows the
         // tenants mutably), then re-attach before propagating any error.
         if let Some(mut recorder) = self.recorder.take() {

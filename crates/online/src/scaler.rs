@@ -17,7 +17,7 @@
 
 use crate::error::OnlineError;
 use crate::replay::{model_fingerprint, RefitTrigger, ScalerEvent};
-use robustscaler_core::{RobustScalerConfig, RobustScalerPipeline};
+use robustscaler_core::{RobustScalerConfig, RobustScalerPipeline, TrainedModel, TrainingInput};
 use robustscaler_nhpp::{
     Forecaster, ForecasterSnapshot, Intensity, NhppModel, PiecewiseConstantIntensity,
 };
@@ -235,6 +235,11 @@ impl OnlineScaler {
         &self.config
     }
 
+    /// The training pipeline the scaler refits with.
+    pub(crate) fn pipeline(&self) -> &RobustScalerPipeline {
+        &self.pipeline
+    }
+
     /// Serving-loop counters.
     pub fn stats(&self) -> &OnlineStats {
         &self.stats
@@ -361,9 +366,29 @@ impl OnlineScaler {
     }
 
     fn refit_with_trigger(&mut self, now: f64, trigger: RefitTrigger) -> Result<(), OnlineError> {
+        let input = self.refit_input(now)?;
+        let trained = self.pipeline.fit(input)?;
+        self.install_refit(now, trigger, trained)
+    }
+
+    /// The first half of a refit at `now`: the ring's complete buckets,
+    /// validated, with their periodicity detected — what the ADMM fit
+    /// trains on.
+    pub(crate) fn refit_input(&mut self, now: f64) -> Result<TrainingInput, OnlineError> {
         self.ring.advance_to(now);
         let snapshot = self.ring.series_complete(now)?;
-        let trained = self.pipeline.train_on_counts(snapshot)?;
+        Ok(self.pipeline.detect(snapshot)?)
+    }
+
+    /// The last step of a refit at `now`: trace it, swap the fitted model
+    /// into the forecaster, drop the forecast cache and count the refit
+    /// (a drift refit also as one).
+    pub(crate) fn install_refit(
+        &mut self,
+        now: f64,
+        trigger: RefitTrigger,
+        trained: TrainedModel,
+    ) -> Result<(), OnlineError> {
         if self.tracing {
             self.trace_events.push(ScalerEvent::Refit {
                 at: now,
@@ -380,6 +405,9 @@ impl OnlineScaler {
         self.cached_until = f64::NEG_INFINITY;
         self.last_refit_at = now;
         self.stats.refits += 1;
+        if trigger == RefitTrigger::Drift {
+            self.stats.drift_refits += 1;
+        }
         Ok(())
     }
 
@@ -387,27 +415,30 @@ impl OnlineScaler {
     /// the refit schedule, then early when drift is detected. Returns
     /// whether a refit ran.
     pub fn maybe_refit(&mut self, now: f64) -> Result<bool, OnlineError> {
+        let Some(trigger) = self.refit_due(now) else {
+            return Ok(false);
+        };
+        self.refit_with_trigger(now, trigger)?;
+        Ok(true)
+    }
+
+    /// The refit decision of [`OnlineScaler::maybe_refit`]: advance the
+    /// ring to `now` and say which trigger, if any, fires.
+    pub(crate) fn refit_due(&mut self, now: f64) -> Option<RefitTrigger> {
         self.ring.advance_to(now);
         let complete = self.ring.complete_len(now);
         if self.forecaster.is_none() {
-            if complete >= self.config.min_training_buckets {
-                self.refit_with_trigger(now, RefitTrigger::First)?;
-                return Ok(true);
-            }
-            return Ok(false);
+            return (complete >= self.config.min_training_buckets).then_some(RefitTrigger::First);
         }
         if complete >= self.config.min_training_buckets.max(10) {
             if now - self.last_refit_at >= self.config.refit_interval {
-                self.refit_with_trigger(now, RefitTrigger::Scheduled)?;
-                return Ok(true);
+                return Some(RefitTrigger::Scheduled);
             }
             if self.drift_detected(now) {
-                self.refit_with_trigger(now, RefitTrigger::Drift)?;
-                self.stats.drift_refits += 1;
-                return Ok(true);
+                return Some(RefitTrigger::Drift);
             }
         }
-        Ok(false)
+        None
     }
 
     /// Compare observed arrivals over the trailing drift window against the
@@ -538,6 +569,16 @@ impl OnlineScaler {
     /// plans exactly against the tenant's own forecast.
     pub fn plan_round(&mut self, now: f64, covered: usize) -> Result<PlanningRound, OnlineError> {
         self.maybe_refit(now)?;
+        self.plan_fitted(now, covered)
+    }
+
+    /// [`OnlineScaler::plan_round`] after its refit step: refresh the
+    /// forecast, run the sufficiency check, plan.
+    pub(crate) fn plan_fitted(
+        &mut self,
+        now: f64,
+        covered: usize,
+    ) -> Result<PlanningRound, OnlineError> {
         self.refresh_forecast(now)?;
         let forecast = self
             .cached_forecast

@@ -22,9 +22,10 @@
 //! `ξ_i = ∞`, which makes the cost rule's expected idle time infinite.
 //!
 //! Every result is a pure function of (forecast, `now`, `i`, rule, `τ`):
-//! no sampling and no RNG. The Monte Carlo solvers of [`crate::decisions`]
-//! converge to these values at the `1/√R` rate and serve as the test
-//! oracle.
+//! no sampling and no RNG. The paper's Monte Carlo solvers (Algorithm 3),
+//! which live outside the library in `robustscaler_bench::montecarlo::
+//! decisions`, converge to these values at the `1/√R` rate and serve as
+//! the test oracle.
 
 use crate::decisions::{DecisionRule, ScalingDecision};
 use robustscaler_nhpp::{Intensity, PiecewiseConstantIntensity};

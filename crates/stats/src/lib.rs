@@ -22,7 +22,9 @@ pub mod error;
 pub mod quantile;
 pub mod special;
 
-pub use descriptive::{autocorrelation, mad, mean, median, std_dev, variance, Summary};
+pub use descriptive::{
+    autocorrelation, mad, mean, median, std_dev, variance, Autocorrelation, Summary,
+};
 pub use distributions::{
     Bernoulli, ContinuousDistribution, DiscreteDistribution, Exponential, Gamma, LogNormal, Normal,
     Poisson, Uniform, Weibull,

@@ -17,7 +17,7 @@
 use crate::error::TimeSeriesError;
 use crate::filters::{detrend_linear, hampel_filter, interpolate_missing};
 use crate::series::TimeSeries;
-use robustscaler_stats::autocorrelation;
+use robustscaler_stats::Autocorrelation;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the periodicity detector.
@@ -110,9 +110,8 @@ pub fn detect_periods(
     let mut remaining = detrended;
     let mut results: Vec<PeriodicityResult> = Vec::new();
     for _round in 0..config.max_periods {
-        let acf: Vec<f64> = (0..=max_lag)
-            .map(|lag| autocorrelation(&remaining, lag))
-            .collect();
+        let table = Autocorrelation::new(&remaining);
+        let acf: Vec<f64> = (0..=max_lag).map(|lag| table.at(lag)).collect();
 
         // Local maxima of the ACF above the significance threshold. The lag
         // equal to `max_lag` itself is eligible (its right neighbour is
@@ -244,13 +243,11 @@ pub fn refine_period(
         .take_while(|k| k * hi + hi / 2 <= n)
         .count()
         .max(1);
+    let acf = Autocorrelation::new(&detrended);
     let mut best = candidate;
     let mut best_score = f64::NEG_INFINITY;
     for p in lo..=hi {
-        let score = (1..=harmonics)
-            .map(|k| autocorrelation(&detrended, k * p))
-            .sum::<f64>()
-            / harmonics as f64;
+        let score = (1..=harmonics).map(|k| acf.at(k * p)).sum::<f64>() / harmonics as f64;
         if score > best_score {
             best_score = score;
             best = p;

@@ -366,3 +366,94 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Rounds in which many tenants refit at once — fitted together in the
+    /// fleet's refit pass, in ADMM lane groups — are bit-identical at 1, 2,
+    /// 3 and 8 workers, and identical to standalone scalers that each
+    /// refit alone (plans, installed models and serving counters). Some
+    /// tenants carry a bursty cycle, so groups of different fit shapes
+    /// meet in one round.
+    #[test]
+    fn refit_heavy_rounds_match_standalone_scalers_at_any_worker_count(
+        tenant_count in 9usize..20,
+        gaps in prop::collection::vec(2.0_f64..12.0, 3..8),
+        cycles in prop::collection::vec(0usize..4, 3..8),
+    ) {
+        let mut config = online_config(10.0);
+        config.refit_interval = 60.0;
+        let rounds = 8;
+        // Window `r` of tenant `i`'s traffic: a uniform stream plus, for a
+        // cycle `c > 0`, a burst of four arrivals every `60·c` seconds.
+        let window = |index: usize, round: usize| -> Vec<f64> {
+            let (lo, hi) = if round == 0 {
+                (0.0, 400.0)
+            } else {
+                (400.0 + 20.0 * (round as f64 - 1.0), 400.0 + 20.0 * round as f64)
+            };
+            let gap = gaps[index % gaps.len()];
+            let mut arrivals: Vec<f64> = ((lo / gap).ceil() as usize..)
+                .map(|k| k as f64 * gap)
+                .take_while(|t| *t < hi)
+                .collect();
+            let cycle = 60.0 * cycles[index % cycles.len()] as f64;
+            if cycle > 0.0 {
+                for k in (lo / cycle).ceil() as usize.. {
+                    let at = k as f64 * cycle;
+                    if at >= hi {
+                        break;
+                    }
+                    arrivals.extend((0..4).map(|j| at + 0.25 * j as f64));
+                }
+            }
+            arrivals.retain(|t| *t < hi);
+            arrivals.sort_by(|a, b| a.total_cmp(b));
+            arrivals
+        };
+        let covered = |round: usize| round % 3;
+
+        let mut scalers: Vec<OnlineScaler> = (0..tenant_count)
+            .map(|_| OnlineScaler::new(config, 0.0).unwrap())
+            .collect();
+        let mut direct = Vec::new();
+        let mut refits_per_round = Vec::new();
+        for round in 0..rounds {
+            let now = 400.0 + 20.0 * round as f64;
+            let before: u64 = scalers.iter().map(|s| s.stats().refits).sum();
+            let mut plans = Vec::new();
+            for (index, scaler) in scalers.iter_mut().enumerate() {
+                scaler.ingest_batch(&window(index, round));
+                plans.push(scaler.plan_round(now, covered(round)));
+            }
+            refits_per_round.push(scalers.iter().map(|s| s.stats().refits).sum::<u64>() - before);
+            direct.push(plans);
+        }
+        prop_assert!(
+            refits_per_round.iter().filter(|&&n| n >= 8).count() >= 2,
+            "refits per round {:?}", refits_per_round
+        );
+
+        for workers in [1usize, 2, 3, 8] {
+            let mut fleet = TenantFleet::new(&config, 0.0, tenant_count).unwrap();
+            fleet.set_workers(workers);
+            let mut fleet_plans = Vec::new();
+            for round in 0..rounds {
+                for index in 0..tenant_count {
+                    for t in window(index, round) {
+                        assert!(fleet.enqueue(index, t).unwrap(), "queue overflow");
+                    }
+                }
+                let now = 400.0 + 20.0 * round as f64;
+                fleet_plans.push(fleet.run_round_uniform(now, covered(round)).unwrap());
+            }
+            prop_assert_eq!(&direct, &fleet_plans, "plans diverged at {} workers", workers);
+            for (index, scaler) in scalers.iter().enumerate() {
+                let tenant = &fleet.tenant(index).unwrap().scaler;
+                prop_assert_eq!(tenant.stats(), scaler.stats());
+                prop_assert_eq!(tenant.model(), scaler.model());
+            }
+        }
+    }
+}
