@@ -37,9 +37,12 @@ fn build_fleet(tenants: usize) -> TenantFleet {
     fleet
 }
 
+/// The warm fleet's round on one worker thread. Each round is timed on its
+/// own and the median of 41 reported, as in `fleet_round_parallel`: the
+/// mean of ten rounds could not resolve a 30% change.
 fn bench_fleet_round(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet_round_vs_tenants");
-    group.sample_size(10);
+    group.sample_size(41);
     for &tenants in &[100usize, 250, 1_000] {
         group.bench_with_input(
             BenchmarkId::from_parameter(tenants),
@@ -52,13 +55,16 @@ fn bench_fleet_round(c: &mut Criterion) {
                 // tenant exactly.
                 fleet.run_round_uniform(86_400.0, 0).expect("warm-up round");
                 let mut round = 1u64;
-                b.iter(|| {
+                b.iter_batched(
                     // Advance time so the forecast cache is exercised like a
                     // live serving loop (refresh roughly once per horizon).
-                    let now = 86_400.0 + 10.0 * round as f64;
-                    round += 1;
-                    fleet.run_round_uniform(now, 0).expect("round succeeds")
-                });
+                    || {
+                        round += 1;
+                        86_400.0 + 10.0 * (round - 1) as f64
+                    },
+                    |now| fleet.run_round_uniform(now, 0).expect("round succeeds"),
+                    BatchSize::SmallInput,
+                );
             },
         );
     }

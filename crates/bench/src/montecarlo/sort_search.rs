@@ -99,26 +99,14 @@ fn idle_cost_at<S: SampleView>(samples: &S, x: f64) -> f64 {
 ///   creation meets the budget; the paper's Algorithm 3 returns `ξ^{(R)}`),
 /// * `Err(Infeasible)` when `target < 0` (impossible budget).
 ///
-/// Allocates a 2R-element breakpoint buffer per call; planner-style loops
-/// that solve many roots should hold a scratch buffer and call
-/// [`solve_waiting_root_with`] instead.
+/// Allocates a 2R-element breakpoint buffer per call; loops that solve many
+/// roots over one flat arrival column call [`solve_waiting_root_flat`] with a
+/// scratch buffer instead.
 pub fn solve_waiting_root(samples: &[(f64, f64)], target: f64) -> Result<f64, ScalingError> {
-    let mut breakpoints = Vec::new();
-    solve_waiting_root_with(samples, target, &mut breakpoints)
+    waiting_root_impl(&samples, target, &mut Vec::new())
 }
 
-/// [`solve_waiting_root`] with a caller-provided breakpoint scratch buffer
-/// (cleared and refilled on every call), so per-decision allocation drops to
-/// zero once the buffer has grown to 2R entries.
-pub fn solve_waiting_root_with(
-    samples: &[(f64, f64)],
-    target: f64,
-    breakpoints: &mut Vec<(f64, f64)>,
-) -> Result<f64, ScalingError> {
-    waiting_root_impl(&samples, target, breakpoints)
-}
-
-/// [`solve_waiting_root_with`] over a flat arrival column: the samples `ξ_r`
+/// [`solve_waiting_root`] over a flat arrival column: the samples `ξ_r`
 /// are a borrowed row of the sampler matrix and every replication has the
 /// deterministic pending time `tau`. Bit-identical to the pair-based solver
 /// for the same `(ξ_r, τ)` values, without materializing the pairs.
@@ -198,24 +186,13 @@ fn waiting_root_impl<S: SampleView>(
 /// root because `Ĉ` decreases with slope −1 for creation times before every
 /// breakpoint and reaches 0 at the largest breakpoint.
 ///
-/// Allocates an R-element breakpoint buffer per call; planner-style loops
-/// should hold a scratch buffer and call [`solve_idle_cost_root_with`].
+/// Allocates an R-element breakpoint buffer per call; see
+/// [`solve_idle_cost_root_flat`] for the scratch-buffer variant.
 pub fn solve_idle_cost_root(samples: &[(f64, f64)], target: f64) -> Result<f64, ScalingError> {
-    let mut points = Vec::new();
-    solve_idle_cost_root_with(samples, target, &mut points)
+    idle_cost_root_impl(&samples, target, &mut Vec::new())
 }
 
-/// [`solve_idle_cost_root`] with a caller-provided breakpoint scratch buffer
-/// (cleared and refilled on every call).
-pub fn solve_idle_cost_root_with(
-    samples: &[(f64, f64)],
-    target: f64,
-    points: &mut Vec<f64>,
-) -> Result<f64, ScalingError> {
-    idle_cost_root_impl(&samples, target, points)
-}
-
-/// [`solve_idle_cost_root_with`] over a flat arrival column; see
+/// [`solve_idle_cost_root`] over a flat arrival column; see
 /// [`solve_waiting_root_flat`] for the storage contract.
 pub fn solve_idle_cost_root_flat(
     xis: &[f64],
@@ -396,28 +373,6 @@ mod tests {
             assert!(v <= prev + 1e-12);
             prev = v;
         }
-    }
-
-    #[test]
-    fn scratch_variants_match_the_allocating_wrappers() {
-        let mut breakpoints = Vec::new();
-        let mut points = Vec::new();
-        for seed in 40..44_u64 {
-            let samples = random_samples(300, seed);
-            for &target in &[0.5, 3.0, 11.0] {
-                assert_eq!(
-                    solve_waiting_root_with(&samples, target, &mut breakpoints).unwrap(),
-                    solve_waiting_root(&samples, target).unwrap()
-                );
-                assert_eq!(
-                    solve_idle_cost_root_with(&samples, target, &mut points).unwrap(),
-                    solve_idle_cost_root(&samples, target).unwrap()
-                );
-            }
-        }
-        // The reused buffers hold exactly the last call's breakpoints.
-        assert_eq!(breakpoints.len(), 600);
-        assert_eq!(points.len(), 300);
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl PolicySpec {
     }
 
     /// Family name used to group points into Pareto lines.
-    pub fn family(&self) -> &'static str {
+    fn family(&self) -> &'static str {
         match self {
             PolicySpec::BackupPool(_) => "BP",
             PolicySpec::AdaptiveBackupPool(_) => "AdapBP",
@@ -71,7 +71,7 @@ pub struct ParetoPoint {
 /// Build the RobustScaler pipeline configuration shared by all sweeps.
 ///
 /// `planning_interval` is exposed because Fig. 10 d sweeps it explicitly.
-pub fn robustscaler_config(
+fn robustscaler_config(
     variant: RobustScalerVariant,
     workload: &Workload,
     planning_interval: f64,

@@ -14,16 +14,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
 }
 
-/// Infinity norm `‖x‖∞`.
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |acc, v| acc.max(v.abs()))
-}
-
-/// L1 norm `‖x‖₁`.
-pub fn norm1(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
 /// `y ← a·x + y` (the BLAS `axpy`).
 pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len(), "axpy: length mismatch");
@@ -79,8 +69,6 @@ mod tests {
         let y = [4.0, -5.0, 6.0];
         assert_eq!(dot(&x, &y), 12.0);
         assert!((norm2(&x) - 14.0_f64.sqrt()).abs() < 1e-12);
-        assert_eq!(norm_inf(&y), 6.0);
-        assert_eq!(norm1(&y), 15.0);
     }
 
     #[test]

@@ -109,30 +109,20 @@ impl RegularizedLoss {
         self.dl.as_ref()
     }
 
-    /// The smooth (differentiable) part of the loss:
-    /// `−Qᵀr + Δt·1ᵀeʳ + (β₂/2)‖D_L r‖²`.
-    pub fn smooth_value(&self, r: &[f64]) -> f64 {
+    /// Full loss value: the smooth part `−Qᵀr + Δt·1ᵀeʳ + (β₂/2)‖D_L r‖²`
+    /// plus the non-smooth part `β₁‖D₂ r‖₁`.
+    pub fn value(&self, r: &[f64]) -> f64 {
         let dt = self.config.bucket_width;
-        let mut value = 0.0;
+        let mut smooth = 0.0;
         for (q, &ri) in self.counts.iter().zip(r.iter()) {
-            value += -q * ri + dt * ri.exp();
+            smooth += -q * ri + dt * ri.exp();
         }
         if let Some(dl) = &self.dl {
             let z = dl.apply(r).expect("dimension fixed at construction");
-            value += 0.5 * self.config.beta2 * z.iter().map(|v| v * v).sum::<f64>();
+            smooth += 0.5 * self.config.beta2 * z.iter().map(|v| v * v).sum::<f64>();
         }
-        value
-    }
-
-    /// The non-smooth part `β₁‖D₂ r‖₁`.
-    pub fn l1_value(&self, r: &[f64]) -> f64 {
         let y = self.d2.apply(r).expect("dimension fixed at construction");
-        self.config.beta1 * y.iter().map(|v| v.abs()).sum::<f64>()
-    }
-
-    /// Full loss value.
-    pub fn value(&self, r: &[f64]) -> f64 {
-        self.smooth_value(r) + self.l1_value(r)
+        smooth + self.config.beta1 * y.iter().map(|v| v.abs()).sum::<f64>()
     }
 }
 

@@ -691,7 +691,7 @@ impl CheckpointStore {
 
     /// Load one shard, verifying its checksum before parsing. Every failure
     /// is scoped to the shard's file name.
-    pub fn load_shard(&self, entry: &ShardEntry) -> Result<Vec<TenantSnapshot>, OnlineError> {
+    fn load_shard(&self, entry: &ShardEntry) -> Result<Vec<TenantSnapshot>, OnlineError> {
         let shard_err = |message: String| OnlineError::Checkpoint {
             shard: Some(entry.file.clone()),
             message,
@@ -833,7 +833,7 @@ impl CheckpointStore {
 
 /// Format version of hibernation page files (binary [`crate::codec`]
 /// payloads since version 4).
-pub const HIBERNATION_FORMAT_VERSION: u32 = 4;
+const HIBERNATION_FORMAT_VERSION: u32 = 4;
 
 /// On-disk envelope of one hibernated tenant's page file.
 #[derive(Debug, Clone, Serialize, Deserialize)]

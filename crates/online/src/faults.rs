@@ -131,7 +131,7 @@ const SITE_IO: u64 = 0x696f_2e66_6175_6c74; // "io.fault"
 /// generation directory (`gen-NNNNNN`). Hashing this tag instead of
 /// the absolute path keeps I/O fault schedules independent of the
 /// (typically randomized) checkpoint directory location.
-pub fn path_tag(path: &Path) -> String {
+fn path_tag(path: &Path) -> String {
     let name = path
         .file_name()
         .map(|s| s.to_string_lossy().into_owned())
@@ -241,7 +241,7 @@ impl FaultInjector {
     /// Does the `nth` call of `op` on the file tagged `tag` fail, and
     /// with what [`io::ErrorKind`]? The kind itself is drawn from the
     /// same hash so retries of the same call see the same failure.
-    pub fn io_error(&self, op: IoOp, tag: &str, nth: u64) -> Option<io::ErrorKind> {
+    fn io_error(&self, op: IoOp, tag: &str, nth: u64) -> Option<io::ErrorKind> {
         let p = match op {
             IoOp::Read => self.plan.restore_io,
             _ => self.plan.checkpoint_io,

@@ -105,11 +105,6 @@ impl OnlinePolicy {
     pub fn queue_stats(&self) -> QueueStats {
         self.bus.stats()
     }
-
-    /// Unwrap the scaler (e.g. to keep serving after a replay).
-    pub fn into_scaler(self) -> OnlineScaler {
-        self.scaler
-    }
 }
 
 /// One single-scaler planning tick, shared by [`OnlinePolicy`] and strict

@@ -144,7 +144,7 @@ struct TenantQueue {
 /// Everything the checkpointer needs about one tenant's queue, captured
 /// atomically under the group lock.
 #[derive(Debug, Clone, PartialEq)]
-pub struct QueueCheckpoint {
+pub(crate) struct QueueCheckpoint {
     /// Undrained arrivals, in queue (enqueue) order.
     pub queued: Vec<f64>,
     /// The queue's accounting at capture time.
@@ -318,7 +318,7 @@ impl ArrivalBus {
     /// Capture every tenant's queue for a checkpoint: contents and stats,
     /// each group captured atomically under its lock. The returned vector
     /// is indexed by tenant.
-    pub fn checkpoint_queues(&self) -> Vec<QueueCheckpoint> {
+    pub(crate) fn checkpoint_queues(&self) -> Vec<QueueCheckpoint> {
         let mut out = Vec::with_capacity(self.tenant_count);
         for group in &self.groups {
             let queues = group.lock().expect("bus group lock poisoned");

@@ -414,7 +414,7 @@ impl OnlineScaler {
     /// Refit if due: first fit once enough complete buckets exist, then on
     /// the refit schedule, then early when drift is detected. Returns
     /// whether a refit ran.
-    pub fn maybe_refit(&mut self, now: f64) -> Result<bool, OnlineError> {
+    fn maybe_refit(&mut self, now: f64) -> Result<bool, OnlineError> {
         let Some(trigger) = self.refit_due(now) else {
             return Ok(false);
         };

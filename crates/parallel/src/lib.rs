@@ -328,11 +328,6 @@ impl WorkerPool {
         }
     }
 
-    /// A pool sized to [`available_threads`].
-    pub fn with_available_threads() -> Self {
-        Self::new(available_threads())
-    }
-
     /// The pool's thread count (the cap on concurrently executing jobs).
     pub fn threads(&self) -> usize {
         self.threads

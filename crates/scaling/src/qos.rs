@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 /// Positive part `(v)⁺`.
 #[inline]
-pub fn positive_part(v: f64) -> f64 {
+fn positive_part(v: f64) -> f64 {
     v.max(0.0)
 }
 

@@ -81,15 +81,10 @@ impl AdaptiveBackupPool {
     /// Create an AdapBP policy with the paper's defaults: the pool target is
     /// re-estimated every ten minutes from the last ten minutes of traffic.
     pub fn new(ratio: f64) -> Self {
-        Self::with_windows(ratio, 600.0, 600.0)
-    }
-
-    /// Create an AdapBP policy with custom adjustment/estimation windows.
-    pub fn with_windows(ratio: f64, adjustment_interval: f64, estimation_window: f64) -> Self {
         Self {
             ratio: ratio.max(0.0),
-            adjustment_interval: adjustment_interval.max(1.0),
-            estimation_window: estimation_window.max(1.0),
+            adjustment_interval: 600.0,
+            estimation_window: 600.0,
             current_target: 0,
         }
     }

@@ -89,46 +89,6 @@ impl<'a> Autocorrelation<'a> {
     }
 }
 
-/// A compact descriptive summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation.
-    pub std_dev: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Median.
-    pub median: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Summarize a sample; errors on an empty slice.
-    pub fn from_sample(xs: &[f64]) -> Result<Self, StatsError> {
-        if xs.is_empty() {
-            return Err(StatsError::EmptySample);
-        }
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        for &x in xs {
-            min = min.min(x);
-            max = max.max(x);
-        }
-        Ok(Self {
-            count: xs.len(),
-            mean: mean(xs),
-            std_dev: std_dev(xs),
-            min,
-            median: median(xs)?,
-            max,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,7 +108,6 @@ mod tests {
         assert_eq!(variance(&[]), 0.0);
         assert_eq!(variance(&[3.0]), 0.0);
         assert!(median(&[]).is_err());
-        assert!(Summary::from_sample(&[]).is_err());
     }
 
     #[test]
@@ -179,17 +138,6 @@ mod tests {
         // Lag 0 of any non-constant series is 1.
         let xs = [1.0, 5.0, 2.0, 8.0];
         assert!((autocorrelation(&xs, 0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_reports_all_fields() {
-        let xs = [3.0, 1.0, 4.0, 1.0, 5.0];
-        let s = Summary::from_sample(&xs).unwrap();
-        assert_eq!(s.count, 5);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 5.0);
-        assert_eq!(s.median, 3.0);
-        assert!((s.mean - 2.8).abs() < 1e-12);
     }
 
     #[test]

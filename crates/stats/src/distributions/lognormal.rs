@@ -44,12 +44,12 @@ impl LogNormal {
     }
 
     /// Location parameter `μ` of the underlying normal.
-    pub fn mu(&self) -> f64 {
+    fn mu(&self) -> f64 {
         self.normal.mean()
     }
 
     /// Scale parameter `σ` of the underlying normal.
-    pub fn sigma(&self) -> f64 {
+    fn sigma(&self) -> f64 {
         self.normal.std_dev()
     }
 }

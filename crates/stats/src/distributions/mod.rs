@@ -5,23 +5,17 @@
 //! [`DiscreteDistribution`]. Sampling is generic over any [`rand::Rng`] so
 //! experiments stay reproducible with seeded RNGs.
 
-mod bernoulli;
 mod exponential;
 mod gamma;
 mod lognormal;
 mod normal;
 mod poisson;
-mod uniform;
-mod weibull;
 
-pub use bernoulli::Bernoulli;
 pub use exponential::Exponential;
 pub use gamma::Gamma;
 pub use lognormal::LogNormal;
 pub use normal::Normal;
 pub use poisson::Poisson;
-pub use uniform::Uniform;
-pub use weibull::Weibull;
 
 use rand::Rng;
 

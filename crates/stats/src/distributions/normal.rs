@@ -42,7 +42,7 @@ impl Normal {
     }
 
     /// Draw a standard normal sample with the Box–Muller transform.
-    pub fn sample_standard<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    fn sample_standard<R: Rng + ?Sized>(rng: &mut R) -> f64 {
         let u1: f64 = rng.gen::<f64>();
         let u2: f64 = rng.gen::<f64>();
         (-2.0 * (1.0 - u1).ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()

@@ -216,7 +216,7 @@ pub fn erf(x: f64) -> f64 {
 ///
 /// Uses `erfc(x) = Q(1/2, x²)` for `x ≥ 0` to retain accuracy in the far
 /// right tail where `1 - erf(x)` would cancel catastrophically.
-pub fn erfc(x: f64) -> f64 {
+fn erfc(x: f64) -> f64 {
     if x >= 0.0 {
         gamma_q(0.5, x * x)
     } else {

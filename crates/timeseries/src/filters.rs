@@ -1,38 +1,11 @@
 //! Robust filters and missing-value repair.
 //!
 //! The workload traces the paper targets are noisy, contain outliers and
-//! monitoring gaps. These filters are used by the periodicity detector and
-//! by trace preprocessing before NHPP training.
+//! monitoring gaps. The periodicity detector runs every series through these
+//! filters before it computes autocorrelations; nothing else calls them.
 
 use crate::error::TimeSeriesError;
 use robustscaler_stats::{mad, median};
-
-/// Centered moving average with window `2·half + 1`; the window is truncated
-/// at the series boundaries.
-pub fn moving_average(xs: &[f64], half: usize) -> Vec<f64> {
-    let n = xs.len();
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let lo = i.saturating_sub(half);
-        let hi = (i + half + 1).min(n);
-        let window = &xs[lo..hi];
-        out.push(window.iter().sum::<f64>() / window.len() as f64);
-    }
-    out
-}
-
-/// Centered rolling median with window `2·half + 1`, truncated at the
-/// boundaries. Robust to isolated outliers.
-pub fn rolling_median(xs: &[f64], half: usize) -> Vec<f64> {
-    let n = xs.len();
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let lo = i.saturating_sub(half);
-        let hi = (i + half + 1).min(n);
-        out.push(median(&xs[lo..hi]).expect("window is non-empty"));
-    }
-    out
-}
 
 /// Hampel filter: replace points further than `threshold · 1.4826 · MAD`
 /// from the rolling median by the rolling median itself. Returns the
@@ -121,26 +94,6 @@ pub fn detrend_linear(xs: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn moving_average_smooths_and_preserves_constants() {
-        let xs = [2.0; 7];
-        assert_eq!(moving_average(&xs, 2), vec![2.0; 7]);
-        let ys = [0.0, 0.0, 6.0, 0.0, 0.0];
-        let ma = moving_average(&ys, 1);
-        assert_eq!(ma[2], 2.0);
-        assert_eq!(ma[0], 0.0);
-        assert!(moving_average(&[], 3).is_empty());
-    }
-
-    #[test]
-    fn rolling_median_ignores_single_outlier() {
-        let xs = [1.0, 1.0, 100.0, 1.0, 1.0];
-        let rm = rolling_median(&xs, 1);
-        assert_eq!(rm[2], 1.0);
-        // Boundary windows still defined.
-        assert_eq!(rm[0], 1.0);
-    }
 
     #[test]
     fn hampel_replaces_outliers_only() {

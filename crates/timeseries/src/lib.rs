@@ -9,28 +9,20 @@
 //!   missing-value support, plus aggregation from raw arrival timestamps,
 //! * [`ring::CountRing`] — bounded, incremental count aggregation for the
 //!   online serving layer (`robustscaler-online`),
-//! * [`filters`] — moving averages, rolling medians, Hampel filtering and
-//!   missing-value interpolation,
+//! * [`filters`] — Hampel filtering, missing-value interpolation and linear
+//!   detrending, and
 //! * [`periodicity`] — a robust autocorrelation-based period detector in the
-//!   spirit of RobustPeriod (the paper's reference \[18\]),
-//! * [`decompose`] — a lightweight robust seasonal-trend decomposition used
-//!   for diagnostics and trace characterization, and
-//! * [`anomaly`] — MAD-based anomaly detection used by the robustness
-//!   experiments.
+//!   spirit of RobustPeriod (the paper's reference \[18\]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod anomaly;
-pub mod decompose;
 pub mod error;
 pub mod filters;
 pub mod periodicity;
 pub mod ring;
 pub mod series;
 
-pub use anomaly::{detect_anomalies, AnomalyReport};
-pub use decompose::{robust_stl, Decomposition};
 pub use error::TimeSeriesError;
 pub use periodicity::{
     detect_period, detect_periods, refine_period, PeriodicityConfig, PeriodicityResult,

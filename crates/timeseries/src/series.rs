@@ -102,7 +102,7 @@ impl TimeSeries {
     }
 
     /// The time at the left edge of bucket `t`.
-    pub fn time_at(&self, t: usize) -> f64 {
+    fn time_at(&self, t: usize) -> f64 {
         self.start + self.bucket_width * t as f64
     }
 
@@ -122,7 +122,7 @@ impl TimeSeries {
     }
 
     /// Observed values with missing buckets skipped.
-    pub fn observed_values(&self) -> Vec<f64> {
+    fn observed_values(&self) -> Vec<f64> {
         self.values.iter().filter_map(|v| *v).collect()
     }
 
@@ -146,7 +146,7 @@ impl TimeSeries {
     }
 
     /// Mark a closed time range `[from, to)` as missing and return the
-    /// number of buckets affected (used by the missing-data experiments).
+    /// number of buckets affected.
     pub fn mask_range(&mut self, from: f64, to: f64) -> usize {
         let mut masked = 0;
         for t in 0..self.values.len() {

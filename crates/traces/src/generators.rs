@@ -12,7 +12,7 @@ pub const HOUR: f64 = 3_600.0;
 /// Seconds in one day.
 pub const DAY: f64 = 86_400.0;
 /// Seconds in one week.
-pub const WEEK: f64 = 604_800.0;
+const WEEK: f64 = 604_800.0;
 
 /// Processing-time model attached to generated queries.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

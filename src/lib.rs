@@ -12,7 +12,7 @@
 //! |---|---|
 //! | [`stats`] | distributions, quantiles, special functions |
 //! | [`linalg`] | banded matrices, banded Cholesky, conjugate gradient, difference operators |
-//! | [`timeseries`] | QPS series, robust filtering, periodicity detection, decomposition |
+//! | [`timeseries`] | QPS series, robust filtering, periodicity detection |
 //! | [`nhpp`] | the regularized NHPP model, ADMM trainer, forecasting, exact samplers |
 //! | [`parallel`] | std-only scoped-thread chunked parallel map (no crates.io, so no rayon) |
 //! | [`scaling`] | exact HP/RT/cost-constrained decisions, κ threshold, sequential planner |

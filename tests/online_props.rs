@@ -6,6 +6,7 @@
 
 use proptest::prelude::*;
 use robustscaler::core::{RobustScalerConfig, RobustScalerVariant};
+use robustscaler::nhpp::admm::SubproblemSolver;
 use robustscaler::online::{
     BusConfig, OnlineConfig, OnlineScaler, OnlineStats, SharingConfig, TenantFleet,
 };
@@ -375,15 +376,20 @@ proptest! {
     /// 3 and 8 workers, and identical to standalone scalers that each
     /// refit alone (plans, installed models and serving counters). Some
     /// tenants carry a bursty cycle, so groups of different fit shapes
-    /// meet in one round.
+    /// meet in one round. With `conjugate_gradient` set, no fit shares
+    /// lanes, so every refit runs alone through `AdmmSolver::fit`.
     #[test]
     fn refit_heavy_rounds_match_standalone_scalers_at_any_worker_count(
         tenant_count in 9usize..20,
         gaps in prop::collection::vec(2.0_f64..12.0, 3..8),
         cycles in prop::collection::vec(0usize..4, 3..8),
+        conjugate_gradient in prop::bool::ANY,
     ) {
         let mut config = online_config(10.0);
         config.refit_interval = 60.0;
+        if conjugate_gradient {
+            config.pipeline.admm.solver = SubproblemSolver::ConjugateGradient;
+        }
         let rounds = 8;
         // Window `r` of tenant `i`'s traffic: a uniform stream plus, for a
         // cycle `c > 0`, a burst of four arrivals every `60·c` seconds.
