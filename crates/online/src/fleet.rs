@@ -28,6 +28,20 @@
 //! construction, which the online proptests pin. `drain_bus` uses the
 //! same blocks.
 //!
+//! A round costs what its active tenants cost. Beside the entries, the
+//! fleet keeps one runtime-only dormancy word per tenant: the time until
+//! which the tenant sits at the dormant fixed point (cold, paged or with
+//! no page store to page to, already hibernated, no sticky plan, no
+//! direct access), NaN otherwise. From that point a round with no queued
+//! arrival and no passed wake time only rewrites what the entry already
+//! holds, so a block skips such a tenant on one word and one atomic load
+//! ([`ArrivalBus::has_queued`]) without touching its entry. A visited
+//! tenant's word is rewritten after its step; every `&mut self` path that
+//! can change a tenant or what its dormant round would do (direct access,
+//! `wake_all`, `enable_residency`, `set_hibernation_dir`) resets it, a
+//! restore starts all NaN and a clone copies the words. Nothing about the
+//! words is persisted.
+//!
 //! ## The refit pass
 //!
 //! A tenant whose refit fires stops in the block pass after the refit
@@ -498,11 +512,16 @@ struct DeferredRefit {
 
 /// One block of a round: its tenants one by one, in order, each through
 /// [`tenant_step`], each result written to its slot of the round's output.
-/// An injected worker panic fires here, before any tenant is touched.
+/// A tenant at the dormant fixed point ([`TenantEntry::dormant_until`])
+/// whose wake time has not come and whose queue is empty is skipped
+/// without touching its entry: its round could only rewrite what it
+/// holds. An injected worker panic fires here, before any tenant is
+/// touched.
 fn run_block(
     ctx: &RoundContext<'_>,
     start: usize,
     entries: &mut [TenantEntry],
+    dormant: &mut [f64],
     results: &mut [MaybeUninit<Result<PlanningRound, OnlineError>>],
     outcome: &mut BlockOutcome,
 ) {
@@ -513,8 +532,19 @@ fn run_block(
     }
     // One drain buffer per block, reused across its tenants.
     let mut buf = Vec::new();
-    for (i, (entry, result)) in entries.iter_mut().zip(results).enumerate() {
-        result.write(tenant_step(ctx, start + i, entry, &mut buf, outcome));
+    let paging = ctx.hibernation.is_some();
+    for (i, ((entry, until), result)) in entries.iter_mut().zip(dormant).zip(results).enumerate() {
+        let index = start + i;
+        // `until` is NaN ("visit") off the fixed point, so the test fails.
+        if ctx.now < *until && !ctx.bus.has_queued(index) {
+            // Tenant ids are indices (`TenantFleet::assemble`).
+            result.write(Err(OnlineError::Hibernated {
+                tenant: index as u64,
+            }));
+            continue;
+        }
+        result.write(tenant_step(ctx, index, entry, &mut buf, outcome));
+        *until = entry.dormant_until(paging);
     }
     outcome.done = true;
 }
@@ -698,15 +728,36 @@ impl TenantEntry {
         }
     }
 
+    /// The round time before which this tenant's rounds are no-ops, or NaN
+    /// when its next round must visit it.
+    ///
+    /// The tenant is at the dormant fixed point when it is cold, its slot
+    /// is paged (or `paging` is off, so a cold resident stays put), its
+    /// health is already `Hibernated`, it served no sticky plan and it was
+    /// not touched directly. From there, a round with no queued arrival
+    /// before `wake_at` is `Dormant`, and a `Dormant` round only rewrites
+    /// those same values.
+    fn dormant_until(&self, paging: bool) -> f64 {
+        match self.residency {
+            Residency::Cold { wake_at, .. }
+                if self.supervision.health == TenantHealth::Hibernated
+                    && !self.supervision.served_sticky
+                    && !self.saw_direct
+                    && (!paging || matches!(self.slot, TenantSlot::Paged(_))) =>
+            {
+                wake_at
+            }
+            _ => f64::NAN,
+        }
+    }
+
     /// The supervision or wake action for this round. A cold tenant wakes
     /// on a queued arrival or a passed wake time and is otherwise dormant:
     /// invariantly healthy and unquarantined, so the supervision match
     /// never applies to it.
     fn action(&self, ctx: &RoundContext<'_>, index: usize) -> TenantAction {
         if let Residency::Cold { wake_at, .. } = self.residency {
-            let arrival = ctx.bus.pending_hint(index).unwrap_or(true)
-                && ctx.bus.queued(index).map(|n| n > 0).unwrap_or(true);
-            return if arrival {
+            return if ctx.bus.has_queued(index) {
                 TenantAction::Wake {
                     reason: WakeReason::Arrival,
                 }
@@ -1080,6 +1131,12 @@ pub struct TenantFleet {
     origin: f64,
     /// Per-tenant state, indexed by tenant.
     tenants: Vec<TenantEntry>,
+    /// Per-tenant dormancy word, indexed by tenant and never persisted:
+    /// the round time before which the tenant's rounds are no-ops (see
+    /// [`TenantEntry::dormant_until`]), NaN for "visit". A round writes it
+    /// after each visited tenant; everything else that can change a
+    /// tenant, or what its dormant round would do, resets it to NaN.
+    dormant: Vec<f64>,
     workers: usize,
     /// Persistent round workers, parked between rounds; as many threads
     /// as the worker budget.
@@ -1196,6 +1253,7 @@ impl Clone for TenantFleet {
             config: self.config,
             origin: self.origin,
             tenants,
+            dormant: self.dormant.clone(),
             workers: self.workers,
             pool: Arc::clone(&self.pool),
             bus: Arc::new(bus),
@@ -1320,10 +1378,19 @@ impl TenantFleet {
         bus: BusConfig,
     ) -> Result<Self, OnlineError> {
         let tenant_count = tenants.len();
+        // The dormant skip reports a tenant by its index.
+        assert!(
+            tenants
+                .iter()
+                .enumerate()
+                .all(|(i, slot)| slot.id() == i as u64),
+            "tenant ids are their indices"
+        );
         Ok(Self {
             config,
             origin,
             tenants: tenants.into_iter().map(TenantEntry::new).collect(),
+            dormant: vec![f64::NAN; tenant_count],
             workers,
             pool: Arc::new(WorkerPool::new(workers)),
             bus: Arc::new(ArrivalBus::new(tenant_count, bus)?),
@@ -1352,6 +1419,7 @@ impl TenantFleet {
     pub fn enable_residency(&mut self, config: ResidencyConfig) -> Result<(), OnlineError> {
         config.validate()?;
         self.residency = Some(config);
+        self.dormant.fill(f64::NAN);
         if config.start_cold {
             for entry in &mut self.tenants {
                 entry.residency = Residency::Cold {
@@ -1385,6 +1453,8 @@ impl TenantFleet {
             Some(storage) => HibernationStore::with_storage(dir, Arc::clone(storage)),
             None => HibernationStore::new(dir),
         });
+        // Cold residents that settled without a store must page out.
+        self.dormant.fill(f64::NAN);
         Ok(())
     }
 
@@ -1425,6 +1495,7 @@ impl TenantFleet {
     /// wake is buffered ([`pending_wakes`](Self::pending_wakes)) and
     /// emitted with the next round's residency events.
     fn wake_for_access(&mut self, index: usize) -> Result<(), OnlineError> {
+        self.dormant[index] = f64::NAN;
         if matches!(self.tenants[index].residency, Residency::Hot { .. }) {
             return Ok(());
         }
@@ -1446,6 +1517,7 @@ impl TenantFleet {
     /// with paged tenants). Emits **no** wake events: this is operator
     /// action, not serving activity, and must not perturb a trace.
     pub fn wake_all(&mut self) -> Result<(), OnlineError> {
+        self.dormant.fill(f64::NAN);
         for index in 0..self.tenants.len() {
             self.materialize(index)?;
             self.tenants[index].residency = Residency::Hot { idle_streak: 0 };
@@ -1665,10 +1737,18 @@ impl TenantFleet {
             self.pool.for_each(
                 self.tenants
                     .chunks_mut(BLOCK_TENANTS)
+                    .zip(self.dormant.chunks_mut(BLOCK_TENANTS))
                     .zip(results.spare_capacity_mut()[..n].chunks_mut(BLOCK_TENANTS))
                     .zip(blocks.iter_mut()),
-                |block, ((entries, slots), outcome)| {
-                    run_block(&ctx, block * BLOCK_TENANTS, entries, slots, outcome)
+                |block, (((entries, dormant), slots), outcome)| {
+                    run_block(
+                        &ctx,
+                        block * BLOCK_TENANTS,
+                        entries,
+                        dormant,
+                        slots,
+                        outcome,
+                    )
                 },
             )
         }));
@@ -2144,6 +2224,12 @@ impl TenantFleet {
                 "a fleet needs at least one tenant",
             ));
         }
+        if snapshots.iter().enumerate().any(|(i, s)| s.id != i as u64) {
+            return Err(OnlineError::Checkpoint {
+                shard: None,
+                message: "tenant ids across shards do not run 0..n".to_string(),
+            });
+        }
         // Queue, supervision and residency state travel with the tenants:
         // pull them out before the snapshots are consumed by the scaler
         // rebuild below.
@@ -2611,6 +2697,28 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_tenant_ids_that_are_not_their_indices() {
+        let dir = std::env::temp_dir().join(format!(
+            "robustscaler-fleet-ckpt-ids-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = fleet_config();
+        let mut fleet = TenantFleet::new(&config, 0.0, 3).unwrap();
+        fleet.checkpoint_sharded(&dir, 2).unwrap();
+        // Rewrite the checkpoint with tenant 2 renamed 7: ids 0, 1, 7.
+        let store = CheckpointStore::new(&dir);
+        let mut snapshots = store.load(1).unwrap();
+        snapshots[2].id = 7;
+        store.write(&snapshots, 2, 1).unwrap();
+        assert!(matches!(
+            TenantFleet::restore(&dir, &config),
+            Err(OnlineError::Checkpoint { shard: None, .. })
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn checkpoint_over_a_foreign_generation_restores_our_state() {
         let dir = std::env::temp_dir().join(format!(
             "robustscaler-fleet-ckpt-foreign-{}",
@@ -2643,6 +2751,10 @@ mod tests {
         fleet.enqueue(0, 1.0).unwrap();
         let clone = fleet.clone();
         assert_eq!(clone.queue_stats(), fleet.queue_stats());
+        // The clone's lock-free queued signal matches its queues.
+        let bus = clone.bus().unwrap();
+        assert!(bus.has_queued(0));
+        assert!(!bus.has_queued(1));
         // Pushes to the clone do not show up in the original.
         clone.enqueue(0, 2.0).unwrap();
         assert_eq!(fleet.queue_stats().enqueued, 1);

@@ -27,6 +27,15 @@
 //! outside it, so the lock is held O(queue length) for a memcpy, not for
 //! the ingestion work.
 //!
+//! ## The wake scan
+//!
+//! Beside the locked queues, each tenant has one lock-free count of its
+//! queued arrivals ([`ArrivalBus::has_queued`]), stored under the group
+//! lock by every push, drain and restore. A fleet round asks every cold
+//! tenant "has anything arrived?" — with 100k registered tenants and a few
+//! thousand active, spread over every group, that question must cost one
+//! atomic load per tenant, not a mutex per group.
+//!
 //! ## Back-pressure
 //!
 //! Queues are bounded: a push to a full queue is rejected (`push` returns
@@ -49,7 +58,7 @@
 use crate::error::OnlineError;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
 /// Default bound on each tenant's arrival queue.
@@ -158,12 +167,11 @@ pub struct ArrivalBus {
     config: BusConfig,
     tenant_count: usize,
     groups: Vec<Mutex<Vec<TenantQueue>>>,
-    /// Per-group count of currently queued arrivals, maintained under the
-    /// group lock but readable without it. This is the fleet's wake scan:
-    /// with 100k registered tenants and a handful active, the per-round
-    /// "who has arrivals?" question must not take 100k/64 mutexes — it
-    /// reads one atomic per group and only locks groups that report work.
-    pending: Vec<AtomicU64>,
+    /// Per-tenant count of queued arrivals (saturating at `u32::MAX`),
+    /// stored under the tenant's group lock and read without it. This is
+    /// the fleet's wake scan: a round reads one atomic per cold tenant and
+    /// takes no lock for a tenant with nothing queued.
+    pending: Vec<AtomicU32>,
 }
 
 impl ArrivalBus {
@@ -183,7 +191,7 @@ impl ArrivalBus {
                 Mutex::new((0..len).map(|_| TenantQueue::default()).collect())
             })
             .collect();
-        let pending = (0..group_count).map(|_| AtomicU64::new(0)).collect();
+        let pending = (0..tenant_count).map(|_| AtomicU32::new(0)).collect();
         Ok(Self {
             config,
             tenant_count,
@@ -212,6 +220,13 @@ impl ArrivalBus {
         ))
     }
 
+    /// Publish `tenant`'s queue length to the lock-free signal; called with
+    /// the tenant's group lock held, after every change to its queue.
+    fn publish(&self, tenant: usize, queue: &TenantQueue) {
+        let len = u32::try_from(queue.items.len()).unwrap_or(u32::MAX);
+        self.pending[tenant].store(len, Ordering::Release);
+    }
+
     /// Enqueue one arrival for `tenant`. Returns `Ok(true)` when queued,
     /// `Ok(false)` when rejected because the queue is full (the rejection
     /// is counted in [`QueueStats::dropped_full`]).
@@ -238,23 +253,23 @@ impl ArrivalBus {
         queue.stats.dropped_full += dropped;
         queue.stats.queued_peak = queue.stats.queued_peak.max(queue.items.len() as u64);
         if accepted > 0 {
-            self.pending[group].fetch_add(accepted as u64, Ordering::Release);
+            self.publish(tenant, queue);
         }
         Ok(accepted)
     }
 
-    /// Whether `tenant`'s *group* might have queued arrivals — a cheap,
-    /// lock-free over-approximation for the fleet's wake scan. `false` is
-    /// authoritative (nothing queued anywhere in the group at some recent
-    /// instant); `true` means "take the lock and check" via
-    /// [`ArrivalBus::queued`].
-    pub fn pending_hint(&self, tenant: usize) -> Result<bool, OnlineError> {
-        let (group, _) = self.locate(tenant)?;
-        Ok(self.pending[group].load(Ordering::Acquire) > 0)
+    /// Whether any arrival is queued for `tenant`, read without locking —
+    /// the fleet's wake scan. Exact as of the last push, drain or restore
+    /// to complete; `false` for a tenant index out of range (it has no
+    /// queue).
+    pub fn has_queued(&self, tenant: usize) -> bool {
+        self.pending
+            .get(tenant)
+            .is_some_and(|queued| queued.load(Ordering::Acquire) > 0)
     }
 
     /// Whether no arrival is queued for any tenant (read from the
-    /// per-group counters, without locking).
+    /// per-tenant counts, without locking).
     pub fn is_empty(&self) -> bool {
         self.pending
             .iter()
@@ -286,7 +301,7 @@ impl ArrivalBus {
             queue.stats.drained += buf.len() as u64;
             queue.stats.drains += 1;
             if !buf.is_empty() {
-                self.pending[group].fetch_sub(buf.len() as u64, Ordering::Release);
+                self.publish(tenant, queue);
             }
         }
         // `total_cmp` keeps the comparator total even if a producer pushed
@@ -349,15 +364,9 @@ impl ArrivalBus {
         let (group, slot) = self.locate(tenant)?;
         let mut queues = self.groups[group].lock().expect("bus group lock poisoned");
         let queue = &mut queues[slot];
-        let before = queue.items.len() as u64;
         queue.items = VecDeque::from(queued);
         queue.stats = stats;
-        let after = queue.items.len() as u64;
-        if after > before {
-            self.pending[group].fetch_add(after - before, Ordering::Release);
-        } else if before > after {
-            self.pending[group].fetch_sub(before - after, Ordering::Release);
-        }
+        self.publish(tenant, queue);
         Ok(())
     }
 }
@@ -493,35 +502,40 @@ mod tests {
     }
 
     #[test]
-    fn pending_hint_tracks_group_occupancy_locklessly() {
-        let bus = small_bus(4); // groups of 2: {0,1}, {2,3}
-        assert!(!bus.pending_hint(0).unwrap());
-        assert!(!bus.pending_hint(2).unwrap());
-        assert!(bus.pending_hint(9).is_err());
+    fn queued_signal_tracks_each_tenant_locklessly() {
+        let bus = small_bus(4); // groups of 2: {0,1}, {2,3}; capacity 4
+        assert!((0..4).all(|tenant| !bus.has_queued(tenant)));
+        assert!(!bus.has_queued(9), "an out-of-range tenant has no queue");
         assert!(bus.is_empty());
+        // Push: only the pushed tenant signals, not its group neighbour.
         bus.push(1, 5.0).unwrap();
-        // The hint is group-granular: tenant 0 shares tenant 1's group.
-        assert!(bus.pending_hint(0).unwrap());
-        assert!(bus.pending_hint(1).unwrap());
-        assert!(!bus.pending_hint(3).unwrap());
+        assert!(bus.has_queued(1));
+        assert!(!bus.has_queued(0));
         assert!(!bus.is_empty());
+        // Push to a full queue: the rejected arrivals leave the signal on,
+        // and a drain clears it.
+        assert_eq!(bus.push_batch(2, &[0.0; 9]).unwrap(), 4);
+        assert!(!bus.push(2, 1.0).unwrap());
+        assert!(bus.has_queued(2));
         let mut buf = Vec::new();
-        bus.drain_into(1, &mut buf).unwrap();
-        assert!(!bus.pending_hint(0).unwrap());
-        assert!(bus.is_empty());
-        // Rejected pushes never count as pending.
-        for k in 0..9 {
-            bus.push(2, k as f64).unwrap();
-        }
         bus.drain_into(2, &mut buf).unwrap();
-        assert!(!bus.pending_hint(2).unwrap());
-        // Restore adjusts the counter in both directions.
+        assert!(!bus.has_queued(2));
+        // An empty drain leaves it clear; a drain of one tenant leaves
+        // the others signalled.
+        bus.drain_into(2, &mut buf).unwrap();
+        assert!(!bus.has_queued(2));
+        assert!(bus.has_queued(1));
+        bus.drain_into(1, &mut buf).unwrap();
+        assert!(bus.is_empty());
+        // Restore sets the signal in both directions.
         bus.restore_tenant(3, vec![1.0, 2.0], QueueStats::default())
             .unwrap();
-        assert!(bus.pending_hint(2).unwrap());
+        assert!(bus.has_queued(3));
+        assert!(!bus.has_queued(2));
         bus.restore_tenant(3, Vec::new(), QueueStats::default())
             .unwrap();
-        assert!(!bus.pending_hint(2).unwrap());
+        assert!(!bus.has_queued(3));
+        assert!(bus.is_empty());
     }
 
     #[test]

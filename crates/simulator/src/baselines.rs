@@ -66,14 +66,18 @@ impl Autoscaler for BackupPool {
     }
 }
 
-/// Adaptive Backup Pool (AdapBP): every `adjustment_interval` seconds the
-/// pool size is reset to `ratio × (average QPS over the most recent ten
-/// minutes)`, rounded up.
+/// Seconds between two AdapBP pool-size re-estimations (the paper's ten
+/// minutes).
+const ADAPTIVE_ADJUSTMENT_INTERVAL: f64 = 600.0;
+
+/// Seconds of recent traffic each AdapBP re-estimation averages over.
+const ADAPTIVE_ESTIMATION_WINDOW: f64 = 600.0;
+
+/// Adaptive Backup Pool (AdapBP): every ten minutes the pool size is reset
+/// to `ratio × (average QPS over the most recent ten minutes)`, rounded up.
 #[derive(Debug, Clone)]
 pub struct AdaptiveBackupPool {
     ratio: f64,
-    adjustment_interval: f64,
-    estimation_window: f64,
     current_target: usize,
 }
 
@@ -83,8 +87,6 @@ impl AdaptiveBackupPool {
     pub fn new(ratio: f64) -> Self {
         Self {
             ratio: ratio.max(0.0),
-            adjustment_interval: 600.0,
-            estimation_window: 600.0,
             current_target: 0,
         }
     }
@@ -106,11 +108,11 @@ impl Autoscaler for AdaptiveBackupPool {
     }
 
     fn planning_interval(&self) -> Option<f64> {
-        Some(self.adjustment_interval)
+        Some(ADAPTIVE_ADJUSTMENT_INTERVAL)
     }
 
     fn on_planning_tick(&mut self, state: &SystemState) -> Vec<ScalingCommand> {
-        let qps = state.recent_qps(self.estimation_window);
+        let qps = state.recent_qps(ADAPTIVE_ESTIMATION_WINDOW);
         self.current_target = (qps * self.ratio).ceil() as usize;
         let current = state.idle_ready + state.idle_pending;
         if current < self.current_target {

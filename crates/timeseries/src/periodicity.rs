@@ -71,17 +71,30 @@ pub struct PeriodicityResult {
 
 /// Detect the dominant period of a series. Returns `Ok(None)` when no
 /// statistically significant periodicity is found.
+///
+/// The first period [`detect_periods`] reports, found without its later
+/// rounds: a round depends only on the rounds before it.
 pub fn detect_period(
     series: &TimeSeries,
     config: &PeriodicityConfig,
 ) -> Result<Option<PeriodicityResult>, TimeSeriesError> {
-    Ok(detect_periods(series, config)?.into_iter().next())
+    Ok(detect_up_to(series, config, config.max_periods.min(1))?.pop())
 }
 
 /// Detect up to `config.max_periods` distinct periods, strongest first.
 pub fn detect_periods(
     series: &TimeSeries,
     config: &PeriodicityConfig,
+) -> Result<Vec<PeriodicityResult>, TimeSeriesError> {
+    detect_up_to(series, config, config.max_periods)
+}
+
+/// Detect up to `limit` distinct periods, strongest first: one ACF round
+/// per period, each searching what the periods before it left.
+fn detect_up_to(
+    series: &TimeSeries,
+    config: &PeriodicityConfig,
+    limit: usize,
 ) -> Result<Vec<PeriodicityResult>, TimeSeriesError> {
     let n = series.len();
     if n < config.min_period * 3 || n < 6 {
@@ -109,7 +122,7 @@ pub fn detect_periods(
 
     let mut remaining = detrended;
     let mut results: Vec<PeriodicityResult> = Vec::new();
-    for _round in 0..config.max_periods {
+    for _round in 0..limit {
         let table = Autocorrelation::new(&remaining);
         let acf: Vec<f64> = (0..=max_lag).map(|lag| table.at(lag)).collect();
 
@@ -179,6 +192,9 @@ pub fn detect_periods(
 
         let Some(result) = accepted else { break };
         results.push(result);
+        if results.len() == limit {
+            break;
+        }
         // Subtract the per-phase mean at the accepted period so weaker,
         // non-harmonic periodicities become visible in the next round.
         let p = result.period;
@@ -390,6 +406,39 @@ mod tests {
         // Degenerate candidates: unchanged.
         assert_eq!(refine_period(&s, 0, 5, &config).unwrap(), 0);
         assert_eq!(refine_period(&s, 1, 5, &config).unwrap(), 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Stopping after the first period changes nothing: the dominant
+        /// period is the first one the multi-period search reports, on
+        /// noisy series with a short period nested in a long one.
+        #[test]
+        fn detect_period_is_the_first_of_detect_periods(
+            short in 4usize..30,
+            cycles in 2usize..8,
+            amplitudes in (0.0f64..6.0, 0.0f64..6.0),
+            noise in 0.0f64..4.0,
+            len in 200usize..900,
+            seed in 0u64..1_000,
+        ) {
+            let long = short * cycles;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let values: Vec<f64> = (0..len)
+                .map(|i| {
+                    let fast = 2.0 * std::f64::consts::PI * i as f64 / short as f64;
+                    let slow = 2.0 * std::f64::consts::PI * i as f64 / long as f64;
+                    20.0 + amplitudes.0 * fast.sin()
+                        + amplitudes.1 * slow.sin()
+                        + noise * (rng.gen::<f64>() - 0.5)
+                })
+                .collect();
+            let s = TimeSeries::from_values(0.0, 60.0, values).unwrap();
+            let config = PeriodicityConfig::default();
+            let first = detect_periods(&s, &config).unwrap().first().copied();
+            proptest::prop_assert_eq!(detect_period(&s, &config).unwrap(), first);
+        }
     }
 
     #[test]

@@ -18,13 +18,19 @@
 //!   transitions in its trace and replays strictly;
 //! - **restore wiring** — `restore` re-arms the supervisor and fault
 //!   plan from the manifest; `restore_with` also
-//!   re-attaches the page store.
+//!   re-attaches the page store;
+//! - **dormant skips** — a round skips tenants at the dormant fixed point
+//!   without touching them; arrivals, passed wake times, direct access,
+//!   a late page store, clones and restores all bring them back exactly
+//!   when a full visit would.
 
 use proptest::prelude::*;
 use robustscaler::core::{RobustScalerConfig, RobustScalerVariant};
+use robustscaler::nhpp::NhppModel;
 use robustscaler::online::{
-    replay_path, BusConfig, FaultPlan, OnlineConfig, PolicyBands, ReplayMode, ResidencyConfig,
-    RestoreOptions, SupervisorConfig, TenantFleet, TraceRecorder,
+    replay_path, BusConfig, FaultPlan, FleetRound, OnlineConfig, PolicyBands, ReplayMode,
+    ResidencyConfig, ResidencyEvent, RestoreOptions, SupervisorConfig, TenantFleet, TraceRecorder,
+    WakeReason,
 };
 use std::path::PathBuf;
 
@@ -213,6 +219,171 @@ proptest! {
                 "residency transitions diverged at {} workers", workers
             );
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+/// When each event of [`drive_dormancy`]'s script fires (round numbers).
+#[derive(Debug, Clone, Copy)]
+struct DormancyScript {
+    /// `BURST` gets arrivals pushed while it is dormant.
+    burst: u64,
+    /// `POKED` is touched directly, twice.
+    pokes: (u64, u64),
+    /// `QUIET` gets a near-silent model whose refit deadline is a finite
+    /// wake time a few rounds later.
+    quiet: u64,
+    /// The fleet under test attaches its page store (never before the
+    /// poked tenant has settled cold and resident).
+    attach: u64,
+    /// The fleet under test is replaced by its clone.
+    clone: u64,
+    /// The fleet under test is checkpointed and replaced by its restore.
+    restore: u64,
+}
+
+const DORMANCY_ROUNDS: u64 = 18;
+const BURST: usize = 5;
+const QUIET: usize = 6;
+
+/// What [`drive_dormancy`] compares: per-round supervised reports and
+/// residency events, then the final serving, supervision and queue
+/// counters and tier occupancy.
+type DormancyLog = (Vec<FleetRound>, ResidencyLog, String, (usize, usize));
+
+/// Run the dormancy script. `under_test` holds the fleet's page
+/// directory, checkpoint directory and worker count: that fleet starts
+/// without a page store, attaches one mid-run and is cloned and restored;
+/// `None` runs the always-resident reference unchanged.
+fn drive_dormancy(
+    fleet: &mut TenantFleet,
+    script: DormancyScript,
+    under_test: Option<(&PathBuf, &PathBuf, usize)>,
+) -> DormancyLog {
+    let mut rounds = Vec::new();
+    let mut events = Vec::new();
+    for round in 0..DORMANCY_ROUNDS {
+        if let Some((pages, checkpoint, workers)) = under_test {
+            if round == script.attach {
+                fleet.set_hibernation_dir(pages).unwrap();
+            }
+            if round == script.clone {
+                *fleet = fleet.clone();
+            }
+            if round == script.restore {
+                fleet.checkpoint(checkpoint).unwrap();
+                let options = RestoreOptions {
+                    hibernation_dir: fleet.hibernation_dir().map(PathBuf::from),
+                    ..RestoreOptions::default()
+                };
+                *fleet = TenantFleet::restore_with(checkpoint, &online_config(), options)
+                    .unwrap()
+                    .0;
+                fleet.set_workers(workers);
+            }
+        }
+        if round == script.pokes.0 || round == script.pokes.1 {
+            assert!(fleet.tenant_mut(POKED).is_some());
+        }
+        if round == script.quiet {
+            // Silent everywhere the forecast looks; the refit deadline,
+            // five rounds out, is the wake time.
+            let now = round_now(round);
+            let model = NhppModel::from_log_rates(0.0, 10.0, vec![-60.0; 256], None).unwrap();
+            let scaler = &mut fleet.tenant_mut(QUIET).unwrap().scaler;
+            let refit_interval = scaler.config().refit_interval;
+            scaler
+                .install_model(model, now + 100.0 - refit_interval)
+                .unwrap();
+        }
+        enqueue_window(fleet, round);
+        if round == script.burst {
+            let now = round_now(round);
+            fleet.enqueue(BURST, now - 15.0).unwrap();
+            fleet.enqueue(BURST, now - 5.0).unwrap();
+        }
+        rounds.push(
+            fleet
+                .run_round_supervised(round_now(round), &[0; 8])
+                .unwrap(),
+        );
+        events.extend(fleet.take_residency_events());
+        if under_test.is_some() && round >= script.attach {
+            // With a store attached, every cold tenant leaves memory in the
+            // round it goes (or is found) cold.
+            let stats = fleet.residency_stats();
+            assert_eq!(stats.paged, stats.cold, "round {round}: {stats:?}");
+        }
+    }
+    let stats = fleet.residency_stats();
+    let counters = format!(
+        "{:?} {:?} {:?}",
+        fleet.aggregate_stats(),
+        fleet.supervision_stats(),
+        fleet.queue_stats()
+    );
+    (rounds, events, counters, (stats.hot, stats.cold))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Skipping dormant tenants is invisible: a fleet driven through
+    /// arrivals while dormant, a passed wake time, direct access, a page
+    /// store attached after cold residents settled, a clone and a
+    /// checkpoint/restore reports exactly what an always-resident fleet
+    /// does, at 1, 2 and 3 workers.
+    #[test]
+    fn dormant_skips_match_an_always_resident_fleet(
+        burst in 4u64..12,
+        first_poke in 1u64..4,
+        second_poke in 7u64..11,
+        quiet in 2u64..6,
+        attach in 7u64..10,
+        clone in 2u64..16,
+        restore in 2u64..16,
+    ) {
+        let script = DormancyScript {
+            burst,
+            pokes: (first_poke, second_poke),
+            quiet,
+            attach,
+            clone,
+            restore,
+        };
+        let reference = {
+            let mut fleet = TenantFleet::new(&online_config(), 0.0, 8).unwrap();
+            fleet.enable_residency(residency_config()).unwrap();
+            fleet.attach_bus(bus_config()).unwrap();
+            fleet.set_workers(1);
+            drive_dormancy(&mut fleet, script, None)
+        };
+        // The script reaches what it means to: an arrival wake of the
+        // dormant burst tenant and a due wake of the quiet one.
+        let wakes = |reason| {
+            reference
+                .1
+                .iter()
+                .filter(|(_, e)| *e == ResidencyEvent::Wake { reason })
+                .map(|&(id, _)| id as usize)
+                .collect::<Vec<_>>()
+        };
+        prop_assert!(wakes(WakeReason::Arrival).contains(&BURST), "{:?}", reference.1);
+        prop_assert!(wakes(WakeReason::Due).contains(&QUIET), "{:?}", reference.1);
+        for workers in [1usize, 2, 3] {
+            let pages = scratch("dormant-pages");
+            let checkpoint = scratch("dormant-checkpoint");
+            let mut fleet =
+                TenantFleet::new_cold(&online_config(), 0.0, 8, 0, residency_config()).unwrap();
+            fleet.attach_bus(bus_config()).unwrap();
+            fleet.set_workers(workers);
+            let got = drive_dormancy(&mut fleet, script, Some((&pages, &checkpoint, workers)));
+            prop_assert_eq!(&got.0, &reference.0, "rounds diverged at {} workers", workers);
+            prop_assert_eq!(&got.1, &reference.1, "events diverged at {} workers", workers);
+            prop_assert_eq!(&got.2, &reference.2, "counters diverged at {} workers", workers);
+            prop_assert_eq!(got.3, reference.3, "occupancy diverged at {} workers", workers);
+            let _ = std::fs::remove_dir_all(&pages);
+            let _ = std::fs::remove_dir_all(&checkpoint);
         }
     }
 }
